@@ -545,11 +545,9 @@ def _run_session_command(args: argparse.Namespace) -> int:
 
     from repro.streaming import read_snapshot, write_snapshot
 
+    # Every service built here is log-structured: each mutation is
+    # durable the moment the call returns, with no explicit snapshot.
     service = _build_session_service(args)
-    # On a log-structured store every mutation is durable the moment the
-    # call returns, so the explicit post-command snapshots below are only
-    # needed for stores without a write-ahead log.
-    needs_snapshot = not service.wal_enabled
 
     if args.session_command == "create":
         item_ids = args.item_ids if args.item_ids is not None else range(args.items)
@@ -559,8 +557,6 @@ def _run_session_command(args: argparse.Namespace) -> int:
             args.estimators,
             keep_votes=not args.no_keep_votes,
         )
-        if needs_snapshot:
-            service.snapshot(args.name)  # durable from the first moment
         print(f"created session {args.name!r} in {args.store}")
         return 0
 
@@ -593,8 +589,6 @@ def _run_session_command(args: argparse.Namespace) -> int:
             source=args.source,
             sequence=args.sequence,
         )
-        if needs_snapshot:
-            service.snapshot(args.name)
         status = "duplicate batch skipped" if result.duplicate else "applied"
         print(
             f"{status}: {result.applied} column(s); session now at "
@@ -622,8 +616,6 @@ def _run_session_command(args: argparse.Namespace) -> int:
     if args.session_command == "restore":
         snapshot = read_snapshot(args.source_dir) if args.source_dir else None
         progress = service.restore(args.name, snapshot)
-        if needs_snapshot:
-            service.snapshot(args.name)
         print(f"restored {args.name!r}: " + ", ".join(
             f"{key}={value:.0f}" for key, value in progress.items()
         ))

@@ -68,7 +68,9 @@ def check_non_negative(value: object, name: str) -> float:
 
 def check_int(value: object, name: str, *, minimum: Optional[int] = None) -> int:
     """Validate that ``value`` is an integer, optionally with a lower bound."""
-    if isinstance(value, bool) or not isinstance(value, Real) or int(value) != value:
+    if type(value) is not int and (  # exact ints skip the slower ABC check
+        isinstance(value, bool) or not isinstance(value, Real) or int(value) != value
+    ):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     ivalue = int(value)
     if minimum is not None and ivalue < minimum:

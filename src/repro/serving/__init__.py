@@ -5,21 +5,17 @@ in-process façade lives next to the session machinery it builds on
 (:mod:`repro.streaming.serving` and :mod:`repro.streaming.store`), while
 the network boundary is native to this package:
 
-* :mod:`repro.serving.http` — a JSON HTTP API over an
-  :class:`EstimationService` (or :class:`ShardedEstimationService`):
-  session CRUD, batched idempotent ingestion, cached estimate reads,
-  snapshot/compact, with structured error mapping (unknown session →
-  404, validation → 400, store corruption → 500).
-* :mod:`repro.serving.workers` — process-per-shard serving:
-  :class:`ProcessShardedService` presents the same façade but runs each
-  shard in its own worker process that exclusively owns its shard store
-  (``repro serve --workers N``), with per-request timeouts, bounded
-  crash-restart-and-recover, and graceful drain.
+* :mod:`repro.serving.http` — a JSON HTTP API over any serving façade,
+  with structured error mapping, and :class:`SessionClient`, its client.
+* :mod:`repro.serving.workers` — :class:`ProcessShardedService`, the
+  same façade with each shard in its own worker process that exclusively
+  owns its shard store (``repro serve --workers N``).
 * :mod:`repro.serving.loadgen` — the synthetic worker fleet that hammers
-  that API end to end: bursty arrivals, per-worker accuracy/latency,
-  deliberate duplicate and reordered deliveries, and a deterministic
-  replay check proving the served estimates are bit-identical to a
-  direct :class:`~repro.streaming.StreamingSession` replay.
+  that API end to end and replays it to prove the served estimates
+  bit-identical to a direct :class:`~repro.streaming.StreamingSession`.
+
+Every front reads one op table, :data:`SERVING_OPS`, and both sharded
+fronts are one :class:`ShardRouter`.
 
 Quick use::
 
@@ -80,10 +76,13 @@ from repro.serving.loadgen import (
 from repro.serving.workers import ProcessShardedService
 from repro.streaming.serving import (
     DEFAULT_COMPACT_BYTES,
+    SERVING_OPS,
     EstimateReport,
     EstimationService,
     IngestResult,
+    ServingOp,
     ShardedEstimationService,
+    ShardRouter,
     ShardUnavailableError,
     replay_batch_record,
     shard_index,
@@ -133,6 +132,10 @@ __all__ = [
     "DEFAULT_COMPACT_BYTES",
     "replay_batch_record",
     "shard_index",
+    # the op table and the shard router every front is built from
+    "SERVING_OPS",
+    "ServingOp",
+    "ShardRouter",
     # the HTTP boundary (repro.serving.http)
     "ServingApi",
     "HttpServingServer",

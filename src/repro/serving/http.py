@@ -1,40 +1,15 @@
 """The HTTP boundary of the serving layer: a JSON API over a service.
 
-:class:`ServingApi` maps a small REST surface onto an
-:class:`~repro.streaming.serving.EstimationService` (or the hash-sharded
-:class:`~repro.streaming.serving.ShardedEstimationService` — the façade
-is identical, so the wire layer cannot tell them apart):
-
-====== =================================== =====================================
-Method Path                                Meaning
-====== =================================== =====================================
-GET    ``/health``                         liveness + session/shard counts
-GET    ``/sessions``                       known session names
-POST   ``/sessions``                       create a session
-GET    ``/sessions/<name>``                progress summary
-DELETE ``/sessions/<name>``                drop the session everywhere
-POST   ``/sessions/<name>/batches``        ingest one batch (idempotent)
-GET    ``/sessions/<name>/estimates``      cached estimates + state version
-POST   ``/sessions/<name>/snapshot``       persist a snapshot to the store
-POST   ``/sessions/<name>/compact``        fold the session's log into a snapshot
-====== =================================== =====================================
-
-The ``(source, sequence)`` pair of the ingest body is the **wire-level
-retry contract**: a client that dies before reading its acknowledgement
-simply re-POSTs the whole batch, and a batch whose sequence does not
-advance its source's high-water mark is acknowledged as a no-op
-(``duplicate: true``, 200) instead of double-counting votes.  The
-``version`` triple in the estimates response lets that client verify the
-retry really changed nothing.
-
-Errors are structured, never tracebacks:
-
-* unknown session → **404** (:class:`~repro.streaming.store.UnknownSessionError`)
-* malformed body / bad votes / bad names → **400** (``ValidationError``)
-* conflicting configuration (name already exists, unknown estimator)
-  → **409** (``ConfigurationError``)
-* unreadable stored bytes → **500**
-  (:class:`~repro.streaming.store.StoreCorruptionError`)
+:class:`ServingApi` maps a small REST surface onto a serving façade —
+an :class:`~repro.streaming.serving.EstimationService` or either
+sharded front, which the wire layer cannot tell apart.  The routes are
+the ``http`` column of the op table
+(:data:`~repro.streaming.serving.SERVING_OPS`), plus ``GET /health``.
+The ``(source, sequence)`` pair of the ingest body is the wire-level
+retry contract (a re-POSTed batch is acknowledged as a no-op,
+``duplicate: true``), and errors are structured, never tracebacks:
+:data:`SERVER_ERROR_TAXONOMY` maps library exceptions to
+``(status, kind)``.  ``docs/http.md`` is the full wire reference.
 
 Transport is the stdlib :class:`http.server.ThreadingHTTPServer` — one
 thread per connection, which the per-session locks of the service were
@@ -52,15 +27,22 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
-from repro.core.base import EstimateResult
-from repro.streaming.serving import EstimateReport, IngestResult, ShardUnavailableError
+from repro.streaming.serving import (  # noqa: F401 - wire codecs re-exported
+    SERVING_OPS,
+    RemoteFacade,
+    ServingOp,
+    ShardUnavailableError,
+    parse_columns_payload,
+    report_from_payload,
+    report_to_payload,
+    result_from_payload,
+    result_to_payload,
+    serve_op,
+)
 from repro.streaming.store import StoreCorruptionError, UnknownSessionError
 
 #: Bodies larger than this are rejected up front (64 MiB is far beyond
@@ -82,11 +64,9 @@ class HttpApiError(ReproError):
     (:class:`HttpUnknownSessionError` and friends), which are *also* the
     exception type the in-process façade would have raised — so code
     written against :class:`~repro.streaming.serving.EstimationService`
-    catches exactly the same exceptions over the wire (``except
-    UnknownSessionError`` keeps meaning "no such session", and a 404 is
-    no longer catchable as a 409-style ``ConfigurationError`` conflict).
-    Only responses the client cannot classify (unknown kinds, non-JSON
-    bodies, unroutable paths) surface as this bare base class.
+    catches exactly the same exceptions over the wire.  Only responses
+    the client cannot classify (unknown kinds, non-JSON bodies,
+    unroutable paths) surface as this bare base class.
     """
 
     def __init__(self, status: int, message: str, kind: str = "error") -> None:
@@ -158,139 +138,18 @@ def error_from_kind(status: int, message: str, kind: str) -> HttpApiError:
 
 
 # --------------------------------------------------------------------- #
-# wire codecs (shared by the server, the client and the CLI)
-# --------------------------------------------------------------------- #
-def _plain(value):
-    """JSON-safe value: numpy scalars and arrays become Python equivalents."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        # Estimator ``details`` legitimately carry arrays (frequency
-        # tables, per-checkpoint traces); ``tolist`` yields nested lists
-        # of exact Python scalars instead of crashing ``json.dumps``.
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _plain(item) for key, item in value.items()}
-    return value
-
-
-def parse_columns_payload(
-    payload: object,
-) -> Tuple[List[Dict[int, int]], List[Optional[int]]]:
-    """Decode the JSON wire shape of a vote batch into ingest arguments.
-
-    The accepted shape — shared by ``POST /sessions/<name>/batches`` and
-    ``repro session ingest`` — is a list with one entry per task column,
-    each either ``{"votes": {"<item>": vote, ...}, "worker": id}`` or the
-    bare ``{"<item>": vote}`` mapping itself.  Anything else raises
-    ``ValidationError`` with the offending entry's position; nothing here
-    lets a malformed body escape as a raw traceback.
-    """
-    if not isinstance(payload, list):
-        raise ValidationError(
-            f"vote batch must be a JSON list of column objects, "
-            f"got {type(payload).__name__}"
-        )
-    columns: List[Dict[int, int]] = []
-    workers: List[Optional[int]] = []
-    for position, entry in enumerate(payload):
-        if not isinstance(entry, dict):
-            raise ValidationError(
-                f"column {position} must be an object, got {type(entry).__name__}"
-            )
-        worker = None
-        votes = entry
-        if "votes" in entry:
-            votes = entry["votes"]
-            if not isinstance(votes, dict):
-                raise ValidationError(
-                    f"column {position}: 'votes' must be an object mapping "
-                    f"item ids to votes, got {type(votes).__name__}"
-                )
-            worker = entry.get("worker")
-            unknown = sorted(set(entry) - {"votes", "worker"})
-            if unknown:
-                raise ValidationError(
-                    f"column {position}: unknown key(s) {unknown}; "
-                    "expected 'votes' and optional 'worker'"
-                )
-        column: Dict[int, int] = {}
-        for item, vote in votes.items():
-            try:
-                column[int(item)] = int(vote)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"column {position}: item ids and votes must be "
-                    f"integers, got {item!r}: {vote!r}"
-                ) from None
-        try:
-            workers.append(None if worker is None else int(worker))
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"column {position}: 'worker' must be an integer, got {worker!r}"
-            ) from None
-        columns.append(column)
-    return columns, workers
-
-
-def result_to_payload(result: EstimateResult) -> Dict[str, object]:
-    """One :class:`EstimateResult` as its JSON wire object."""
-    return {
-        "estimate": _plain(float(result.estimate)),
-        "observed": _plain(float(result.observed)),
-        "remaining": _plain(float(result.remaining)),
-        "details": _plain(dict(result.details)),
-    }
-
-
-def result_from_payload(payload: Mapping[str, object]) -> EstimateResult:
-    """The client-side inverse of :func:`result_to_payload`.
-
-    JSON floats round-trip exactly (the encoder emits the shortest
-    representation that parses back to the identical double), so the
-    reconstructed :class:`EstimateResult` compares equal bit for bit with
-    the server's — the property the end-to-end harness pins.
-    """
-    return EstimateResult(
-        estimate=float(payload["estimate"]),
-        observed=float(payload["observed"]),
-        details={str(key): value for key, value in dict(payload.get("details", {})).items()},
-    )
-
-
-def report_to_payload(report: EstimateReport) -> Dict[str, object]:
-    """One :class:`EstimateReport` as the estimates response body."""
-    return {
-        "session": report.session,
-        "version": [int(part) for part in report.version],
-        "estimates": {
-            name: result_to_payload(result)
-            for name, result in sorted(report.results.items())
-        },
-    }
-
-
-def report_from_payload(payload: Mapping[str, object]) -> EstimateReport:
-    """The client-side inverse of :func:`report_to_payload`."""
-    return EstimateReport(
-        session=str(payload["session"]),
-        version=tuple(int(part) for part in payload["version"]),
-        results={
-            str(name): result_from_payload(result)
-            for name, result in dict(payload["estimates"]).items()
-        },
-    )
-
-
-# --------------------------------------------------------------------- #
 # the transport-free API core
 # --------------------------------------------------------------------- #
+#: ``(method, path template) -> ops`` served there; the primary op
+#: (no ``flag``) first, then its query-flag extensions.
+_ROUTES: Dict[Tuple[str, str], List[ServingOp]] = {}
+for _op in sorted(
+    (op for op in SERVING_OPS if op.http is not None),
+    key=lambda op: op.http.flag is not None,
+):
+    _ROUTES.setdefault((_op.http.method, _op.http.path), []).append(_op)
+
+
 class ServingApi:
     """Route ``(method, path, body)`` requests onto a serving façade.
 
@@ -348,167 +207,36 @@ class ServingApi:
             for key, values in urllib.parse.parse_qs(raw_query).items()
         }
         if parts == ["health"] and method == "GET":
-            return self._health()
-        if parts == ["sessions"]:
-            if method == "GET":
-                return 200, {"sessions": self.service.sessions()}
-            if method == "POST":
-                return self._create(self._json_body(body))
-        if len(parts) == 2 and parts[0] == "sessions":
-            name = parts[1]
-            if method == "GET":
-                return 200, {
-                    "session": name,
-                    "progress": _plain(self.service.progress(name)),
-                }
-            if method == "DELETE":
-                self.service.drop(name)
-                return 200, {"session": name, "dropped": True}
-        if len(parts) == 3 and parts[0] == "sessions":
-            name, action = parts[1], parts[2]
-            if action == "batches" and method == "POST":
-                return self._ingest(name, self._json_body(body))
-            if action == "estimates" and method == "GET":
-                payload = report_to_payload(self.service.estimate_report(name))
-                if _query_flag(query, "collusion"):
-                    payload["collusion"] = self._collusion(name, query)
-                return 200, payload
-            if action == "snapshot" and method == "POST":
-                self.service.snapshot(name)
-                return 200, {"session": name, "snapshotted": True}
-            if action == "compact" and method == "POST":
-                self.service.compact(name)
-                return 200, {"session": name, "compacted": True}
-        return 404, {
-            "error": f"no route for {method} {path}",
-            "kind": "unknown_route",
-        }
+            return 200, self._health()
+        ops: List[ServingOp] = []
+        if parts[:1] == ["sessions"] and len(parts) <= 3:
+            template = "/" + "/".join(["sessions", "{name}", *parts[2:]][: len(parts)])
+            ops = _ROUTES.get((method, template), [])
+        if not ops:
+            return 404, {
+                "error": f"no route for {method} {path}",
+                "kind": "unknown_route",
+            }
+        primary, extensions = ops[0], ops[1:]
+        args = query
+        if method == "POST" and primary.decode is not None:
+            args = self._json_body(body)
+        # A route without ``{name}`` carries the session name in its body.
+        name = parts[1] if len(parts) > 1 else args.pop("name", None)
+        payload = serve_op(self.service, primary, name, args)
+        for op in extensions:
+            if _query_flag(query, op.http.flag):
+                payload[op.http.flag] = serve_op(self.service, op, name, query)
+        return primary.http.status, payload
 
-    # ------------------------------------------------------------------ #
-    # endpoints
-    # ------------------------------------------------------------------ #
-    def _collusion(self, name: str, query: Dict[str, str]) -> Dict[str, object]:
-        """The estimates route's ``?collusion=1`` extension.
-
-        Optional ``threshold`` / ``min_overlap`` query parameters tune
-        the agreement scan; a service without the capability (the
-        process-sharded facade keeps its worker RPC surface minimal)
-        answers with a 400 rather than a confusing unknown-route 404.
-        """
-        reporter = getattr(self.service, "collusion_report", None)
-        if reporter is None:
-            raise ValidationError(
-                "this service does not support collusion reports "
-                "(process-sharded serving keeps the worker protocol to the "
-                "core ingest/estimate surface)"
-            )
-        kwargs: Dict[str, object] = {}
-        if "threshold" in query:
-            try:
-                kwargs["threshold"] = float(query["threshold"])
-            except ValueError:
-                raise ValidationError(
-                    f"'threshold' must be a number, got {query['threshold']!r}"
-                ) from None
-        if "min_overlap" in query:
-            try:
-                kwargs["min_overlap"] = int(query["min_overlap"])
-            except ValueError:
-                raise ValidationError(
-                    f"'min_overlap' must be an integer, got {query['min_overlap']!r}"
-                ) from None
-        return reporter(name, **kwargs).to_dict()
-
-    def _health(self) -> Tuple[int, Dict[str, object]]:
+    def _health(self) -> Dict[str, object]:
         service = self.service
-        return 200, {
+        return {
             "status": "ok",
             "sessions": len(service.sessions()),
             "active_sessions": len(service.active_sessions()),
             "shards": int(getattr(service, "num_shards", 1)),
             "wal": bool(getattr(service, "wal_enabled", False)),
-        }
-
-    def _create(self, payload: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
-        name = payload.get("name")
-        if not isinstance(name, str):
-            raise ValidationError("create body requires a string 'name'")
-        unknown = sorted(
-            set(payload) - {"name", "item_ids", "items", "estimators", "keep_votes"}
-        )
-        if unknown:
-            raise ValidationError(
-                f"unknown create key(s) {unknown}; expected 'name', "
-                "'item_ids' or 'items', optional 'estimators' and 'keep_votes'"
-            )
-        if ("item_ids" in payload) == ("items" in payload):
-            raise ValidationError(
-                "create body requires exactly one of 'item_ids' (explicit id "
-                "list) or 'items' (ids 0..N-1)"
-            )
-        if "item_ids" in payload:
-            raw = payload["item_ids"]
-            if not isinstance(raw, list):
-                raise ValidationError("'item_ids' must be a list of integers")
-            try:
-                item_ids = [int(item) for item in raw]
-            except (TypeError, ValueError):
-                raise ValidationError("'item_ids' must be a list of integers") from None
-        else:
-            try:
-                item_ids = list(range(int(payload["items"])))
-            except (TypeError, ValueError):
-                raise ValidationError("'items' must be an integer") from None
-        estimators = payload.get("estimators")
-        if estimators is not None:
-            if not isinstance(estimators, list) or not all(
-                isinstance(entry, str) for entry in estimators
-            ):
-                raise ValidationError("'estimators' must be a list of registry names")
-        keep_votes = payload.get("keep_votes", True)
-        if not isinstance(keep_votes, bool):
-            raise ValidationError("'keep_votes' must be a boolean")
-        self.service.create_session(name, item_ids, estimators, keep_votes=keep_votes)
-        return 201, {
-            "session": name,
-            "num_items": len(item_ids),
-            "keep_votes": keep_votes,
-        }
-
-    def _ingest(
-        self, name: str, payload: Dict[str, object]
-    ) -> Tuple[int, Dict[str, object]]:
-        if not isinstance(payload, dict):
-            raise ValidationError(
-                f"ingest body must be an object, got {type(payload).__name__}"
-            )
-        unknown = sorted(set(payload) - {"columns", "source", "sequence"})
-        if unknown:
-            raise ValidationError(
-                f"unknown ingest key(s) {unknown}; expected 'columns', "
-                "optional 'source' and 'sequence'"
-            )
-        columns, workers = parse_columns_payload(payload.get("columns"))
-        source = payload.get("source")
-        if source is not None and not isinstance(source, str):
-            raise ValidationError(f"'source' must be a string, got {source!r}")
-        sequence = payload.get("sequence")
-        if sequence is not None:
-            try:
-                sequence = int(sequence)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"'sequence' must be an integer, got {sequence!r}"
-                ) from None
-        result = self.service.ingest(
-            name, columns, worker_ids=workers, source=source, sequence=sequence
-        )
-        return 200, {
-            "session": result.session,
-            "applied": result.applied,
-            "duplicate": result.duplicate,
-            "num_columns": result.num_columns,
-            "total_votes": result.total_votes,
         }
 
     @staticmethod
@@ -599,8 +327,7 @@ class HttpServingServer:
 
     The socket is bound (and the port resolved) at construction time;
     :meth:`start` begins serving on a daemon thread and is what the
-    context-manager protocol calls.  ``repro serve`` uses
-    :meth:`serve_forever` instead to stay in the foreground.
+    context-manager protocol calls.
 
     Examples
     --------
@@ -651,11 +378,6 @@ class HttpServingServer:
             self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` is called."""
-        self._serving = True
-        self._server.serve_forever()
-
     def shutdown(self) -> None:
         """Stop serving and release the port (idempotent).
 
@@ -690,14 +412,18 @@ def _query_flag(query: Mapping[str, str], key: str) -> bool:
     return value.strip().lower() not in {"", "0", "false", "no"}
 
 
-class SessionClient:
+class SessionClient(RemoteFacade):
     """A ``urllib``-based client speaking the :class:`ServingApi` wire format.
 
-    Methods mirror the in-process façade and return the same dataclasses
-    (:class:`IngestResult`, :class:`EstimateReport`,
-    :class:`~repro.core.base.EstimateResult`), so code — including the
-    load generator — can run against either without changes.  Error
-    responses raise the typed exception the façade would have raised
+    Its methods are generated from :data:`~repro.streaming.serving.SERVING_OPS`
+    — one per op with an HTTP route — so they mirror the in-process
+    façade and return the same dataclasses (:class:`IngestResult`,
+    :class:`EstimateReport`, :class:`~repro.core.base.EstimateResult`),
+    and code — including the load generator — can run against either
+    without changes.  ``create_session`` also takes ``items=N`` for ids
+    ``0..N-1``; ``snapshot`` / ``compact`` return the server's receipt
+    and ``collusion_report`` the report's JSON payload.  Error responses
+    raise the typed exception the façade would have raised
     (``unknown_session`` → :class:`HttpUnknownSessionError`, catchable as
     ``UnknownSessionError``, and so on per :data:`CLIENT_ERROR_TYPES`);
     every raised error is also an :class:`HttpApiError` carrying the HTTP
@@ -707,6 +433,10 @@ class SessionClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+
+    @staticmethod
+    def _carries(op: ServingOp) -> bool:
+        return op.http is not None or op.local is not None
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
@@ -733,111 +463,21 @@ class SessionClient:
             raise error_from_kind(error.code, message, kind) from None
         return body
 
+    def _call(
+        self, op: ServingOp, name: Optional[str], args: Dict[str, object]
+    ) -> object:
+        route = op.http
+        path = route.path.replace("{name}", f"{name}")
+        if path == route.path and name is not None:
+            args = {"name": name, **args}
+        if route.flag is not None:
+            args = {route.flag: "1", **args}
+        if route.method == "POST":
+            body = self._request(route.method, path, args)
+        else:
+            query = "?" + urllib.parse.urlencode(args) if args else ""
+            body = self._request(route.method, path + query)
+        return body if route.flag is None else body[route.flag]
+
     def health(self) -> Dict[str, object]:
         return self._request("GET", "/health")
-
-    def sessions(self) -> List[str]:
-        return [str(name) for name in self._request("GET", "/sessions")["sessions"]]
-
-    def create_session(
-        self,
-        name: str,
-        item_ids: Optional[Sequence[int]] = None,
-        estimators: Optional[Sequence[str]] = None,
-        *,
-        items: Optional[int] = None,
-        keep_votes: bool = True,
-    ) -> str:
-        payload: Dict[str, object] = {"name": name, "keep_votes": keep_votes}
-        if item_ids is not None:
-            payload["item_ids"] = [int(item) for item in item_ids]
-        if items is not None:
-            payload["items"] = int(items)
-        if estimators is not None:
-            payload["estimators"] = list(estimators)
-        self._request("POST", "/sessions", payload)
-        return name
-
-    def progress(self, name: str) -> Dict[str, float]:
-        payload = self._request("GET", f"/sessions/{name}")["progress"]
-        return {str(key): float(value) for key, value in payload.items()}
-
-    def ingest(
-        self,
-        name: str,
-        columns: Sequence[Mapping[int, int]],
-        *,
-        worker_ids: Optional[Sequence[Optional[int]]] = None,
-        source: Optional[str] = None,
-        sequence: Optional[int] = None,
-    ) -> IngestResult:
-        if worker_ids is not None and len(worker_ids) != len(columns):
-            # The same check the in-process façade makes; without it a
-            # short ``worker_ids`` would escape as a bare ``IndexError``
-            # below instead of a diagnosable validation failure.
-            raise ValidationError(
-                f"worker_ids length {len(worker_ids)} does not match "
-                f"{len(columns)} column(s)"
-            )
-        wire_columns: List[Dict[str, object]] = []
-        for index, votes in enumerate(columns):
-            entry: Dict[str, object] = {
-                "votes": {str(item): int(vote) for item, vote in votes.items()}
-            }
-            if worker_ids is not None and worker_ids[index] is not None:
-                entry["worker"] = int(worker_ids[index])
-            wire_columns.append(entry)
-        payload: Dict[str, object] = {"columns": wire_columns}
-        if source is not None:
-            payload["source"] = source
-        if sequence is not None:
-            payload["sequence"] = int(sequence)
-        body = self._request("POST", f"/sessions/{name}/batches", payload)
-        return IngestResult(
-            session=str(body["session"]),
-            applied=int(body["applied"]),
-            duplicate=bool(body["duplicate"]),
-            num_columns=int(body["num_columns"]),
-            total_votes=int(body["total_votes"]),
-        )
-
-    def estimate_report(self, name: str) -> EstimateReport:
-        return report_from_payload(
-            self._request("GET", f"/sessions/{name}/estimates")
-        )
-
-    def estimates(self, name: str) -> Dict[str, EstimateResult]:
-        return self.estimate_report(name).results
-
-    def collusion_report(
-        self,
-        name: str,
-        *,
-        threshold: Optional[float] = None,
-        min_overlap: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """The estimates route's collusion extension, as a plain payload.
-
-        Mirrors ``EstimationService.collusion_report`` over the wire
-        (``GET /sessions/{name}/estimates?collusion=1``); omitted knobs
-        take the server-side defaults.
-        """
-        params = {"collusion": "1"}
-        if threshold is not None:
-            params["threshold"] = repr(float(threshold))
-        if min_overlap is not None:
-            params["min_overlap"] = str(int(min_overlap))
-        body = self._request(
-            "GET",
-            f"/sessions/{name}/estimates?" + urllib.parse.urlencode(params),
-        )
-        return dict(body["collusion"])
-
-    def snapshot(self, name: str) -> Dict[str, object]:
-        return self._request("POST", f"/sessions/{name}/snapshot", {})
-
-    def compact(self, name: str) -> Dict[str, object]:
-        return self._request("POST", f"/sessions/{name}/compact", {})
-
-    def drop(self, name: str) -> None:
-        self._request("DELETE", f"/sessions/{name}")

@@ -1,39 +1,25 @@
 """Process-per-shard serving: each shard owned by its own worker process.
 
-:class:`~repro.streaming.serving.ShardedEstimationService` partitions
-sessions across N in-process shards; this module moves each shard into
-its **own worker process** behind the identical façade.  Why processes:
-
-* **Ownership instead of locking** — exactly one process opens a shard's
-  store (enforced with an advisory ``flock``,
-  ``DirectorySessionStore(exclusive=True)``), so WAL appends and
-  compactions for a shard can never interleave between writers.
-* **Fault containment** — a crashed (even ``kill -9``-ed) worker takes
-  down one shard, not the server; the parent restarts it and the
-  standard snapshot + WAL replay recovers the shard bit-identically,
-  because every acknowledged batch was logged before it was applied.
-* **True multi-core ingestion** — shard workers are separate
-  interpreters, so CPU-bound estimation and ingestion scale across
-  cores instead of serialising on one GIL.
-
-Topology::
-
-    HTTP clients ──► HttpServingServer ──► ServingApi
-                                             │
-                                  ProcessShardedService (parent)
-                                   │ sha256 shard_index(name) │
-                            ┌──────┴──────┐           ┌───────┴─────┐
-                            ▼             ▼           ▼             ▼
-                        worker 0      worker 1    ...           worker N-1
-                      (EstimationService over shard-0000/, flock-owned)
+:class:`ProcessShardedService` is the
+:class:`~repro.streaming.serving.ShardRouter` of
+:class:`~repro.streaming.serving.ShardedEstimationService` with each
+shard moved into its **own worker process**: exactly one process opens
+a shard's store (an advisory ``flock``,
+``DirectorySessionStore(exclusive=True)``), a crashed worker takes down
+one shard rather than the server and recovers bit-identically from its
+WAL, and shards stop sharing a GIL.  ``docs/architecture.md`` has the
+topology.
 
 The parent↔worker RPC is deliberately tiny: length-prefixed JSON frames
 (4-byte big-endian length + UTF-8 JSON) over the worker's stdin/stdout
-pipes, reusing the wire codecs of :mod:`repro.serving.http`
-(:func:`~repro.serving.http.parse_columns_payload`,
-:func:`~repro.serving.http.report_to_payload`) and the same error
-taxonomy (:data:`~repro.serving.http.SERVER_ERROR_TAXONOMY`), so the
-pipe boundary and the HTTP boundary cannot drift apart.
+pipes.  Both ends are driven by the op table the HTTP boundary uses
+(:data:`~repro.streaming.serving.SERVING_OPS`): the parent's worker
+proxy is a :class:`~repro.streaming.serving.RemoteFacade` like
+:class:`~repro.serving.http.SessionClient`, the worker's frame loop runs
+each frame through :func:`~repro.streaming.serving.serve_op` like
+:class:`~repro.serving.http.ServingApi`, and error replies carry the
+same taxonomy (:data:`~repro.serving.http.SERVER_ERROR_TAXONOMY`) — so
+the pipe boundary and the HTTP boundary cannot drift apart.
 
 Failure contract (what callers may rely on):
 
@@ -61,6 +47,7 @@ Failure contract (what callers may rely on):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import select
@@ -74,29 +61,18 @@ from pathlib import Path
 from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
-from repro.core.base import EstimateResult
-from repro.serving.http import (
-    classify_error,
-    error_from_kind,
-    parse_columns_payload,
-    report_from_payload,
-    report_to_payload,
-    _plain,
-)
+from repro.serving.http import classify_error, error_from_kind
 from repro.streaming.serving import (
-    DEFAULT_COMPACT_BYTES,
-    EstimateReport,
+    SERVING_OPS,
     EstimationService,
-    IngestResult,
+    RemoteFacade,
+    ServingOp,
+    ShardRouter,
     ShardUnavailableError,
     reconcile_shard_manifest,
-    shard_index,
+    serve_op,
 )
-from repro.streaming.session import SessionSnapshot
 from repro.streaming.store import DirectorySessionStore
-
-#: RPC protocol version, checked in the boot handshake.
-PROTOCOL_VERSION = 1
 
 #: Upper bound on one RPC frame; a longer length prefix means the stream
 #: is desynchronised (or the peer is hostile) and the connection is torn
@@ -106,7 +82,7 @@ MAX_FRAME_BYTES = 256 << 20
 #: How long the parent waits for a worker's boot handshake.  Boot
 #: includes WAL recovery of the shard's sessions, so it gets a more
 #: generous deadline than steady-state requests.
-DEFAULT_BOOT_TIMEOUT = 60.0
+BOOT_TIMEOUT = 60.0
 
 #: Default per-request deadline, after which the worker is presumed
 #: wedged, killed, and the request fails with ShardUnavailableError.
@@ -126,20 +102,36 @@ def write_frame(stream: BinaryIO, payload: Mapping[str, object]) -> None:
     stream.flush()
 
 
-def read_frame(stream: BinaryIO) -> Optional[Dict[str, object]]:
-    """Read one frame from a blocking stream; ``None`` on clean EOF."""
-    header = stream.read(4)
-    if len(header) < 4:
-        return None
-    (length,) = struct.unpack(">I", header)
+class _WorkerDied(Exception):
+    """Internal: EOF (or a desynchronised stream) on a frame pipe."""
+
+
+class _WorkerTimeout(Exception):
+    """Internal: the per-request deadline passed without a full reply."""
+
+
+def _read_exact(descriptor: int, count: int, deadline: Optional[float]) -> bytes:
+    chunks = b""
+    while len(chunks) < count:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise _WorkerTimeout("no reply within deadline")
+            if not select.select([descriptor], [], [], remaining)[0]:
+                continue
+        chunk = os.read(descriptor, count - len(chunks))
+        if not chunk:
+            raise _WorkerDied("EOF on the frame pipe")
+        chunks += chunk
+    return chunks
+
+
+def read_frame(descriptor: int, deadline: Optional[float] = None) -> Dict[str, object]:
+    """Read one frame from a pipe, by ``deadline`` (``time.monotonic``) if set."""
+    (length,) = struct.unpack(">I", _read_exact(descriptor, 4, deadline))
     if length > MAX_FRAME_BYTES:
-        raise ConfigurationError(
-            f"oversized RPC frame ({length} bytes): stream desynchronised"
-        )
-    data = stream.read(length)
-    if len(data) < length:
-        return None
-    return json.loads(data.decode("utf-8"))
+        raise _WorkerDied(f"oversized frame ({length} bytes): stream desynchronised")
+    return json.loads(_read_exact(descriptor, length, deadline).decode("utf-8"))
 
 
 # --------------------------------------------------------------------- #
@@ -152,121 +144,58 @@ def _ok(result: object) -> Dict[str, object]:
 def _err(error: BaseException) -> Dict[str, object]:
     mapped = classify_error(error) if isinstance(error, ReproError) else None
     status, kind = mapped if mapped is not None else (500, "internal")
-    return {
-        "ok": False,
-        "status": status,
-        "kind": kind,
-        "error": str(error) or repr(error),
-    }
+    message = str(error) or repr(error)
+    return {"ok": False, "status": status, "kind": kind, "error": message}
 
 
-def _dispatch(service: EstimationService, request: Mapping[str, object]) -> object:
-    """Apply one RPC request to the shard's service; returns the result.
+def _reply_result(reply: Mapping[str, object]) -> object:
+    """A reply frame's result, or the typed error it carries."""
+    if reply.get("ok"):
+        return reply.get("result")
+    raise error_from_kind(
+        int(reply.get("status", 500)),
+        str(reply.get("error", "worker error")),
+        str(reply.get("kind", "internal")),
+    )
 
-    The wire shapes mirror the HTTP API: ingest columns arrive in the
-    :func:`~repro.serving.http.parse_columns_payload` shape and estimate
-    reports leave as :func:`~repro.serving.http.report_to_payload`
-    objects, so both boundaries decode with the same codecs.
-    """
-    op = request.get("op")
-    name = request.get("name")
-    if op == "ping":
-        return {"pong": True}
-    if op == "create_session":
-        service.create_session(
-            str(name),
-            [int(item) for item in request["item_ids"]],
-            request.get("estimators"),
-            keep_votes=bool(request.get("keep_votes", True)),
-        )
-        return {"session": name}
-    if op == "ingest":
-        columns, workers = parse_columns_payload(request.get("columns"))
-        result = service.ingest(
-            str(name),
-            columns,
-            worker_ids=workers,
-            source=request.get("source"),
-            sequence=request.get("sequence"),
-        )
-        return {
-            "session": result.session,
-            "applied": result.applied,
-            "duplicate": result.duplicate,
-            "num_columns": result.num_columns,
-            "total_votes": result.total_votes,
-        }
-    if op == "estimate_report":
-        return report_to_payload(service.estimate_report(str(name)))
-    if op == "progress":
-        return _plain(service.progress(str(name)))
-    if op == "snapshot":
-        service.snapshot(str(name))
-        return {"session": name, "snapshotted": True}
-    if op == "compact":
-        service.compact(str(name))
-        return {"session": name, "compacted": True}
-    if op == "restore":
-        return _plain(service.restore(str(name), None, request.get("estimators")))
-    if op == "drop":
-        service.drop(str(name))
-        return {"session": name, "dropped": True}
-    if op == "evict":
-        victim = service.evict(None if name is None else str(name))
-        return {"evicted": victim}
-    if op == "sessions":
-        return {"sessions": service.sessions()}
-    if op == "active_sessions":
-        return {"sessions": service.active_sessions()}
-    if op == "stats":
-        return {
-            "estimates_served": service.estimates_served,
-            "estimate_cache_hits": service.estimate_cache_hits,
-            "sessions_restored": service.sessions_restored,
-            "sessions_evicted": service.sessions_evicted,
-        }
+
+#: The ops a worker serves, by frame ``op`` name.
+_FRAME_OPS: Dict[str, ServingOp] = {
+    op.name: op for op in SERVING_OPS if op.reply is not None
+}
+
+
+def _serve_frame(service: EstimationService, request: Dict[str, object]) -> object:
+    """Apply one RPC frame to the shard's service; returns the result."""
+    op = request.pop("op", None)
     if op == "debug_sleep":
         # Test hook for the parent's timeout path: wedge this worker for
         # a caller-chosen interval.
         time.sleep(float(request.get("seconds", 0.0)))
         return {"slept": float(request.get("seconds", 0.0))}
-    raise ValidationError(f"unknown worker op {op!r}")
+    if op not in _FRAME_OPS:
+        raise ValidationError(f"unknown worker op {op!r}")
+    return serve_op(service, _FRAME_OPS[op], request.pop("name", None), request)
 
 
-def serve_worker(
-    service: EstimationService,
-    shard: int,
-    stdin: BinaryIO,
-    stdout: BinaryIO,
-) -> int:
+def serve_worker(service: EstimationService, stdin: BinaryIO, stdout: BinaryIO) -> int:
     """The worker request loop: frames in, dispatch, frames out.
 
     Returns the process exit code.  EOF on stdin means the parent went
     away — treated exactly like a ``shutdown`` request, since every
     acknowledged mutation is already in the shard's WAL.
     """
-    write_frame(
-        stdout,
-        _ok(
-            {
-                "hello": {
-                    "pid": os.getpid(),
-                    "shard": shard,
-                    "protocol": PROTOCOL_VERSION,
-                    "sessions": len(service.sessions()),
-                }
-            }
-        ),
-    )
+    write_frame(stdout, _ok({"pid": os.getpid()}))  # the boot handshake
     while True:
-        request = read_frame(stdin)
-        if request is None:
+        try:
+            request = read_frame(stdin.fileno())
+        except _WorkerDied:
             return 0
         if request.get("op") == "shutdown":
             write_frame(stdout, _ok({"bye": True}))
             return 0
         try:
-            reply = _ok(_dispatch(service, request))
+            reply = _ok(_serve_frame(service, request))
         except Exception as error:  # structured, never a traceback
             reply = _err(error)
         write_frame(stdout, reply)
@@ -285,11 +214,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
         description="One shard of a process-sharded estimation service.",
     )
     parser.add_argument("--shard-dir", required=True, help="this shard's store directory")
-    parser.add_argument("--shard-index", type=int, required=True)
     parser.add_argument("--max-active", type=int, default=None)
-    parser.add_argument(
-        "--compact-after-bytes", type=int, default=DEFAULT_COMPACT_BYTES
-    )
     parser.add_argument("--sync", action="store_true")
     args = parser.parse_args(argv)
 
@@ -307,37 +232,30 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
         store = DirectorySessionStore(
             args.shard_dir, sync=args.sync, exclusive=True
         )
-        service = EstimationService(
-            store,
-            max_active=args.max_active,
-            wal=True,
-            compact_after_bytes=args.compact_after_bytes or None,
-        )
+        service = EstimationService(store, max_active=args.max_active, wal=True)
     except Exception as error:
         write_frame(rpc_out, _err(error))
         return 1
-    return serve_worker(service, args.shard_index, sys.stdin.buffer, rpc_out)
+    return serve_worker(service, sys.stdin.buffer, rpc_out)
 
 
 # --------------------------------------------------------------------- #
 # the parent-side worker handle
 # --------------------------------------------------------------------- #
-class _WorkerDied(Exception):
-    """Internal: EOF from the worker pipe mid-read."""
-
-
-class _WorkerTimeout(Exception):
-    """Internal: the per-request deadline passed without a full reply."""
-
-
-class _ShardWorker:
+class _ShardWorker(RemoteFacade):
     """The parent's handle on one shard worker process.
 
-    One request is in flight per worker at a time (``self.lock``), which
-    is what makes the framed pipe a sufficient transport: replies cannot
-    interleave.  Cross-shard parallelism comes from having N workers,
-    not from pipelining within one.
+    A :class:`~repro.streaming.serving.RemoteFacade` over the frame
+    pipe: it has every op's method, so it is a
+    :class:`~repro.streaming.serving.ShardRouter` backend like an
+    in-process service.  One request is in flight per worker at a time
+    (``self.lock``), which is what makes the framed pipe a sufficient
+    transport: replies cannot interleave.  Cross-shard parallelism comes
+    from having N workers, not from pipelining within one.
     """
+
+    #: Worker shards always ingest through the write-ahead log.
+    wal_enabled = True
 
     def __init__(
         self,
@@ -345,19 +263,18 @@ class _ShardWorker:
         shard_dir: Path,
         *,
         max_active: Optional[int],
-        compact_after_bytes: Optional[int],
         sync: bool,
         request_timeout: float,
-        boot_timeout: float,
         max_restarts: int,
     ) -> None:
         self.index = index
-        self.shard_dir = shard_dir
-        self.max_active = max_active
-        self.compact_after_bytes = compact_after_bytes
-        self.sync = sync
+        self.command = [sys.executable, "-m", "repro.serving._worker_main"]
+        self.command += ["--shard-dir", str(shard_dir)]
+        if max_active is not None:
+            self.command += ["--max-active", str(max_active)]
+        if sync:
+            self.command.append("--sync")
         self.request_timeout = float(request_timeout)
-        self.boot_timeout = float(boot_timeout)
         self.max_restarts = int(max_restarts)
         self.restarts = 0
         self.lock = threading.Lock()
@@ -366,30 +283,12 @@ class _ShardWorker:
         #: is a restart and must be charged against the budget, even when
         #: the corpse has already been reaped away.
         self._ever_spawned = False
+        #: set by :meth:`close`; a closed handle never respawns its worker.
+        self.closed = False
 
     # -------------------------------------------------------------- #
     # lifecycle
     # -------------------------------------------------------------- #
-    def _command(self) -> List[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.serving._worker_main",
-            "--shard-dir",
-            str(self.shard_dir),
-            "--shard-index",
-            str(self.index),
-        ]
-        if self.max_active is not None:
-            command += ["--max-active", str(self.max_active)]
-        command += [
-            "--compact-after-bytes",
-            str(self.compact_after_bytes or 0),
-        ]
-        if self.sync:
-            command.append("--sync")
-        return command
-
     def _spawn(self) -> None:
         import repro
 
@@ -403,14 +302,14 @@ class _ShardWorker:
         )
         self._ever_spawned = True
         self.process = subprocess.Popen(
-            self._command(),
+            self.command,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=None,  # worker diagnostics flow to the parent's stderr
             env=env,
         )
         try:
-            reply = self._read_frame(time.monotonic() + self.boot_timeout)
+            reply = self._read_frame(time.monotonic() + BOOT_TIMEOUT)
         except (_WorkerDied, _WorkerTimeout) as error:
             self._kill()
             raise ShardUnavailableError(
@@ -418,25 +317,16 @@ class _ShardWorker:
             ) from None
         if not reply.get("ok"):
             self._kill()
-            raise error_from_kind(
-                int(reply.get("status", 500)),
-                str(reply.get("error", "worker boot failed")),
-                str(reply.get("kind", "internal")),
-            )
+            _reply_result(reply)
 
     def _alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 
     def _reap(self) -> None:
         if self.process is not None:
-            try:
-                self.process.stdin.close()
-            except Exception:
-                pass
-            try:
-                self.process.stdout.close()
-            except Exception:
-                pass
+            for pipe in (self.process.stdin, self.process.stdout):
+                with contextlib.suppress(Exception):
+                    pipe.close()
             self.process.wait()
             self.process = None
 
@@ -468,39 +358,8 @@ class _ShardWorker:
             self.restarts += 1
         self._spawn()
 
-    def note_external_death(self) -> None:
-        """Observe (outside a request) that the worker has died."""
-        with self.lock:
-            if self.process is not None and self.process.poll() is not None:
-                self._reap()
-
-    # -------------------------------------------------------------- #
-    # framed I/O with deadline
-    # -------------------------------------------------------------- #
-    def _send(self, payload: Mapping[str, object]) -> None:
-        write_frame(self.process.stdin, payload)
-
-    def _read_exact(self, count: int, deadline: float) -> bytes:
-        descriptor = self.process.stdout.fileno()
-        chunks = b""
-        while len(chunks) < count:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _WorkerTimeout(f"no reply within deadline")
-            ready, _, _ = select.select([descriptor], [], [], remaining)
-            if not ready:
-                continue
-            chunk = os.read(descriptor, count - len(chunks))
-            if not chunk:
-                raise _WorkerDied("EOF from worker")
-            chunks += chunk
-        return chunks
-
     def _read_frame(self, deadline: float) -> Dict[str, object]:
-        (length,) = struct.unpack(">I", self._read_exact(4, deadline))
-        if length > MAX_FRAME_BYTES:
-            raise _WorkerDied(f"oversized frame ({length} bytes)")
-        return json.loads(self._read_exact(length, deadline).decode("utf-8"))
+        return read_frame(self.process.stdout.fileno(), deadline)
 
     # -------------------------------------------------------------- #
     # the request path
@@ -521,15 +380,17 @@ class _ShardWorker:
         unknowable here, and the ``(source, sequence)`` idempotency pair
         exists precisely so the caller's retry is safe either way.
         """
-        frame = {"op": op}
-        if params:
-            frame.update(params)
+        frame = {"op": op, **(params or {})}
         budget = self.request_timeout if timeout is None else float(timeout)
         with self.lock:
+            if self.closed:
+                raise ConfigurationError(
+                    "ProcessShardedService is closed; reopen it to serve again"
+                )
             for attempt in (1, 2):
                 self._ensure_started()
                 try:
-                    self._send(frame)
+                    write_frame(self.process.stdin, frame)
                 except (BrokenPipeError, OSError):
                     # The pipe's read end is gone: the worker died before
                     # this request could reach it.  Restart and retry once.
@@ -558,24 +419,22 @@ class _ShardWorker:
                         "be restarted on the next request"
                     ) from None
                 break
-        if reply.get("ok"):
-            return reply.get("result")
-        raise error_from_kind(
-            int(reply.get("status", 500)),
-            str(reply.get("error", "worker error")),
-            str(reply.get("kind", "internal")),
-        )
+        return _reply_result(reply)
+
+    def _call(
+        self, op: ServingOp, name: Optional[str], args: Dict[str, object]
+    ) -> object:
+        return self.request(op.name, {"name": name, **args})
 
     def close(self, timeout: float = 5.0) -> None:
         """Drain this worker: polite shutdown, then terminate, then kill."""
         with self.lock:
+            self.closed = True
             if self.process is None:
                 return
             if self.process.poll() is None:
-                try:
-                    self._send({"op": "shutdown"})
-                except Exception:
-                    pass
+                with contextlib.suppress(Exception):
+                    write_frame(self.process.stdin, {"op": "shutdown"})
                 try:
                     self.process.wait(timeout)
                 except subprocess.TimeoutExpired:
@@ -590,14 +449,16 @@ class _ShardWorker:
 # --------------------------------------------------------------------- #
 # the parent façade
 # --------------------------------------------------------------------- #
-class ProcessShardedService:
+class ProcessShardedService(ShardRouter):
     """The :class:`ShardedEstimationService` façade over worker processes.
 
-    Same routing (sha256 :func:`~repro.streaming.serving.shard_index`),
-    same on-disk layout (``<root>/shard-<i>/`` + ``shards.json``), same
-    manifest rules — a root written by the in-process sharded service
-    reopens under workers and vice versa.  What changes is *where* each
-    shard runs: in its own interpreter, which exclusively owns its store.
+    The same :class:`~repro.streaming.serving.ShardRouter` (sha256
+    :func:`~repro.streaming.serving.shard_index` routing, same fan-out
+    merges), the same on-disk layout (``<root>/shard-<i>/`` +
+    ``shards.json``), same manifest rules — a root written by the
+    in-process sharded service reopens under workers and vice versa.
+    What changes is the backend: a proxy speaking frames to a worker
+    process that exclusively owns its shard's store.
 
     Parameters
     ----------
@@ -608,24 +469,24 @@ class ProcessShardedService:
     num_shards:
         Worker count.  ``None`` reads the root's manifest (a fresh root
         defaults to 1); a mismatch with an existing manifest raises.
-    max_active / compact_after_bytes / sync:
+    max_active / sync:
         Forwarded to each worker's :class:`EstimationService` and store.
-    request_timeout / boot_timeout:
-        Per-request and per-boot deadlines (seconds) before a worker is
-        declared unavailable.
+    request_timeout:
+        Per-request deadline (seconds) before a worker is declared
+        unavailable.  Boot, which includes WAL recovery, gets
+        :data:`BOOT_TIMEOUT`.
     max_restarts:
         Crash-restart budget per worker over this service's lifetime.
 
     Use as a context manager (or call :meth:`close`) so workers drain
     instead of being orphaned.
 
-    Divergences from the in-process façade, all forced by the process
-    boundary: :meth:`snapshot` / :meth:`compact` return a confirmation
-    mapping instead of the :class:`SessionSnapshot` object;
-    :meth:`restore` only restores from the shard's own store (a foreign
-    snapshot object cannot cross the pipe — save it into the store
-    first); ``estimators`` must be registry names, not estimator
-    objects.
+    What the process boundary forces, exactly as for
+    :class:`~repro.serving.SessionClient`: :meth:`snapshot` /
+    :meth:`compact` return a receipt mapping instead of the
+    :class:`SessionSnapshot` object, :meth:`collusion_report` returns
+    the report's JSON payload, :meth:`restore` only restores from the
+    shard's own store, and ``estimators`` must be registry names.
     """
 
     def __init__(
@@ -634,28 +495,23 @@ class ProcessShardedService:
         *,
         num_shards: Optional[int] = None,
         max_active: Optional[int] = None,
-        compact_after_bytes: Optional[int] = DEFAULT_COMPACT_BYTES,
         sync: bool = False,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
         self.root = Path(root)
-        self._num_shards = reconcile_shard_manifest(self.root, num_shards)
-        self._closed = False
         self._workers: Tuple[_ShardWorker, ...] = tuple(
             _ShardWorker(
                 index,
                 self.root / f"shard-{index:04d}",
                 max_active=max_active,
-                compact_after_bytes=compact_after_bytes,
                 sync=sync,
                 request_timeout=request_timeout,
-                boot_timeout=boot_timeout,
                 max_restarts=max_restarts,
             )
-            for index in range(self._num_shards)
+            for index in range(reconcile_shard_manifest(self.root, num_shards))
         )
+        super().__init__(self._workers)
         # Boot every worker up front: configuration errors (a lock held
         # by another owner, a corrupt store) surface here, not on the
         # first unlucky request.
@@ -667,23 +523,6 @@ class ProcessShardedService:
             self.close()
             raise
 
-    # -------------------------------------------------------------- #
-    # topology
-    # -------------------------------------------------------------- #
-    @property
-    def num_shards(self) -> int:
-        """The shard (= worker) count recorded for this root."""
-        return self._num_shards
-
-    @property
-    def wal_enabled(self) -> bool:
-        """Always true: worker shards require the write-ahead log."""
-        return True
-
-    def shard_of(self, name: str) -> int:
-        """The shard index owning session ``name``."""
-        return shard_index(name, self._num_shards)
-
     def worker_pids(self) -> List[Optional[int]]:
         """Current worker PIDs by shard index (``None`` for a dead one)."""
         return [
@@ -691,178 +530,8 @@ class ProcessShardedService:
             for worker in self._workers
         ]
 
-    def _worker(self, name: str) -> _ShardWorker:
-        if self._closed:
-            raise ConfigurationError(
-                "ProcessShardedService is closed; reopen it to serve again"
-            )
-        return self._workers[self.shard_of(name)]
-
-    # -------------------------------------------------------------- #
-    # the EstimationService façade, routed by session-name hash
-    # -------------------------------------------------------------- #
-    def create_session(
-        self,
-        name: str,
-        item_ids: Sequence[int],
-        estimators: Optional[Sequence[str]] = None,
-        *,
-        keep_votes: bool = True,
-    ) -> str:
-        """Create the session on its owning shard worker; returns the name."""
-        self._worker(name).request(
-            "create_session",
-            {
-                "name": name,
-                "item_ids": [int(item) for item in item_ids],
-                "estimators": self._estimator_names(estimators),
-                "keep_votes": bool(keep_votes),
-            },
-        )
-        return name
-
-    def ingest(
-        self,
-        name: str,
-        columns: Sequence[Mapping[int, int]],
-        *,
-        worker_ids: Optional[Sequence[Optional[int]]] = None,
-        source: Optional[str] = None,
-        sequence: Optional[int] = None,
-    ) -> IngestResult:
-        """Ingest into the owning shard worker (same contract, same wire
-        shape as the HTTP batch endpoint)."""
-        if worker_ids is not None and len(worker_ids) != len(columns):
-            raise ValidationError(
-                f"worker_ids length {len(worker_ids)} does not match "
-                f"{len(columns)} column(s)"
-            )
-        wire_columns: List[Dict[str, object]] = []
-        for index, votes in enumerate(columns):
-            entry: Dict[str, object] = {
-                "votes": {str(item): int(vote) for item, vote in votes.items()}
-            }
-            if worker_ids is not None and worker_ids[index] is not None:
-                entry["worker"] = int(worker_ids[index])
-            wire_columns.append(entry)
-        body = self._worker(name).request(
-            "ingest",
-            {
-                "name": name,
-                "columns": wire_columns,
-                "source": source,
-                "sequence": None if sequence is None else int(sequence),
-            },
-        )
-        return IngestResult(
-            session=str(body["session"]),
-            applied=int(body["applied"]),
-            duplicate=bool(body["duplicate"]),
-            num_columns=int(body["num_columns"]),
-            total_votes=int(body["total_votes"]),
-        )
-
-    def estimates(self, name: str) -> Dict[str, EstimateResult]:
-        """Current (cached) estimates from the owning shard worker."""
-        return self.estimate_report(name).results
-
-    def estimate_report(self, name: str) -> EstimateReport:
-        """Versioned estimate read from the owning shard worker."""
-        return report_from_payload(
-            self._worker(name).request("estimate_report", {"name": name})
-        )
-
-    def progress(self, name: str) -> Dict[str, float]:
-        """The named session's stream-progress summary."""
-        payload = self._worker(name).request("progress", {"name": name})
-        return {str(key): float(value) for key, value in payload.items()}
-
-    def snapshot(self, name: str) -> Dict[str, object]:
-        """Snapshot (compact) the session on its shard; returns a receipt."""
-        return self._worker(name).request("snapshot", {"name": name})
-
-    def compact(self, name: str) -> Dict[str, object]:
-        """Fold the session's log into a snapshot on its shard worker."""
-        return self._worker(name).request("compact", {"name": name})
-
-    def restore(
-        self,
-        name: str,
-        snapshot: Optional[SessionSnapshot] = None,
-        estimators: Optional[Sequence[str]] = None,
-    ) -> Dict[str, float]:
-        """Re-activate ``name`` from its shard's store (store copies only)."""
-        if snapshot is not None:
-            raise ValidationError(
-                "ProcessShardedService.restore only restores from the shard's "
-                "own store; save the snapshot into the store first"
-            )
-        payload = self._worker(name).request(
-            "restore",
-            {"name": name, "estimators": self._estimator_names(estimators)},
-        )
-        return {str(key): float(value) for key, value in payload.items()}
-
-    def drop(self, name: str) -> None:
-        """Forget the session on its owning shard worker."""
-        self._worker(name).request("drop", {"name": name})
-
-    def evict(self, name: Optional[str] = None) -> Optional[str]:
-        """Park a live session; ``None`` asks each shard for its LRU victim."""
-        if name is not None:
-            return self._worker(name).request("evict", {"name": name})["evicted"]
-        for worker in self._workers:
-            victim = worker.request("evict", {"name": None})["evicted"]
-            if victim is not None:
-                return victim
-        return None
-
-    def sessions(self) -> List[str]:
-        """Every known session name across all shard workers, sorted."""
-        names: List[str] = []
-        for worker in self._workers:
-            names.extend(worker.request("sessions")["sessions"])
-        return sorted(set(names))
-
-    def active_sessions(self) -> List[str]:
-        """Live in-memory session names across shard workers (shard order)."""
-        names: List[str] = []
-        for worker in self._workers:
-            names.extend(worker.request("active_sessions")["sessions"])
-        return names
-
-    # -------------------------------------------------------------- #
-    # aggregated serving counters (live workers only: a restarted
-    # worker restarts its in-memory counters, like any process would)
-    # -------------------------------------------------------------- #
-    def _stat(self, counter: str) -> int:
-        total = 0
-        for worker in self._workers:
-            total += int(worker.request("stats")[counter])
-        return total
-
-    @property
-    def estimates_served(self) -> int:
-        return self._stat("estimates_served")
-
-    @property
-    def estimate_cache_hits(self) -> int:
-        return self._stat("estimate_cache_hits")
-
-    @property
-    def sessions_restored(self) -> int:
-        return self._stat("sessions_restored")
-
-    @property
-    def sessions_evicted(self) -> int:
-        return self._stat("sessions_evicted")
-
-    # -------------------------------------------------------------- #
-    # lifecycle
-    # -------------------------------------------------------------- #
     def close(self, timeout: float = 5.0) -> None:
         """Drain every worker (shutdown → terminate → kill).  Idempotent."""
-        self._closed = True
         for worker in self._workers:
             worker.close(timeout)
 
@@ -871,28 +540,3 @@ class ProcessShardedService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @staticmethod
-    def _estimator_names(
-        estimators: Optional[Sequence[object]],
-    ) -> Optional[List[str]]:
-        if estimators is None:
-            return None
-        names = []
-        for estimator in estimators:
-            if not isinstance(estimator, str):
-                raise ValidationError(
-                    "process-sharded services accept estimator registry "
-                    f"names only (got {type(estimator).__name__}); estimator "
-                    "objects cannot cross the worker process boundary"
-                )
-            names.append(estimator)
-        return names
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"ProcessShardedService(num_shards={self._num_shards}, "
-            f"root={str(self.root)!r}, closed={self._closed})"
-        )
-
-

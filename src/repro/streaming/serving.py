@@ -3,45 +3,26 @@
 The paper's use case is operational: a data-cleaning pipeline
 continuously asks "how many undetected errors remain?" while crowd votes
 trickle in.  :class:`~repro.streaming.StreamingSession` answers that for
-one in-process session; :class:`EstimationService` turns it into a
-serving layer that hosts **many named sessions** behind one façade, with
-the robustness features a long-running deployment needs:
+one in-process session; :class:`EstimationService` hosts **many named
+sessions** behind one façade, with what a long-running deployment needs:
+idempotent ingestion (a batch whose ``(source, sequence)`` does not
+advance its source's high-water mark is a no-op), estimates cached on
+the session state's mutation version, durability through a pluggable
+:class:`~repro.streaming.store.SessionStore` (on a
+:class:`~repro.streaming.store.DirectorySessionStore` every applied
+batch is logged before it mutates the session, and recovery is last
+snapshot + log replay), LRU eviction under ``max_active``, and
+per-session locks.  ``docs/serving.md`` and ``docs/persistence.md``
+tour each of these.
 
-* **Named sessions** — ``create_session`` / ``ingest`` / ``estimates``
-  address sessions by name; unknown names fail with the available ones
-  listed.
-* **Idempotent ingestion** — each ingest batch may carry a
-  ``(source, sequence)`` pair; a batch whose sequence does not advance
-  its source's high-water mark is a **no-op**, so at-least-once delivery
-  (retrying loaders, replayed queues) cannot double-count votes.
-* **Cached estimates** — ``estimates`` recomputes only when the
-  session's :class:`~repro.core.state.StreamingState` version (which
-  folds in the :class:`~repro.core.fstatistics.IncrementalFingerprint`
-  mutation counter) has moved; a dashboard polling an idle session costs
-  O(1) per poll.
-* **Durability** — ``snapshot`` / ``restore`` round sessions through the
-  versioned npz + JSON snapshot codec and a pluggable
-  :class:`~repro.streaming.store.SessionStore`; a restored session's
-  estimates are bit-identical to one that never stopped.
-* **Log-structured ingestion** — on a store with a write-ahead log
-  (:class:`~repro.streaming.store.DirectorySessionStore`), every applied
-  batch is appended as one O(batch) log record *before* it mutates the
-  in-memory session, so the store copy is never behind the live one;
-  recovery is last snapshot + log replay, and a size-triggered
-  **compaction** folds the log into a fresh snapshot.  A snapshot-only
-  store (:class:`~repro.streaming.store.MemorySessionStore`) is the
-  degenerate no-WAL case with exactly the pre-WAL behaviour.
-* **Bounded memory** — with ``max_active`` set, the least-recently-used
-  live sessions are transparently evicted to the store and revived on
-  next touch (free under a WAL, since the store already holds every
-  applied batch).
-* **Thread safety** — ingestion into one session is serialised by a
-  per-session lock; different sessions proceed concurrently.
-
-For deployments whose throughput outgrows one service,
-:class:`ShardedEstimationService` partitions sessions across N
-single-process shards by session-key hash behind the same façade —
-``N=1`` is exactly one :class:`EstimationService`.
+Every op of the façade is declared once, in :data:`SERVING_OPS`: its
+method, whether it routes by session name or fans out to every shard,
+its wire codecs and its HTTP route.  The HTTP API, the shard worker
+frames and the remote clients are all driven from that table, and one
+:class:`ShardRouter` routes it across shards.  For deployments whose
+throughput outgrows one service, :class:`ShardedEstimationService`
+partitions sessions across N single-process shards by session-key hash
+behind the same façade — ``N=1`` is exactly one :class:`EstimationService`.
 """
 
 from __future__ import annotations
@@ -52,9 +33,25 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import CLEAN, DIRTY
@@ -73,6 +70,14 @@ from repro.streaming.wal import BatchRecord, CreateRecord, check_batch_record
 
 #: Compact a session once its write-ahead log grows past this size.
 DEFAULT_COMPACT_BYTES = 1 << 20
+
+#: The serving counters every front reports (:meth:`EstimationService.stats`).
+_COUNTERS = (
+    "estimates_served",
+    "estimate_cache_hits",
+    "sessions_restored",
+    "sessions_evicted",
+)
 
 
 class ShardUnavailableError(ConfigurationError):
@@ -106,6 +111,17 @@ def replay_batch_record(
     if record.source is not None:
         sources[record.source] = record.sequence
     return True
+
+
+def _check_worker_ids(
+    columns: Sequence[object], worker_ids: Optional[Sequence[object]]
+) -> None:
+    """Reject a ``worker_ids`` list that is not aligned with ``columns``."""
+    if worker_ids is not None and len(worker_ids) != len(columns):
+        raise ValidationError(
+            f"worker_ids length {len(worker_ids)} does not match "
+            f"{len(columns)} column(s)"
+        )
 
 
 @dataclass(frozen=True)
@@ -262,6 +278,11 @@ class EstimationService:
         with self._counter_lock:
             setattr(self, counter, getattr(self, counter) + delta)
 
+    def stats(self) -> Dict[str, int]:
+        """The serving counters, read together under their lock."""
+        with self._counter_lock:
+            return {counter: getattr(self, counter) for counter in _COUNTERS}
+
     # ------------------------------------------------------------------ #
     # session lifecycle
     # ------------------------------------------------------------------ #
@@ -400,65 +421,57 @@ class EstimationService:
             )
         if sequence is not None:
             sequence = check_int(sequence, "sequence", minimum=0)
-        if worker_ids is not None and len(worker_ids) != len(columns):
-            raise ValidationError(
-                f"worker_ids length {len(worker_ids)} does not match "
-                f"{len(columns)} column(s)"
-            )
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if handle.evicted:
-                    continue  # lost a race with eviction; revive and retry
-                session = handle.session
-                if source is not None:
-                    last = handle.sources.get(source)
-                    if last is not None and sequence <= last:
-                        return IngestResult(
-                            session=name,
-                            applied=0,
-                            duplicate=True,
-                            num_columns=session.num_columns,
-                            total_votes=session.total_votes,
-                        )
-                # Validate the whole batch before applying any of it: a
-                # half-applied batch whose high-water mark never advanced
-                # would be double-counted by the (legitimate) retry.
-                state = session.state
-                for votes in columns:
-                    for item_id, vote in votes.items():
-                        state.row_index(item_id)  # raises on unknown ids
-                        if vote not in (DIRTY, CLEAN):
-                            raise ValidationError(
-                                f"votes must be DIRTY ({DIRTY}) or CLEAN "
-                                f"({CLEAN}); got {vote!r} for item {item_id}"
-                            )
-                if self._wal:
-                    # Log first, apply second: a crash between the two
-                    # replays the record on recovery, so the durable state
-                    # is never behind what the client saw acknowledged.
-                    self._store.append(
-                        name,
-                        BatchRecord.from_columns(
-                            columns, worker_ids, source, sequence
-                        ),
+        if source is not None and not isinstance(source, str):
+            # Snapshots key high-water marks by string, so any other type
+            # would stop deduplicating after a compaction and reopen.
+            raise ValidationError(f"source must be a string, got {source!r}")
+        _check_worker_ids(columns, worker_ids)
+        with self._live(name) as handle:
+            session = handle.session
+            if source is not None:
+                last = handle.sources.get(source)
+                if last is not None and sequence <= last:
+                    return IngestResult(
+                        session=name,
+                        applied=0,
+                        duplicate=True,
+                        num_columns=session.num_columns,
+                        total_votes=session.total_votes,
                     )
-                session.add_columns(columns, worker_ids)
-                if source is not None:
-                    handle.sources[source] = sequence
-                if (
-                    self._wal
-                    and self._compact_after_bytes is not None
-                    and self._store.log_size(name) >= self._compact_after_bytes
-                ):
-                    self._store.save(name, self._snapshot_locked(handle))
-                return IngestResult(
-                    session=name,
-                    applied=len(columns),
-                    duplicate=False,
-                    num_columns=session.num_columns,
-                    total_votes=session.total_votes,
-                )
+            # Validate the whole batch before applying any of it: a
+            # half-applied batch whose high-water mark never advanced
+            # would be double-counted by the (legitimate) retry.
+            state = session.state
+            for votes in columns:
+                for item_id, vote in votes.items():
+                    state.row_index(item_id)  # raises on unknown ids
+                    if vote not in (DIRTY, CLEAN):
+                        raise ValidationError(
+                            f"votes must be DIRTY ({DIRTY}) or CLEAN "
+                            f"({CLEAN}); got {vote!r} for item {item_id}"
+                        )
+            if self._wal:
+                # Log first, apply second: a crash between the two
+                # replays the record on recovery, so the durable state
+                # is never behind what the client saw acknowledged.
+                record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
+                self._store.append(name, record)
+            session.add_columns(columns, worker_ids)
+            if source is not None:
+                handle.sources[source] = sequence
+            if (
+                self._wal
+                and self._compact_after_bytes is not None
+                and self._store.log_size(name) >= self._compact_after_bytes
+            ):
+                self._store.save(name, self._snapshot_locked(handle))
+            return IngestResult(
+                session=name,
+                applied=len(columns),
+                duplicate=False,
+                num_columns=session.num_columns,
+                total_votes=session.total_votes,
+            )
 
     def estimates(self, name: str) -> Dict[str, EstimateResult]:
         """Current estimates of the named session, cached between mutations.
@@ -476,29 +489,21 @@ class EstimationService:
         pair is consistent — the wire contract a retrying client needs to
         verify its duplicate delivery left the session untouched.
         """
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if handle.evicted:
-                    continue
-                self._count("estimates_served")
-                version = handle.session.state.version
-                if handle.cache is not None and handle.cache_version == version:
-                    self._count("estimate_cache_hits")
-                    return EstimateReport(name, version, dict(handle.cache))
-                results = handle.session.estimate()
-                handle.cache = results
-                handle.cache_version = version
-                return EstimateReport(name, version, dict(results))
+        with self._live(name) as handle:
+            self._count("estimates_served")
+            version = handle.session.state.version
+            if handle.cache is not None and handle.cache_version == version:
+                self._count("estimate_cache_hits")
+                return EstimateReport(name, version, dict(handle.cache))
+            results = handle.session.estimate()
+            handle.cache = results
+            handle.cache_version = version
+            return EstimateReport(name, version, dict(results))
 
     def progress(self, name: str) -> Dict[str, float]:
         """The named session's stream-progress summary."""
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if handle.evicted:
-                    continue
-                return handle.session.progress()
+        with self._live(name) as handle:
+            return handle.session.progress()
 
     def collusion_report(
         self, name: str, *, threshold: float = 0.9, min_overlap: int = 5
@@ -511,19 +516,15 @@ class EstimationService:
         Requires the session to have been created with
         ``keep_votes=True`` (the materialisation raises
         ``ConfigurationError`` otherwise, which the HTTP layer maps to a
-        400).
+        409).
         """
         from repro.core.descriptive import collusion_report as _collusion_report
 
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if handle.evicted:
-                    continue
-                matrix = handle.session.matrix()
-                return _collusion_report(
-                    matrix, threshold=threshold, min_overlap=min_overlap
-                )
+        with self._live(name) as handle:
+            matrix = handle.session.matrix()
+            return _collusion_report(
+                matrix, threshold=threshold, min_overlap=min_overlap
+            )
 
     # ------------------------------------------------------------------ #
     # durability
@@ -540,14 +541,10 @@ class EstimationService:
         folds the session's log into the fresh snapshot and restarts the
         log empty (see :meth:`compact`).
         """
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if handle.evicted:
-                    continue
-                snapshot = self._snapshot_locked(handle)
-                self._store.save(name, snapshot)
-                return snapshot
+        with self._live(name) as handle:
+            snapshot = self._snapshot_locked(handle)
+            self._store.save(name, snapshot)
+            return snapshot
 
     def compact(self, name: str) -> SessionSnapshot:
         """Fold the named session's log into a fresh snapshot now.
@@ -677,6 +674,20 @@ class EstimationService:
         for record in records:
             replay_batch_record(session, sources, check_batch_record(record))
         return session, sources
+
+    @contextmanager
+    def _live(self, name: str) -> Iterator[_ActiveSession]:
+        """The live handle for ``name``, held under its lock.
+
+        A handle that lost a race with eviction is revived and locked
+        again, so no caller ever mutates or reads a parked session.
+        """
+        while True:
+            handle = self._activate(name)
+            with handle.lock:
+                if not handle.evicted:
+                    yield handle
+                    return
 
     def _activate(self, name: str) -> _ActiveSession:
         """Return the live handle for ``name``, reviving from the store.
@@ -855,13 +866,553 @@ def shard_index(name: str, num_shards: int) -> int:
     )
 
 
-class ShardedEstimationService:
+
+
+# --------------------------------------------------------------------- #
+# wire codecs (shared by the HTTP API, the shard worker frames and the CLI)
+# --------------------------------------------------------------------- #
+def _plain(value):
+    """JSON-safe value: numpy scalars and arrays become Python equivalents."""
+    if type(value) in (int, float, str, bool):  # already plain: the common case
+        return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        # Estimator ``details`` legitimately carry arrays (frequency
+        # tables, per-checkpoint traces); ``tolist`` yields nested lists
+        # of exact Python scalars instead of crashing ``json.dumps``.
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    return value
+
+
+def parse_columns_payload(
+    payload: object,
+) -> Tuple[List[Dict[int, int]], List[Optional[int]]]:
+    """Decode the JSON wire shape of a vote batch into ingest arguments.
+
+    The accepted shape — shared by ``POST /sessions/<name>/batches``, the
+    shard worker frames and ``repro session ingest`` — is a list with one
+    entry per task column, each either ``{"votes": {"<item>": vote, ...},
+    "worker": id}`` or the bare ``{"<item>": vote}`` mapping itself.
+    Votes and worker ids are integers in the :func:`check_int` sense:
+    ``0.5``, ``true`` or ``"1"`` are rejected, never truncated.  Anything
+    else raises ``ValidationError`` with the offending entry's position;
+    nothing here lets a malformed body escape as a raw traceback.
+    """
+    if not isinstance(payload, list):
+        raise ValidationError(
+            f"vote batch must be a JSON list of column objects, "
+            f"got {type(payload).__name__}"
+        )
+    columns: List[Dict[int, int]] = []
+    workers: List[Optional[int]] = []
+    for position, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise ValidationError(
+                f"column {position} must be an object, got {type(entry).__name__}"
+            )
+        worker = None
+        votes = entry
+        if "votes" in entry:
+            votes = entry["votes"]
+            if not isinstance(votes, dict):
+                raise ValidationError(
+                    f"column {position}: 'votes' must be an object mapping "
+                    f"item ids to votes, got {type(votes).__name__}"
+                )
+            worker = entry.get("worker")
+            unknown = sorted(set(entry) - {"votes", "worker"})
+            if unknown:
+                raise ValidationError(
+                    f"column {position}: unknown key(s) {unknown}; "
+                    "expected 'votes' and optional 'worker'"
+                )
+        column: Dict[int, int] = {}
+        for item, vote in votes.items():
+            try:
+                column[int(item)] = check_int(vote, "vote")
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"column {position}: item ids and votes must be "
+                    f"integers, got {item!r}: {vote!r}"
+                ) from None
+        try:
+            workers.append(None if worker is None else check_int(worker, "worker"))
+        except ValidationError:
+            raise ValidationError(
+                f"column {position}: 'worker' must be an integer, got {worker!r}"
+            ) from None
+        columns.append(column)
+    return columns, workers
+
+
+def result_to_payload(result: EstimateResult) -> Dict[str, object]:
+    """One :class:`EstimateResult` as its JSON wire object."""
+    return {
+        "estimate": _plain(float(result.estimate)),
+        "observed": _plain(float(result.observed)),
+        "remaining": _plain(float(result.remaining)),
+        "details": _plain(dict(result.details)),
+    }
+
+
+def result_from_payload(payload: Mapping[str, object]) -> EstimateResult:
+    """The client-side inverse of :func:`result_to_payload`.
+
+    JSON floats round-trip exactly (the encoder emits the shortest
+    representation that parses back to the identical double), so the
+    reconstructed :class:`EstimateResult` compares equal bit for bit with
+    the server's — the property the end-to-end harness pins.
+    """
+    return EstimateResult(
+        estimate=float(payload["estimate"]),
+        observed=float(payload["observed"]),
+        details={str(key): value for key, value in dict(payload.get("details", {})).items()},
+    )
+
+
+def report_to_payload(report: EstimateReport) -> Dict[str, object]:
+    """One :class:`EstimateReport` as the estimates response body."""
+    return {
+        "session": report.session,
+        "version": [int(part) for part in report.version],
+        "estimates": {
+            name: result_to_payload(result)
+            for name, result in sorted(report.results.items())
+        },
+    }
+
+
+def report_from_payload(payload: Mapping[str, object]) -> EstimateReport:
+    """The client-side inverse of :func:`report_to_payload`."""
+    return EstimateReport(
+        session=str(payload["session"]),
+        version=tuple(int(part) for part in payload["version"]),
+        results={
+            str(name): result_from_payload(result)
+            for name, result in dict(payload["estimates"]).items()
+        },
+    )
+
+
+# --------------------------------------------------------------------- #
+# the op table: every serving op, declared once
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class HttpRoute:
+    """Where a :class:`ServingOp` lives on the HTTP API.
+
+    ``{name}`` in ``path`` is the session; an op without it carries the
+    name in its JSON body.  POST ops read their arguments from the JSON
+    body, the others from the query string.  An op with a ``flag``
+    extends the route's primary op: its result joins the response under
+    that key when the query sets the flag (``?collusion=1``).
+    """
+
+    method: str
+    path: str
+    status: int = 200
+    flag: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ServingOp:
+    """One op of the serving façade: its method, routing and wire codecs.
+
+    ``name`` is the :class:`EstimationService` method.  The codecs:
+    ``encode(*args, **kwargs) -> (session name, wire args)`` has the
+    method's signature (remote fronts); ``decode(wire args) -> kwargs``
+    validates them (servers; ``None`` when the op takes no arguments);
+    ``reply(name, kwargs, result)`` is the JSON response and ``result``
+    its client-side inverse.  An op ``by_name`` goes to the shard owning
+    its first argument, any other op to every shard, with ``merge``
+    combining the per-shard results (lazily: ``evict()``, routed by name,
+    fans out when the name is ``None``).  ``http`` is its route, if any;
+    ``local`` computes an op without a wire form from the other ops.
+    """
+
+    name: str
+    encode: Optional[Callable[..., Tuple[Optional[str], Dict[str, object]]]] = None
+    decode: Optional[Callable[[Mapping[str, object]], Dict[str, object]]] = None
+    reply: Optional[Callable[..., object]] = None
+    result: Optional[Callable[[object], object]] = None
+    by_name: bool = True
+    merge: Optional[Callable[[Iterable[object]], object]] = None
+    http: Optional[HttpRoute] = None
+    local: Optional[Callable[..., object]] = None
+
+
+def _estimator_names(estimators: object) -> Optional[List[str]]:
+    """Estimators as registry names, the only form a wire can carry."""
+    if estimators is not None and (
+        not isinstance(estimators, (list, tuple))
+        or not all(isinstance(name, str) for name in estimators)
+    ):
+        raise ValidationError(
+            "'estimators' must be a list of registry names (estimator objects "
+            f"cannot cross a process or wire boundary), got {estimators!r}"
+        )
+    return None if estimators is None else list(estimators)
+
+
+def _named(name: Optional[str] = None) -> Tuple[Optional[str], Dict[str, object]]:
+    return name, {}
+
+
+def _unnamed() -> Tuple[None, Dict[str, object]]:
+    return None, {}
+
+
+def _create_args(
+    name: str,
+    item_ids: Optional[Sequence[int]] = None,
+    estimators: Optional[Sequence[str]] = None,
+    *,
+    items: Optional[int] = None,
+    keep_votes: bool = True,
+) -> Tuple[str, Dict[str, object]]:
+    # ``items=N`` is the wire's shorthand for ``item_ids=range(N)``.
+    args: Dict[str, object] = {"keep_votes": keep_votes}
+    if item_ids is not None:
+        args["item_ids"] = _plain(list(item_ids))
+    if items is not None:
+        args["items"] = _plain(items)
+    if estimators is not None:
+        args["estimators"] = _estimator_names(estimators)
+    return name, args
+
+
+def _create_kwargs(args: Mapping[str, object]) -> Dict[str, object]:
+    unknown = sorted(set(args) - {"item_ids", "items", "estimators", "keep_votes"})
+    if unknown:
+        raise ValidationError(
+            f"unknown create key(s) {unknown}; expected 'name', "
+            "'item_ids' or 'items', optional 'estimators' and 'keep_votes'"
+        )
+    if ("item_ids" in args) == ("items" in args):
+        raise ValidationError(
+            "create body requires exactly one of 'item_ids' (explicit id "
+            "list) or 'items' (ids 0..N-1)"
+        )
+    if "items" in args:
+        item_ids = list(range(check_int(args["items"], "'items'")))
+    elif isinstance(args["item_ids"], list):
+        item_ids = [check_int(item, "'item_ids' entry") for item in args["item_ids"]]
+    else:
+        raise ValidationError("'item_ids' must be a list of integers")
+    keep_votes = args.get("keep_votes", True)
+    if not isinstance(keep_votes, bool):
+        raise ValidationError("'keep_votes' must be a boolean")
+    return {
+        "item_ids": item_ids,
+        "estimators": _estimator_names(args.get("estimators")),
+        "keep_votes": keep_votes,
+    }
+
+
+def _ingest_args(
+    name: str,
+    columns: Sequence[Mapping[int, int]],
+    *,
+    worker_ids: Optional[Sequence[Optional[int]]] = None,
+    source: Optional[str] = None,
+    sequence: Optional[int] = None,
+) -> Tuple[str, Dict[str, object]]:
+    # Numbers travel as given (numpy scalars made plain): the server
+    # validates them, so 0.5 or True fail there instead of truncating here.
+    _check_worker_ids(columns, worker_ids)
+    wire_columns: List[Dict[str, object]] = []
+    for index, votes in enumerate(columns):
+        entry: Dict[str, object] = {
+            "votes": {str(item): _plain(vote) for item, vote in votes.items()}
+        }
+        if worker_ids is not None and worker_ids[index] is not None:
+            entry["worker"] = _plain(worker_ids[index])
+        wire_columns.append(entry)
+    args: Dict[str, object] = {"columns": wire_columns}
+    if source is not None:
+        args["source"] = source
+    if sequence is not None:
+        args["sequence"] = _plain(sequence)
+    return name, args
+
+
+def _ingest_kwargs(args: Mapping[str, object]) -> Dict[str, object]:
+    unknown = sorted(set(args) - {"columns", "source", "sequence"})
+    if unknown:
+        raise ValidationError(
+            f"unknown ingest key(s) {unknown}; expected 'columns', "
+            "optional 'source' and 'sequence'"
+        )
+    columns, workers = parse_columns_payload(args.get("columns"))
+    return {
+        "columns": columns,
+        "worker_ids": workers,
+        "source": args.get("source"),
+        "sequence": args.get("sequence"),
+    }
+
+
+def _collusion_args(
+    name: str, *, threshold: Optional[float] = None, min_overlap: Optional[int] = None
+) -> Tuple[str, Dict[str, object]]:
+    # Query-string values; omitted knobs take the server-side defaults.
+    args: Dict[str, object] = {}
+    if threshold is not None:
+        args["threshold"] = repr(float(threshold))
+    if min_overlap is not None:
+        args["min_overlap"] = str(_plain(min_overlap))
+    return name, args
+
+
+def _collusion_kwargs(args: Mapping[str, object]) -> Dict[str, object]:
+    kwargs: Dict[str, object] = {}
+    for key, parse in (("threshold", float), ("min_overlap", int)):
+        try:
+            if key in args:
+                kwargs[key] = parse(args[key])
+        except ValueError:
+            kind = "a number" if parse is float else "an integer"
+            raise ValidationError(
+                f"'{key}' must be {kind}, got {args[key]!r}"
+            ) from None
+    return kwargs
+
+
+def _restore_args(
+    name: str,
+    snapshot: Optional[SessionSnapshot] = None,
+    estimators: Optional[Sequence[str]] = None,
+) -> Tuple[str, Dict[str, object]]:
+    if snapshot is not None:
+        raise ValidationError(
+            "a remote front restores only from the shard's own store (a "
+            "snapshot object cannot cross the boundary); save it there first"
+        )
+    args = {} if estimators is None else {"estimators": _estimator_names(estimators)}
+    return name, args
+
+
+def _receipt(action: str) -> Callable[..., Dict[str, object]]:
+    return lambda name, kwargs, result: {"session": name, action: True}
+
+
+def _progress(name: str, kwargs: object, progress: Mapping[str, float]) -> object:
+    return {"session": name, "progress": progress}
+
+
+def _listing(name: None, kwargs: object, names: Sequence[str]) -> object:
+    return {"sessions": list(names)}
+
+
+def _created(name: str, kwargs: Mapping[str, object], result: str) -> object:
+    return {
+        "session": name,
+        "num_items": len(kwargs["item_ids"]),
+        "keep_votes": kwargs["keep_votes"],
+    }
+
+
+def _collusion(name: str, kwargs: object, report: object) -> object:
+    # A remote front's result already is the payload.
+    return report if isinstance(report, dict) else report.to_dict()
+
+
+def _sum_counts(per_shard: Iterable[Mapping[str, int]]) -> Dict[str, int]:
+    total: Dict[str, int] = {}
+    for counts in per_shard:
+        for key, value in counts.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+_SESSION, _PROGRESS, _SESSIONS, _EVICTED = map(
+    itemgetter, ("session", "progress", "sessions", "evicted")
+)
+_ROUTE = "/sessions/{name}"
+
+#: Every serving op, in one table: ``ServingOp(name, encode, decode,
+#: reply, result, ...)``.  :class:`~repro.serving.ServingApi` routes HTTP
+#: requests through it and the shard worker's frame loop dispatches
+#: frames through it; :class:`ShardRouter` and the remote fronts
+#: (:class:`~repro.serving.SessionClient`, the shard worker proxy)
+#: generate their methods from it.
+SERVING_OPS: Tuple[ServingOp, ...] = (
+    ServingOp("create_session", _create_args, _create_kwargs, _created, _SESSION,
+              http=HttpRoute("POST", "/sessions", status=201)),
+    ServingOp("sessions", _unnamed, None, _listing, _SESSIONS, by_name=False,
+              merge=lambda per_shard: sorted(set().union(*per_shard)),
+              http=HttpRoute("GET", "/sessions")),
+    ServingOp("active_sessions", _unnamed, None, _listing, _SESSIONS, by_name=False,
+              merge=lambda per_shard: [name for names in per_shard for name in names]),
+    ServingOp("progress", _named, None, _progress, _PROGRESS,
+              http=HttpRoute("GET", _ROUTE)),
+    ServingOp("drop", _named, None, _receipt("dropped"), lambda payload: None,
+              http=HttpRoute("DELETE", _ROUTE)),
+    ServingOp("ingest", _ingest_args, _ingest_kwargs,
+              lambda name, kwargs, result: dict(vars(result)),
+              lambda payload: IngestResult(
+                  **{key: payload[key] for key in IngestResult.__dataclass_fields__}
+              ),
+              http=HttpRoute("POST", _ROUTE + "/batches")),
+    ServingOp("estimate_report", _named, None,
+              lambda name, kwargs, report: report_to_payload(report),
+              report_from_payload, http=HttpRoute("GET", _ROUTE + "/estimates")),
+    ServingOp("estimates",
+              local=lambda front, name: front.estimate_report(name).results),
+    ServingOp("collusion_report", _collusion_args, _collusion_kwargs, _collusion, dict,
+              http=HttpRoute("GET", _ROUTE + "/estimates", flag="collusion")),
+    ServingOp("snapshot", _named, None, _receipt("snapshotted"), dict,
+              http=HttpRoute("POST", _ROUTE + "/snapshot")),
+    ServingOp("compact", _named, None, _receipt("compacted"), dict,
+              http=HttpRoute("POST", _ROUTE + "/compact")),
+    ServingOp("restore", _restore_args,
+              lambda args: {"estimators": _estimator_names(args.get("estimators"))},
+              _progress, _PROGRESS),
+    ServingOp("evict", _named, None, lambda name, kwargs, victim: {"evicted": victim},
+              _EVICTED, merge=lambda victims: next(filter(None, victims), None)),
+    ServingOp("stats", _unnamed, None, lambda name, kwargs, counts: dict(counts),
+              dict, by_name=False, merge=_sum_counts),
+)
+
+
+def serve_op(service, op: ServingOp, name: Optional[str], args: Mapping[str, object]):
+    """Run ``op`` on ``service`` from its wire arguments; returns the reply.
+
+    The one server-side path behind both boundaries: the HTTP API and
+    the shard worker's frame loop.
+    """
+    kwargs = op.decode(args) if op.decode is not None else {}
+    method = getattr(service, op.name)
+    result = method(name, **kwargs) if op.by_name else method(**kwargs)
+    return op.reply(name, kwargs, result)
+
+
+def _install_ops(cls: type, make: Callable[[ServingOp], Callable], carries) -> None:
+    """Generate a method per carried op into ``cls``'s own ``__dict__``.
+
+    Methods the class defines itself are kept.  Every front class gets
+    its own copies, so call-site tracing by ``Class.__dict__`` works.
+    """
+    for op in SERVING_OPS:
+        if op.name not in cls.__dict__ and carries(op):
+            method = make(op)
+            method.__name__ = op.name
+            method.__qualname__ = f"{cls.__qualname__}.{op.name}"
+            method.__doc__ = getattr(EstimationService, op.name).__doc__
+            setattr(cls, op.name, method)
+
+
+def _routed(op: ServingOp) -> Callable:
+    def fanned(self, *args, **kwargs):
+        return op.merge(
+            getattr(backend, op.name)(*args, **kwargs) for backend in self._backends
+        )
+
+    def routed(self, name=None, *args, **kwargs):
+        if name is None and op.merge is not None:
+            return fanned(self, None, *args, **kwargs)
+        return getattr(self._backend(name), op.name)(name, *args, **kwargs)
+
+    return routed if op.by_name else fanned
+
+
+def _remote(op: ServingOp) -> Callable:
+    def remote(self, *args, **kwargs):
+        if op.local is not None:
+            return op.local(self, *args, **kwargs)
+        name, wire_args = op.encode(*args, **kwargs)
+        return op.result(self._call(op, name, wire_args))
+
+    return remote
+
+
+def _counter(key: str) -> property:
+    return property(lambda self: self.stats()[key], doc=f"All shards' ``{key}``.")
+
+
+class ShardRouter:
+    """The serving façade over N backends, routed by session-name hash.
+
+    A backend is anything with the :data:`SERVING_OPS` methods: an
+    in-process :class:`EstimationService` or a shard worker proxy.  An op
+    addressing one session goes to the backend owning its name
+    (:func:`shard_index`); any other op goes to every backend, and the
+    op's ``merge`` combines the results — so one backend behaves exactly
+    like the backend itself.  Subclasses get the generated methods too.
+    """
+
+    def __init__(self, backends: Iterable[object]) -> None:
+        self._backends = tuple(backends)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _install_ops(cls, _routed, lambda op: True)
+
+    @property
+    def num_shards(self) -> int:
+        """The shard count."""
+        return len(self._backends)
+
+    def shard_of(self, name: str) -> int:
+        """The shard index owning session ``name``."""
+        return shard_index(name, len(self._backends))
+
+    @property
+    def wal_enabled(self) -> bool:
+        """True when every shard ingests through a write-ahead log."""
+        return all(backend.wal_enabled for backend in self._backends)
+
+    def _backend(self, name: str):
+        return self._backends[self.shard_of(name)]
+
+    estimates_served = _counter("estimates_served")
+    estimate_cache_hits = _counter("estimate_cache_hits")
+    sessions_restored = _counter("sessions_restored")
+    sessions_evicted = _counter("sessions_evicted")
+
+
+_install_ops(ShardRouter, _routed, lambda op: True)
+
+
+class RemoteFacade:
+    """The :data:`SERVING_OPS` methods over a request transport.
+
+    A subclass implements ``_call(op, name, args) -> wire reply`` and
+    gets a generated method per op it ``_carries``: each encodes its
+    arguments with the op's codec, sends them and decodes the reply.
+    The HTTP :class:`~repro.serving.SessionClient` and the shard worker
+    proxy of :class:`~repro.serving.ProcessShardedService` are the two
+    transports.
+    """
+
+    @staticmethod
+    def _carries(op: ServingOp) -> bool:
+        return True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _install_ops(cls, _remote, cls._carries)
+
+    def _call(self, op: ServingOp, name: Optional[str], args: Dict[str, object]):
+        raise NotImplementedError
+
+
+class ShardedEstimationService(ShardRouter):
     """Partition sessions across N single-process service shards.
 
     Each shard is a full :class:`EstimationService` over its own store;
     a session lives on exactly one shard, chosen by a stable hash of its
     name (:func:`shard_index`).  The façade is the same as a single
-    service — ``N=1`` **is** exactly today's service, shard 0 — which
+    service — ``N=1`` **is** exactly one service, shard 0 — which
     makes the split shard-ready: moving a shard to its own process (or
     machine) changes where the shard runs, not what callers see.
 
@@ -879,11 +1430,6 @@ class ShardedEstimationService:
         on-disk roots default to 1).
     max_active:
         Per-shard live-session bound, passed to each shard's service.
-    wal / compact_after_bytes:
-        Passed to each shard's service (see :class:`EstimationService`).
-    store_factory:
-        Build shard ``i``'s store (overrides ``root``/memory defaults);
-        mostly for tests.
     """
 
     def __init__(
@@ -892,171 +1438,23 @@ class ShardedEstimationService:
         *,
         num_shards: Optional[int] = None,
         max_active: Optional[int] = None,
-        wal: Union[str, bool] = "auto",
-        compact_after_bytes: Optional[int] = DEFAULT_COMPACT_BYTES,
-        store_factory: Optional[Callable[[int], SessionStore]] = None,
     ) -> None:
         self.root = None if root is None else Path(root)
         if self.root is not None:
             num_shards = reconcile_shard_manifest(self.root, num_shards)
         elif num_shards is None:
             num_shards = 1
-        self._num_shards = check_int(num_shards, "num_shards", minimum=1)
-        if store_factory is None:
-            if self.root is None:
-                store_factory = lambda index: MemorySessionStore()  # noqa: E731
-            else:
-                store_factory = lambda index: DirectorySessionStore(  # noqa: E731
-                    self.root / f"shard-{index:04d}"
-                )
-        self._shards: Tuple[EstimationService, ...] = tuple(
+        super().__init__(
             EstimationService(
-                store_factory(index),
+                MemorySessionStore()
+                if self.root is None
+                else DirectorySessionStore(self.root / f"shard-{index:04d}"),
                 max_active=max_active,
-                wal=wal,
-                compact_after_bytes=compact_after_bytes,
             )
-            for index in range(self._num_shards)
+            for index in range(check_int(num_shards, "num_shards", minimum=1))
         )
-
-    # ------------------------------------------------------------------ #
-    # topology
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        """The shard count recorded for this root."""
-        return self._num_shards
 
     @property
     def shards(self) -> Tuple[EstimationService, ...]:
         """The per-shard services, by shard index."""
-        return self._shards
-
-    def shard_of(self, name: str) -> int:
-        """The shard index owning session ``name``."""
-        return shard_index(name, self._num_shards)
-
-    @property
-    def wal_enabled(self) -> bool:
-        """True when every shard ingests through a write-ahead log."""
-        return all(shard.wal_enabled for shard in self._shards)
-
-    def _shard(self, name: str) -> EstimationService:
-        return self._shards[self.shard_of(name)]
-
-    # ------------------------------------------------------------------ #
-    # the EstimationService façade, routed by session-name hash
-    # ------------------------------------------------------------------ #
-    def create_session(
-        self,
-        name: str,
-        item_ids: Sequence[int],
-        estimators: Optional[Sequence[Union[str, EstimatorProtocol]]] = None,
-        *,
-        keep_votes: bool = True,
-    ) -> str:
-        """Create the session on its owning shard; returns the name."""
-        return self._shard(name).create_session(
-            name, item_ids, estimators, keep_votes=keep_votes
-        )
-
-    def ingest(
-        self,
-        name: str,
-        columns: Sequence[Mapping[int, int]],
-        *,
-        worker_ids: Optional[Sequence[Optional[int]]] = None,
-        source: Optional[str] = None,
-        sequence: Optional[int] = None,
-    ) -> IngestResult:
-        """Ingest into the owning shard (same contract as one service)."""
-        return self._shard(name).ingest(
-            name, columns, worker_ids=worker_ids, source=source, sequence=sequence
-        )
-
-    def estimates(self, name: str) -> Dict[str, EstimateResult]:
-        """Current (cached) estimates from the owning shard."""
-        return self._shard(name).estimates(name)
-
-    def estimate_report(self, name: str) -> EstimateReport:
-        """Versioned estimate read from the owning shard."""
-        return self._shard(name).estimate_report(name)
-
-    def progress(self, name: str) -> Dict[str, float]:
-        """The named session's stream-progress summary."""
-        return self._shard(name).progress(name)
-
-    def collusion_report(
-        self, name: str, *, threshold: float = 0.9, min_overlap: int = 5
-    ):
-        """Collusion diagnostics from the owning shard."""
-        return self._shard(name).collusion_report(
-            name, threshold=threshold, min_overlap=min_overlap
-        )
-
-    def snapshot(self, name: str) -> SessionSnapshot:
-        """Snapshot (compact) the session on its owning shard."""
-        return self._shard(name).snapshot(name)
-
-    def compact(self, name: str) -> SessionSnapshot:
-        """Fold the session's log into a fresh snapshot on its shard."""
-        return self._shard(name).compact(name)
-
-    def restore(
-        self,
-        name: str,
-        snapshot: Optional[SessionSnapshot] = None,
-        estimators: Optional[Sequence[Union[str, EstimatorProtocol]]] = None,
-    ) -> Dict[str, float]:
-        """Restore on the owning shard (hash routing keeps imports findable)."""
-        return self._shard(name).restore(name, snapshot, estimators)
-
-    def drop(self, name: str) -> None:
-        """Forget the session on its owning shard."""
-        self._shard(name).drop(name)
-
-    def evict(self, name: Optional[str] = None) -> Optional[str]:
-        """Park a live session; ``None`` picks the first shard's LRU victim."""
-        if name is not None:
-            return self._shard(name).evict(name)
-        for shard in self._shards:
-            victim = shard.evict()
-            if victim is not None:
-                return victim
-        return None
-
-    def sessions(self) -> List[str]:
-        """Every known session name across all shards, sorted."""
-        names: Set[str] = set()
-        for shard in self._shards:
-            names.update(shard.sessions())
-        return sorted(names)
-
-    def active_sessions(self) -> List[str]:
-        """Live in-memory session names across shards (shard order)."""
-        return [name for shard in self._shards for name in shard.active_sessions()]
-
-    # ------------------------------------------------------------------ #
-    # aggregated serving counters
-    # ------------------------------------------------------------------ #
-    @property
-    def estimates_served(self) -> int:
-        return sum(shard.estimates_served for shard in self._shards)
-
-    @property
-    def estimate_cache_hits(self) -> int:
-        return sum(shard.estimate_cache_hits for shard in self._shards)
-
-    @property
-    def sessions_restored(self) -> int:
-        return sum(shard.sessions_restored for shard in self._shards)
-
-    @property
-    def sessions_evicted(self) -> int:
-        return sum(shard.sessions_evicted for shard in self._shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (
-            f"ShardedEstimationService(num_shards={self._num_shards}, "
-            f"root={str(self.root) if self.root else None!r})"
-        )
+        return self._backends

@@ -149,9 +149,7 @@ class TestProcessShardedFacade:
 class TestCrashRecovery:
     def test_kill9_between_batches_recovers_bit_identically(self, tmp_path):
         expected = expected_report(tmp_path, 8)
-        with ProcessShardedService(
-            tmp_path / "killed", num_shards=1, boot_timeout=60.0
-        ) as service:
+        with ProcessShardedService(tmp_path / "killed", num_shards=1) as service:
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 5)
             pid = owning_pid(service)

@@ -9,6 +9,7 @@ ingestion.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
 from repro.core.registry import get_estimator
 from repro.crowd.response_matrix import ResponseMatrix
+from repro.serving import ServingApi
 from repro.streaming import (
     DirectorySessionStore,
     EstimationService,
@@ -176,6 +178,69 @@ class TestIdempotentIngestion:
         assert replay.duplicate
         fresh = revived.ingest("alpha", [{1: DIRTY}], source="loader", sequence=4)
         assert fresh.applied == 1
+
+
+    def test_non_string_source_is_rejected_so_dedup_survives_reopen(self, tmp_path):
+        """Snapshots key high-water marks by string: an integer source used
+        to stop deduplicating once the session was compacted and reopened."""
+        service = EstimationService(DirectorySessionStore(tmp_path))
+        service.create_session("alpha", range(5), ["voting"])
+        with pytest.raises(ValidationError, match="source"):
+            service.ingest("alpha", [{0: DIRTY}], source=5, sequence=1)
+        service.ingest("alpha", [{0: DIRTY}], source="5", sequence=1)
+        service.compact("alpha")
+        reopened = EstimationService(DirectorySessionStore(tmp_path))
+        assert reopened.ingest("alpha", [{0: DIRTY}], source="5", sequence=1).duplicate
+        with pytest.raises(ValidationError, match="source"):
+            reopened.ingest("alpha", [{0: DIRTY}], source=5, sequence=1)
+        assert reopened.progress("alpha")["num_columns"] == 1.0
+
+
+class TestWireNumbers:
+    """Wire integers are validated, never truncated (``check_int`` rules)."""
+
+    @staticmethod
+    def ingest(api, **body):
+        return api.handle(
+            "POST", "/sessions/s/batches", json.dumps(body).encode("utf-8")
+        )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"columns": [{"0": 1}], "source": "a", "sequence": 5.5},
+            {"columns": [{"0": 1}], "source": "a", "sequence": True},
+            {"columns": [{"0": 1}], "source": "a", "sequence": "7"},
+            {"columns": [{"0": 0.5}]},
+            {"columns": [{"0": 1.9}]},
+            {"columns": [{"0": True}]},
+            {"columns": [{"votes": {"0": 1}, "worker": 2.7}]},
+            {"columns": [{"votes": {"0": 1}, "worker": "2"}]},
+            {"columns": [{"0": 1}], "source": 5, "sequence": 6},
+        ],
+        ids=[
+            "fractional-sequence", "bool-sequence", "string-sequence",
+            "half-vote", "fractional-vote", "bool-vote", "fractional-worker",
+            "string-worker", "integer-source",
+        ],
+    )
+    def test_non_integers_are_a_400_and_leave_the_session_untouched(self, body):
+        api = ServingApi(EstimationService())
+        api.handle("POST", "/sessions", b'{"name": "s", "items": 3}')
+        assert self.ingest(api, columns=[{"0": 1}], source="a", sequence=5)[0] == 200
+        status, payload = self.ingest(api, **body)
+        assert (status, payload["kind"]) == (400, "validation"), payload
+        status, progress = api.handle("GET", "/sessions/s")
+        assert progress["progress"]["num_columns"] == 1.0
+
+    def test_integral_floats_are_integers_as_in_process(self):
+        api = ServingApi(EstimationService())
+        api.handle("POST", "/sessions", b'{"name": "s", "items": 3}')
+        column = {"votes": {"0": 1.0, "1": 0}, "worker": 4.0}
+        status, ack = self.ingest(api, columns=[column], source="a", sequence=6.0)
+        assert status == 200 and ack["applied"] == 1 and not ack["duplicate"]
+        status, ack = self.ingest(api, columns=[column], source="a", sequence=6)
+        assert status == 200 and ack["duplicate"]
 
 
 class TestEstimateCaching:
