@@ -1,30 +1,29 @@
-"""Benchmarks of the backend-pluggable tensor engine.
+"""Benchmark of the fused scan kernels on the wide sweep.
 
-Times the wide-sweep workload (R >= 32 permutations, where the compiled
-scan kernels are meant to pay off) on every backend available on this
-machine, always against the numpy reference run on the *same* matrix so
-the comparison is like-for-like.  The numba leg carries the acceptance
-assertion — compiled scans must be at least 2x faster than the pure-NumPy
-batch engine on the wide sweep — and skips cleanly when Numba is not
-installed (the CI optional-deps job installs it and runs this file).
-
-Every timed run is preceded by a bit-identity check: a backend whose
-estimates differ from the reference fails here before any number is
-reported.
+Times the batch engine on the wide-sweep workload (R = 32 permutations,
+where the fused kernels of :mod:`repro.core._scan_kernels` are meant to
+pay off) with ``repro.core.state._FUSED_SCANS`` off and on, in one
+process and on the same matrix.  The fused run must be bit-identical to
+the vectorised reference before any number is reported.  Where numba
+compiles the kernels they must be at least 2x faster (the CI
+``numba-kernels`` job installs numba and runs this file); without numba
+they run interpreted, so the timing is printed but not asserted.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.backend import available_backends
+from repro.core import state
+from repro.core._scan_kernels import NUMBA_AVAILABLE
 from repro.experiments.bench import WORKLOADS, _series_values, _time_run
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
 #: The CI-sized wide sweep: R = 32 permutations.
 WIDE = WORKLOADS["wide-smoke"]
 
-AVAILABLE = available_backends()
+#: Interpreted kernels take seconds per run; one round is enough to print.
+ROUNDS = 2 if NUMBA_AVAILABLE else 1
 
 
 @pytest.fixture(scope="module")
@@ -32,12 +31,11 @@ def wide_matrix():
     return WIDE.build_matrix()
 
 
-def _runner(backend):
+def _runner():
     return EstimationRunner(
         list(WIDE.estimators),
         RunnerConfig(
             engine="batch",
-            backend=backend,
             num_permutations=WIDE.num_permutations,
             num_checkpoints=WIDE.num_checkpoints,
             seed=3,
@@ -45,38 +43,35 @@ def _runner(backend):
     )
 
 
-@pytest.fixture(scope="module")
-def numpy_reference(wide_matrix):
-    """Best-of-2 numpy batch timing plus the reference series values."""
-    seconds, result = _time_run(_runner("numpy"), wide_matrix, 2)
-    return seconds, _series_values(result)
+def test_fused_scans_wide_sweep_vs_numpy(benchmark, monkeypatch, wide_matrix):
+    """Bit-identity first, then the timing; compiled kernels must clear 2x."""
+    monkeypatch.setattr(state, "_FUSED_SCANS", False)
+    numpy_seconds, reference = _time_run(_runner(), wide_matrix, 2)
 
-
-@pytest.mark.parametrize("backend", [b for b in AVAILABLE if b != "numpy"] or ["numpy"])
-def test_backend_wide_sweep_vs_numpy(benchmark, backend, wide_matrix, numpy_reference):
-    """Bit-identity first, then the timing; numba must clear 2x."""
-    numpy_seconds, reference_values = numpy_reference
-    runner = _runner(backend)
-    # Warm-up (JIT compilation / device init) before the bit-identity
-    # check so neither pollutes the timed region.
-    warm = runner.run(wide_matrix.prefix(min(10, wide_matrix.num_columns)))
-    assert warm is not None
-    result = benchmark.pedantic(lambda: runner.run(wide_matrix), rounds=2, iterations=1)
-    assert _series_values(result) == reference_values, (
-        f"backend {backend!r} is not bit-identical to the numpy reference"
+    monkeypatch.setattr(state, "_FUSED_SCANS", True)
+    runner = _runner()
+    # Warm-up (JIT compilation where numba is installed) outside the
+    # timed region.
+    runner.run(wide_matrix.prefix(min(10, wide_matrix.num_columns)))
+    result = benchmark.pedantic(
+        lambda: runner.run(wide_matrix), rounds=ROUNDS, iterations=1
+    )
+    assert _series_values(result) == _series_values(reference), (
+        "the fused scan kernels are not bit-identical to the vectorised reference"
     )
     stats = getattr(benchmark, "stats", None)
     if stats is not None:
-        backend_seconds = stats.stats.min
-    else:  # --benchmark-disable: time it ourselves, same best-of-2 protocol
-        backend_seconds, _ = _time_run(runner, wide_matrix, 2)
-    speedup = numpy_seconds / backend_seconds
+        fused_seconds = stats.stats.min
+    else:  # --benchmark-disable: time it ourselves
+        fused_seconds, _ = _time_run(runner, wide_matrix, ROUNDS)
+    speedup = numpy_seconds / fused_seconds
+    kind = "compiled" if NUMBA_AVAILABLE else "interpreted"
     print(
         f"\nwide sweep ({WIDE.name}): numpy {numpy_seconds:.3f}s, "
-        f"{backend} {backend_seconds:.3f}s ({speedup:.2f}x)"
+        f"fused ({kind}) {fused_seconds:.3f}s ({speedup:.2f}x)"
     )
-    if backend == "numba":
+    if NUMBA_AVAILABLE:
         assert speedup >= 2.0, (
-            f"compiled scan kernels must be >= 2x over pure NumPy on the "
-            f"wide sweep; measured {speedup:.2f}x"
+            f"compiled scan kernels must be >= 2x over the vectorised "
+            f"reference on the wide sweep; measured {speedup:.2f}x"
         )

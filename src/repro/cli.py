@@ -167,12 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--permutations", type=int, default=5)
     sweep.add_argument("--checkpoints", type=int, default=10)
     sweep.add_argument("--n-jobs", type=int, default=1, help="worker processes for the permutation loop")
-    sweep.add_argument(
-        "--backend",
-        default=None,
-        help="array backend for the tensor engine (numpy/numba/cupy/torch; "
-        "default: $REPRO_BACKEND or numpy)",
-    )
     sweep.add_argument("--fn-rate", type=float, default=0.1)
     sweep.add_argument("--fp-rate", type=float, default=0.01)
     sweep.add_argument(
@@ -414,7 +408,6 @@ def _run_sweep(args: argparse.Namespace) -> None:
             num_checkpoints=args.checkpoints,
             seed=args.seed,
             n_jobs=args.n_jobs,
-            backend=args.backend,
         ),
     )
     result = runner.run(
@@ -724,9 +717,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _run_sweep(args)
             return 0
         except (ConfigurationError, ValidationError) as error:
-            # Unknown or unavailable backends (--backend torch without
-            # torch, a stray REPRO_BACKEND): a one-line diagnosis naming
-            # the usable backends, never a traceback.
+            # A bad argument value (``--permutations 0``): a one-line
+            # diagnosis, never a traceback.
             print(f"error: {error}", file=sys.stderr)
             return 2
 

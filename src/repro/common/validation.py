@@ -10,7 +10,15 @@ from __future__ import annotations
 from numbers import Real
 from typing import Optional
 
+import numpy as np
+
 from repro.common.exceptions import ValidationError
+from repro.common.labels import CLEAN, DIRTY
+
+#: The only vote values a session accepts.
+_VOTES = (DIRTY, CLEAN)
+#: ``True == 1``, so booleans pass the membership test and need their own.
+_BOOLS = (bool, np.bool_)
 
 
 def _check_real(value: object, name: str) -> float:
@@ -76,6 +84,20 @@ def check_int(value: object, name: str, *, minimum: Optional[int] = None) -> int
     if minimum is not None and ivalue < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {ivalue}")
     return ivalue
+
+
+def check_vote(vote: object, item_id: object) -> None:
+    """Validate one vote: ``DIRTY`` or ``CLEAN``, and not a boolean.
+
+    The same rule as the wire, whose votes go through :func:`check_int`:
+    ``True``/``False`` (also ``numpy.bool_``) are refused, not taken as
+    ``1``/``0``.
+    """
+    if vote not in _VOTES or isinstance(vote, _BOOLS):
+        raise ValidationError(
+            f"votes must be DIRTY ({DIRTY}) or CLEAN ({CLEAN}); "
+            f"got {vote!r} for item {item_id}"
+        )
 
 
 def check_in(value: object, name: str, allowed) -> object:

@@ -26,18 +26,6 @@ scaled-error metric (SRMSE), and an estimator registry so experiment
 configurations can refer to estimators by name.
 """
 
-from repro.core.backend import (
-    ArrayBackend,
-    CupyBackend,
-    NumbaBackend,
-    NumpyBackend,
-    TorchBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
 from repro.core.base import (
     EstimatorProtocol,
     EstimateResult,
@@ -101,16 +89,6 @@ from repro.core.total_error import SwitchTotalErrorEstimator
 from repro.core.vchao92 import VChao92Estimator, vchao92_estimate
 
 __all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "NumbaBackend",
-    "CupyBackend",
-    "TorchBackend",
-    "get_backend",
-    "resolve_backend",
-    "register_backend",
-    "registered_backends",
-    "available_backends",
     "EstimatorProtocol",
     "EstimateResult",
     "StateEstimatorMixin",

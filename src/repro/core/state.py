@@ -45,7 +45,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
@@ -54,7 +53,7 @@ import numpy as np
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY
 from repro.common.validation import check_int
-from repro.core.backend import ArrayBackend, NumpyBackend, resolve_backend
+from repro.core import _scan_kernels
 from repro.core.fstatistics import (
     Fingerprint,
     IncrementalFingerprint,
@@ -71,6 +70,13 @@ from repro.core.switch import (
 )
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
+
+#: Whether :class:`PermutationBatch` runs the fused scan kernels of
+#: :mod:`repro.core._scan_kernels` instead of the vectorised reference.
+#: Set once, at import: the kernels only pay off where numba compiles
+#: them.  The serial engine never runs them, so every serial-vs-batch
+#: oracle compares the two formulations wherever numba is installed.
+_FUSED_SCANS: bool = _scan_kernels.NUMBA_AVAILABLE
 
 
 @runtime_checkable
@@ -333,11 +339,10 @@ class PermutationBatch:
         Prefix lengths to evaluate at (resolved with
         :meth:`~repro.crowd.response_matrix.ResponseMatrix.resolve_upto`,
         shared by every permutation).
-    backend:
-        The :class:`~repro.core.backend.ArrayBackend` (instance or name)
-        the tensor kernels run on; ``None`` resolves via ``REPRO_BACKEND``
-        and defaults to the numpy reference.  Every backend yields
-        bit-identical estimates (pinned by the backend-parity suite).
+
+    The switch scan runs the fused kernels when numba imports and the
+    vectorised reference otherwise (``_FUSED_SCANS``, read here at
+    construction); both give the same integers.
     """
 
     def __init__(
@@ -345,9 +350,8 @@ class PermutationBatch:
         matrix: ResponseMatrix,
         orders: Sequence[Optional[Sequence[int]]],
         checkpoints: Sequence[int],
-        backend: Union[ArrayBackend, str, None] = None,
     ):
-        self.backend = resolve_backend(backend)
+        self._fused = _FUSED_SCANS
         self.matrix = matrix
         self.num_items = matrix.num_items
         num_columns = matrix.num_columns
@@ -386,16 +390,9 @@ class PermutationBatch:
     # ------------------------------------------------------------------ #
     @cached_property
     def _stacked(self) -> np.ndarray:
-        """(R, N, K) int8 — every permuted matrix, stacked (host copy)."""
+        """(R, N, K) int8 — every permuted matrix, stacked."""
         gathered = self.matrix.values[:, self._orders]  # (N, R, K)
         return np.ascontiguousarray(gathered.transpose(1, 0, 2))
-
-    @cached_property
-    def _stacked_device(self):
-        """The stacked tensor on the batch's backend (host array = itself)."""
-        if isinstance(self.backend, NumpyBackend):
-            return self._stacked
-        return self.backend.asarray(self._stacked)
 
     def _label_table(self, label: int) -> np.ndarray:
         """(R, m, N) per-item counts of ``label`` votes at each checkpoint.
@@ -403,30 +400,25 @@ class PermutationBatch:
         The same incremental segment-sum scheme as
         :meth:`ResponseMatrix._label_counts_at`, run once over the whole
         stack: one pass over ``R x N x K`` covers every permutation and
-        every checkpoint.  The pass runs on the batch's backend; the
-        finished tables come back to host NumPy (integer counts — exact
-        on every backend).
+        every checkpoint.
         """
         resolved = self.resolved
         if not resolved:
             return np.zeros((self.num_permutations, 0, self.num_items), dtype=np.int32)
-        xp = self.backend
-        mask = self._stacked_device == label
+        mask = self._stacked == label
         # int32 halves the table's memory traffic; counts are bounded by
         # the column count, far below the int32 range.
-        running = xp.zeros((self.num_permutations, self.num_items), np.int32)
+        running = np.zeros((self.num_permutations, self.num_items), np.int32)
         table: Dict[int, np.ndarray] = {}
         previous = 0
         for checkpoint in sorted(set(resolved)):
             if checkpoint > previous:
-                running = running + xp.sum(
-                    mask[:, :, previous:checkpoint], axis=2, dtype=np.int32
+                running = running + mask[:, :, previous:checkpoint].sum(
+                    axis=2, dtype=np.int32
                 )
             table[checkpoint] = running
             previous = checkpoint
-        return np.stack(
-            [xp.asnumpy(table[checkpoint]) for checkpoint in resolved], axis=1
-        )
+        return np.stack([table[checkpoint] for checkpoint in resolved], axis=1)
 
     @cached_property
     def positive_table(self) -> np.ndarray:
@@ -454,7 +446,7 @@ class PermutationBatch:
         flat = self._stacked.reshape(
             self.num_permutations * self.num_items, self.matrix.num_columns
         )
-        return _SwitchScan(flat, backend=self.backend)
+        return _SwitchScan(flat, fused=self._fused)
 
     @cached_property
     def _event_offsets(self) -> np.ndarray:
@@ -555,7 +547,6 @@ class PermutationBatch:
         num_columns = self.matrix.num_columns
         history = np.zeros((self.num_permutations, num_columns + 1), dtype=np.int64)
         if num_columns:
-            xp = self.backend
             scan = self._scan
             bounds = np.searchsorted(
                 scan.vote_rows, np.arange(self.num_permutations + 1) * self.num_items
@@ -563,14 +554,11 @@ class PermutationBatch:
             for permutation in range(self.num_permutations):
                 low, high = bounds[permutation : permutation + 2]
                 # Integer deltas summed in the bincount's float64
-                # accumulator stay exact (|sum| <= K << 2**53), so the
-                # fold is bit-identical on every backend.
-                net_per_column = xp.asnumpy(
-                    xp.bincount(
-                        xp.asarray(scan.vote_cols[low:high]),
-                        weights=xp.asarray(scan.vote_majority_delta[low:high]),
-                        minlength=num_columns,
-                    )
+                # accumulator stay exact (|sum| <= K << 2**53).
+                net_per_column = np.bincount(
+                    scan.vote_cols[low:high],
+                    weights=scan.vote_majority_delta[low:high],
+                    minlength=num_columns,
                 ).astype(np.int64)
                 np.cumsum(net_per_column, out=history[permutation, 1:])
         return history

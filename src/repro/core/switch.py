@@ -40,14 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
 from repro.core import _scan_kernels
-from repro.core.backend import ArrayBackend, NumpyBackend, resolve_backend
 from repro.core.base import EstimateResult, StateEstimatorMixin
 from repro.core.chao92 import (
     _pair_sum,
@@ -195,39 +194,23 @@ class _SwitchScan:
     All event arrays are aligned and sorted in row-major scan order (item
     row, then column) — the same order the sequential scan emitted events.
 
-    The bulk array work routes through an
-    :class:`~repro.core.backend.ArrayBackend` (default: the numpy
-    reference, or whatever ``REPRO_BACKEND`` names).  Device backends run
-    the O(N x K) and O(votes) passes on their own arrays and materialise
-    the results back to host NumPy; the numba backend swaps the
-    vectorised compaction for the fused loop of
-    :mod:`repro.core._scan_kernels`.  Every backend produces bit-identical
-    event arrays (all-integer arithmetic, pinned by the parity suite).
+    ``fused=True`` swaps the two sequential passes (event compaction
+    here, the sweep-cell walk in :class:`_SwitchSweepCells`) for the
+    loops of :mod:`repro.core._scan_kernels`; they compute the identical
+    integers.  Only :class:`~repro.core.state.PermutationBatch` asks for
+    them, so the serial engine always runs the vectorised reference.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        backend: Union[ArrayBackend, str, None] = None,
-    ):
-        backend = resolve_backend(backend)
-        self.backend = backend
+    def __init__(self, values: np.ndarray, fused: bool = False):
+        self.fused = fused
         num_items, num_columns = values.shape
         self.num_columns = int(num_columns)
         self._values = values
         self._seen = values != UNSEEN
-        count_dtype = _seen_count_dtype(num_columns)
-        on_device = not isinstance(backend, NumpyBackend)
-        device_values = device_seen = None
-        if on_device and num_columns:
-            device_values = backend.asarray(values)
-            device_seen = device_values != UNSEEN
-            #: (N, K) cumulative count of seen (non-UNSEEN) votes per item.
-            self.seen_cum = backend.asnumpy(
-                backend.cumsum(device_seen, axis=1, dtype=count_dtype)
-            )
-        else:
-            self.seen_cum = np.cumsum(self._seen, axis=1, dtype=count_dtype)
+        #: (N, K) cumulative count of seen (non-UNSEEN) votes per item.
+        self.seen_cum = np.cumsum(
+            self._seen, axis=1, dtype=_seen_count_dtype(num_columns)
+        )
         empty = np.zeros(0, dtype=np.int64)
         #: (V,) row / column of every seen vote, in row-major scan order.
         self.vote_rows = empty
@@ -242,10 +225,7 @@ class _SwitchScan:
         self.event_next_col = empty
         if num_columns == 0:
             return
-        if on_device:
-            compacted = self._compact_device(backend, device_values, device_seen)
-        else:
-            compacted = self._compact_host(backend, values)
+        compacted = self._compact(values)
         if compacted is None:
             return
         seen_rows, seen_cols, votes_state, is_event, majority_delta = compacted
@@ -265,8 +245,8 @@ class _SwitchScan:
             event_next_col[:-1][same_item] = self.event_cols[1:][same_item]
         self.event_next_col = event_next_col
 
-    def _compact_host(self, backend: ArrayBackend, values: np.ndarray):
-        """Per-vote states/events on the host (vectorised or numba-fused).
+    def _compact(self, values: np.ndarray):
+        """Per-vote states/events over the seen votes (vectorised or fused).
 
         Everything runs on the compacted stream of seen votes (O(votes),
         not O(N x K)).  The vectorised path derives the per-vote margin
@@ -279,7 +259,7 @@ class _SwitchScan:
         if seen_rows.size == 0:
             return None
         deltas = np.where(values[seen_rows, seen_cols] == DIRTY, np.int32(1), np.int32(-1))
-        if backend.compiled_scans:
+        if self.fused:
             votes_state, is_event, majority_delta = _scan_kernels.compact_events(
                 seen_rows.astype(np.int64, copy=False), deltas
             )
@@ -306,53 +286,6 @@ class _SwitchScan:
         previous_state[new_row] = False
         is_event = votes_state != previous_state
         return seen_rows, seen_cols, votes_state, is_event, majority_delta
-
-    def _compact_device(self, backend: ArrayBackend, device_values, device_seen):
-        """The vectorised compaction, on the backend's own arrays.
-
-        Mirrors the host formulation op for op through the seam (plus the
-        libraries' native elementwise operators), then materialises the
-        five per-vote outputs back to host NumPy; the downstream event
-        slicing and all scalar estimator arithmetic stay host-side and
-        backend-agnostic.
-        """
-        device_rows, device_cols = backend.nonzero(device_seen)
-        seen_rows = backend.asnumpy(device_rows).astype(np.int64, copy=False)
-        if seen_rows.size == 0:
-            return None
-        num_votes = seen_rows.shape[0]
-        cum_dtype = _margin_cumsum_dtype(num_votes)
-        deltas = backend.astype(
-            backend.where(device_values[device_rows, device_cols] == DIRTY, 1, -1),
-            cum_dtype,
-        )
-        cumulative = backend.cumsum(deltas, axis=0, dtype=cum_dtype)
-        positions = backend.arange(num_votes, dtype=np.int64)
-        new_row = backend.zeros((num_votes,), np.bool_)
-        new_row[0] = True
-        new_row[1:] = device_rows[1:] != device_rows[:-1]
-        row_base = (cumulative - deltas)[
-            backend.maximum_accumulate(backend.where(new_row, positions, 0))
-        ]
-        margin_at_vote = cumulative - row_base
-        previous_margin = margin_at_vote - deltas
-        votes_state = (margin_at_vote > 0) | (
-            (margin_at_vote == 0) & (previous_margin < 0)
-        )
-        majority_delta = backend.astype(margin_at_vote > 0, np.int8) - backend.astype(
-            previous_margin > 0, np.int8
-        )
-        previous_state = backend.zeros((num_votes,), np.bool_)
-        previous_state[1:] = votes_state[:-1]
-        previous_state[new_row] = False
-        is_event = votes_state != previous_state
-        return (
-            seen_rows,
-            backend.asnumpy(device_cols).astype(np.int64, copy=False),
-            backend.asnumpy(votes_state),
-            backend.asnumpy(is_event),
-            backend.asnumpy(majority_delta).astype(np.int8, copy=False),
-        )
 
     @cached_property
     def state(self) -> np.ndarray:
@@ -593,7 +526,7 @@ class _SwitchSweepCells:
         resolved: Sequence[int],
         total_votes: np.ndarray,
     ):
-        if scan.backend.compiled_scans:
+        if scan.fused:
             self.total_votes = total_votes
             self._from_kernel(scan, low, high, resolved)
             return
@@ -648,7 +581,7 @@ class _SwitchSweepCells:
     ) -> None:
         """Fill the per-checkpoint tables from the fused scan kernel.
 
-        One compiled loop over the active (event, checkpoint) pairs
+        One fused loop over the active (event, checkpoint) pairs
         replaces the ~10 dense ``(events x checkpoints)`` temporaries of
         the vectorised formulation; the kernel's integers are identical
         by construction (see :mod:`repro.core._scan_kernels`).

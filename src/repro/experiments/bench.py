@@ -33,9 +33,9 @@ Regression checking is **relative**: wall times are machine-specific, but
 the batch-vs-serial speedup ratio is not, so ``--check`` fails when the
 measured speedup of a runner run drops below ``baseline_speedup /
 factor`` (default factor 3; serving entries record throughput only and
-are exempt).  The first recorded entry of a workload becomes its
-baseline; CI runs the scaled-down ``smoke`` workload on every push and
-uploads the updated record as an artifact.
+are exempt).  The first entry recorded for a workload and scan path
+becomes its baseline; CI runs the scaled-down ``smoke`` workload on
+every push and uploads the updated record as an artifact.
 """
 
 from __future__ import annotations
@@ -53,15 +53,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.exceptions import ConfigurationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
 from repro.common.validation import check_int, check_positive
-from repro.core.backend import get_backend
+from repro.core import state as core_state
 from repro.crowd.response_matrix import ResponseMatrix
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
 #: Record-file format version (bump when the layout changes).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default record location (repo root when run from there).
 DEFAULT_RECORD = "BENCH_runner.json"
@@ -441,25 +440,21 @@ def run_workload(
     *,
     n_jobs: int = 1,
     repeats: int = 2,
-    backend: "Optional[str]" = None,
 ) -> Dict[str, object]:
     """Time one workload through both engines and build a record entry.
 
-    ``backend`` selects the array backend the *batch* engine runs on
-    (``None`` = ``$REPRO_BACKEND`` or numpy); the serial engine always runs
-    the numpy reference, so the mandatory serial-vs-batch equality check is
-    also a cross-backend bit-identity verification.  When a non-numpy
-    backend is selected the numpy batch engine is timed as well, giving the
-    like-for-like ``backend_vs_numpy_batch`` speedup.
+    The entry's ``backend`` names the scan path the batch engine ran:
+    ``numba`` (the fused kernels, used when numba imports) or ``numpy``
+    (the vectorised reference).  The serial engine always runs the
+    reference, so where numba is installed the mandatory serial-vs-batch
+    equality check also verifies the fused kernels bit for bit.
 
     Raises ``RuntimeError`` if the engines disagree on a single estimate —
     a benchmark that silently measures a wrong result is worse than none.
     """
     check_int(n_jobs, "n_jobs", minimum=1)
     check_int(repeats, "repeats", minimum=1)
-    # Resolve up front: an unknown/unavailable backend must fail before any
-    # timing work, and the entry records the resolved name, not None.
-    backend_name = get_backend(backend).name
+    scan_path = "numba" if core_state._FUSED_SCANS else "numpy"
     matrix = workload.build_matrix()
     shared = dict(
         num_permutations=workload.num_permutations,
@@ -468,9 +463,9 @@ def run_workload(
     )
     estimators = list(workload.estimators)
     # Warm-up outside the timed region (imports, registry, allocator, and —
-    # for the numba backend — JIT compilation of the scan kernels).
+    # where numba is installed — JIT compilation of the scan kernels).
     EstimationRunner(
-        estimators, RunnerConfig(num_permutations=1, num_checkpoints=2, backend=backend)
+        estimators, RunnerConfig(num_permutations=1, num_checkpoints=2)
     ).run(matrix.prefix(min(10, matrix.num_columns)))
 
     serial_seconds, serial_result = _time_run(
@@ -479,39 +474,22 @@ def run_workload(
         repeats,
     )
     batch_seconds, batch_result = _time_run(
-        EstimationRunner(
-            estimators, RunnerConfig(engine="batch", backend=backend, **shared)
-        ),
+        EstimationRunner(estimators, RunnerConfig(engine="batch", **shared)),
         matrix,
         repeats,
     )
     if _series_values(serial_result) != _series_values(batch_result):
         raise RuntimeError(
-            f"serial and batch engines disagree (backend {backend_name!r}) — "
+            f"serial and batch engines disagree ({scan_path} scans) — "
             "refusing to record the benchmark"
         )
-
-    numpy_batch_seconds = None
-    if backend_name != "numpy":
-        numpy_batch_seconds, numpy_batch_result = _time_run(
-            EstimationRunner(
-                estimators, RunnerConfig(engine="batch", backend="numpy", **shared)
-            ),
-            matrix,
-            repeats,
-        )
-        if _series_values(numpy_batch_result) != _series_values(batch_result):
-            raise RuntimeError(
-                f"numpy and {backend_name!r} batch engines disagree — "
-                "refusing to record the benchmark"
-            )
 
     parallel_seconds = None
     if n_jobs > 1:
         parallel_seconds, parallel_result = _time_run(
             EstimationRunner(
                 estimators,
-                RunnerConfig(engine="batch", n_jobs=n_jobs, backend=backend, **shared),
+                RunnerConfig(engine="batch", n_jobs=n_jobs, **shared),
             ),
             matrix,
             repeats,
@@ -525,15 +503,10 @@ def run_workload(
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": machine_info(),
         "params": asdict(workload),
-        "backend": backend_name,
+        "backend": scan_path,
         "timings_s": {
             "serial_engine": round(serial_seconds, 4),
             "batch_engine": round(batch_seconds, 4),
-            "batch_engine_numpy": (
-                round(numpy_batch_seconds, 4)
-                if numpy_batch_seconds is not None
-                else None
-            ),
             "batch_engine_parallel": (
                 round(parallel_seconds, 4) if parallel_seconds is not None else None
             ),
@@ -542,11 +515,6 @@ def run_workload(
         },
         "speedups": {
             "batch_vs_serial": round(serial_seconds / batch_seconds, 3),
-            "backend_vs_numpy_batch": (
-                round(numpy_batch_seconds / batch_seconds, 3)
-                if numpy_batch_seconds is not None
-                else None
-            ),
             "parallel_vs_serial": (
                 round(serial_seconds / parallel_seconds, 3)
                 if parallel_seconds
@@ -968,9 +936,10 @@ RECORD_NOTE = (
     "Performance trajectory of the estimation runner; append entries with "
     "`repro bench`. Regression checks compare batch-vs-serial speedup ratios "
     "(machine-independent), not raw wall times. Runner entries carry a "
-    "'backend' field (numpy/numba/cupy/torch); each workload keeps per-backend "
-    "baselines under 'baselines' and `--check` compares like-for-like backends "
-    "only ('baseline' remains the first entry ever recorded, for back-compat)."
+    "'backend' field naming the batch engine's scan path (numpy: vectorised; "
+    "numba: fused kernels); each workload keeps one baseline per scan path "
+    "under 'baselines' (entries that never run the engine: 'numpy') and "
+    "`--check` compares like with like."
 )
 
 
@@ -992,8 +961,8 @@ def load_record(path: Path) -> Dict[str, object]:
 
 
 def _entry_backend(entry: Dict[str, object]) -> str:
-    """The backend an entry was recorded on (pre-backend entries: numpy)."""
-    return str(entry.get("backend") or "numpy")
+    """The scan path an entry ran (entries that never run the engine: numpy)."""
+    return str(entry.get("backend", "numpy"))
 
 
 def update_record(
@@ -1001,32 +970,19 @@ def update_record(
 ) -> Optional[Dict[str, object]]:
     """Append ``entry`` to its workload's history; returns the baseline.
 
-    Baselines are kept *per backend* (``slot["baselines"][backend]``) so
-    the regression gate only ever compares like-for-like: a numba entry is
-    never judged against a numpy baseline or vice versa.  The first entry
-    recorded for a given (workload, backend) pair becomes that pair's
-    baseline and ``None`` is returned for it.  The legacy top-level
-    ``slot["baseline"]`` (first entry ever, any backend) is preserved for
-    readers of the old schema and seeds the per-backend table on upgrade.
+    Baselines are kept per scan path (``slot["baselines"][backend]``) so
+    the regression gate only ever compares like with like: a numba entry
+    is never judged against a numpy baseline or vice versa.  The first
+    entry recorded for a (workload, scan path) pair becomes that pair's
+    baseline and ``None`` is returned for it.
     """
-    name = entry["params"]["name"]
-    backend = _entry_backend(entry)
     workloads = record.setdefault("workloads", {})
-    slot = workloads.setdefault(name, {"baseline": None, "history": []})
-    baselines = slot.setdefault("baselines", {})
-    legacy = slot.get("baseline")
-    if (
-        legacy is not None
-        and _entry_backend(legacy) not in baselines
-    ):
-        baselines[_entry_backend(legacy)] = legacy
-    baseline = baselines.get(backend)
-    if baseline is None:
-        baselines[backend] = entry
-    if slot.get("baseline") is None:
-        slot["baseline"] = entry
+    slot = workloads.setdefault(
+        entry["params"]["name"], {"baselines": {}, "history": []}
+    )
+    baseline = slot["baselines"].setdefault(_entry_backend(entry), entry)
     slot["history"].append(entry)
-    return baseline
+    return None if baseline is entry else baseline
 
 
 def save_record(record: Dict[str, object], path: Path) -> None:
@@ -1053,12 +1009,6 @@ def regression_failure(
     if "speedups" not in entry or "speedups" not in baseline:
         # Serving entries record machine-specific throughput, not a
         # machine-independent ratio, so they carry no regression gate.
-        return None
-    if _entry_backend(entry) != _entry_backend(baseline):
-        # Like-for-like only: comparing a numba entry against a numpy
-        # baseline (or the reverse) would measure the backend, not a
-        # regression.  ``update_record`` already returns the matching
-        # per-backend baseline; this guards callers holding older records.
         return None
     current = float(entry["speedups"]["batch_vs_serial"])
     recorded = float(baseline["speedups"]["batch_vs_serial"])
@@ -1129,15 +1079,6 @@ def format_summary(entry: Dict[str, object]) -> str:
             f"on {entry['machine']['usable_cpus']} usable cpu(s)"
         )
     speedups = entry["speedups"]
-    backend = (
-        f"[{_entry_backend(entry)}] " if entry.get("backend") is not None else ""
-    )
-    versus_numpy = (
-        f", numpy batch {timings['batch_engine_numpy']:.3f}s "
-        f"({speedups['backend_vs_numpy_batch']:.2f}x vs numpy)"
-        if timings.get("batch_engine_numpy") is not None
-        else ""
-    )
     parallel = (
         f", n_jobs={timings['n_jobs']} {timings['batch_engine_parallel']:.3f}s "
         f"({speedups['parallel_vs_serial']:.2f}x)"
@@ -1145,10 +1086,10 @@ def format_summary(entry: Dict[str, object]) -> str:
         else ""
     )
     return (
-        f"BENCH {entry['params']['name']}: {backend}serial "
+        f"BENCH {entry['params']['name']}: [{_entry_backend(entry)}] serial "
         f"{timings['serial_engine']:.3f}s, "
         f"batch {timings['batch_engine']:.3f}s "
-        f"({speedups['batch_vs_serial']:.2f}x){versus_numpy}{parallel} "
+        f"({speedups['batch_vs_serial']:.2f}x){parallel} "
         f"on {entry['machine']['usable_cpus']} usable cpu(s)"
     )
 
@@ -1158,7 +1099,6 @@ def run_and_record(
     workload: str = "full",
     n_jobs: int = 1,
     repeats: int = 2,
-    backend: Optional[str] = None,
     output: Optional[str] = None,
     check: bool = False,
     factor: float = 3.0,
@@ -1176,11 +1116,6 @@ def run_and_record(
         raise ValueError(
             f"unknown workload {workload!r}; available: {sorted(known)}"
         )
-    if backend is not None and workload not in WORKLOADS:
-        raise ConfigurationError(
-            f"--backend only applies to the runner workloads "
-            f"{sorted(WORKLOADS)}; {workload!r} does not run the tensor engine"
-        )
     path = Path(output or DEFAULT_RECORD)
     record = load_record(path)
     record["note"] = RECORD_NOTE
@@ -1193,9 +1128,7 @@ def run_and_record(
     elif workload in SERVING_WORKLOADS:
         entry = run_serving_workload(SERVING_WORKLOADS[workload], repeats=repeats)
     else:
-        entry = run_workload(
-            WORKLOADS[workload], n_jobs=n_jobs, repeats=repeats, backend=backend
-        )
+        entry = run_workload(WORKLOADS[workload], n_jobs=n_jobs, repeats=repeats)
     baseline = update_record(record, entry)
     print(format_summary(entry))
     if not dry_run:
@@ -1233,13 +1166,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "--smoke", action="store_true",
         help="shorthand for --workload smoke (the CI-sized workload)",
     )
-    parser.add_argument(
-        "--backend", default=None,
-        help=(
-            "array backend for the batch engine on runner workloads "
-            "(numpy/numba/cupy/torch; default: $REPRO_BACKEND or numpy)"
-        ),
-    )
     parser.add_argument("--n-jobs", type=int, default=1, help="also time the chunked parallel dispatch")
     parser.add_argument("--repeats", type=int, default=2, help="best-of-N timing repeats")
     parser.add_argument("--output", default=DEFAULT_RECORD, help="record file to update")
@@ -1262,7 +1188,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         workload="smoke" if args.smoke else args.workload,
         n_jobs=args.n_jobs,
         repeats=args.repeats,
-        backend=args.backend,
         output=args.output,
         check=args.check,
         factor=args.factor,

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.exceptions import ValidationError
 from repro.common.rng import RandomState, derive_rng, ensure_rng
 from repro.common.validation import check_int
-from repro.core.backend import get_backend
 from repro.core.base import EstimatorProtocol, batch_estimates, sweep_estimates
 from repro.core.registry import get_estimator
 from repro.core.state import PermutationBatch, matrix_sweep_states
@@ -80,15 +79,6 @@ class RunnerConfig:
         (:class:`~repro.core.state.PermutationBatch`); ``"serial"`` keeps
         the classic one-permutation-at-a-time sweep loop.  Results are
         bit-identical; only the wall-clock differs.
-    backend:
-        Name of the :class:`~repro.core.backend.ArrayBackend` the batch
-        engine's tensor kernels run on (``"numpy"``, ``"numba"``,
-        ``"cupy"``, ``"torch"``; ``None`` resolves via the
-        ``REPRO_BACKEND`` environment variable and defaults to numpy).
-        The serial engine always runs the numpy reference.  Every backend
-        produces bit-identical estimates; unknown or unavailable names
-        raise :class:`~repro.common.exceptions.ConfigurationError` at
-        construction, not mid-run.
     """
 
     num_permutations: int = 10
@@ -97,7 +87,6 @@ class RunnerConfig:
     seed: Optional[int] = 0
     n_jobs: int = 1
     engine: str = "batch"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_int(self.num_permutations, "num_permutations", minimum=1)
@@ -107,10 +96,6 @@ class RunnerConfig:
             raise ValidationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        # Fail fast on an unknown/unavailable backend (including a bad
-        # REPRO_BACKEND value) — a ConfigurationError here beats one from
-        # the middle of a long sweep or a pool worker.
-        get_backend(self.backend)
 
     def resolve_checkpoints(self, num_columns: int) -> List[int]:
         """The prefix lengths to evaluate for a matrix with ``num_columns`` columns."""
@@ -152,7 +137,6 @@ def _evaluate_permutation_batch(
     orders: List[Optional[List[int]]],
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
-    backend: Optional[str] = None,
 ) -> List[Dict[str, List[float]]]:
     """Evaluate a chunk of permutation trials through one tensor batch.
 
@@ -161,7 +145,7 @@ def _evaluate_permutation_batch(
     one ``{estimator: [estimates]}`` dict per order, in order — the same
     shape the per-permutation loop produces.
     """
-    batch = PermutationBatch(matrix, orders, checkpoints, backend=backend)
+    batch = PermutationBatch(matrix, orders, checkpoints)
     per_estimator = {
         estimator.name: batch_estimates(estimator, batch)
         for estimator in estimators
@@ -198,15 +182,14 @@ def _init_worker(
     matrix: ResponseMatrix,
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
-    backend: Optional[str] = None,
 ) -> None:
     """Install the shared trial inputs in a pool worker (once per process)."""
-    _worker_context["args"] = (matrix, estimators, checkpoints, backend)
+    _worker_context["args"] = (matrix, estimators, checkpoints)
 
 
 def _evaluate_order(order: Optional[List[int]]) -> Dict[str, List[float]]:
     """Pool task: one permutation trial against the worker's installed context."""
-    matrix, estimators, checkpoints, _ = _worker_context["args"]
+    matrix, estimators, checkpoints = _worker_context["args"]
     return _evaluate_permutation(matrix, order, estimators, checkpoints)
 
 
@@ -214,10 +197,8 @@ def _evaluate_order_chunk(
     orders: List[Optional[List[int]]],
 ) -> List[Dict[str, List[float]]]:
     """Pool task: one chunk of batched trials against the installed context."""
-    matrix, estimators, checkpoints, backend = _worker_context["args"]
-    return _evaluate_permutation_batch(
-        matrix, orders, estimators, checkpoints, backend=backend
-    )
+    matrix, estimators, checkpoints = _worker_context["args"]
+    return _evaluate_permutation_batch(matrix, orders, estimators, checkpoints)
 
 
 class EstimationRunner:
@@ -307,7 +288,7 @@ class EstimationRunner:
                 pool = multiprocessing.get_context().Pool(
                     n_jobs,
                     initializer=_init_worker,
-                    initargs=(matrix, self.estimators, checkpoints, self.config.backend),
+                    initargs=(matrix, self.estimators, checkpoints),
                 )
             except (ImportError, NotImplementedError, OSError, PermissionError) as error:
                 warnings.warn(
@@ -331,8 +312,7 @@ class EstimationRunner:
         if trial_results is None:
             if engine == "batch":
                 trial_results = _evaluate_permutation_batch(
-                    matrix, orders, self.estimators, checkpoints,
-                    backend=self.config.backend,
+                    matrix, orders, self.estimators, checkpoints
                 )
             else:
                 trial_results = [
@@ -352,7 +332,4 @@ class EstimationRunner:
         experiment.metadata.setdefault("checkpoints", list(checkpoints))
         experiment.metadata.setdefault("n_jobs", n_jobs)
         experiment.metadata.setdefault("engine", engine)
-        experiment.metadata.setdefault(
-            "backend", get_backend(self.config.backend).name
-        )
         return experiment

@@ -111,18 +111,10 @@ class ScenarioRunner:
         a mismatch means an estimator broke the shared-state contract).
         When false the disagreement is only recorded in the trajectory's
         ``equivalence`` flags.
-    backend:
-        Name of the :class:`~repro.core.backend.ArrayBackend` the
-        ``perm_batch`` mode's tensor engine runs on (``None`` = resolve
-        via ``REPRO_BACKEND`` / default numpy).  The other three modes
-        always run the numpy reference, so a strict run with a non-numpy
-        backend *is* a cross-backend bit-identity check — the backend
-        parity suite drives golden scenarios through exactly this hook.
     """
 
-    def __init__(self, *, strict: bool = True, backend: Optional[str] = None) -> None:
+    def __init__(self, *, strict: bool = True) -> None:
         self.strict = bool(strict)
-        self.backend = backend
 
     def simulate(self, scenario: Scenario, seed: Optional[int] = None) -> CrowdSimulation:
         """Run just the crowd simulation of ``scenario``.
@@ -197,7 +189,7 @@ class ScenarioRunner:
 
         # Cross-permutation tensor engine: one single-permutation batch must
         # reproduce the sweep exactly (the runner's default path).
-        tensor_batch = PermutationBatch(matrix, [None], checkpoints, backend=self.backend)
+        tensor_batch = PermutationBatch(matrix, [None], checkpoints)
         perm_batch: Dict[str, List[EstimateResult]] = {
             name: batch_estimates(instance, tensor_batch)[0]
             for name, instance in estimators

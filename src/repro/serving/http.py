@@ -306,6 +306,10 @@ class _ServingHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     #: Ephemeral test servers come and go on the same port; don't linger.
     allow_reuse_address = True
+    #: The listen backlog.  socketserver's default of 5 drops the SYNs of
+    #: a burst of connecting clients, which then wait out a >= 1 s
+    #: retransmit; the kernel still caps this at ``net.core.somaxconn``.
+    request_queue_size = 128
 
     def __init__(self, address, api: ServingApi) -> None:
         super().__init__(address, _ServingRequestHandler)

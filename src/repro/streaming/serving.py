@@ -54,8 +54,7 @@ from typing import (
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
-from repro.common.labels import CLEAN, DIRTY
-from repro.common.validation import check_int
+from repro.common.validation import check_int, check_vote
 from repro.core.base import EstimateResult, EstimatorProtocol
 from repro.streaming.session import SessionSnapshot, StreamingSession
 from repro.streaming.store import (
@@ -445,11 +444,7 @@ class EstimationService:
             for votes in columns:
                 for item_id, vote in votes.items():
                     state.row_index(item_id)  # raises on unknown ids
-                    if vote not in (DIRTY, CLEAN):
-                        raise ValidationError(
-                            f"votes must be DIRTY ({DIRTY}) or CLEAN "
-                            f"({CLEAN}); got {vote!r} for item {item_id}"
-                        )
+                    check_vote(vote, item_id)
             if self._wal:
                 # Log first, apply second: a crash between the two
                 # replays the record on recovery, so the durable state

@@ -29,7 +29,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
-from repro.common.labels import CLEAN, DIRTY, UNSEEN
+from repro.common.labels import UNSEEN
+from repro.common.validation import check_vote
 from repro.core.base import EstimateResult, EstimatorProtocol
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import StreamingState
@@ -348,11 +349,7 @@ class StreamingSession:
         rows = []
         values = []
         for item_id, vote in votes.items():
-            if vote not in (DIRTY, CLEAN):
-                raise ValidationError(
-                    f"votes must be DIRTY ({DIRTY}) or CLEAN ({CLEAN}); "
-                    f"got {vote!r} for item {item_id}"
-                )
+            check_vote(vote, item_id)
             rows.append(self._state.row_index(item_id))
             values.append(int(vote))
         index = self._state.num_columns

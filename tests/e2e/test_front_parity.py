@@ -75,6 +75,7 @@ ERROR_CASES = {
     "unknown_session": lambda front: front.estimates("ghost"),
     "bad_vote": lambda front: front.ingest("alpha", [{0: 7}]),
     "fractional_vote": lambda front: front.ingest("alpha", [{0: 0.5}]),
+    "bool_vote": lambda front: front.ingest("alpha", [{0: True}]),
     "fractional_sequence": lambda front: front.ingest(
         "alpha", [{0: DIRTY}], source="a", sequence=5.5
     ),

@@ -15,6 +15,9 @@ Each class pins one fixed bug:
 * numpy arrays in estimator ``details`` escaped ``_plain`` and crashed
   ``json.dumps`` into an opaque 500, and a short ``worker_ids`` died as
   ``IndexError`` inside the client.
+* The listen backlog was socketserver's default of 5, so in a burst of
+  connecting clients most SYNs were dropped and their requests waited
+  out a >= 1 s retransmit.
 """
 
 from __future__ import annotations
@@ -73,6 +76,40 @@ class TestShutdownNeverStarted:
         SessionClient(server.url).health()
         server.shutdown()
         server.shutdown()  # second call must be a no-op, not a deadlock
+
+
+class TestListenBacklog:
+    CLIENTS = 32
+
+    def test_a_connection_burst_is_served_without_syn_retransmits(self):
+        # Every client connects while the server is bound but not yet
+        # accepting, so all of them sit in the listen backlog at once.
+        # With a backlog of 5 most SYNs were dropped and those requests
+        # took >= 1 s (the first retransmit); now every one fits.
+        server = HttpServingServer(EstimationService(MemorySessionStore()))
+        durations, errors = [], []
+
+        def request():
+            started = time.monotonic()
+            try:
+                SessionClient(server.url, timeout=10).health()
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+            durations.append(time.monotonic() - started)
+
+        threads = [threading.Thread(target=request) for _ in range(self.CLIENTS)]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.2)
+            server.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            server.shutdown()
+        assert not errors
+        assert len(durations) == self.CLIENTS
+        assert max(durations) < 1.0, sorted(durations)
 
 
 class TestOversizedBodyGuard:

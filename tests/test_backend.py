@@ -1,14 +1,9 @@
-"""Tests of the array-backend seam (registry, ops, kernels, dtypes).
+"""Tests of the tensor engine's two scan paths and its dtype guards.
 
-Four layers, cheapest first:
-
-* registry semantics — registration, env/default resolution, and the
-  one-line ``ConfigurationError`` hygiene for unknown/unavailable names;
-* per-op semantics — every seam operation compared against the NumPy
-  reference for each backend available on this machine;
-* compiled-kernel logic — the :mod:`repro.core._scan_kernels` loops are
+* fused-kernel logic — the :mod:`repro.core._scan_kernels` loops are
   plain Python when Numba is absent, so their logic is pinned here against
-  the vectorised formulation without needing Numba installed;
+  the vectorised reference on every machine, by forcing
+  ``repro.core.state._FUSED_SCANS`` on;
 * dtype audit — the ``seen_cum`` int16/int32 promotion and the margin
   cumsum int32/int64 promotion, including a real scan past the int16
   boundary.
@@ -19,20 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.exceptions import ConfigurationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core import backend as backend_module
-from repro.core.backend import (
-    BACKEND_ENV_VAR,
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.core import state
 from repro.core.base import batch_estimates
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import PermutationBatch
@@ -52,177 +35,19 @@ def _random_matrix(num_items, num_columns, seed=11):
     return ResponseMatrix.from_array(votes)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"numpy", "numba", "cupy", "torch"} <= set(registered_backends())
-
-    def test_numpy_always_available_and_default(self):
-        assert "numpy" in available_backends()
-        assert get_backend().name == "numpy"
-        assert get_backend("numpy") is get_backend("numpy")  # cached instance
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_env_var_unknown_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ConfigurationError, match=BACKEND_ENV_VAR):
-            get_backend()
-
-    def test_unknown_backend_lists_registered_and_available(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("not-a-backend")
-        message = str(excinfo.value)
-        assert "registered:" in message
-        assert "available here:" in message
-        assert "\n" not in message  # one-line CLI hygiene
-
-    def test_unavailable_backend_lists_available(self):
-        missing = sorted(set(registered_backends()) - set(available_backends()))
-        if not missing:
-            pytest.skip("every registered backend is available on this machine")
-        with pytest.raises(ConfigurationError, match="available here:"):
-            get_backend(missing[0])
-
-    def test_register_unregister_roundtrip(self):
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        register_backend("custom-test", Custom)
-        try:
-            assert "custom-test" in registered_backends()
-            assert get_backend("custom-test").name == "custom-test"
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend("custom-test", Custom)
-            register_backend("custom-test", Custom, overwrite=True)
-        finally:
-            unregister_backend("custom-test")
-        assert "custom-test" not in registered_backends()
-
-    def test_reference_backend_cannot_be_removed(self):
-        with pytest.raises(ConfigurationError, match="numpy"):
-            unregister_backend("numpy")
-
-    def test_resolve_backend_accepts_instance_name_and_none(self):
-        instance = get_backend("numpy")
-        assert resolve_backend(instance) is instance
-        assert resolve_backend("numpy") is instance
-        assert resolve_backend(None).name == "numpy"
-
-
-@pytest.mark.parametrize("name", available_backends())
-class TestOpSemantics:
-    """Each seam op must reproduce the NumPy reference bit-for-bit."""
-
-    @pytest.fixture
-    def xp(self, name):
-        return get_backend(name)
-
-    def _roundtrip(self, xp, values):
-        return xp.asnumpy(xp.asarray(values))
-
-    def test_asarray_asnumpy_roundtrip(self, xp):
-        values = np.array([[1, -2], [3, 0]], dtype=np.int32)
-        out = self._roundtrip(xp, values)
-        assert out.tolist() == values.tolist()
-        assert out.dtype == values.dtype
-
-    def test_constructors(self, xp):
-        assert xp.asnumpy(xp.zeros((2, 3), np.int32)).tolist() == [[0, 0, 0]] * 2
-        assert xp.asnumpy(xp.full((2,), 7, np.int64)).tolist() == [7, 7]
-        assert xp.asnumpy(xp.arange(5, np.int64)).tolist() == [0, 1, 2, 3, 4]
-
-    def test_astype(self, xp):
-        values = xp.asarray(np.array([1, 0, 3], dtype=np.int8))
-        assert xp.asnumpy(xp.astype(values, np.int32)).dtype == np.int32
-
-    def test_cumsum_with_dtype_and_axis(self, xp):
-        values = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.int8)
-        got = xp.asnumpy(xp.cumsum(xp.asarray(values), axis=1, dtype=np.int32))
-        want = np.cumsum(values, axis=1, dtype=np.int32)
-        assert got.tolist() == want.tolist()
-        assert got.dtype == want.dtype
-
-    def test_sum_with_axis_and_dtype(self, xp):
-        values = np.arange(24, dtype=np.int8).reshape(2, 3, 4)
-        got = xp.asnumpy(xp.sum(xp.asarray(values), axis=2, dtype=np.int32))
-        assert got.tolist() == values.sum(axis=2, dtype=np.int32).tolist()
-
-    def test_maximum_accumulate(self, xp):
-        values = np.array([0, 3, 1, 5, 2], dtype=np.int64)
-        got = xp.asnumpy(xp.maximum_accumulate(xp.asarray(values)))
-        assert got.tolist() == np.maximum.accumulate(values).tolist()
-
-    def test_where_and_nonzero(self, xp):
-        values = np.array([1, 0, 2, 0, 3], dtype=np.int32)
-        device = xp.asarray(values)
-        got = xp.asnumpy(xp.where(device > 0, np.int32(1), np.int32(-1)))
-        assert got.tolist() == [1, -1, 1, -1, 1]
-        (indices,) = xp.nonzero(device)
-        assert xp.asnumpy(indices).tolist() == [0, 2, 4]
-
-    def test_bincount_with_weights(self, xp):
-        values = np.array([0, 2, 2, 1, 0], dtype=np.int64)
-        weights = np.array([1, -1, 1, 1, -1], dtype=np.int8)
-        got = xp.asnumpy(
-            xp.bincount(xp.asarray(values), weights=xp.asarray(weights), minlength=5)
-        )
-        want = np.bincount(values, weights=weights, minlength=5)
-        assert np.asarray(got, dtype=np.float64).tolist() == want.tolist()
-
-    def test_segment_sum_matches_add_at(self, xp):
-        values = np.array([5, -2, 3, 1, 4], dtype=np.int64)
-        segments = np.array([0, 2, 2, 1, 0], dtype=np.int64)
-        got = xp.asnumpy(
-            xp.segment_sum(xp.asarray(values), xp.asarray(segments), 4)
-        )
-        want = np.zeros(4, dtype=np.int64)
-        np.add.at(want, segments, values)
-        assert got.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_searchsorted_sides(self, xp, side):
-        haystack = np.array([1, 3, 3, 7], dtype=np.int64)
-        queries = np.array([0, 3, 8], dtype=np.int64)
-        got = xp.asnumpy(
-            xp.searchsorted(xp.asarray(haystack), xp.asarray(queries), side=side)
-        )
-        assert got.tolist() == np.searchsorted(haystack, queries, side=side).tolist()
-
-    def test_argsort_is_stable(self, xp):
-        values = np.array([2, 1, 2, 1, 2], dtype=np.int64)
-        got = xp.asnumpy(xp.argsort_stable(xp.asarray(values)))
-        assert got.tolist() == np.argsort(values, kind="stable").tolist()
-
-    def test_sort_and_ascontiguous(self, xp):
-        values = np.array([3, 1, 2], dtype=np.int64)
-        assert xp.asnumpy(xp.sort(xp.asarray(values))).tolist() == [1, 2, 3]
-        strided = np.arange(12, dtype=np.int32).reshape(3, 4).T
-        out = xp.asnumpy(xp.ascontiguous(xp.asarray(strided)))
-        assert out.tolist() == strided.tolist()
-
-
-class _CompiledScansNumpy(NumpyBackend):
-    """NumPy storage with ``compiled_scans`` forced on.
-
-    Routes the scan hot path through :mod:`repro.core._scan_kernels`,
-    which fall back to plain-Python loops when Numba is absent — so the
-    kernel *logic* is testable on every machine, compiled or not.
-    """
-
-    name = "numpy-compiled-scans"
-    compiled_scans = True
+def _batch(matrix, orders, checkpoints, fused):
+    """A batch built with the fused scan kernels forced on or off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state, "_FUSED_SCANS", fused)
+        return PermutationBatch(matrix, orders, checkpoints)
 
 
 class TestScanKernelLogic:
     """The fused loops must match the vectorised formulation exactly."""
 
     def _assert_equal_estimates(self, matrix, orders, checkpoints):
-        vectorised = PermutationBatch(matrix, orders, checkpoints)
-        fused = PermutationBatch(
-            matrix, orders, checkpoints, backend=_CompiledScansNumpy()
-        )
+        vectorised = _batch(matrix, orders, checkpoints, fused=False)
+        fused = _batch(matrix, orders, checkpoints, fused=True)
         for name in available_estimators():
             estimator = get_estimator(name)
             got = batch_estimates(estimator, fused)
@@ -251,7 +76,7 @@ class TestScanKernelLogic:
     def test_scan_internals_match(self):
         matrix = _random_matrix(40, 9, seed=31)
         reference = _SwitchScan(matrix.values)
-        fused = _SwitchScan(matrix.values, backend=_CompiledScansNumpy())
+        fused = _SwitchScan(matrix.values, fused=True)
         np.testing.assert_array_equal(fused.seen_cum, reference.seen_cum)
         np.testing.assert_array_equal(fused.event_rows, reference.event_rows)
         np.testing.assert_array_equal(fused.event_cols, reference.event_cols)
@@ -294,30 +119,3 @@ class TestDtypeAudit:
         scan = _SwitchScan(values)
         assert scan.seen_cum.dtype == np.int16
         assert int(scan.seen_cum[0, -1]) == 16
-
-
-class TestRunnerConfigValidation:
-    def test_bad_backend_rejected_eagerly(self):
-        from repro.experiments.runner import RunnerConfig
-
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            RunnerConfig(backend="not-a-backend")
-
-    def test_unavailable_backend_rejected_eagerly(self):
-        from repro.experiments.runner import RunnerConfig
-
-        missing = sorted(set(registered_backends()) - set(available_backends()))
-        if not missing:
-            pytest.skip("every registered backend is available on this machine")
-        with pytest.raises(ConfigurationError, match="available here:"):
-            RunnerConfig(backend=missing[0])
-
-    def test_metadata_records_backend(self):
-        from repro.experiments.runner import EstimationRunner, RunnerConfig
-
-        matrix = _random_matrix(12, 8)
-        runner = EstimationRunner(
-            ["voting"], RunnerConfig(num_permutations=2, num_checkpoints=3)
-        )
-        result = runner.run(matrix)
-        assert result.metadata["backend"] == "numpy"

@@ -1,121 +1,34 @@
-"""Cross-backend bit-identity: every available backend vs the numpy reference.
+"""Strict scenario runs of the batch engine on each scan path.
 
-The contract (``docs/architecture.md``, backend seam): a backend either
-reproduces the NumPy reference **bit-for-bit** or it is a bug.  This suite
-pins that per registered backend, at two levels:
-
-* property tests — random matrices x checkpoint sets x permutation counts
-  pushed through :meth:`estimate_sweep_batch` on the backend and compared
-  exactly against the same call on the reference backend;
-* golden scenarios — :class:`~repro.scenarios.runner.ScenarioRunner` run
-  in strict mode with the backend driving its ``perm_batch`` mode; strict
-  mode raises if the tensor engine disagrees with the (always-numpy)
-  sweep, so a plain run *is* the assertion.
-
-Backends that are registered but not importable on this machine are
-skipped cleanly (the CI optional-deps leg runs them where installed).
-The numpy reference itself is exercised too — trivially self-identical,
-but it keeps the suite from silently running zero parameterizations.
+:class:`~repro.scenarios.runner.ScenarioRunner` in strict mode raises if
+the ``perm_batch`` mode (the :class:`~repro.core.state.PermutationBatch`
+engine) disagrees with the serial sweep, so a plain run *is* the
+assertion; every equivalence flag is checked as well.  The runs repeat
+once per scan path of the batch engine: ``numpy`` (the vectorised
+reference) and ``fused`` (the :mod:`repro.core._scan_kernels` loops,
+forced on; compiled where numba is installed, interpreted elsewhere).
+The byte comparison of every golden on the fused path lives in
+``tests/test_scenarios_golden.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core.backend import available_backends, registered_backends
-from repro.core.registry import available_estimators, get_estimator
-from repro.core.state import PermutationBatch
-from repro.crowd.response_matrix import ResponseMatrix
+from repro.core import state
 from repro.scenarios import available_scenarios, get_scenario
 from repro.scenarios.runner import ScenarioRunner
 
-AVAILABLE = available_backends()
 
-#: Parameterize over *registered* names so absent backends show up as
-#: explicit skips in the report rather than vanishing from it.
-ALL_BACKENDS = registered_backends()
-
-
-def _require(backend):
-    if backend not in AVAILABLE:
-        pytest.skip(f"backend {backend!r} is not available on this machine")
-
-
-def _build(num_items, num_columns, matrix_seed):
-    rng = np.random.default_rng(matrix_seed)
-    votes = rng.choice(
-        [UNSEEN, CLEAN, DIRTY], size=(num_items, num_columns), p=[0.45, 0.2, 0.35]
-    ).astype(np.int8)
-    return ResponseMatrix.from_array(votes)
-
-
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-class TestEstimateSweepBatchParity:
-    @given(
-        num_items=st.integers(min_value=1, max_value=12),
-        num_columns=st.integers(min_value=0, max_value=10),
-        num_permutations=st.sampled_from([1, 2, 5]),
-        matrix_seed=st.integers(min_value=0, max_value=2**31 - 1),
-        checkpoint_seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_bit_identical_to_reference(
-        self,
-        backend,
-        num_items,
-        num_columns,
-        num_permutations,
-        matrix_seed,
-        checkpoint_seed,
-    ):
-        _require(backend)
-        matrix = _build(num_items, num_columns, matrix_seed)
-        cp_rng = np.random.default_rng(checkpoint_seed)
-        checkpoints = sorted(
-            {0, num_columns}
-            | {int(c) for c in cp_rng.integers(0, num_columns + 1, size=3)}
-        )
-        orders = [None] + [
-            [int(i) for i in cp_rng.permutation(num_columns)]
-            for _ in range(num_permutations - 1)
-        ]
-        reference = PermutationBatch(matrix, orders, checkpoints, backend="numpy")
-        candidate = PermutationBatch(matrix, orders, checkpoints, backend=backend)
-        for name in available_estimators():
-            estimator = get_estimator(name)
-            want = estimator.estimate_sweep_batch(reference)
-            got = estimator.estimate_sweep_batch(candidate)
-            for p in range(len(orders)):
-                assert len(got[p]) == len(want[p])
-                for a, b in zip(got[p], want[p]):
-                    assert a.estimate == b.estimate, (backend, name, p)
-                    assert a.observed == b.observed, (backend, name, p)
-                    assert a.details == b.details, (backend, name, p)
-
-
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("fused", [False, True], ids=["numpy", "fused"])
 class TestGoldenScenarioParity:
-    """Strict ScenarioRunner runs with the backend behind ``perm_batch``.
-
-    Strict mode raises ``ConfigurationError`` when the tensor engine's
-    series diverge from the numpy sweep, and additionally every
-    equivalence flag is asserted — belt and braces.
-    """
-
-    # A representative slice of the catalog (one per regime family) keeps
-    # the per-backend cost bounded; the full catalog runs in the golden
-    # suite on the reference backend.
+    # One scenario per regime family keeps the cost per scan path bounded.
     SCENARIOS = ("baseline-uniform", "spammer-infested", "fp-heavy")
 
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_strict_run_passes(self, backend, name):
-        _require(backend)
-        if name not in available_scenarios():
-            pytest.skip(f"scenario {name!r} not in the catalog")
-        runner = ScenarioRunner(strict=True, backend=backend)
-        trajectory = runner.run(get_scenario(name))
+    def test_strict_run_passes(self, fused, name, monkeypatch):
+        assert name in available_scenarios()
+        monkeypatch.setattr(state, "_FUSED_SCANS", fused)
+        trajectory = ScenarioRunner(strict=True).run(get_scenario(name))
+        assert trajectory.equivalence["perm_batch_vs_sweep"]
         assert all(trajectory.equivalence.values()), trajectory.equivalence

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.core import state
 from repro.experiments import bench
 from repro.experiments.bench import (
     BenchWorkload,
@@ -53,41 +55,34 @@ def _entry(speedup: float, backend: str = "numpy") -> dict:
         "timings_s": {
             "serial_engine": speedup,
             "batch_engine": 1.0,
-            "batch_engine_numpy": None,
             "batch_engine_parallel": None,
             "n_jobs": 1,
             "repeats": 2,
         },
         "speedups": {
             "batch_vs_serial": speedup,
-            "backend_vs_numpy_batch": None,
             "parallel_vs_serial": None,
         },
     }
 
 
 class TestRunWorkload:
-    def test_entry_shape_and_engine_agreement(self):
+    def test_entry_shape_and_engine_agreement(self, monkeypatch):
+        monkeypatch.setattr(state, "_FUSED_SCANS", False)
         entry = run_workload(TINY, repeats=1)
         assert entry["params"]["name"] == TINY.name
         assert entry["backend"] == "numpy"
         assert entry["timings_s"]["serial_engine"] > 0.0
         assert entry["timings_s"]["batch_engine"] > 0.0
-        # numpy is the reference: no separate like-for-like numpy timing.
-        assert entry["timings_s"]["batch_engine_numpy"] is None
-        assert entry["speedups"]["backend_vs_numpy_batch"] is None
         assert entry["timings_s"]["batch_engine_parallel"] is None
         assert entry["speedups"]["batch_vs_serial"] > 0.0
         assert entry["machine"]["usable_cpus"] >= 1
 
-    def test_explicit_numpy_backend_matches_default(self):
-        assert run_workload(TINY, repeats=1, backend="numpy")["backend"] == "numpy"
-
-    def test_unknown_backend_fails_before_timing(self):
-        from repro.common.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            run_workload(TINY, repeats=1, backend="not-a-backend")
+    def test_entry_names_the_fused_scan_path(self, monkeypatch):
+        # The fused kernels run interpreted without numba; the recording
+        # still verifies them against the serial engine's reference.
+        monkeypatch.setattr(state, "_FUSED_SCANS", True)
+        assert run_workload(TINY, repeats=1)["backend"] == "numba"
 
     def test_deterministic_matrix(self):
         assert (TINY.build_matrix().values == TINY.build_matrix().values).all()
@@ -135,7 +130,7 @@ class TestRunServingWorkload:
         output = capsys.readouterr().out
         assert f"BENCH {TINY_SERVING.name}:" in output
         record = json.loads(path.read_text())
-        assert record["workloads"][TINY_SERVING.name]["baseline"] is not None
+        assert record["workloads"][TINY_SERVING.name]["baselines"]["numpy"] is not None
 
 
 #: An HTTP workload small enough for unit tests to serve end-to-end.
@@ -185,7 +180,7 @@ class TestRunHttpWorkload:
         output = capsys.readouterr().out
         assert f"BENCH {TINY_HTTP.name}:" in output
         record = json.loads(path.read_text())
-        assert record["workloads"][TINY_HTTP.name]["baseline"] is not None
+        assert record["workloads"][TINY_HTTP.name]["baselines"]["numpy"] is not None
 
 
 class TestRecordPersistence:
@@ -193,7 +188,7 @@ class TestRecordPersistence:
         record = load_record(tmp_path / "BENCH.json")
         first = _entry(2.0)
         assert update_record(record, first) is None
-        assert record["workloads"][TINY.name]["baseline"] is first
+        assert record["workloads"][TINY.name]["baselines"] == {"numpy": first}
         second = _entry(2.1)
         assert update_record(record, second) is first
         assert record["workloads"][TINY.name]["history"] == [first, second]
@@ -204,23 +199,12 @@ class TestRecordPersistence:
         assert update_record(record, numpy_first) is None
         numba_first = _entry(5.0, backend="numba")
         # First numba entry: no numba baseline yet, even though a numpy
-        # baseline exists — the gate must never compare across backends.
+        # baseline exists — the gate must never compare across scan paths.
         assert update_record(record, numba_first) is None
         assert update_record(record, _entry(5.2, backend="numba")) is numba_first
         assert update_record(record, _entry(2.1)) is numpy_first
         slot = record["workloads"][TINY.name]
-        assert slot["baseline"] is numpy_first  # legacy: first entry ever
         assert slot["baselines"] == {"numpy": numpy_first, "numba": numba_first}
-
-    def test_legacy_slot_seeds_the_per_backend_table(self, tmp_path):
-        # A record written before the backend field existed: its baseline
-        # has no "backend" key and counts as numpy.
-        record = load_record(tmp_path / "BENCH.json")
-        legacy = _entry(2.0)
-        del legacy["backend"]
-        record["workloads"] = {TINY.name: {"baseline": legacy, "history": [legacy]}}
-        assert update_record(record, _entry(2.1)) is legacy
-        assert record["workloads"][TINY.name]["baselines"]["numpy"] is legacy
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "BENCH.json"
@@ -231,9 +215,17 @@ class TestRecordPersistence:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"format_version": 999}))
-        with pytest.raises(ValueError, match="version"):
-            load_record(path)
+        # 1 is the schema before the single ``baselines`` table.
+        for version in (1, 999):
+            path.write_text(json.dumps({"format_version": version}))
+            with pytest.raises(ValueError, match="unsupported benchmark record version"):
+                load_record(path)
+
+    def test_committed_record_has_one_baseline_schema(self):
+        path = Path(__file__).resolve().parents[1] / "BENCH_runner.json"
+        for name, slot in load_record(path)["workloads"].items():
+            assert set(slot) == {"baselines", "history"}, name
+            assert "numpy" in slot["baselines"], name
 
 
 class TestRegressionCheck:
@@ -252,12 +244,6 @@ class TestRegressionCheck:
         assert regression_failure(_entry(1.1), _entry(2.0), factor=2.0) is None
         assert regression_failure(_entry(0.9), _entry(2.0), factor=2.0) is not None
 
-    def test_cross_backend_comparison_is_never_a_regression(self):
-        # A numpy entry 10x below a numba baseline is not a regression —
-        # it is a different backend.  Like-for-like only.
-        assert regression_failure(_entry(0.5), _entry(5.0, backend="numba")) is None
-        assert regression_failure(_entry(0.5, backend="numba"), _entry(5.0)) is None
-
 
 class TestCliFlow:
     def test_run_and_record_writes_and_summarises(self, tmp_path, capsys, monkeypatch):
@@ -271,7 +257,7 @@ class TestCliFlow:
         assert f"BENCH {TINY.name}:" in output
         assert "recorded ->" in output
         record = json.loads(path.read_text())
-        assert record["workloads"][TINY.name]["baseline"] is not None
+        assert record["workloads"][TINY.name]["baselines"]["numpy"] is not None
 
     def test_dry_run_does_not_write(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(bench.WORKLOADS, "tiny", TINY)
@@ -291,16 +277,4 @@ class TestCliFlow:
 
     def test_summary_line_tags_the_backend(self):
         assert "[numpy]" in format_summary(_entry(1.8))
-        entry = _entry(4.0, backend="numba")
-        entry["timings_s"]["batch_engine_numpy"] = 2.5
-        entry["speedups"]["backend_vs_numpy_batch"] = 2.5
-        summary = format_summary(entry)
-        assert "[numba]" in summary
-        assert "2.50x vs numpy" in summary
-
-    def test_pre_backend_entries_keep_their_old_summary_shape(self):
-        entry = _entry(1.8)
-        del entry["backend"]
-        del entry["timings_s"]["batch_engine_numpy"]
-        summary = format_summary(entry)
-        assert "[" not in summary and "1.80x" in summary
+        assert "[numba]" in format_summary(_entry(4.0, backend="numba"))

@@ -129,80 +129,35 @@ class TestCliSweep:
         parallel = capsys.readouterr().out
         assert serial.replace("n_jobs=1", "") == parallel.replace("n_jobs=2", "")
 
-    def test_sweep_explicit_numpy_backend_matches_default(self, capsys):
-        args = [
-            "sweep",
-            "--items", "100",
-            "--errors", "10",
-            "--tasks", "20",
-            "--permutations", "2",
-            "--checkpoints", "3",
-            "--seed", "4",
-        ]
-        assert main(args) == 0
-        default = capsys.readouterr().out
-        assert main(args + ["--backend", "numpy"]) == 0
-        explicit = capsys.readouterr().out
-        assert default == explicit
 
-
-class TestCliBackendErrors:
-    """Unknown/unavailable backends: exit 2, one `error:` line, no traceback."""
+class TestCliArgumentErrors:
+    """Bad argument values: exit 2, one `error:` line, no traceback."""
 
     SWEEP_ARGS = [
         "sweep",
         "--items", "40",
         "--errors", "4",
         "--tasks", "8",
-        "--permutations", "1",
         "--checkpoints", "2",
     ]
 
-    def _assert_one_line_error(self, capsys):
+    def test_sweep_bad_value_exits_2_with_one_line(self, capsys):
+        assert main(self.SWEEP_ARGS + ["--permutations", "0"]) == 2
         captured = capsys.readouterr()
         lines = [line for line in captured.err.splitlines() if line]
         assert len(lines) == 1
         assert lines[0].startswith("error: ")
+        assert "num_permutations" in lines[0]
         assert "Traceback" not in captured.err
-        return lines[0]
 
-    def test_sweep_unknown_backend_exits_2(self, capsys):
-        assert main(self.SWEEP_ARGS + ["--backend", "cuda"]) == 2
-        message = self._assert_one_line_error(capsys)
-        assert "unknown backend" in message
-        assert "available here:" in message
-
-    def test_bench_unknown_backend_exits_2(self, capsys):
-        assert main(["bench", "--smoke", "--dry-run", "--backend", "cuda"]) == 2
-        message = self._assert_one_line_error(capsys)
-        assert "unknown backend" in message
-
-    def test_bench_unavailable_backend_exits_2(self, capsys):
-        from repro.core.backend import available_backends, registered_backends
-
-        missing = sorted(set(registered_backends()) - set(available_backends()))
-        if not missing:
-            pytest.skip("every registered backend is available on this machine")
-        assert main(
-            ["bench", "--smoke", "--dry-run", "--backend", missing[0]]
-        ) == 2
-        message = self._assert_one_line_error(capsys)
-        assert "available here:" in message
-
-    def test_bench_backend_on_non_runner_workload_exits_2(self, capsys):
-        assert main(
-            ["bench", "--workload", "serving", "--dry-run", "--backend", "numpy"]
-        ) == 2
-        message = self._assert_one_line_error(capsys)
-        assert "runner workloads" in message
-
-    def test_env_var_backend_error_names_the_variable(self, capsys, monkeypatch):
-        from repro.core.backend import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        assert main(self.SWEEP_ARGS) == 2
-        message = self._assert_one_line_error(capsys)
-        assert BACKEND_ENV_VAR in message
+    @pytest.mark.parametrize(
+        "args", [SWEEP_ARGS, ["bench", "--smoke", "--dry-run"]], ids=["sweep", "bench"]
+    )
+    def test_there_is_no_backend_option(self, args, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
 
 class TestCliScenario:

@@ -5,7 +5,11 @@ permutations, :class:`~repro.core.state.PermutationBatch` estimates are
 **exactly** (bitwise) equal to the serial per-permutation sweep — for
 every registered estimator, including the degenerate matrices (all-clean,
 all-unseen, single column) where the species arithmetic hits its guard
-branches.
+branches.  The equivalence suites run once per scan path: ``numpy`` (the
+vectorised reference) and ``fused`` (the :mod:`repro.core._scan_kernels`
+loops, forced on; compiled where numba is installed, interpreted
+elsewhere).  The serial sweep always runs the reference, so the ``fused``
+runs are a bit-identity check of the kernels on every machine.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core.backend import available_backends
+from repro.core import state
 from repro.core.base import EstimateResult, batch_estimates, sweep_estimates
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import PermutationBatch
@@ -25,15 +29,15 @@ from repro.core.switch import switch_statistics
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
 
-#: Every backend importable on this machine (always at least numpy).  The
-#: whole equivalence suite runs once per backend: the serial sweep is the
-#: numpy reference, so each parameterization is a bit-identity check.
-BACKENDS = available_backends()
+#: Both scan paths of the batch engine: the fused kernels off, then on.
+SCAN_PATHS = pytest.mark.parametrize("fused", [False, True], ids=["numpy", "fused"])
 
 
-def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None, backend=None):
+def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None, fused=False):
     """Exact equality of the batched and serial sweeps for all estimators."""
-    batch = PermutationBatch(matrix, orders, checkpoints, backend=backend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state, "_FUSED_SCANS", fused)
+        batch = PermutationBatch(matrix, orders, checkpoints)
     for name in names or available_estimators():
         estimator = get_estimator(name)
         batched = batch_estimates(estimator, batch)
@@ -47,7 +51,7 @@ def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None, backen
                 assert got.details == want.details, (name, p)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@SCAN_PATHS
 class TestPropertyEquivalence:
     @given(
         num_items=st.integers(min_value=1, max_value=10),
@@ -59,7 +63,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=25)
     def test_batch_equals_serial_sweep(
         self,
-        backend,
+        fused,
         num_items,
         num_columns,
         num_permutations,
@@ -83,10 +87,10 @@ class TestPropertyEquivalence:
             [int(i) for i in cp_rng.permutation(num_columns)]
             for _ in range(num_permutations - 1)
         ]
-        _assert_batch_matches_serial(matrix, orders, checkpoints, backend=backend)
+        _assert_batch_matches_serial(matrix, orders, checkpoints, fused=fused)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@SCAN_PATHS
 class TestDegenerateMatrices:
     CHECKPOINTS = [0, 1, 2, 5, 8]
 
@@ -96,42 +100,42 @@ class TestDegenerateMatrices:
             [int(i) for i in rng.permutation(num_columns)] for _ in range(count - 1)
         ]
 
-    def test_all_clean_matrix(self, backend):
+    def test_all_clean_matrix(self, fused):
         votes = np.full((6, 8), CLEAN, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
         _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, backend=backend
+            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
         )
 
-    def test_all_unseen_matrix(self, backend):
+    def test_all_unseen_matrix(self, fused):
         votes = np.full((6, 8), UNSEEN, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
         _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, backend=backend
+            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
         )
 
-    def test_all_dirty_matrix(self, backend):
+    def test_all_dirty_matrix(self, fused):
         votes = np.full((6, 8), DIRTY, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
         _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, backend=backend
+            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
         )
 
-    def test_single_column(self, backend):
+    def test_single_column(self, fused):
         votes = np.array([[DIRTY], [CLEAN], [UNSEEN], [DIRTY]], dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(matrix, [None, [0], [0]], [0, 1], backend=backend)
+        _assert_batch_matches_serial(matrix, [None, [0], [0]], [0, 1], fused=fused)
 
-    def test_single_item(self, backend):
+    def test_single_item(self, fused):
         votes = np.array([[DIRTY, CLEAN, DIRTY, UNSEEN]], dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
         _assert_batch_matches_serial(
-            matrix, self._orders(4), [0, 1, 2, 4], backend=backend
+            matrix, self._orders(4), [0, 1, 2, 4], fused=fused
         )
 
-    def test_zero_columns(self, backend):
+    def test_zero_columns(self, fused):
         matrix = ResponseMatrix.from_array(np.zeros((3, 0), dtype=np.int8))
-        _assert_batch_matches_serial(matrix, [None, [], []], [0], backend=backend)
+        _assert_batch_matches_serial(matrix, [None, [], []], [0], fused=fused)
 
 
 class TestBatchInternals:
