@@ -16,22 +16,15 @@ recording on one core: they price the RPC overhead).
 
 from __future__ import annotations
 
-import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments.bench import (
-    PROC_SHARDS_WORKLOADS,
-    ProcShardsWorkload,
-    run_proc_shards_workload,
-)
+from repro.experiments.bench import WORKLOADS, regression_failure, run_workload
 from repro.serving import ProcessShardedService, ShardedEstimationService
-from repro.serving.http import report_to_payload
 
-SMOKE = PROC_SHARDS_WORKLOADS["proc-shards-smoke"]
-FULL = PROC_SHARDS_WORKLOADS["proc-shards"]
+SMOKE = WORKLOADS["proc-shards-smoke"]
+FULL = WORKLOADS["proc-shards"]
 
 
 def _usable_cpus() -> int:
@@ -50,49 +43,11 @@ multi_core_only = pytest.mark.skipif(
 )
 
 
-def _ingest_all(service, workload: ProcShardsWorkload) -> None:
-    for session_index in range(workload.num_sessions):
-        service.create_session(
-            workload.session_name(session_index),
-            range(workload.num_items),
-            list(workload.estimators),
-            keep_votes=False,
-        )
-
-    def feed(session_index: int) -> None:
-        name = workload.session_name(session_index)
-        for batch_index in range(workload.num_batches):
-            service.ingest(
-                name,
-                workload.batch(session_index, batch_index),
-                source="bench",
-                sequence=batch_index + 1,
-            )
-
-    with ThreadPoolExecutor(max_workers=workload.threads) as pool:
-        for future in [
-            pool.submit(feed, index) for index in range(workload.num_sessions)
-        ]:
-            future.result()
-
-
-def _report_json(service, workload: ProcShardsWorkload):
-    return {
-        workload.session_name(index): json.dumps(
-            report_to_payload(
-                service.estimate_report(workload.session_name(index))
-            ),
-            sort_keys=True,
-        )
-        for index in range(workload.num_sessions)
-    }
-
-
 def test_bench_single_process_shards_ingest(benchmark, tmp_path):
     service = ShardedEstimationService(
         tmp_path / "single", num_shards=SMOKE.num_shards
     )
-    benchmark.pedantic(lambda: _ingest_all(service, SMOKE), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: SMOKE.ingest_all(service), rounds=1, iterations=1)
     assert len(service.sessions()) == SMOKE.num_sessions
 
 
@@ -101,7 +56,7 @@ def test_bench_process_worker_shards_ingest(benchmark, tmp_path):
         tmp_path / "workers", num_shards=SMOKE.num_shards
     ) as service:
         benchmark.pedantic(
-            lambda: _ingest_all(service, SMOKE), rounds=1, iterations=1
+            lambda: SMOKE.ingest_all(service), rounds=1, iterations=1
         )
         assert len(service.sessions()) == SMOKE.num_sessions
         assert len(service.worker_pids()) == SMOKE.num_shards
@@ -111,23 +66,24 @@ def test_worker_reports_match_single_process_bit_identically(tmp_path):
     single = ShardedEstimationService(
         tmp_path / "single", num_shards=SMOKE.num_shards
     )
-    _ingest_all(single, SMOKE)
+    SMOKE.ingest_all(single)
     with ProcessShardedService(
         tmp_path / "workers", num_shards=SMOKE.num_shards
     ) as workers:
-        _ingest_all(workers, SMOKE)
-        assert _report_json(workers, SMOKE) == _report_json(single, SMOKE)
+        SMOKE.ingest_all(workers)
+        assert SMOKE.report_json(workers) == SMOKE.report_json(single)
 
 
 def test_recorded_entry_shape_is_ungated(tmp_path):
-    # The entry must carry "scaling" (machine-specific, exempt from the
-    # speedup regression gate), never "speedups".
-    entry = run_proc_shards_workload(SMOKE)
-    assert "speedups" not in entry
-    scaling = entry["scaling"]
-    assert scaling["bit_identical"] is True
-    assert scaling["verified_sessions"] == SMOKE.num_sessions
-    assert scaling["workers"] == SMOKE.num_shards
+    # The entry records a machine-specific scaling ratio, never the
+    # batch-vs-serial speedup the regression gate reads.
+    entry = run_workload(SMOKE)
+    metrics = entry["metrics"]
+    assert "batch_vs_serial" not in metrics
+    assert regression_failure(entry, entry) is None
+    assert metrics["verified_sessions"] == SMOKE.num_sessions
+    assert metrics["workers"] == SMOKE.num_shards
+    assert metrics["proc_vs_single"] > 0
     assert entry["timings_s"]["single_process_ingest"] > 0
     assert entry["timings_s"]["process_workers_ingest"] > 0
 
@@ -136,8 +92,8 @@ def test_recorded_entry_shape_is_ungated(tmp_path):
 def test_process_workers_scale_past_the_gil(tmp_path):
     # Acceptance criterion: >=1.5x ingest throughput over the
     # single-process sharded service when there are cores to use.
-    entry = run_proc_shards_workload(FULL)
-    ratio = entry["scaling"]["proc_vs_single"]
+    entry = run_workload(FULL)
+    ratio = entry["metrics"]["proc_vs_single"]
     assert ratio >= 1.5, (
         f"process workers only reached {ratio:.2f}x the single-process "
         f"throughput on {_usable_cpus()} usable CPUs"

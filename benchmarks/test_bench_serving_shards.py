@@ -39,24 +39,6 @@ full_scale_only = pytest.mark.skipif(
 )
 
 
-def _ingest_all(service, workload: WalWorkload) -> None:
-    for session_index in range(workload.num_sessions):
-        name = workload.session_name(session_index)
-        service.create_session(
-            name,
-            range(workload.num_items),
-            list(workload.estimators),
-            keep_votes=False,
-        )
-        for batch_index in range(workload.num_batches):
-            service.ingest(
-                name,
-                workload.batch(session_index, batch_index),
-                source="bench",
-                sequence=batch_index + 1,
-            )
-
-
 def _sample_estimates(service, workload: WalWorkload):
     return {
         workload.session_name(index): service.estimates(workload.session_name(index))
@@ -68,7 +50,7 @@ def test_bench_single_service_ingest(benchmark, tmp_path):
     service = EstimationService(
         DirectorySessionStore(tmp_path / "single"), max_active=SMALL.max_active
     )
-    benchmark.pedantic(lambda: _ingest_all(service, SMALL), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: SMALL.ingest_all(service), rounds=1, iterations=1)
     assert len(service.sessions()) == SMALL.num_sessions
 
 
@@ -76,7 +58,7 @@ def test_bench_sharded_service_ingest(benchmark, tmp_path):
     service = ShardedEstimationService(
         tmp_path / "sharded", num_shards=4, max_active=SMALL.max_active
     )
-    benchmark.pedantic(lambda: _ingest_all(service, SMALL), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: SMALL.ingest_all(service), rounds=1, iterations=1)
     assert len(service.sessions()) == SMALL.num_sessions
     # Every shard should own a non-trivial slice of 120 hashed names.
     assert all(len(shard.sessions()) > 0 for shard in service.shards)
@@ -89,8 +71,8 @@ def test_sharded_estimates_match_single_service(tmp_path):
     sharded = ShardedEstimationService(
         tmp_path / "sharded", num_shards=4, max_active=SMALL.max_active
     )
-    _ingest_all(single, SMALL)
-    _ingest_all(sharded, SMALL)
+    SMALL.ingest_all(single)
+    SMALL.ingest_all(sharded)
     assert _sample_estimates(single, SMALL) == _sample_estimates(sharded, SMALL)
 
 
@@ -99,5 +81,5 @@ def test_bench_sharded_service_ingest_100k(benchmark, tmp_path):
     service = ShardedEstimationService(
         tmp_path / "sharded-100k", num_shards=8, max_active=LARGE.max_active
     )
-    benchmark.pedantic(lambda: _ingest_all(service, LARGE), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: LARGE.ingest_all(service), rounds=1, iterations=1)
     assert len(service.sessions()) == LARGE.num_sessions

@@ -12,7 +12,7 @@ The CLI exposes the experiment harness without writing any Python::
     python -m repro scenario list                # the declarative suite
     python -m repro scenario run spammer-infested --seed 7
     python -m repro scenario record              # refresh golden files
-    python -m repro bench --smoke --check        # record perf, fail on regression
+    python -m repro bench --workload smoke --check   # record perf, fail on regression
     python -m repro session create mydata --items 500   # durable serving session
     python -m repro session ingest mydata --votes batch.json --source loader --sequence 1
     python -m repro session estimate mydata
@@ -179,10 +179,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time the runner workloads and update BENCH_runner.json",
+        help="time one pinned workload and append its entry to BENCH_runner.json",
     )
-    # Options are defined once in repro.experiments.bench and shared with
-    # tools/bench_record.py, so the two entry points cannot drift.
+    # The options live next to the workload registry; tools/bench_record.py
+    # forwards to this subcommand.
     from repro.experiments.bench import add_bench_arguments
 
     add_bench_arguments(bench)
@@ -717,8 +717,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _run_sweep(args)
             return 0
         except (ConfigurationError, ValidationError) as error:
-            # A bad argument value (``--permutations 0``): a one-line
-            # diagnosis, never a traceback.
+            # A bad argument value (``--permutations 0``) or an unreadable
+            # bench record: a one-line diagnosis, never a traceback.
             print(f"error: {error}", file=sys.stderr)
             return 2
 

@@ -75,7 +75,6 @@ from repro.serving.loadgen import (
 )
 from repro.serving.workers import ProcessShardedService
 from repro.streaming.serving import (
-    DEFAULT_COMPACT_BYTES,
     SERVING_OPS,
     EstimateReport,
     EstimationService,
@@ -84,28 +83,13 @@ from repro.streaming.serving import (
     ShardedEstimationService,
     ShardRouter,
     ShardUnavailableError,
-    replay_batch_record,
     shard_index,
-)
-from repro.streaming.session import (
-    SNAPSHOT_FORMAT_VERSION,
-    SessionSnapshot,
-    read_snapshot,
-    write_snapshot,
 )
 from repro.streaming.store import (
     DirectorySessionStore,
     MemorySessionStore,
-    SessionStore,
     StoreCorruptionError,
     UnknownSessionError,
-    check_session_name,
-)
-from repro.streaming.wal import (
-    WAL_FORMAT_VERSION,
-    BatchRecord,
-    CreateRecord,
-    SessionLog,
 )
 
 __all__ = [
@@ -115,22 +99,10 @@ __all__ = [
     "ShardUnavailableError",
     "IngestResult",
     "EstimateReport",
-    "SessionSnapshot",
-    "SNAPSHOT_FORMAT_VERSION",
-    "read_snapshot",
-    "write_snapshot",
-    "SessionStore",
     "MemorySessionStore",
     "DirectorySessionStore",
     "UnknownSessionError",
     "StoreCorruptionError",
-    "check_session_name",
-    "SessionLog",
-    "CreateRecord",
-    "BatchRecord",
-    "WAL_FORMAT_VERSION",
-    "DEFAULT_COMPACT_BYTES",
-    "replay_batch_record",
     "shard_index",
     # the op table and the shard router every front is built from
     "SERVING_OPS",

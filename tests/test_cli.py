@@ -151,7 +151,9 @@ class TestCliArgumentErrors:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "args", [SWEEP_ARGS, ["bench", "--smoke", "--dry-run"]], ids=["sweep", "bench"]
+        "args",
+        [SWEEP_ARGS, ["bench", "--workload", "smoke", "--dry-run"]],
+        ids=["sweep", "bench"],
     )
     def test_there_is_no_backend_option(self, args, capsys):
         with pytest.raises(SystemExit) as exit_info:

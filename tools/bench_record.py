@@ -1,14 +1,15 @@
-"""Record runner benchmarks into ``BENCH_runner.json`` (thin CLI wrapper).
+"""Record a pinned benchmark workload into ``BENCH_runner.json``.
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python tools/bench_record.py                 # full workload
-    PYTHONPATH=src python tools/bench_record.py --smoke --check # CI smoke job
+    PYTHONPATH=src python tools/bench_record.py                       # full workload
+    PYTHONPATH=src python tools/bench_record.py --workload smoke --check  # CI job
 
-All logic lives in :mod:`repro.experiments.bench`; this wrapper only makes
-the tool runnable without installing the package, mirroring
-``tools/check_docs.py`` and ``tools/golden.py``.  The same entry point is
-exposed as the ``repro bench`` CLI subcommand.
+This is ``repro bench`` under another name: it forwards its arguments to
+the CLI subcommand (options, workload names, one-line ``error:``
+diagnoses and exit codes included), and only makes the tool runnable
+without installing the package, mirroring ``tools/check_docs.py`` and
+``tools/golden.py``.  All logic lives in :mod:`repro.experiments.bench`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.bench import main  # noqa: E402
+from repro.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["bench", *sys.argv[1:]]))
