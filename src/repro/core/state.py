@@ -889,10 +889,6 @@ class StreamingState:
         """``n_i^-`` — a copy of the per-item clean-vote counts."""
         return self._negative.copy()
 
-    def consensus_labels(self) -> Dict[int, int]:
-        """Per-item consensus labels under the switch scan's convention."""
-        return self._switch.final_consensus(self._item_ids)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"StreamingState(num_items={self.num_items}, "

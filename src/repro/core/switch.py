@@ -718,10 +718,6 @@ class IncrementalSwitchState:
         """f'-statistics over rediscovery counts (see :class:`SwitchStatistics`)."""
         return self._fingerprints[direction].snapshot(num_observations=self.n_switch)
 
-    def final_consensus(self, item_ids: Sequence[int]) -> Dict[int, int]:
-        """Consensus label per item id, under the scan's tie-flip convention."""
-        return {item: int(label) for item, label in zip(item_ids, self._consensus)}
-
     # -- snapshot codec --------------------------------------------------- #
     def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
         """Serialise the tracker into npz-able arrays plus JSON-safe metadata.

@@ -12,7 +12,7 @@ can trace them over the task stream.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -87,23 +87,6 @@ def majority_labels(
 def majority_count(matrix: ResponseMatrix, upto: Optional[int] = None) -> int:
     """``c_majority`` — the number of items whose majority consensus is dirty."""
     return int((majority_vote_counts(matrix, upto) > 0).sum())
-
-
-def nominal_counts_at(matrix: ResponseMatrix, checkpoints) -> List[int]:
-    """``c_nominal`` at every checkpoint prefix, in one incremental pass.
-
-    Equivalent to ``[nominal_count(matrix, cp) for cp in checkpoints]`` but
-    built on the matrix's incremental checkpoint tables, so the vote matrix
-    is scanned once instead of once per checkpoint.
-    """
-    positives = matrix.positive_counts_at(checkpoints)
-    return [int(count) for count in (positives > 0).sum(axis=1)]
-
-
-def majority_counts_at(matrix: ResponseMatrix, checkpoints) -> List[int]:
-    """``c_majority`` at every checkpoint prefix, in one incremental pass."""
-    margins = matrix.positive_counts_at(checkpoints) - matrix.negative_counts_at(checkpoints)
-    return [int(count) for count in (margins > 0).sum(axis=1)]
 
 
 def majority_count_history(matrix: ResponseMatrix, upto: Optional[int] = None) -> np.ndarray:

@@ -16,7 +16,7 @@ simulation but converges slowly; SWITCH is accurate in all three regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.chao92 import Chao92Estimator
 from repro.core.descriptive import VotingEstimator
@@ -126,8 +126,3 @@ def run_robustness_scenario(
         },
     )
 
-
-def run_all_scenarios(config: Optional[RobustnessConfig] = None) -> Dict[str, ExperimentResult]:
-    """Run all three Figure 7 panels."""
-    config = config or RobustnessConfig()
-    return {scenario: run_robustness_scenario(scenario, config) for scenario in SCENARIOS}

@@ -8,13 +8,15 @@ fault vocabulary as :mod:`repro.serving.loadgen`), pushes them through
 the multi-tenant serving facade, and checks the served estimates against
 the acknowledged-batch replay oracle **bit for bit**.
 
-Two drives share one plan builder:
+Two drives share one plan builder, and both count acknowledgements with
+the load generator's one tally (:meth:`~repro.serving.loadgen.FleetReport.record`):
 
 * :func:`drive_scenario` — the deterministic serial drive used by the
-  golden harness: deliveries interleave round-robin across sources (the
-  reproducible stand-in for concurrency), think times are recorded but
-  not slept, and the resulting
-  :attr:`DynamicDriveReport.stats` are stable enough to byte-pin.
+  golden harness: :meth:`~repro.serving.loadgen.LoadGenerator.run_serial`
+  interleaves deliveries round-robin across sources (the reproducible
+  stand-in for concurrency), think times are recorded but not slept,
+  and the resulting :attr:`DynamicDriveReport.stats` are stable enough
+  to byte-pin.
 * The threaded drive — pass the same plans to
   :meth:`~repro.serving.loadgen.LoadGenerator.run` via its ``plans``
   override to exercise real sockets and real concurrency (the slow e2e
@@ -24,7 +26,6 @@ Two drives share one plan builder:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -34,11 +35,12 @@ from repro.core.base import EstimateResult
 from repro.crowd.response_matrix import ResponseMatrix
 from repro.scenarios.spec import Scenario, SessionDynamics
 from repro.serving.loadgen import (
-    AppliedBatch,
     Delivery,
     FleetConfig,
     FleetReport,
-    replay_batches,
+    LoadGenerator,
+    inject_faults,
+    replay_applied_batches,
 )
 
 #: Stream index dynamics randomness derives from (disjoint from the
@@ -57,29 +59,21 @@ def _require_dynamics(scenario: Scenario) -> SessionDynamics:
 
 
 def fleet_config(scenario: Scenario, num_items: int) -> FleetConfig:
-    """The :class:`FleetConfig` carrier for a dynamic scenario's fleet.
+    """The :class:`FleetConfig` a dynamic scenario's drive runs under.
 
-    Session names, estimator list and fault knobs all live here so the
-    load-generator machinery (session creation, threaded delivery,
-    replay) works on dynamic scenarios unchanged.  The per-worker batch
-    shape fields are placeholders — plans come from
-    :func:`build_delivery_plans`, not ``build_worker_plan``.
+    It names and sizes the sessions, lists the estimators and shapes the
+    threaded drive's bursts.  The plans come from
+    :func:`build_delivery_plans`, so none of the fleet's own plan fields
+    is set.
     """
     dynamics = _require_dynamics(scenario)
     return FleetConfig(
         num_sessions=dynamics.num_sessions,
-        num_workers=dynamics.num_sessions * dynamics.sources_per_session,
         num_items=int(num_items),
-        columns_per_batch=dynamics.columns_per_batch,
-        items_per_column=1,
-        latency_s=dynamics.loop_delay_s,
         workers_per_burst=dynamics.workers_per_burst,
         burst_gap_s=dynamics.burst_gap_s,
-        duplicate_every=dynamics.duplicate_every,
-        reorder_every=dynamics.reorder_every,
         estimators=tuple(scenario.estimators),
         session_prefix=f"{scenario.name}-s",
-        keep_votes=False,
         seed=scenario.seed,
     )
 
@@ -92,88 +86,51 @@ def build_delivery_plans(
     Columns are spread round-robin over the dynamics' sessions, chopped
     into ``columns_per_batch`` batches, and the batches dealt round-robin
     to each session's sources (each source carrying its own ``(source,
-    sequence)`` idempotency stream).  Per source, in order: abandonment
-    truncates the plan after a uniformly drawn batch, reordering swaps
-    every n-th adjacent pair (so a lower sequence arrives late and must
-    be high-water-mark dropped), and every n-th surviving delivery gains
-    an immediate retry twin.  All randomness derives from the scenario
-    seed per source, so any one source's plan is stable under changes to
-    the others.
+    sequence)`` idempotency stream).  Each source's batches then go
+    through the load generator's one fault pass,
+    :func:`~repro.serving.loadgen.inject_faults`: abandonment, reorder
+    swaps, retry twins.  All randomness derives from the scenario seed
+    per source, so any one source's plan is stable under changes to the
+    others.
     """
     dynamics = _require_dynamics(scenario)
-    config = fleet_config(scenario, matrix.num_items)
-    session_names = config.session_names()
+    session_names = fleet_config(scenario, matrix.num_items).session_names()
     workers = matrix.column_workers
-
-    # Column indices per session, then batches per (session, source).
-    per_session: List[List[int]] = [[] for _ in session_names]
-    for column in range(matrix.num_columns):
-        per_session[column % len(session_names)].append(column)
-
+    width = dynamics.columns_per_batch
     plans: List[List[Delivery]] = []
     root = derive_rng(scenario.seed, _DYNAMICS_STREAM)
     for session_index, session in enumerate(session_names):
-        columns = per_session[session_index]
+        columns = range(session_index, matrix.num_columns, len(session_names))
         chunks = [
-            columns[start : start + dynamics.columns_per_batch]
-            for start in range(0, len(columns), dynamics.columns_per_batch)
+            columns[start : start + width] for start in range(0, len(columns), width)
         ]
         for source_index in range(dynamics.sources_per_session):
             source = f"{session}-src{source_index:02d}"
             rng = derive_rng(
                 root, session_index * dynamics.sources_per_session + source_index
             )
-            batches: List[Delivery] = []
-            for sequence, chunk in enumerate(
-                chunks[source_index :: dynamics.sources_per_session], start=1
-            ):
-                batches.append(
-                    Delivery(
-                        session=session,
-                        source=source,
-                        sequence=sequence,
-                        columns=tuple(
-                            matrix.column_votes(column) for column in chunk
-                        ),
-                        worker_ids=tuple(workers[column] for column in chunk),
-                        think_s=float(rng.uniform(*dynamics.loop_delay_s)),
-                    )
+            batches = [
+                Delivery(
+                    session=session,
+                    source=source,
+                    sequence=sequence,
+                    columns=tuple(matrix.column_votes(column) for column in chunk),
+                    worker_ids=tuple(workers[column] for column in chunk),
+                    think_s=float(rng.uniform(*dynamics.loop_delay_s)),
                 )
-            if (
-                dynamics.abandon_rate
-                and len(batches) > 1
-                and float(rng.random()) < dynamics.abandon_rate
-            ):
-                batches = batches[: int(rng.integers(1, len(batches)))]
-            if dynamics.reorder_every:
-                for index in range(
-                    dynamics.reorder_every - 1,
-                    len(batches) - 1,
-                    dynamics.reorder_every,
-                ):
-                    batches[index], batches[index + 1] = (
-                        batches[index + 1],
-                        batches[index],
-                    )
-            plan: List[Delivery] = []
-            for index, delivery in enumerate(batches):
-                plan.append(delivery)
-                if (
-                    dynamics.duplicate_every
-                    and (index + 1) % dynamics.duplicate_every == 0
-                ):
-                    plan.append(
-                        Delivery(
-                            session=delivery.session,
-                            source=delivery.source,
-                            sequence=delivery.sequence,
-                            columns=delivery.columns,
-                            worker_ids=delivery.worker_ids,
-                            is_retry=True,
-                            think_s=0.0,
-                        )
-                    )
-            plans.append(plan)
+                for sequence, chunk in enumerate(
+                    chunks[source_index :: dynamics.sources_per_session], start=1
+                )
+            ]
+            plans.append(
+                inject_faults(
+                    batches,
+                    reorder_every=dynamics.reorder_every,
+                    duplicate_every=dynamics.duplicate_every,
+                    abandon_rate=dynamics.abandon_rate,
+                    rng=rng,
+                )
+            )
     return plans
 
 
@@ -223,85 +180,21 @@ def drive_scenario(
 
     ``client`` is anything with the service surface (``create_session`` /
     ``ingest`` / ``estimates``); ``None`` builds a fresh in-memory
-    :class:`~repro.streaming.serving.EstimationService`.  Deliveries
-    interleave round-robin across sources — one delivery each per turn —
-    which stands in for concurrency while keeping landing positions (and
-    therefore the golden payload) deterministic.  Think times are part of
-    the plan but never slept here.
+    :class:`~repro.streaming.serving.EstimationService`.  The plans go
+    through :meth:`~repro.serving.loadgen.LoadGenerator.run_serial`:
+    round-robin across sources, one delivery each per turn, which stands
+    in for concurrency while keeping landing positions (and therefore
+    the golden payload) deterministic.
     """
     if client is None:
         from repro.streaming.serving import EstimationService
 
         client = EstimationService()
     config = fleet_config(scenario, matrix.num_items)
-    plans = build_delivery_plans(scenario, matrix)
-    for name in config.session_names():
-        client.create_session(
-            name,
-            range(config.num_items),
-            list(config.estimators),
-            keep_votes=config.keep_votes,
-        )
-
-    counts = {"deliveries": 0, "applied": 0, "duplicates": 0, "late_drops": 0,
-              "columns": 0, "votes": 0}
-    latencies: List[float] = []
-    applied_batches: List[AppliedBatch] = []
-    start = time.perf_counter()
-    pending = [list(plan) for plan in plans]
-    while any(pending):
-        for plan in pending:
-            if not plan:
-                continue
-            delivery = plan.pop(0)
-            begin = time.perf_counter()
-            result = client.ingest(
-                delivery.session,
-                list(delivery.columns),
-                worker_ids=list(delivery.worker_ids),
-                source=delivery.source,
-                sequence=delivery.sequence,
-            )
-            latencies.append(time.perf_counter() - begin)
-            counts["deliveries"] += 1
-            if result.duplicate:
-                counts["duplicates"] += 1
-                if not delivery.is_retry:
-                    counts["late_drops"] += 1
-            else:
-                counts["applied"] += 1
-                counts["columns"] += result.applied
-                counts["votes"] += sum(len(column) for column in delivery.columns)
-                applied_batches.append(
-                    AppliedBatch(
-                        session=delivery.session,
-                        start=result.num_columns - result.applied,
-                        columns=delivery.columns,
-                        worker_ids=delivery.worker_ids,
-                    )
-                )
-    wall = time.perf_counter() - start
-
-    report = FleetReport(
-        config=config,
-        wall_s=wall,
-        deliveries=counts["deliveries"],
-        applied_deliveries=counts["applied"],
-        duplicate_acks=counts["duplicates"],
-        late_drops=counts["late_drops"],
-        columns_applied=counts["columns"],
-        votes_applied=counts["votes"],
-        latencies_s=latencies,
-        applied_batches=applied_batches,
+    report = LoadGenerator(client, config).run_serial(
+        build_delivery_plans(scenario, matrix)
     )
-    served = {
-        name: client.estimates(name) for name in config.session_names()
-    }
-    replayed = replay_batches(
-        applied_batches,
-        config.num_items,
-        list(config.estimators),
-        keep_votes=config.keep_votes,
-        session_names=config.session_names(),
+    served = {name: client.estimates(name) for name in config.session_names()}
+    return DynamicDriveReport(
+        report=report, served=served, replayed=replay_applied_batches(report)
     )
-    return DynamicDriveReport(report=report, served=served, replayed=replayed)

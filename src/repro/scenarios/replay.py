@@ -11,7 +11,7 @@ trace becomes a regression test: the estimators must keep producing the
 exact trajectory they produced on the live run.
 
 The WAL conversion applies the same ``(source, sequence)`` idempotency
-gate :func:`~repro.streaming.serving.replay_batch_record` applies, so a
+rule (:func:`~repro.streaming.serving.is_duplicate`) recovery applies, so a
 log containing duplicated or reordered deliveries converts to exactly
 the columns a recovering service would apply — the property the
 hypothesis suite pins against ``SessionLog.repair()``.
@@ -27,6 +27,7 @@ from repro.common.exceptions import ConfigurationError
 from repro.crowd.response_matrix import ResponseMatrix
 from repro.scenarios.spec import Scenario, TraceSpec
 from repro.serving.loadgen import FleetReport, ordered_session_batches
+from repro.streaming.serving import is_duplicate
 from repro.streaming.wal import BatchRecord, CreateRecord, SessionLog
 
 #: Tag every trace-derived scenario carries.
@@ -103,10 +104,8 @@ def scenario_from_wal(
             raise ConfigurationError(
                 f"unexpected extra create record in {str(log.path)!r}"
             )
-        if record.source is not None:
-            last = sources.get(record.source)
-            if last is not None and record.sequence <= last:
-                continue
+        if is_duplicate(sources, record.source, record.sequence):
+            continue
         columns.extend(record.columns)
         worker_ids.extend(
             record.worker_ids
@@ -144,12 +143,12 @@ def scenarios_from_fleet_report(
     One scenario per session the fleet touched, columns in the
     server-side application order recovered from the acknowledgements
     (tiling-verified, as in
-    :func:`~repro.serving.loadgen.replay_applied_batches`).  Unlike a
-    production WAL, a synthetic fleet knows its ground truth, so
-    ``true_errors`` is carried into the trace.
+    :func:`~repro.serving.loadgen.replay_applied_batches`).  A fleet that
+    drew its own votes knows its ground truth, so the report's
+    ``true_errors`` is carried into the trace; a drive of injected plans
+    (a dynamic scenario's) carries ``-1``, like a production WAL.
     """
     config = report.config
-    true_errors = int(config.true_labels().sum())
     scenarios = []
     for session, batches in ordered_session_batches(
         report.applied_batches, config.session_names()
@@ -175,7 +174,7 @@ def scenarios_from_fleet_report(
                     item_ids=tuple(range(config.num_items)),
                     columns=tuple(columns),
                     worker_ids=tuple(worker_ids),
-                    true_errors=true_errors,
+                    true_errors=report.true_errors,
                 ),
             )
         )

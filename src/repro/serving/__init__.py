@@ -71,7 +71,6 @@ from repro.serving.loadgen import (
     latency_percentiles,
     ordered_session_batches,
     replay_applied_batches,
-    replay_batches,
 )
 from repro.serving.workers import ProcessShardedService
 from repro.streaming.serving import (
@@ -134,5 +133,4 @@ __all__ = [
     "latency_percentiles",
     "ordered_session_batches",
     "replay_applied_batches",
-    "replay_batches",
 ]

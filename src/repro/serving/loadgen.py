@@ -21,6 +21,12 @@ produces:
 * **overlapping sessions** — workers are assigned round-robin, so every
   session is written by several concurrent workers.
 
+This is the repository's one crowd-traffic model: the dynamic-scenario
+drive (:mod:`repro.scenarios.dynamics`) builds its plans through the same
+fault pass (:func:`inject_faults`), drives them with
+:meth:`LoadGenerator.run_serial`, and counts acknowledgements with the
+same :meth:`FleetReport.record`.
+
 Every plan is a pure function of :class:`FleetConfig` (content-wise):
 what interleaving the server actually applied is recovered from the
 acknowledgements — an applied batch's ``num_columns`` minus its
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,11 +119,6 @@ class FleetConfig:
         check_int(self.workers_per_burst, "workers_per_burst", minimum=1)
         check_int(self.duplicate_every, "duplicate_every", minimum=0)
         check_int(self.reorder_every, "reorder_every", minimum=0)
-        if self.items_per_column > self.num_items:
-            raise ValidationError(
-                f"items_per_column ({self.items_per_column}) cannot exceed "
-                f"num_items ({self.num_items})"
-            )
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValidationError(f"error_rate must be in [0, 1], got {self.error_rate}")
         low, high = self.accuracy
@@ -176,18 +177,47 @@ class FleetReport:
     """Everything one fleet run produced: traffic stats and replay fuel."""
 
     config: FleetConfig
-    wall_s: float
-    deliveries: int
-    applied_deliveries: int
-    duplicate_acks: int
+    wall_s: float = 0.0
+    deliveries: int = 0
+    applied_deliveries: int = 0
+    duplicate_acks: int = 0
     #: Duplicate acknowledgements for deliveries that were *not* planned
     #: retries — i.e. reordered (late) batches correctly dropped by the
     #: high-water mark.
-    late_drops: int
-    columns_applied: int
-    votes_applied: int
+    late_drops: int = 0
+    columns_applied: int = 0
+    votes_applied: int = 0
     latencies_s: List[float] = field(default_factory=list)
     applied_batches: List[AppliedBatch] = field(default_factory=list)
+    #: Dirty items in the truth the plans' votes were drawn from; ``-1``
+    #: (no ground truth) when the plans were injected.
+    true_errors: int = -1
+
+    def record(self, delivery: Delivery, ack, elapsed_s: float) -> None:
+        """Count one acknowledged delivery — every drive's one tally.
+
+        ``ack`` is the :class:`~repro.streaming.serving.IngestResult` the
+        server returned; an applied batch's landing column is
+        ``num_columns - applied``.
+        """
+        self.latencies_s.append(elapsed_s)
+        self.deliveries += 1
+        if ack.duplicate:
+            self.duplicate_acks += 1
+            if not delivery.is_retry:
+                self.late_drops += 1
+            return
+        self.applied_deliveries += 1
+        self.columns_applied += ack.applied
+        self.votes_applied += sum(len(column) for column in delivery.columns)
+        self.applied_batches.append(
+            AppliedBatch(
+                session=delivery.session,
+                start=ack.num_columns - ack.applied,
+                columns=delivery.columns,
+                worker_ids=delivery.worker_ids,
+            )
+        )
 
     @property
     def requests_per_s(self) -> float:
@@ -202,16 +232,51 @@ class FleetReport:
         return latency_percentiles(self.latencies_s)
 
 
+def inject_faults(
+    batches: Sequence[Delivery],
+    *,
+    reorder_every: int,
+    duplicate_every: int,
+    abandon_rate: float = 0.0,
+    rng: Optional[np.random.Generator] = None,
+) -> List[Delivery]:
+    """One source's in-order batches, faulted into the plan it delivers.
+
+    The traffic model's one fault pass, in order: with probability
+    ``abandon_rate`` (drawn from ``rng``) the source abandons after a
+    uniformly drawn batch; every ``reorder_every``-th adjacent pair is
+    swapped, so a lower sequence arrives late and must be dropped by the
+    high-water mark; and every ``duplicate_every``-th surviving delivery
+    gains an immediate retry twin.  ``0`` disables either.
+    """
+    batches = list(batches)
+    if abandon_rate and len(batches) > 1 and float(rng.random()) < abandon_rate:
+        batches = batches[: int(rng.integers(1, len(batches)))]
+    if reorder_every:
+        for index in range(reorder_every - 1, len(batches) - 1, reorder_every):
+            batches[index], batches[index + 1] = batches[index + 1], batches[index]
+    plan: List[Delivery] = []
+    for index, delivery in enumerate(batches, start=1):
+        plan.append(delivery)
+        if duplicate_every and index % duplicate_every == 0:
+            plan.append(replace(delivery, is_retry=True, think_s=0.0))
+    return plan
+
+
 def build_worker_plan(config: FleetConfig, worker: int) -> List[Delivery]:
     """Worker ``worker``'s delivery plan — a pure function of the config.
 
     Batches carry sequences ``1..batches_per_worker`` toward the worker's
-    round-robin session; reordering swaps adjacent planned deliveries
-    (so the swapped-early higher sequence wins and the late lower one
-    must be dropped), then every ``duplicate_every``-th delivery gains an
-    immediate retry twin.
+    round-robin session, each column's votes drawn from the fleet's truth
+    at the worker's accuracy; :func:`inject_faults` then swaps every
+    ``reorder_every``-th pair and adds the retry twins.
     """
     check_int(worker, "worker", minimum=0)
+    if config.items_per_column > config.num_items:
+        raise ValidationError(
+            f"items_per_column ({config.items_per_column}) cannot exceed "
+            f"num_items ({config.num_items})"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1 + worker]))
     truth = config.true_labels()
     accuracy = float(rng.uniform(*config.accuracy))
@@ -221,7 +286,6 @@ def build_worker_plan(config: FleetConfig, worker: int) -> List[Delivery]:
     batches: List[Delivery] = []
     for batch_index in range(config.batches_per_worker):
         columns = []
-        worker_ids = []
         for _ in range(config.columns_per_batch):
             items = rng.choice(config.num_items, size=config.items_per_column, replace=False)
             flips = rng.random(config.items_per_column) >= accuracy
@@ -229,38 +293,22 @@ def build_worker_plan(config: FleetConfig, worker: int) -> List[Delivery]:
             columns.append(
                 {int(item): int(vote) for item, vote in zip(items, votes)}
             )
-            worker_ids.append(worker)
         batches.append(
             Delivery(
                 session=session,
                 source=source,
                 sequence=batch_index + 1,
                 columns=tuple(columns),
-                worker_ids=tuple(worker_ids),
+                worker_ids=(worker,) * len(columns),
                 think_s=float(rng.uniform(*config.latency_s)),
             )
         )
 
-    if config.reorder_every:
-        for index in range(config.reorder_every - 1, len(batches) - 1, config.reorder_every):
-            batches[index], batches[index + 1] = batches[index + 1], batches[index]
-
-    plan: List[Delivery] = []
-    for index, delivery in enumerate(batches):
-        plan.append(delivery)
-        if config.duplicate_every and (index + 1) % config.duplicate_every == 0:
-            plan.append(
-                Delivery(
-                    session=delivery.session,
-                    source=delivery.source,
-                    sequence=delivery.sequence,
-                    columns=delivery.columns,
-                    worker_ids=delivery.worker_ids,
-                    is_retry=True,
-                    think_s=0.0,
-                )
-            )
-    return plan
+    return inject_faults(
+        batches,
+        reorder_every=config.reorder_every,
+        duplicate_every=config.duplicate_every,
+    )
 
 
 class LoadGenerator:
@@ -296,6 +344,18 @@ class LoadGenerator:
             )
         return names
 
+    def _send(self, delivery: Delivery):
+        """Deliver once; returns ``(acknowledgement, elapsed seconds)``."""
+        begin = time.perf_counter()
+        ack = self.client.ingest(
+            delivery.session,
+            list(delivery.columns),
+            worker_ids=list(delivery.worker_ids),
+            source=delivery.source,
+            sequence=delivery.sequence,
+        )
+        return ack, time.perf_counter() - begin
+
     def run(
         self,
         *,
@@ -304,15 +364,15 @@ class LoadGenerator:
     ) -> FleetReport:
         """Drive the whole fleet; returns the :class:`FleetReport`.
 
-        Workers run as real threads, launched in bursts; a worker failure
-        (an unexpected error response, a dead server) is re-raised here
-        after every thread has stopped.  ``plans`` overrides the default
-        per-worker plans (``build_worker_plan`` for every worker) — the
-        dynamic-scenario drive injects its own delivery plans this way
-        while reusing the threading, bursting and acknowledgement
-        bookkeeping unchanged.
+        Workers run as real threads, launched in bursts, and sleep each
+        delivery's think time; a worker failure (an unexpected error
+        response, a dead server) is re-raised here after every thread has
+        stopped.  ``plans`` overrides the default per-worker plans
+        (``build_worker_plan`` for every worker); only a fleet that drew
+        its own plans reports its ``true_errors``.
         """
         config = self.config
+        report = FleetReport(config)
         if create_sessions:
             self.create_sessions()
         if plans is None:
@@ -320,50 +380,19 @@ class LoadGenerator:
                 build_worker_plan(config, worker)
                 for worker in range(config.num_workers)
             ]
-        plans = [list(plan) for plan in plans]
+            report.true_errors = int(config.true_labels().sum())
 
         lock = threading.Lock()
-        latencies: List[float] = []
-        applied_batches: List[AppliedBatch] = []
-        counts = {"deliveries": 0, "applied": 0, "duplicates": 0, "late_drops": 0,
-                  "columns": 0, "votes": 0}
         failures: List[BaseException] = []
 
-        def deliver(plan: List[Delivery]) -> None:
+        def deliver(plan: Sequence[Delivery]) -> None:
             try:
                 for delivery in plan:
                     if delivery.think_s:
                         time.sleep(delivery.think_s)
-                    begin = time.perf_counter()
-                    result = self.client.ingest(
-                        delivery.session,
-                        list(delivery.columns),
-                        worker_ids=list(delivery.worker_ids),
-                        source=delivery.source,
-                        sequence=delivery.sequence,
-                    )
-                    elapsed = time.perf_counter() - begin
+                    ack, elapsed = self._send(delivery)
                     with lock:
-                        latencies.append(elapsed)
-                        counts["deliveries"] += 1
-                        if result.duplicate:
-                            counts["duplicates"] += 1
-                            if not delivery.is_retry:
-                                counts["late_drops"] += 1
-                        else:
-                            counts["applied"] += 1
-                            counts["columns"] += result.applied
-                            counts["votes"] += sum(
-                                len(column) for column in delivery.columns
-                            )
-                            applied_batches.append(
-                                AppliedBatch(
-                                    session=delivery.session,
-                                    start=result.num_columns - result.applied,
-                                    columns=delivery.columns,
-                                    worker_ids=delivery.worker_ids,
-                                )
-                            )
+                        report.record(delivery, ack, elapsed)
             except BaseException as error:  # noqa: BLE001 - reported to the caller
                 with lock:
                     failures.append(error)
@@ -379,22 +408,28 @@ class LoadGenerator:
             thread.start()
         for thread in threads:
             thread.join()
-        wall = time.perf_counter() - start
+        report.wall_s = time.perf_counter() - start
         if failures:
             raise failures[0]
+        return report
 
-        return FleetReport(
-            config=config,
-            wall_s=wall,
-            deliveries=counts["deliveries"],
-            applied_deliveries=counts["applied"],
-            duplicate_acks=counts["duplicates"],
-            late_drops=counts["late_drops"],
-            columns_applied=counts["columns"],
-            votes_applied=counts["votes"],
-            latencies_s=latencies,
-            applied_batches=applied_batches,
-        )
+    def run_serial(self, plans: Sequence[Sequence[Delivery]]) -> FleetReport:
+        """Create the sessions, then drive ``plans`` round-robin from one thread.
+
+        Each turn sends the next delivery of every plan that has one, in
+        plan order — the reproducible stand-in for concurrency, so
+        landing positions and counters are deterministic.  Think times
+        are part of the plans but never slept here.
+        """
+        report = FleetReport(self.config)
+        self.create_sessions()
+        start = time.perf_counter()
+        for turn in range(max(map(len, plans), default=0)):
+            for plan in plans:
+                if turn < len(plan):
+                    report.record(plan[turn], *self._send(plan[turn]))
+        report.wall_s = time.perf_counter() - start
+        return report
 
 
 def ordered_session_batches(
@@ -431,36 +466,6 @@ def ordered_session_batches(
     return ordered
 
 
-def replay_batches(
-    applied_batches: Sequence[AppliedBatch],
-    num_items: int,
-    estimators: Sequence[str],
-    *,
-    keep_votes: bool = False,
-    session_names: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, EstimateResult]]:
-    """Replay acknowledged batches through plain sessions, per session.
-
-    The generic core of :func:`replay_applied_batches`: any collection of
-    :class:`AppliedBatch` records — a fleet report's, or the serial
-    dynamic-scenario drive's — replays into fresh
-    :class:`~repro.streaming.StreamingSession` instances, one per
-    session, in the acknowledged application order.  Returns
-    ``{session: {estimator: EstimateResult}}``.
-    """
-    replayed: Dict[str, Dict[str, EstimateResult]] = {}
-    for name, batches in ordered_session_batches(
-        applied_batches, session_names
-    ).items():
-        session = StreamingSession(
-            range(num_items), list(estimators), keep_votes=keep_votes
-        )
-        for batch in batches:
-            session.add_columns(list(batch.columns), list(batch.worker_ids))
-        replayed[name] = session.estimate()
-    return replayed
-
-
 def replay_applied_batches(
     report: FleetReport,
     estimators: Optional[Sequence[str]] = None,
@@ -477,10 +482,15 @@ def replay_applied_batches(
     **bit-identical**.
     """
     config = report.config
-    return replay_batches(
-        report.applied_batches,
-        config.num_items,
-        list(estimators if estimators is not None else config.estimators),
-        keep_votes=config.keep_votes,
-        session_names=config.session_names(),
-    )
+    estimators = list(estimators if estimators is not None else config.estimators)
+    replayed: Dict[str, Dict[str, EstimateResult]] = {}
+    for name, batches in ordered_session_batches(
+        report.applied_batches, config.session_names()
+    ).items():
+        session = StreamingSession(
+            range(config.num_items), estimators, keep_votes=config.keep_votes
+        )
+        for batch in batches:
+            session.add_columns(list(batch.columns), list(batch.worker_ids))
+        replayed[name] = session.estimate()
+    return replayed

@@ -92,20 +92,33 @@ class ShardUnavailableError(ConfigurationError):
     """
 
 
+def is_duplicate(
+    sources: Mapping[str, int], source: Optional[str], sequence: Optional[int]
+) -> bool:
+    """The one idempotency rule: does this batch fail to advance its source?
+
+    ``sources`` maps each source to the highest sequence applied from it
+    (its high-water mark).  A batch with a ``source`` is a duplicate when
+    its ``sequence`` is not above that mark; a batch without one never
+    is.  Live ingest, WAL recovery and the trace codec all apply it.
+    """
+    if source is None:
+        return False
+    last = sources.get(source)
+    return last is not None and sequence <= last
+
+
 def replay_batch_record(
     session: StreamingSession, sources: Dict[str, int], record: BatchRecord
 ) -> bool:
     """Apply one logged batch to ``session``; returns False for duplicates.
 
     The replay twin of :meth:`EstimationService.ingest`: the same
-    ``(source, sequence)`` high-water-mark check guards it, so a
-    re-appended duplicate batch record is a no-op on recovery exactly as
-    its delivery was live.
+    :func:`is_duplicate` rule guards it, so a re-appended duplicate batch
+    record is a no-op on recovery exactly as its delivery was live.
     """
-    if record.source is not None:
-        last = sources.get(record.source)
-        if last is not None and record.sequence <= last:
-            return False
+    if is_duplicate(sources, record.source, record.sequence):
+        return False
     session.add_columns(record.column_mappings(), record.worker_ids)
     if record.source is not None:
         sources[record.source] = record.sequence
@@ -427,16 +440,14 @@ class EstimationService:
         _check_worker_ids(columns, worker_ids)
         with self._live(name) as handle:
             session = handle.session
-            if source is not None:
-                last = handle.sources.get(source)
-                if last is not None and sequence <= last:
-                    return IngestResult(
-                        session=name,
-                        applied=0,
-                        duplicate=True,
-                        num_columns=session.num_columns,
-                        total_votes=session.total_votes,
-                    )
+            if is_duplicate(handle.sources, source, sequence):
+                return IngestResult(
+                    session=name,
+                    applied=0,
+                    duplicate=True,
+                    num_columns=session.num_columns,
+                    total_votes=session.total_votes,
+                )
             # Validate the whole batch before applying any of it: a
             # half-applied batch whose high-water mark never advanced
             # would be double-counted by the (legitimate) retry.

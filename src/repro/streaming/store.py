@@ -37,7 +37,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 try:  # pragma: no cover - always present on the POSIX targets we support
     import fcntl
@@ -52,7 +52,7 @@ from repro.streaming.session import (
     read_snapshot,
     write_snapshot,
 )
-from repro.streaming.wal import SessionLog, WalRecord
+from repro.streaming.wal import SessionLog, TornAppendError, WalRecord
 
 #: Session names double as directory names, so keep them filesystem-safe.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
@@ -248,6 +248,8 @@ class DirectorySessionStore(SessionStore):
         self.root = Path(root)
         self.sync = bool(sync)
         self._lock_descriptor: Optional[int] = None
+        #: Sessions whose log a failed append left torn (see :meth:`append`).
+        self._torn: Set[str] = set()
         if exclusive:
             self._acquire_exclusive()
         self._sweep_stale_files()
@@ -402,6 +404,7 @@ class DirectorySessionStore(SessionStore):
         # The new generation is durable; start its (empty) log and only
         # then clear out the superseded generation(s).
         self._wal_path(session_dir, new_generation).touch()
+        self._torn.discard(name)
         for number in old_wals:
             self._wal_path(session_dir, number).unlink(missing_ok=True)
         for generation in old_generations:
@@ -436,6 +439,7 @@ class DirectorySessionStore(SessionStore):
         if not path.is_dir():
             raise self._unknown(name)
         shutil.rmtree(path)
+        self._torn.discard(name)
 
     def names(self) -> List[str]:
         """Stored session names, sorted (non-session directories ignored)."""
@@ -465,13 +469,29 @@ class DirectorySessionStore(SessionStore):
     # write-ahead log interface
     # ------------------------------------------------------------------ #
     def append(self, name: str, record: WalRecord) -> None:
-        """Append one record to the session's active log — O(record)."""
+        """Append one record to the session's active log — O(record).
+
+        A failed append leaves the log as it was (see
+        :meth:`SessionLog.append`).  When it cannot, the log ends in a
+        partial frame, and every later append to it raises
+        ``StoreCorruptionError`` until the store is reopened, or a
+        compaction or delete replaces the log.
+        """
+        if name in self._torn:
+            raise StoreCorruptionError(
+                f"session {name!r} refuses appends: a failed append left a "
+                "partial frame in its log; reopen the store to repair it"
+            )
         session_dir = self._path(name)
         session_dir.mkdir(parents=True, exist_ok=True)
         generation = self._active_generation(session_dir)
-        SessionLog(self._wal_path(session_dir, generation), sync=self.sync).append(
-            record
-        )
+        try:
+            SessionLog(self._wal_path(session_dir, generation), sync=self.sync).append(
+                record
+            )
+        except TornAppendError:
+            self._torn.add(name)
+            raise
 
     def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[WalRecord]]:
         """The newest valid generation's snapshot plus its replayable log.

@@ -30,6 +30,7 @@ session's accumulated state — the whole point of the WAL path.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -183,6 +184,10 @@ def decode_payload(payload: bytes) -> WalRecord:
         raise ConfigurationError(f"undecodable WAL record: {error!r}") from error
 
 
+class TornAppendError(OSError):
+    """A failed append left a partial frame the log could not truncate."""
+
+
 class SessionLog:
     """One session's append-only log file.
 
@@ -204,16 +209,30 @@ class SessionLog:
         """Append one framed record; returns the log size in bytes after.
 
         O(record) — the log is opened in append mode and never rewritten.
+        A failed write or fsync truncates the log back to its size before
+        the append and re-raises, so the next append never lands behind
+        a partial frame that recovery would stop at; if that truncate
+        fails too, :class:`TornAppendError` is raised instead.
         """
         frame = encode_record(record)
-        with open(self.path, "ab") as handle:
-            handle.write(frame)
-            handle.flush()
-            if self.sync:
-                import os
-
-                os.fsync(handle.fileno())
-            return handle.tell()
+        with open(self.path, "ab", buffering=0) as handle:
+            start = handle.tell()
+            try:
+                written = 0
+                while written < len(frame):
+                    written += handle.write(frame[written:])
+                if self.sync:
+                    os.fsync(handle.fileno())
+            except BaseException:
+                try:
+                    handle.truncate(start)
+                except OSError as error:
+                    raise TornAppendError(
+                        f"{self.path} keeps a partial frame after a failed "
+                        f"append: truncating it back to {start} bytes failed"
+                    ) from error
+                raise
+        return start + written
 
     def scan(self) -> Tuple[List[WalRecord], int, bool]:
         """Read every intact record.
