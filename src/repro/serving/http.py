@@ -262,6 +262,17 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serving"
+    #: ``TCP_NODELAY``: ``_respond`` sends the headers and the body in two
+    #: writes, and Nagle's algorithm would hold the body back until the
+    #: client's delayed ACK of the headers, about 40 ms per request on a
+    #: keep-alive connection.
+    disable_nagle_algorithm = True
+    #: Seconds a socket read or write may block.  A client that stalls
+    #: mid-request, or idles on a keep-alive connection, then loses the
+    #: connection (``handle_one_request`` closes it on the timeout)
+    #: instead of holding a server thread forever.  The same as
+    #: ``SessionClient``'s default.
+    timeout = 30.0
 
     def _respond(self) -> None:
         try:

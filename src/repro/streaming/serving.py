@@ -456,19 +456,19 @@ class EstimationService:
                 for item_id, vote in votes.items():
                     state.row_index(item_id)  # raises on unknown ids
                     check_vote(vote, item_id)
+            log_bytes = 0
             if self._wal:
                 # Log first, apply second: a crash between the two
                 # replays the record on recovery, so the durable state
                 # is never behind what the client saw acknowledged.
                 record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
-                self._store.append(name, record)
+                log_bytes = self._store.append(name, record)
             session.add_columns(columns, worker_ids)
             if source is not None:
                 handle.sources[source] = sequence
             if (
-                self._wal
-                and self._compact_after_bytes is not None
-                and self._store.log_size(name) >= self._compact_after_bytes
+                self._compact_after_bytes is not None
+                and log_bytes >= self._compact_after_bytes
             ):
                 self._store.save(name, self._snapshot_locked(handle))
             return IngestResult(

@@ -84,6 +84,15 @@ class StoreCorruptionError(ConfigurationError):
     """
 
 
+def _fsync(path: Path) -> None:
+    """Flush a file, or a directory's entries, to disk."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 def check_session_name(name: str) -> str:
     """Validate a session name (shared by every store and the service).
 
@@ -137,10 +146,11 @@ class SessionStore:
         """Stored session names, sorted."""
         raise NotImplementedError
 
-    def append(self, name: str, record: WalRecord) -> None:
+    def append(self, name: str, record: WalRecord) -> int:
         """Append one durable log record for ``name`` (O(record)).
 
-        Only meaningful when :attr:`supports_wal` is True.
+        Returns the size in bytes of the session's active log after the
+        write.  Only meaningful when :attr:`supports_wal` is True.
         """
         raise ConfigurationError(
             f"{type(self).__name__} has no write-ahead log; use a "
@@ -307,46 +317,58 @@ class DirectorySessionStore(SessionStore):
         return session_dir / f"wal-{generation:08d}.log"
 
     @staticmethod
-    def _snapshot_complete(directory: Path) -> bool:
-        return (directory / MANIFEST_FILENAME).exists() and (
-            directory / ARRAYS_FILENAME
-        ).exists()
+    def _snapshot_complete(directory: str) -> bool:
+        return os.path.exists(
+            os.path.join(directory, MANIFEST_FILENAME)
+        ) and os.path.exists(os.path.join(directory, ARRAYS_FILENAME))
 
-    def _generations(self, session_dir: Path) -> List[int]:
-        """Complete snapshot generations, ascending (legacy layout = 0)."""
-        if not session_dir.is_dir():
-            return []
-        found = []
-        if self._snapshot_complete(session_dir):
-            # Pre-WAL layout: the snapshot lives directly in the session
-            # directory.  It reads as generation 0 and is upgraded (and
-            # removed) by the next compaction.
-            found.append(0)
-        for entry in session_dir.iterdir():
-            match = _GENERATION_PATTERN.match(entry.name)
-            if match and self._snapshot_complete(entry):
-                found.append(int(match.group(1)))
-        return sorted(found)
+    def _layout(self, session_dir: Path) -> Tuple[List[int], List[int]]:
+        """Complete snapshot generations and log numbers, ascending.
 
-    def _wal_numbers(self, session_dir: Path) -> List[int]:
-        if not session_dir.is_dir():
-            return []
-        return sorted(
-            int(match.group(1))
-            for entry in session_dir.iterdir()
-            if (match := _WAL_PATTERN.match(entry.name))
-        )
+        One listing of the session directory (none for a missing one).
+        A pre-WAL snapshot, stored directly in the session directory,
+        reads as generation 0 and is upgraded (and removed) by the next
+        compaction.
+        """
+        generations: List[int] = []
+        wal_numbers: List[int] = []
+        names: Set[str] = set()
+        try:
+            with os.scandir(session_dir) as entries:
+                for entry in entries:
+                    names.add(entry.name)
+                    if match := _WAL_PATTERN.match(entry.name):
+                        wal_numbers.append(int(match.group(1)))
+                    elif (
+                        match := _GENERATION_PATTERN.match(entry.name)
+                    ) and self._snapshot_complete(entry.path):
+                        generations.append(int(match.group(1)))
+        except (FileNotFoundError, NotADirectoryError):
+            return [], []
+        if {MANIFEST_FILENAME, ARRAYS_FILENAME} <= names:
+            generations.append(0)
+        return sorted(generations), sorted(wal_numbers)
 
-    def _active_generation(self, session_dir: Path) -> int:
-        """The generation new appends and reads belong to.
+    def _active_log(self, session_dir: Path) -> Tuple[Path, bool]:
+        """The log new appends and reads belong to, and whether it exists.
 
         The newest generation wins whether it is a snapshot or a log
         (legacy pre-WAL snapshots read as generation 0, so their paired
         log is ``wal-00000000.log``); a fresh log-only session starts at
         generation 1.
         """
-        numbers = self._generations(session_dir) + self._wal_numbers(session_dir)
-        return max(numbers) if numbers else 1
+        generations, wal_numbers = self._layout(session_dir)
+        generation = max(generations + wal_numbers, default=1)
+        return self._wal_path(session_dir, generation), generation in wal_numbers
+
+    @staticmethod
+    def _made(directory: Path) -> bool:
+        """Create ``directory`` (and its parents); True if it was missing."""
+        try:
+            directory.mkdir(parents=True)
+        except FileExistsError:
+            return False
+        return True
 
     def _sweep_stale_files(self) -> None:
         """Remove staging leftovers a crashed writer orphaned.
@@ -383,12 +405,13 @@ class DirectorySessionStore(SessionStore):
         generation+log pair intact or the new generation already
         visible — never a torn snapshot.  Only after the new generation
         is durable are the previous generation, its log, and any legacy
-        layout files removed.
+        layout files removed.  Under ``sync=True`` the snapshot files and
+        the staging directory are fsynced before the rename, and the
+        session directory before anything is removed.
         """
         session_dir = self._path(name)
-        session_dir.mkdir(parents=True, exist_ok=True)
-        old_generations = self._generations(session_dir)
-        old_wals = self._wal_numbers(session_dir)
+        made = self._made(session_dir)
+        old_generations, old_wals = self._layout(session_dir)
         new_generation = max(old_generations + old_wals, default=0) + 1
         staging = Path(
             tempfile.mkdtemp(
@@ -397,6 +420,10 @@ class DirectorySessionStore(SessionStore):
         )
         try:
             write_snapshot(snapshot, staging)
+            if self.sync:
+                for path in (staging / MANIFEST_FILENAME, staging / ARRAYS_FILENAME):
+                    _fsync(path)
+                _fsync(staging)
             staging.rename(self._generation_dir(session_dir, new_generation))
         except Exception:
             shutil.rmtree(staging, ignore_errors=True)
@@ -404,6 +431,8 @@ class DirectorySessionStore(SessionStore):
         # The new generation is durable; start its (empty) log and only
         # then clear out the superseded generation(s).
         self._wal_path(session_dir, new_generation).touch()
+        if self.sync:
+            self._fsync_entries(session_dir, made)
         self._torn.discard(name)
         for number in old_wals:
             self._wal_path(session_dir, number).unlink(missing_ok=True)
@@ -449,7 +478,7 @@ class DirectorySessionStore(SessionStore):
         for entry in self.root.iterdir():
             if not entry.is_dir() or not _NAME_PATTERN.match(entry.name):
                 continue
-            if self._generations(entry) or self._wal_numbers(entry):
+            if any(self._layout(entry)):
                 found.append(entry.name)
         return sorted(found)
 
@@ -463,19 +492,26 @@ class DirectorySessionStore(SessionStore):
             session_dir = self._path(name)
         except ValidationError:
             return False
-        return bool(self._generations(session_dir) or self._wal_numbers(session_dir))
+        return any(self._layout(session_dir))
 
     # ------------------------------------------------------------------ #
     # write-ahead log interface
     # ------------------------------------------------------------------ #
-    def append(self, name: str, record: WalRecord) -> None:
+    def append(self, name: str, record: WalRecord) -> int:
         """Append one record to the session's active log — O(record).
 
+        Returns the log's size in bytes after the write.  The active log
+        is found by one listing of the session directory, so a log that
+        another store object on the same root compacted or dropped away
+        is never written again.  Under ``sync=True`` an append that
+        creates the log also fsyncs its directory.
+
         A failed append leaves the log as it was (see
-        :meth:`SessionLog.append`).  When it cannot, the log ends in a
-        partial frame, and every later append to it raises
-        ``StoreCorruptionError`` until the store is reopened, or a
-        compaction or delete replaces the log.
+        :meth:`SessionLog.append`); one that was creating the log removes
+        it again.  When it cannot, the log ends in a partial frame, and
+        every later append to it raises ``StoreCorruptionError`` until
+        the store is reopened, or a compaction or delete replaces the
+        log.
         """
         if name in self._torn:
             raise StoreCorruptionError(
@@ -483,15 +519,30 @@ class DirectorySessionStore(SessionStore):
                 "partial frame in its log; reopen the store to repair it"
             )
         session_dir = self._path(name)
-        session_dir.mkdir(parents=True, exist_ok=True)
-        generation = self._active_generation(session_dir)
+        path, exists = self._active_log(session_dir)
+        made = not exists and self._made(session_dir)
         try:
-            SessionLog(self._wal_path(session_dir, generation), sync=self.sync).append(
-                record
-            )
+            size = SessionLog(path, sync=self.sync).append(record)
+            if self.sync and not exists:
+                self._fsync_entries(session_dir, made)
         except TornAppendError:
             self._torn.add(name)
             raise
+        except OSError:
+            if not exists:
+                # Nothing of a rejected record may be replayed, and the
+                # next append must create the log, and sync it, again.
+                path.unlink(missing_ok=True)
+                if made:
+                    session_dir.rmdir()
+            raise
+        return size
+
+    def _fsync_entries(self, session_dir: Path, made: bool) -> None:
+        """Make the session directory's entries (and its own, if new) durable."""
+        _fsync(session_dir)
+        if made:
+            _fsync(self.root)
 
     def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[WalRecord]]:
         """The newest valid generation's snapshot plus its replayable log.
@@ -503,8 +554,7 @@ class DirectorySessionStore(SessionStore):
         generation and no log survives is the session reported corrupt.
         """
         session_dir = self._path(name)
-        generations = self._generations(session_dir)
-        wal_numbers = self._wal_numbers(session_dir)
+        generations, wal_numbers = self._layout(session_dir)
         if not generations and not wal_numbers:
             raise self._unknown(name)
         failure: Optional[Exception] = None
@@ -537,9 +587,4 @@ class DirectorySessionStore(SessionStore):
 
     def log_size(self, name: str) -> int:
         """Size of the session's active log in bytes."""
-        session_dir = self._path(name)
-        if not session_dir.is_dir():
-            return 0
-        return SessionLog(
-            self._wal_path(session_dir, self._active_generation(session_dir))
-        ).size_bytes()
+        return SessionLog(self._active_log(self._path(name))[0]).size_bytes()
