@@ -13,8 +13,8 @@ without special cases.  Two further methods layer on top of it:
   streaming session all feed, and
 * ``estimate_sweep_batch(batch)`` evaluates a whole
   :class:`~repro.core.state.PermutationBatch` — every checkpoint of every
-  column permutation in one call over stacked tables (the engine behind
-  the permutation-averaged experiment runner).
+  column permutation in one call over the batch's shared tables (the
+  engine behind the permutation-averaged experiment runner).
 
 Built-in estimators implement only ``estimate_state`` and inherit the
 others from :class:`StateEstimatorMixin`; third-party estimators can
@@ -181,7 +181,7 @@ class StateEstimatorMixin(SweepEstimatorMixin):
 
         The default evaluates :meth:`estimate_state` over the batch's
         shared per-cell states, so even estimators without a dedicated
-        batched implementation reuse the one stacked set of count tables
+        batched implementation reuse the batch's one set of count tables
         and the single cross-permutation switch scan.
         """
         return [

@@ -21,11 +21,11 @@ directly.  Three implementations cover every access pattern:
   once, backed by a single set of incremental checkpoint tables and one
   switch scan **shared across checkpoints and across estimators**;
 * :class:`PermutationBatch` — all checkpoint prefixes of **all column
-  permutations** at once: the permuted matrices are stacked into one
-  ``(R, N, K)`` tensor, the count tables become one ``(R, m, N)`` pass
-  and the ``R`` switch scans collapse into a single scan of the
-  ``(R * N, K)`` reshaped stack (the engine of the permutation-averaged
-  experiment runner);
+  permutations** at once: the matrix's votes are read once and mapped to
+  their position in every permutation, the count tables become one
+  ``(R, m, N)`` ``bincount`` and the ``R`` switch scans collapse into a
+  single scan of one vote stream (the engine of the
+  permutation-averaged experiment runner);
 * :class:`StreamingState` — a live state fed one worker response at a
   time, maintained with O(items touched) work per update (the engine of
   :class:`repro.streaming.StreamingSession`).
@@ -53,7 +53,6 @@ import numpy as np
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY
 from repro.common.validation import check_int
-from repro.core import _scan_kernels
 from repro.core.fstatistics import (
     Fingerprint,
     IncrementalFingerprint,
@@ -66,17 +65,11 @@ from repro.core.switch import (
     _EstimationSwitchStats,
     _SwitchScan,
     _SwitchSweepCells,
+    _vote_list,
     switch_statistics,
 )
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
-
-#: Whether :class:`PermutationBatch` runs the fused scan kernels of
-#: :mod:`repro.core._scan_kernels` instead of the vectorised reference.
-#: Set once, at import: the kernels only pay off where numba compiles
-#: them.  The serial engine never runs them, so every serial-vs-batch
-#: oracle compares the two formulations wherever numba is installed.
-_FUSED_SCANS: bool = _scan_kernels.NUMBA_AVAILABLE
 
 
 @runtime_checkable
@@ -235,7 +228,9 @@ class _SweepTables:
 
     @cached_property
     def switch_stats(self) -> list:
-        return _estimation_sweep(self.matrix, self.resolved)
+        return _estimation_sweep(
+            self.matrix, self.resolved, self.positive_table + self.negative_table
+        )
 
     @cached_property
     def majority_history(self) -> np.ndarray:
@@ -304,12 +299,14 @@ class PermutationBatch:
     time repeats identical work ``R`` times: each permutation re-derives
     its checkpoint count tables, re-scans the matrix for switches and
     re-builds Python fingerprints.  This class restructures the data
-    layout instead: the permuted matrices are stacked into one
-    ``(R, N, K)`` tensor, the checkpoint count tables become one
-    ``(R, m, N)`` pass, and — because the switch scan treats rows
-    independently — all ``R`` switch scans collapse into a **single**
-    :class:`~repro.core.switch._SwitchScan` over the ``(R * N, K)``
-    reshaped stack.
+    layout instead.  The matrix's votes are read once (``np.nonzero``)
+    and each vote's column is mapped to its position in every permutation
+    through the inverse orders, so nothing is ever ``R x N x K``: the
+    checkpoint count tables become one ``(R, m, N)`` ``bincount`` per
+    label, and — because the switch scan treats rows independently — all
+    ``R`` switch scans collapse into a **single**
+    :class:`~repro.core.switch._SwitchScan` over one row-major vote
+    stream, row ``p * N + i`` being item ``i`` under permutation ``p``.
 
     Consumers come in two flavours:
 
@@ -339,10 +336,6 @@ class PermutationBatch:
         Prefix lengths to evaluate at (resolved with
         :meth:`~repro.crowd.response_matrix.ResponseMatrix.resolve_upto`,
         shared by every permutation).
-
-    The switch scan runs the fused kernels when numba imports and the
-    vectorised reference otherwise (``_FUSED_SCANS``, read here at
-    construction); both give the same integers.
     """
 
     def __init__(
@@ -351,7 +344,6 @@ class PermutationBatch:
         orders: Sequence[Optional[Sequence[int]]],
         checkpoints: Sequence[int],
     ):
-        self._fused = _FUSED_SCANS
         self.matrix = matrix
         self.num_items = matrix.num_items
         num_columns = matrix.num_columns
@@ -389,36 +381,63 @@ class PermutationBatch:
     # pays for the switch scan, and vice versa)
     # ------------------------------------------------------------------ #
     @cached_property
-    def _stacked(self) -> np.ndarray:
-        """(R, N, K) int8 — every permuted matrix, stacked."""
-        gathered = self.matrix.values[:, self._orders]  # (N, R, K)
-        return np.ascontiguousarray(gathered.transpose(1, 0, 2))
+    def _votes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Item, column and label of every vote of the matrix (row-major)."""
+        return _vote_list(self.matrix.values)
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """(R, K) position of each original column in every permutation."""
+        num_permutations, num_columns = self._orders.shape
+        positions = np.empty_like(self._orders)
+        positions[np.arange(num_permutations)[:, None], self._orders] = np.arange(
+            num_columns
+        )
+        return positions
+
+    @cached_property
+    def _bucket_keys(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The checkpoint-bucket lookup shared by both count tables.
+
+        Returns ``(keys, slots, buckets)``: ``keys[p, c]`` is the flat
+        ``(permutation, bucket)`` offset, times ``N``, of a vote in
+        original column ``c`` — bucket ``b`` holds the positions from the
+        ``b - 1``-th distinct checkpoint up to the ``b``-th, and the last
+        bucket the positions after every checkpoint.  ``slots`` maps each
+        resolved checkpoint to its distinct checkpoint.
+        """
+        distinct, slots = np.unique(
+            np.asarray(self.resolved, dtype=np.int64), return_inverse=True
+        )
+        buckets = distinct.size + 1
+        by_position = np.searchsorted(
+            distinct, np.arange(self.matrix.num_columns), side="right"
+        )
+        offsets = np.arange(self.num_permutations)[:, None] * buckets
+        keys = (offsets + by_position[self._positions]) * self.num_items
+        return keys, slots, buckets
 
     def _label_table(self, label: int) -> np.ndarray:
         """(R, m, N) per-item counts of ``label`` votes at each checkpoint.
 
-        The same incremental segment-sum scheme as
-        :meth:`ResponseMatrix._label_counts_at`, run once over the whole
-        stack: one pass over ``R x N x K`` covers every permutation and
-        every checkpoint.
+        One ``bincount`` counts the label's votes per (permutation,
+        checkpoint bucket, item), and one ``cumsum`` over the buckets turns
+        them into the counts at every distinct checkpoint — O(R x votes),
+        however many checkpoints there are.
         """
-        resolved = self.resolved
-        if not resolved:
+        if not self.resolved:
             return np.zeros((self.num_permutations, 0, self.num_items), dtype=np.int32)
-        mask = self._stacked == label
+        keys, slots, buckets = self._bucket_keys
+        items, columns, labels = self._votes
+        chosen = labels == label
+        counts = np.bincount(
+            (keys[:, columns[chosen]] + items[chosen]).ravel(),
+            minlength=self.num_permutations * buckets * self.num_items,
+        ).reshape(self.num_permutations, buckets, self.num_items)
         # int32 halves the table's memory traffic; counts are bounded by
         # the column count, far below the int32 range.
-        running = np.zeros((self.num_permutations, self.num_items), np.int32)
-        table: Dict[int, np.ndarray] = {}
-        previous = 0
-        for checkpoint in sorted(set(resolved)):
-            if checkpoint > previous:
-                running = running + mask[:, :, previous:checkpoint].sum(
-                    axis=2, dtype=np.int32
-                )
-            table[checkpoint] = running
-            previous = checkpoint
-        return np.stack([table[checkpoint] for checkpoint in resolved], axis=1)
+        table = np.cumsum(counts[:, :-1], axis=1, dtype=np.int32)
+        return table[:, slots]
 
     @cached_property
     def positive_table(self) -> np.ndarray:
@@ -429,6 +448,11 @@ class PermutationBatch:
     def negative_table(self) -> np.ndarray:
         """``n_i^-`` as an ``(R, m, N)`` table."""
         return self._label_table(CLEAN)
+
+    @cached_property
+    def _seen_table(self) -> np.ndarray:
+        """``n_i`` (votes per item) as an ``(R, m, N)`` table."""
+        return self.positive_table + self.negative_table
 
     @cached_property
     def nominal_counts(self) -> np.ndarray:
@@ -442,11 +466,35 @@ class PermutationBatch:
 
     @cached_property
     def _scan(self) -> _SwitchScan:
-        """One switch scan over all permutations (rows are independent)."""
-        flat = self._stacked.reshape(
-            self.num_permutations * self.num_items, self.matrix.num_columns
+        """One switch scan over every permutation's votes (rows are independent).
+
+        The stream holds each vote once per permutation, at its position
+        there, sorted once into row-major order by two stable argsorts —
+        by position, then by item; on keys of 16 bits or fewer both are
+        radix sorts.
+        """
+        items, columns, labels = self._votes
+        by_position = np.argsort(
+            self._positions[:, columns].astype(
+                np.min_scalar_type(self.matrix.num_columns)
+            ),
+            axis=1,
+            kind="stable",
         )
-        return _SwitchScan(flat, fused=self._fused)
+        by_item = np.argsort(
+            items.astype(np.min_scalar_type(self.num_items))[by_position],
+            axis=1,
+            kind="stable",
+        )
+        permutation = np.arange(self.num_permutations)[:, None]
+        # (R, V): the vote at each slot of every permutation's stream.
+        votes = by_position.ravel()[by_item + permutation * items.size]
+        return _SwitchScan(
+            (items[votes] + permutation * self.num_items).ravel(),
+            self._positions[permutation, columns[votes]].ravel(),
+            labels[votes].ravel(),
+            self.matrix.num_columns,
+        )
 
     @cached_property
     def _event_offsets(self) -> np.ndarray:
@@ -474,20 +522,12 @@ class PermutationBatch:
 
     @cached_property
     def _cell_vote_totals(self) -> np.ndarray:
-        """Total votes per (permutation, checkpoint) cell, ``(R, m)``.
+        """Total votes per (permutation, checkpoint) cell, ``(R, m)``."""
+        return self._seen_table.sum(axis=2, dtype=np.int64)
 
-        One gather of the scan's cumulative seen counts at the checkpoint
-        columns covers every cell at once.
-        """
-        resolved = np.asarray(self.resolved, dtype=np.int64)
-        totals = np.zeros((self.num_permutations, resolved.size), dtype=np.int64)
-        nonzero = resolved > 0
-        if nonzero.any():
-            gathered = self._scan.seen_cum[:, resolved[nonzero] - 1]
-            totals[:, nonzero] = gathered.reshape(
-                self.num_permutations, self.num_items, -1
-            ).sum(axis=1, dtype=np.int64)
-        return totals
+    def _event_items(self, permutation: int, events) -> np.ndarray:
+        """Item index of the given events of one permutation."""
+        return self._scan.event_rows[events] - permutation * self.num_items
 
     def switch_sweep_cells(self, permutation: int) -> _SwitchSweepCells:
         """Vectorised per-checkpoint switch statistics of one permutation.
@@ -499,11 +539,13 @@ class PermutationBatch:
         cells = self._sweep_cells.get(permutation)
         if cells is None:
             low, high = self._event_offsets[permutation : permutation + 2]
+            events = slice(int(low), int(high))
+            items = self._event_items(permutation, events)
             cells = _SwitchSweepCells(
                 self._scan,
-                int(low),
-                int(high),
+                events,
                 self.resolved,
+                self._seen_table[permutation][:, items],
                 self._cell_vote_totals[permutation],
             )
             self._sweep_cells[permutation] = cells
@@ -520,14 +562,17 @@ class PermutationBatch:
         cell = self._switch_cells.get(key)
         if cell is None:
             scan = self._scan
-            upto = self.resolved[index]
             sorted_index, sorted_columns = self._events_by_column[permutation]
+            upto = self.resolved[index]
             cut = int(np.searchsorted(sorted_columns, upto, side="left"))
             # Ascending global indices restore the row-major scan order the
             # statistics require.
             active = np.sort(sorted_index[:cut])
+            seen = self._seen_table[permutation, index][
+                self._event_items(permutation, active)
+            ]
             cell = _EstimationSwitchStats(
-                rediscoveries=scan.rediscoveries(upto, active),
+                rediscoveries=scan.rediscoveries(active, seen),
                 states=scan.event_states[active],
                 rows=scan.event_rows[active],
                 total_votes=int(self._cell_vote_totals[permutation, index]),
@@ -540,7 +585,7 @@ class PermutationBatch:
         """``c_majority`` after every prefix of every permutation, ``(R, K+1)``.
 
         Folded from the scan's per-vote majority deltas (one ``bincount``
-        per permutation over its seen votes), so trend lookbacks at
+        per permutation over its votes), so trend lookbacks at
         arbitrary positions — what the SWITCH total-error estimator needs —
         cost O(votes) for the whole batch, not O(N x K) per permutation.
         """
@@ -600,7 +645,7 @@ class PermutationSweepState:
     """One (permutation, checkpoint) estimation state of a batch.
 
     The batch analogue of :class:`MatrixSweepState`: every accessor reads
-    the shared stacked tables of its :class:`PermutationBatch`, returning
+    the shared tables of its :class:`PermutationBatch`, returning
     integers bit-identical to the state of the materialised permuted
     matrix.
     """

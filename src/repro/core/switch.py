@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core import _scan_kernels
 from repro.core.base import EstimateResult, StateEstimatorMixin
 from repro.core.chao92 import (
     _pair_sum,
@@ -66,25 +65,14 @@ POSITIVE = "positive"  # consensus flips clean -> dirty
 NEGATIVE = "negative"  # consensus flips dirty -> clean
 
 
-def _seen_count_dtype(num_columns: int) -> type:
-    """Dtype of the cumulative seen-vote table (bounded by the column count).
-
-    int16 halves the memory traffic of the scan's largest table, but a
-    row's cumulative count can reach ``num_columns`` — promote to int32
-    once that no longer fits, instead of wrapping silently (pinned at the
-    boundary by ``tests/test_backend.py``).
-    """
-    return np.int16 if num_columns < np.iinfo(np.int16).max else np.int32
-
-
 def _margin_cumsum_dtype(num_votes: int) -> type:
     """Dtype of the *global* margin accumulator of the vectorised compaction.
 
     Per-row margins are bounded by the column count, but the vectorised
     formulation subtracts a row base from one global running sum whose
-    magnitude is bounded only by the total vote count ``V = R * N * K`` —
-    promote to int64 before ``V`` can exceed the int32 range (the fused
-    numba kernel has no global accumulator and needs no promotion).
+    magnitude is bounded only by the total vote count ``V`` of the stream
+    (every vote of every permutation in the batch engine) — promote to
+    int64 before ``V`` can exceed the int32 range.
     """
     return np.int64 if num_votes > np.iinfo(np.int32).max else np.int32
 
@@ -174,47 +162,53 @@ class SwitchStatistics:
         return fingerprint
 
 
+def _vote_list(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and label of every vote of a dense label matrix.
+
+    One ``np.nonzero``, so the votes come in row-major order.
+    """
+    rows, cols = np.nonzero(values != UNSEEN)
+    return rows, cols, values[rows, cols]
+
+
 class _SwitchScan:
     """Vectorised switch bookkeeping for every item and every prefix.
+
+    The scan consumes a *vote stream*: the row, column and label of every
+    vote, in row-major order (item row, then column).  The serial engine
+    builds it with ``np.nonzero`` of a dense matrix (:meth:`of`); the
+    cross-permutation batch engine builds one stream for all ``R``
+    permutations, row ``p * N + i`` being item ``i`` under permutation
+    ``p`` — rows are independent, so one scan serves them all.
 
     The sequential recurrence of the per-item scan collapses into closed
     form on the cumulative margins ``m_t = n_t^+ - n_t^-``: a strict
     majority fixes the consensus to ``sign(m_t)`` regardless of history,
-    and a tie (``m_t = 0``) can only follow a seen vote with ``m = ±1``,
-    so the tie-flip target is ``1`` iff the previous column's margin was
-    negative.  Events are detected on the compacted stream of *seen* votes
-    (row-major order, matching the order the sequential scan emitted
-    them), so the per-event work is O(votes); the only full ``N x K``
-    products are the two cumulative tables, kept in int32 to halve the
-    memory traffic (both are bounded by the column count).
-
-    Rows are independent, which is what lets the cross-permutation batch
-    engine scan ``R`` stacked permutations as one ``(R * N) x K`` array.
+    and a tie (``m_t = 0``) can only follow a vote with ``m = ±1``, so the
+    tie-flip target is ``1`` iff the previous margin was negative.  Every
+    array is O(votes); nothing is ``rows x columns``.
 
     All event arrays are aligned and sorted in row-major scan order (item
     row, then column) — the same order the sequential scan emitted events.
-
-    ``fused=True`` swaps the two sequential passes (event compaction
-    here, the sweep-cell walk in :class:`_SwitchSweepCells`) for the
-    loops of :mod:`repro.core._scan_kernels`; they compute the identical
-    integers.  Only :class:`~repro.core.state.PermutationBatch` asks for
-    them, so the serial engine always runs the vectorised reference.
+    Vote counts are 1-based ordinals within an item's own vote sequence:
+    ``event_vote_index`` is the switch vote's, ``event_last_vote`` the
+    last vote before the item's next switch (or the item's last vote).
     """
 
-    def __init__(self, values: np.ndarray, fused: bool = False):
-        self.fused = fused
-        num_items, num_columns = values.shape
+    def __init__(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        labels: np.ndarray,
+        num_columns: int,
+    ):
         self.num_columns = int(num_columns)
-        self._values = values
-        self._seen = values != UNSEEN
-        #: (N, K) cumulative count of seen (non-UNSEEN) votes per item.
-        self.seen_cum = np.cumsum(
-            self._seen, axis=1, dtype=_seen_count_dtype(num_columns)
-        )
+        #: (V,) row / column of every vote, in row-major scan order.
+        self.vote_rows = rows
+        self.vote_cols = cols
         empty = np.zeros(0, dtype=np.int64)
-        #: (V,) row / column of every seen vote, in row-major scan order.
-        self.vote_rows = empty
-        self.vote_cols = empty
+        #: (V,) consensus label after each vote (tie-flip convention).
+        self.vote_states = np.zeros(0, dtype=bool)
         #: (V,) per-vote change of the majority count (-1, 0 or +1); the
         #: batch engine folds these per column into majority histories.
         self.vote_majority_delta = np.zeros(0, dtype=np.int8)
@@ -222,54 +216,50 @@ class _SwitchScan:
         self.event_cols = empty
         self.event_states = empty
         self.event_vote_index = empty
-        self.event_next_col = empty
-        if num_columns == 0:
+        self.event_last_vote = empty
+        #: Stream position of each event's item's first vote.
+        self._event_first = empty
+        if rows.size == 0:
             return
-        compacted = self._compact(values)
-        if compacted is None:
-            return
-        seen_rows, seen_cols, votes_state, is_event, majority_delta = compacted
-        self.vote_rows = seen_rows
-        self.vote_cols = seen_cols
-        self.vote_majority_delta = majority_delta
-        self.event_rows = seen_rows[is_event].astype(np.int64)
-        self.event_cols = seen_cols[is_event].astype(np.int64)
-        self.event_states = votes_state[is_event].astype(np.int64)
-        self.event_vote_index = self.seen_cum[
-            self.event_rows, self.event_cols
-        ].astype(np.int64)
-        num_events = self.event_rows.size
-        event_next_col = np.full(num_events, num_columns, dtype=np.int64)
-        if num_events > 1:
-            same_item = self.event_rows[:-1] == self.event_rows[1:]
-            event_next_col[:-1][same_item] = self.event_cols[1:][same_item]
-        self.event_next_col = event_next_col
+        self.vote_states, is_event, self.vote_majority_delta, row_starts = (
+            self._compact(rows, labels)
+        )
+        event_pos = np.flatnonzero(is_event)
+        self.event_rows = rows[event_pos].astype(np.int64)
+        self.event_cols = cols[event_pos].astype(np.int64)
+        self.event_states = self.vote_states[event_pos].astype(np.int64)
+        # Each event's item run: its first vote and the next item's first.
+        run = np.searchsorted(row_starts, event_pos, side="right")
+        self._event_first = row_starts[run - 1]
+        row_end = np.append(row_starts, rows.size)[run]
+        # The item's next switch, if any, is the next event before its end.
+        next_event = np.append(event_pos[1:], rows.size)
+        self.event_vote_index = event_pos - self._event_first + 1
+        self.event_last_vote = np.minimum(next_event, row_end) - self._event_first
 
-    def _compact(self, values: np.ndarray):
-        """Per-vote states/events over the seen votes (vectorised or fused).
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_SwitchScan":
+        """Scan a dense ``(N, K)`` label matrix through its vote list."""
+        return cls(*_vote_list(values), values.shape[1])
 
-        Everything runs on the compacted stream of seen votes (O(votes),
-        not O(N x K)).  The vectorised path derives the per-vote margin
-        from a segmented cumulative sum: a global cumsum of the ±1 deltas
-        minus each row's base offset (the cumulative value just before
-        the row's first vote).  The fused kernel keeps one scalar margin
-        per row run instead — no global accumulator, no temporaries.
+    @staticmethod
+    def _compact(rows: np.ndarray, labels: np.ndarray):
+        """Per-vote states, events and majority deltas over the stream.
+
+        The per-vote margin comes from a segmented cumulative sum: a
+        global cumsum of the ±1 deltas minus each row's base offset (the
+        cumulative value just before the row's first vote).  Also returns
+        the stream position of every row's first vote.
         """
-        seen_rows, seen_cols = np.nonzero(self._seen)
-        if seen_rows.size == 0:
-            return None
-        deltas = np.where(values[seen_rows, seen_cols] == DIRTY, np.int32(1), np.int32(-1))
-        if self.fused:
-            votes_state, is_event, majority_delta = _scan_kernels.compact_events(
-                seen_rows.astype(np.int64, copy=False), deltas
-            )
-            return seen_rows, seen_cols, votes_state, is_event, majority_delta
+        deltas = np.where(labels == DIRTY, np.int32(1), np.int32(-1))
         cumulative = np.cumsum(deltas, dtype=_margin_cumsum_dtype(deltas.size))
-        positions = np.arange(deltas.size, dtype=np.int64)
         new_row = np.empty(deltas.shape, dtype=bool)
         new_row[0] = True
-        new_row[1:] = seen_rows[1:] != seen_rows[:-1]
-        row_base = (cumulative - deltas)[np.maximum.accumulate(np.where(new_row, positions, 0))]
+        new_row[1:] = rows[1:] != rows[:-1]
+        row_starts = np.flatnonzero(new_row)
+        row_base = np.repeat(
+            (cumulative - deltas)[row_starts], np.diff(row_starts, append=deltas.size)
+        )
         margin_at_vote = cumulative - row_base
         previous_margin = margin_at_vote - deltas
         # A tie can only follow a margin of ±1, so the flip target is dirty
@@ -277,60 +267,57 @@ class _SwitchScan:
         votes_state = (margin_at_vote > 0) | (
             (margin_at_vote == 0) & (previous_margin < 0)
         )
-        is_dirty = margin_at_vote > 0
-        majority_delta = is_dirty.astype(np.int8) - (previous_margin > 0)
+        majority_delta = (margin_at_vote > 0).astype(np.int8) - (previous_margin > 0)
         previous_state = np.zeros_like(votes_state)
         previous_state[1:] = votes_state[:-1]
-        # The first seen vote of each row compares against the default
-        # clean state, not against the previous row's last vote.
-        previous_state[new_row] = False
+        # The first vote of each row compares against the default clean
+        # state, not against the previous row's last vote.
+        previous_state[row_starts] = False
         is_event = votes_state != previous_state
-        return seen_rows, seen_cols, votes_state, is_event, majority_delta
+        return votes_state, is_event, majority_delta, row_starts
 
     @cached_property
-    def state(self) -> np.ndarray:
-        """(N, K) consensus label after each column (tie-flip convention).
+    def _keys(self) -> np.ndarray:
+        """(V,) ascending ``row * K + column`` search keys of the stream."""
+        return self.vote_rows.astype(np.int64) * self.num_columns + self.vote_cols
 
-        Unseen columns carry the last seen state forward (items start
-        clean).  Only the materialised-statistics path reads this (for the
-        per-prefix ``final_consensus``); the estimator hot paths never
-        trigger the full-matrix reconstruction.
+    def _cuts(self, rows: np.ndarray, upto: int) -> np.ndarray:
+        """Stream position of each row's first vote at or after column ``upto``."""
+        return np.searchsorted(self._keys, rows * self.num_columns + upto)
+
+    def seen_at(self, upto: int, active: np.ndarray) -> np.ndarray:
+        """Votes each ``active`` event's item received in the first ``upto`` columns.
+
+        One ``searchsorted`` on the stream; the batch engine reads the
+        same counts from its count tables instead.
         """
-        num_items = self._seen.shape[0]
-        if self.num_columns == 0:
-            return np.zeros((num_items, 0), dtype=np.int8)
-        values = self._values
-        margin = np.cumsum(
-            (values == DIRTY).astype(np.int8) - (values == CLEAN),
-            axis=1,
-            dtype=np.int32,
-        )
-        tie_to_dirty = np.zeros(margin.shape, dtype=bool)
-        tie_to_dirty[:, 1:] = margin[:, :-1] < 0
-        state_at_vote = np.where(margin > 0, True, np.where(margin < 0, False, tie_to_dirty))
-        columns = np.arange(self.num_columns, dtype=np.int32)
-        last_seen = np.maximum.accumulate(
-            np.where(self._seen, columns, np.int32(-1)), axis=1
-        )
-        return np.where(
-            last_seen >= 0,
-            np.take_along_axis(state_at_vote, np.maximum(last_seen, 0), axis=1),
-            False,
-        ).astype(np.int8)
+        return self._cuts(self.event_rows[active], upto) - self._event_first[active]
 
-    def rediscoveries(self, upto: int, active: np.ndarray) -> np.ndarray:
-        """Occurrence counts of the ``active`` events within the first ``upto`` columns.
+    def rediscoveries(self, active: np.ndarray, seen: np.ndarray) -> np.ndarray:
+        """Occurrence counts of the ``active`` events, truncated at a prefix.
 
-        An event is rediscovered by every seen vote from its switch vote up
-        to (excluding) the item's next switch, truncated at the prefix end.
-        ``active`` may be a boolean mask or an integer index array over the
-        event arrays.
+        An event is rediscovered by every vote from its switch vote up to
+        (excluding) the item's next switch; ``seen`` holds, per active
+        event, the votes its item received within the prefix.  ``active``
+        may be a boolean mask or an integer index array over the events.
         """
-        rows = self.event_rows[active]
-        last_col = np.minimum(self.event_next_col[active], upto) - 1
-        return (
-            self.seen_cum[rows, last_col] - self.event_vote_index[active] + 1
-        )
+        last = np.minimum(self.event_last_vote[active], seen)
+        return last - self.event_vote_index[active] + 1
+
+    def total_votes(self, upto: int) -> int:
+        """Votes within the first ``upto`` columns."""
+        return int(np.count_nonzero(self.vote_cols < upto))
+
+    def final_states(self, upto: int, num_rows: int) -> np.ndarray:
+        """Consensus label of rows ``0..num_rows-1`` after the first ``upto``
+        columns: the state after the row's last vote, clean if it has none."""
+        states = np.zeros(num_rows, dtype=np.int64)
+        if self.vote_rows.size:
+            rows = np.arange(num_rows, dtype=np.int64)
+            cuts = self._cuts(rows, upto)
+            voted = cuts > self._cuts(rows, 0)
+            states[voted] = self.vote_states[cuts[voted] - 1]
+        return states
 
 
 def _distinct_sorted(values: np.ndarray) -> int:
@@ -355,7 +342,7 @@ def _statistics_at(
         stats.final_consensus = {item: 0 for item in item_ids}
         return stats
     active = scan.event_cols < upto
-    rediscoveries = scan.rediscoveries(upto, active)
+    rediscoveries = scan.rediscoveries(active, scan.seen_at(upto, active))
     directions = np.where(scan.event_states[active] == 1, POSITIVE, NEGATIVE)
     stats.events = [
         SwitchEvent(
@@ -374,8 +361,8 @@ def _statistics_at(
     stats.num_switches = len(stats.events)
     stats.items_with_switches = _distinct_sorted(scan.event_rows[active])
     stats.n_switch = int(rediscoveries.sum())
-    stats.total_votes = int(scan.seen_cum[:, upto - 1].sum(dtype=np.int64))
-    final_states = scan.state[:, upto - 1]
+    stats.total_votes = scan.total_votes(upto)
+    final_states = scan.final_states(upto, len(item_ids))
     stats.final_consensus = {
         item: int(label) for item, label in zip(item_ids, final_states)
     }
@@ -393,7 +380,7 @@ def switch_statistics(matrix: ResponseMatrix, upto: Optional[int] = None) -> Swi
         Use only the first ``upto`` columns (``None`` = all).
     """
     upto = matrix.resolve_upto(upto)
-    scan = _SwitchScan(matrix.values[:, :upto])
+    scan = _SwitchScan.of(matrix.values[:, :upto])
     return _statistics_at(matrix, scan, upto)
 
 
@@ -408,7 +395,7 @@ def switch_statistics_sweep(
     events, not to ``N x K``).
     """
     resolved = [matrix.resolve_upto(checkpoint) for checkpoint in checkpoints]
-    scan = _SwitchScan(matrix.values)
+    scan = _SwitchScan.of(matrix.values)
     return [_statistics_at(matrix, scan, upto) for upto in resolved]
 
 
@@ -521,86 +508,60 @@ class _SwitchSweepCells:
     def __init__(
         self,
         scan: _SwitchScan,
-        low: int,
-        high: int,
+        events: slice,
         resolved: Sequence[int],
+        seen: np.ndarray,
         total_votes: np.ndarray,
     ):
-        if scan.fused:
-            self.total_votes = total_votes
-            self._from_kernel(scan, low, high, resolved)
-            return
-        checkpoints = np.asarray(resolved, dtype=np.int64)[None, :]
-        rows = scan.event_rows[low:high]
-        cols = scan.event_cols[low:high]
-        vote_index = scan.event_vote_index[low:high]
-        next_col = scan.event_next_col[low:high]
-        positive = scan.event_states[low:high] == 1
+        """``events`` slices the permutation's events out of ``scan``;
+        ``seen`` is ``(m, E)``: the votes of each event's item at each
+        checkpoint."""
+        checkpoints = np.asarray(resolved, dtype=np.int64)[:, None]
+        rows = scan.event_rows[events]
+        cols = scan.event_cols[events]
+        positive = scan.event_states[events] == 1
         #: (m,) unadjusted vote totals per checkpoint.
         self.total_votes = total_votes
-        active = cols[:, None] < checkpoints  # (E, m)
-        last_col = np.minimum(next_col[:, None], checkpoints) - 1
-        # Rediscovery counts truncated at each checkpoint; the ``upto = 0``
-        # column gathers wrap to the last column but are masked out by
-        # ``active`` (no event can precede column 0).
+        active = cols < checkpoints  # (m, E)
+        # Rediscovery counts truncated at each checkpoint; an event after
+        # the checkpoint is masked out by ``active``.
         rediscoveries = np.where(
             active,
-            scan.seen_cum[rows[:, None], last_col] - vote_index[:, None] + 1,
+            np.minimum(scan.event_last_vote[events], seen)
+            - scan.event_vote_index[events]
+            + 1,
             0,
         )
         #: (m,) adjusted observation count ``n_switch`` per checkpoint.
-        self.n_switch = rediscoveries.sum(axis=0, dtype=np.int64)
-        masks = {
-            None: active,
-            POSITIVE: active & positive[:, None],
-            NEGATIVE: active & ~positive[:, None],
-        }
+        self.n_switch = rediscoveries.sum(axis=1, dtype=np.int64)
         #: direction -> (m,) observed switch counts.
         self.counts = {}
         #: direction -> (m,) singleton (f'_1) counts.
         self.singletons = {}
         #: direction -> (m,) skew pair sums ``sum_e r_e (r_e - 1)``.
         self.pair_sums = {}
+        # An active event has at least one rediscovery, so nonzero cells
+        # count the active events.
+        for direction, counted in (
+            (None, rediscoveries),
+            (POSITIVE, rediscoveries * positive),
+        ):
+            self.counts[direction] = np.count_nonzero(counted, axis=1)
+            self.singletons[direction] = np.count_nonzero(counted == 1, axis=1)
+            self.pair_sums[direction] = (counted * (counted - 1)).sum(axis=1, dtype=np.int64)
+        # Every switch is positive or negative, so the negative sums are
+        # the differences.
+        for table in (self.counts, self.singletons, self.pair_sums):
+            table[NEGATIVE] = table[None] - table[POSITIVE]
         #: direction -> (m,) distinct items with at least one switch.
         self.items = {}
-        for direction, mask in masks.items():
-            masked = np.where(mask, rediscoveries, 0)
-            self.counts[direction] = mask.sum(axis=0, dtype=np.int64)
-            self.singletons[direction] = (masked == 1).sum(axis=0, dtype=np.int64)
-            self.pair_sums[direction] = (masked * (masked - 1)).sum(axis=0, dtype=np.int64)
         for direction, event_filter in (
             (None, slice(None)),
             (POSITIVE, positive),
             (NEGATIVE, ~positive),
         ):
             first = _first_columns_per_row(rows[event_filter], cols[event_filter])
-            self.items[direction] = np.searchsorted(first, checkpoints[0], side="left")
-
-    def _from_kernel(
-        self, scan: _SwitchScan, low: int, high: int, resolved: Sequence[int]
-    ) -> None:
-        """Fill the per-checkpoint tables from the fused scan kernel.
-
-        One fused loop over the active (event, checkpoint) pairs
-        replaces the ~10 dense ``(events x checkpoints)`` temporaries of
-        the vectorised formulation; the kernel's integers are identical
-        by construction (see :mod:`repro.core._scan_kernels`).
-        """
-        n_switch, counts, singletons, pair_sums, items = _scan_kernels.sweep_cells(
-            scan.event_rows[low:high],
-            scan.event_cols[low:high],
-            scan.event_vote_index[low:high],
-            scan.event_next_col[low:high],
-            scan.event_states[low:high] == 1,
-            scan.seen_cum,
-            np.asarray(resolved, dtype=np.int64),
-        )
-        self.n_switch = n_switch
-        directions = (None, POSITIVE, NEGATIVE)
-        self.counts = {d: counts[i] for i, d in enumerate(directions)}
-        self.singletons = {d: singletons[i] for i, d in enumerate(directions)}
-        self.pair_sums = {d: pair_sums[i] for i, d in enumerate(directions)}
-        self.items = {d: items[i] for i, d in enumerate(directions)}
+            self.items[direction] = np.searchsorted(first, checkpoints[:, 0], side="left")
 
 
 def _first_columns_per_row(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -802,20 +763,25 @@ class IncrementalSwitchState:
 
 
 def _estimation_sweep(
-    matrix: ResponseMatrix, checkpoints: Sequence[int]
+    matrix: ResponseMatrix, resolved: Sequence[int], seen_table: np.ndarray
 ) -> List[_EstimationSwitchStats]:
-    """Array-backed switch statistics per checkpoint, for the estimators."""
-    resolved = [matrix.resolve_upto(checkpoint) for checkpoint in checkpoints]
-    scan = _SwitchScan(matrix.values)
+    """Array-backed switch statistics per checkpoint, for the estimators.
+
+    ``resolved`` are resolved checkpoints and ``seen_table`` is ``(m, N)``:
+    each item's votes at each of them (the sweep's count tables), which
+    truncate the rediscovery counts.
+    """
+    scan = _SwitchScan.of(matrix.values)
     stats = []
-    for upto in resolved:
+    for upto, seen in zip(resolved, seen_table):
         active = scan.event_cols < upto
+        rows = scan.event_rows[active]
         stats.append(
             _EstimationSwitchStats(
-                rediscoveries=scan.rediscoveries(upto, active),
+                rediscoveries=scan.rediscoveries(active, seen[rows]),
                 states=scan.event_states[active],
-                rows=scan.event_rows[active],
-                total_votes=int(scan.seen_cum[:, upto - 1].sum(dtype=np.int64)) if upto else 0,
+                rows=rows,
+                total_votes=int(seen.sum()),
             )
         )
     return stats
@@ -971,8 +937,8 @@ class SwitchEstimator(StateEstimatorMixin):
         """Cross-permutation sweep over the batch's single switch scan.
 
         All ``R`` permutations share one :class:`_SwitchScan` (rows are
-        independent, so the stacked ``(R * N, K)`` array is scanned once);
-        the per-checkpoint sufficient statistics then come from each
+        independent, so one vote stream over every permutation is scanned
+        once); the per-checkpoint sufficient statistics then come from each
         permutation's vectorised :class:`_SwitchSweepCells`, and the final
         arithmetic reuses the exact scalar code path — every estimate is
         bit-identical to the serial sweep.

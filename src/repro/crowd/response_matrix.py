@@ -52,7 +52,9 @@ class ResponseMatrix:
     one worker-task (one worker reviewing one task's items).  A worker who
     completes several tasks contributes several columns, matching the
     paper's protocol where "a worker may take on more than a single task"
-    and the unit of the x-axis is the task.
+    and the unit of the x-axis is the task.  The votes live in a buffer
+    that grows geometrically, so appending ``K`` columns costs
+    O(``N x K``) in total; everything else sees only the filled columns.
     """
 
     def __init__(self, item_ids: Sequence[int]):
@@ -63,7 +65,9 @@ class ResponseMatrix:
             raise ValidationError("a response matrix needs at least one item")
         self._item_ids: List[int] = item_ids
         self._row_of: Dict[int, int] = {item: row for row, item in enumerate(item_ids)}
-        self._votes = np.full((len(item_ids), 0), UNSEEN, dtype=np.int8)
+        #: Columns ``[0, _filled)`` of ``_buffer`` hold the votes.
+        self._buffer = np.full((len(item_ids), 0), UNSEEN, dtype=np.int8)
+        self._filled = 0
         self._column_workers: List[int] = []
 
     # ------------------------------------------------------------------ #
@@ -100,7 +104,8 @@ class ResponseMatrix:
             worker_ids = list(range(n_cols))
         if len(worker_ids) != n_cols:
             raise ValidationError("worker_ids length must match the number of columns")
-        matrix._votes = votes.astype(np.int8, copy=True)
+        matrix._buffer = votes.astype(np.int8, copy=True)
+        matrix._filled = n_cols
         matrix._column_workers = [int(w) for w in worker_ids]
         return matrix
 
@@ -130,9 +135,16 @@ class ResponseMatrix:
                 column[self._row_of[item_id]] = vote
             except KeyError:
                 raise ValidationError(f"unknown item id {item_id}") from None
-        self._votes = np.concatenate([self._votes, column[:, None]], axis=1)
+        if self._filled == self._buffer.shape[1]:
+            grown = np.full(
+                (len(self._item_ids), max(8, 2 * self._filled)), UNSEEN, dtype=np.int8
+            )
+            grown[:, : self._filled] = self._votes
+            self._buffer = grown
+        self._buffer[:, self._filled] = column
+        self._filled += 1
         self._column_workers.append(int(worker_id))
-        return self._votes.shape[1] - 1
+        return self._filled - 1
 
     def prefix(self, num_columns: int) -> "ResponseMatrix":
         """Return a new matrix containing only the first ``num_columns`` columns."""
@@ -166,6 +178,11 @@ class ResponseMatrix:
     # shape and access
     # ------------------------------------------------------------------ #
     @property
+    def _votes(self) -> np.ndarray:
+        """The filled ``N x K`` part of the vote buffer (a view)."""
+        return self._buffer[:, : self._filled]
+
+    @property
     def item_ids(self) -> List[int]:
         """Item ids in row order."""
         return list(self._item_ids)
@@ -178,7 +195,7 @@ class ResponseMatrix:
     @property
     def num_columns(self) -> int:
         """``K`` — the number of worker-task columns received so far."""
-        return int(self._votes.shape[1])
+        return self._filled
 
     @property
     def column_workers(self) -> List[int]:

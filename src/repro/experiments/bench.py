@@ -33,7 +33,6 @@ import numpy as np
 from repro.common.exceptions import ConfigurationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
 from repro.common.validation import check_int, check_positive
-from repro.core import state as core_state
 from repro.crowd.response_matrix import ResponseMatrix
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
@@ -80,11 +79,6 @@ class RecordedWorkload:
 
     name: str
 
-    def scan_path(self) -> str:
-        """The entry's ``backend``: the scan path the batch engine ran
-        (only the runner family runs it; the others record ``numpy``)."""
-        return "numpy"
-
     def measure(self, repeats: int, n_jobs: int) -> Measurement:
         """Set up, time and verify the workload; see the class docstring."""
         raise NotImplementedError
@@ -96,9 +90,9 @@ class BenchWorkload(RecordedWorkload):
 
     Times the runner through the serial and the batch engine (best of
     ``repeats``), and with ``n_jobs > 1`` also the chunked parallel
-    dispatch.  The serial engine always runs the vectorised scans, so
-    where numba is installed the mandatory serial-vs-batch equality
-    check also verifies the fused kernels bit for bit.
+    dispatch.  The serial and batch engines build their vote streams
+    independently, and their results must be equal before anything is
+    recorded.
     """
 
     name: str
@@ -119,9 +113,6 @@ class BenchWorkload(RecordedWorkload):
         ).astype(np.int8)
         return ResponseMatrix.from_array(votes)
 
-    def scan_path(self) -> str:
-        return "numba" if core_state._FUSED_SCANS else "numpy"
-
     def measure(self, repeats: int, n_jobs: int) -> Measurement:
         matrix = self.build_matrix()
         estimators = list(self.estimators)
@@ -136,8 +127,7 @@ class BenchWorkload(RecordedWorkload):
             )
             return _time_run(EstimationRunner(estimators, config), matrix, repeats)
 
-        # Warm-up outside the timed region (imports, registry, allocator, and —
-        # where numba is installed — JIT compilation of the scan kernels).
+        # Warm-up outside the timed region (imports, registry, allocator).
         EstimationRunner(
             estimators, RunnerConfig(num_permutations=1, num_checkpoints=2)
         ).run(matrix.prefix(min(10, matrix.num_columns)))
@@ -146,7 +136,7 @@ class BenchWorkload(RecordedWorkload):
         batch_seconds, batch_result = timed("batch")
         batch_values = _series_values(batch_result)
         _require_identical(
-            f"serial and batch engines ({self.scan_path()} scans)",
+            "serial and batch engines",
             _series_values(serial_result),
             batch_values,
         )
@@ -567,7 +557,7 @@ class ProcShardsWorkload(_ArithmeticSessions, RecordedWorkload):
 
 #: Every registered workload, by its ``--workload`` name: each family's
 #: acceptance shape and a CI-sized one, plus the runner's wide sweeps (R >= 32)
-#: where the tensor engine and the fused scan kernels are meant to pay off.
+#: where the tensor engine is meant to pay off.
 #: ``wal-100k`` is the shape the snapshot-per-save baseline cannot complete.
 WORKLOADS: Dict[str, RecordedWorkload] = {
     "full": BenchWorkload(
@@ -696,8 +686,8 @@ def run_workload(
     """Measure one workload and build its record entry.
 
     Every family's entry has the same keys: ``params`` is the workload's
-    fields plus this run's ``repeats``/``n_jobs``, ``backend`` the scan
-    path the measured work ran, ``timings_s`` wall times in seconds (to
+    fields plus this run's ``repeats``/``n_jobs``, ``backend`` the batch
+    engine's scan path (``numpy``), ``timings_s`` wall times in seconds (to
     0.1 ms) and ``metrics`` the family's flat derived numbers (floats to
     three decimals).  Raises ``RuntimeError`` when the workload's oracle
     fails.
@@ -709,7 +699,7 @@ def run_workload(
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": machine_info(),
         "params": {**asdict(workload), "repeats": repeats, "n_jobs": n_jobs},
-        "backend": workload.scan_path(),
+        "backend": "numpy",
         "timings_s": {key: round(seconds, 4) for key, seconds in timings.items()},
         "metrics": {
             key: round(value, 3) if isinstance(value, float) else value
@@ -725,8 +715,7 @@ RECORD_NOTE = (
     "Every entry is {recorded_at, machine, params, backend, timings_s, "
     "metrics}. `--check` compares metrics.batch_vs_serial (runner entries "
     "only; machine-independent) against the workload's baseline for the same "
-    "'backend', the batch engine's scan path (numpy: vectorised; numba: fused "
-    "kernels; workloads that never run it: numpy)."
+    "'backend', the batch engine's scan path (numpy in every entry)."
 )
 
 
@@ -763,8 +752,7 @@ def update_record(
     """Append ``entry`` to its workload's history; returns the baseline.
 
     Baselines are kept per scan path (``slot["baselines"][backend]``) so
-    the regression gate only ever compares like with like: a numba entry
-    is never judged against a numpy baseline or vice versa.  The first
+    the regression gate only ever compares like with like.  The first
     entry recorded for a (workload, scan path) pair becomes that pair's
     baseline and ``None`` is returned for it.
     """

@@ -8,10 +8,11 @@ runner implements exactly that loop:
 2. draw ``num_permutations`` random column orders,
 3. evaluate every estimator at every checkpoint of every permutation —
    by default through the cross-permutation tensor engine
-   (:class:`~repro.core.state.PermutationBatch`): the permuted matrices
-   are stacked, the checkpoint count tables become one
-   ``(permutations x checkpoints x items)`` pass and all switch scans
-   collapse into a single scan, shared by every estimator,
+   (:class:`~repro.core.state.PermutationBatch`): the matrix's votes
+   are read once and placed in every permutation, the checkpoint count
+   tables become one ``(permutations x checkpoints x items)`` pass and
+   all switch scans collapse into a single scan, shared by every
+   estimator,
 4. aggregate per-checkpoint means and standard deviations into
    :class:`~repro.experiments.results.EstimateSeries`.
 

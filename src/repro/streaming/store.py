@@ -550,8 +550,10 @@ class DirectorySessionStore(SessionStore):
         A torn final log record (crash mid-append) is detected by its
         checksum, ignored, and truncated away so later appends extend a
         valid prefix.  A generation whose snapshot turns out unreadable
-        falls back to the next older valid generation; only when no
-        generation and no log survives is the session reported corrupt.
+        falls back to the next older valid generation, and everything
+        newer than that one is set aside (see :meth:`_set_aside`), so the
+        log recovery replayed is the one later appends extend.  Only when
+        no generation and no log survives is the session reported corrupt.
         """
         session_dir = self._path(name)
         generations, wal_numbers = self._layout(session_dir)
@@ -569,6 +571,11 @@ class DirectorySessionStore(SessionStore):
             except Exception as error:  # corrupt bytes — try the older one
                 failure = error
                 continue
+            newer = [n for n in generations if n > generation]
+            self._set_aside(
+                [self._generation_dir(session_dir, n) for n in newer]
+                + [self._wal_path(session_dir, n) for n in wal_numbers if n > generation]
+            )
             return snapshot, self._log_records(session_dir, generation)
         if generations:
             raise StoreCorruptionError(
@@ -577,6 +584,20 @@ class DirectorySessionStore(SessionStore):
             )
         # Log-only session: its whole history is the newest log.
         return None, self._log_records(session_dir, wal_numbers[-1])
+
+    def _set_aside(self, paths: List[Path]) -> None:
+        """Rename entries recovery skipped out of the session's layout.
+
+        Each keeps its name plus a unique ``.skipped-<hex>`` suffix that
+        neither :meth:`_layout` nor the stale-file sweep matches, so it
+        stays on disk for inspection while no append, compaction or
+        recovery reads it again.  Under ``sync=True`` the session
+        directory is fsynced after the renames.
+        """
+        for path in paths:
+            path.rename(path.with_name(f"{path.name}.skipped-{os.urandom(8).hex()}"))
+        if paths and self.sync:
+            _fsync(paths[0].parent)
 
     def _log_records(self, session_dir: Path, generation: int) -> List[WalRecord]:
         log = SessionLog(self._wal_path(session_dir, generation), sync=self.sync)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import state
 from repro.experiments import bench
 from repro.experiments.bench import (
     BenchWorkload,
@@ -71,8 +70,7 @@ def _entry(speedup: float, backend: str = "numpy") -> dict:
 
 
 class TestRunWorkload:
-    def test_entry_shape_and_engine_agreement(self, monkeypatch):
-        monkeypatch.setattr(state, "_FUSED_SCANS", False)
+    def test_entry_shape_and_engine_agreement(self):
         entry = run_workload(TINY, repeats=1)
         assert set(entry) == ENTRY_KEYS
         assert entry["params"] == {**asdict(TINY), "repeats": 1, "n_jobs": 1}
@@ -82,12 +80,6 @@ class TestRunWorkload:
         assert entry["metrics"]["batch_vs_serial"] > 0.0
         assert "parallel_vs_serial" not in entry["metrics"]
         assert entry["machine"]["usable_cpus"] >= 1
-
-    def test_entry_names_the_fused_scan_path(self, monkeypatch):
-        # The fused kernels run interpreted without numba; the recording
-        # still verifies them against the serial engine's reference.
-        monkeypatch.setattr(state, "_FUSED_SCANS", True)
-        assert run_workload(TINY, repeats=1)["backend"] == "numba"
 
     def test_deterministic_matrix(self):
         assert (TINY.build_matrix().values == TINY.build_matrix().values).all()

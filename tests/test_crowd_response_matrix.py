@@ -65,6 +65,48 @@ class TestAddColumn:
         assert matrix.add_column({0: DIRTY}, worker_id=0) == 0
         assert matrix.add_column({0: CLEAN}, worker_id=1) == 1
 
+    def test_many_columns_equal_from_array(self):
+        rng = np.random.default_rng(5)
+        votes = rng.choice([UNSEEN, CLEAN, DIRTY], size=(40, 3000), p=[0.8, 0.1, 0.1])
+        item_ids = list(range(100, 140))
+        matrix = ResponseMatrix(item_ids)
+        for column in range(votes.shape[1]):
+            index = matrix.add_column(
+                {
+                    item_ids[row]: int(votes[row, column])
+                    for row in np.flatnonzero(votes[:, column] != UNSEEN)
+                },
+                worker_id=column,
+            )
+            assert index == column
+        expected = ResponseMatrix.from_array(votes, item_ids=item_ids)
+        assert matrix.num_columns == 3000
+        assert matrix.values.shape == (40, 3000)
+        np.testing.assert_array_equal(matrix.values, expected.values)
+        assert matrix.column_workers == expected.column_workers
+        checkpoints = [0, 7, 3000]
+        np.testing.assert_array_equal(
+            matrix.positive_counts_at(checkpoints), expected.positive_counts_at(checkpoints)
+        )
+        np.testing.assert_array_equal(matrix.prefix(9).values, expected.prefix(9).values)
+        # A matrix built by from_array keeps growing the same way.
+        expected.add_column({100: DIRTY}, worker_id=3000)
+        assert expected.num_columns == 3001
+        assert expected.votes_for(100)[-1] == DIRTY
+        assert expected.votes_for(101)[-1] == UNSEEN
+
+    def test_values_view_is_unchanged_by_later_columns(self):
+        matrix = ResponseMatrix([0, 1])
+        matrix.add_column({0: DIRTY}, worker_id=0)
+        before = matrix.values
+        snapshot = before.copy()
+        # Enough columns to fill the buffer and grow it at least once.
+        for worker in range(1, 40):
+            matrix.add_column({0: CLEAN, 1: DIRTY}, worker_id=worker)
+            assert before.shape == (2, 1)
+            np.testing.assert_array_equal(before, snapshot)
+        assert matrix.values.shape == (2, 40)
+
 
 class TestCounts:
     def test_positive_counts(self, small_matrix):

@@ -5,11 +5,12 @@ permutations, :class:`~repro.core.state.PermutationBatch` estimates are
 **exactly** (bitwise) equal to the serial per-permutation sweep — for
 every registered estimator, including the degenerate matrices (all-clean,
 all-unseen, single column) where the species arithmetic hits its guard
-branches.  The equivalence suites run once per scan path: ``numpy`` (the
-vectorised reference) and ``fused`` (the :mod:`repro.core._scan_kernels`
-loops, forced on; compiled where numba is installed, interpreted
-elsewhere).  The serial sweep always runs the reference, so the ``fused``
-runs are a bit-identity check of the kernels on every machine.
+branches.  Below the estimates, the batch engine's own vote-stream
+construction is checked against each materialised permutation: its
+count tables against the matrix's dense tables, its one switch scan
+against a serial scan of the permuted matrix.  The ``numpy`` id of the
+equivalence suites names the batch engine's scan path as benchmark
+entries record it.
 """
 
 from __future__ import annotations
@@ -21,23 +22,21 @@ from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core import state
 from repro.core.base import EstimateResult, batch_estimates, sweep_estimates
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import PermutationBatch
-from repro.core.switch import switch_statistics
+from repro.core.switch import _SwitchScan, switch_statistics
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
 
-#: Both scan paths of the batch engine: the fused kernels off, then on.
-SCAN_PATHS = pytest.mark.parametrize("fused", [False, True], ids=["numpy", "fused"])
+#: The batch engine's one scan path, named as benchmark entries name it;
+#: it keeps the ``[numpy]`` ids these suites have always had.
+SCAN_PATH = pytest.mark.parametrize("scan_path", ["numpy"])
 
 
-def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None, fused=False):
+def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None):
     """Exact equality of the batched and serial sweeps for all estimators."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(state, "_FUSED_SCANS", fused)
-        batch = PermutationBatch(matrix, orders, checkpoints)
+    batch = PermutationBatch(matrix, orders, checkpoints)
     for name in names or available_estimators():
         estimator = get_estimator(name)
         batched = batch_estimates(estimator, batch)
@@ -51,7 +50,7 @@ def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None, fused=
                 assert got.details == want.details, (name, p)
 
 
-@SCAN_PATHS
+@SCAN_PATH
 class TestPropertyEquivalence:
     @given(
         num_items=st.integers(min_value=1, max_value=10),
@@ -63,7 +62,7 @@ class TestPropertyEquivalence:
     @settings(max_examples=25)
     def test_batch_equals_serial_sweep(
         self,
-        fused,
+        scan_path,
         num_items,
         num_columns,
         num_permutations,
@@ -87,10 +86,10 @@ class TestPropertyEquivalence:
             [int(i) for i in cp_rng.permutation(num_columns)]
             for _ in range(num_permutations - 1)
         ]
-        _assert_batch_matches_serial(matrix, orders, checkpoints, fused=fused)
+        _assert_batch_matches_serial(matrix, orders, checkpoints)
 
 
-@SCAN_PATHS
+@SCAN_PATH
 class TestDegenerateMatrices:
     CHECKPOINTS = [0, 1, 2, 5, 8]
 
@@ -100,42 +99,92 @@ class TestDegenerateMatrices:
             [int(i) for i in rng.permutation(num_columns)] for _ in range(count - 1)
         ]
 
-    def test_all_clean_matrix(self, fused):
+    def test_all_clean_matrix(self, scan_path):
         votes = np.full((6, 8), CLEAN, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
-        )
+        _assert_batch_matches_serial(matrix, self._orders(8), self.CHECKPOINTS)
 
-    def test_all_unseen_matrix(self, fused):
+    def test_all_unseen_matrix(self, scan_path):
         votes = np.full((6, 8), UNSEEN, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
-        )
+        _assert_batch_matches_serial(matrix, self._orders(8), self.CHECKPOINTS)
 
-    def test_all_dirty_matrix(self, fused):
+    def test_all_dirty_matrix(self, scan_path):
         votes = np.full((6, 8), DIRTY, dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(
-            matrix, self._orders(8), self.CHECKPOINTS, fused=fused
-        )
+        _assert_batch_matches_serial(matrix, self._orders(8), self.CHECKPOINTS)
 
-    def test_single_column(self, fused):
+    def test_single_column(self, scan_path):
         votes = np.array([[DIRTY], [CLEAN], [UNSEEN], [DIRTY]], dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(matrix, [None, [0], [0]], [0, 1], fused=fused)
+        _assert_batch_matches_serial(matrix, [None, [0], [0]], [0, 1])
 
-    def test_single_item(self, fused):
+    def test_single_item(self, scan_path):
         votes = np.array([[DIRTY, CLEAN, DIRTY, UNSEEN]], dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
-        _assert_batch_matches_serial(
-            matrix, self._orders(4), [0, 1, 2, 4], fused=fused
-        )
+        _assert_batch_matches_serial(matrix, self._orders(4), [0, 1, 2, 4])
 
-    def test_zero_columns(self, fused):
+    def test_zero_columns(self, scan_path):
         matrix = ResponseMatrix.from_array(np.zeros((3, 0), dtype=np.int8))
-        _assert_batch_matches_serial(matrix, [None, [], []], [0], fused=fused)
+        _assert_batch_matches_serial(matrix, [None, [], []], [0])
+
+
+class TestStreamEngine:
+    """The batch engine's vote-stream construction, permutation by permutation."""
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=8),
+        num_columns=st.integers(min_value=0, max_value=10),
+        unseen=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        num_permutations=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        # Unsorted, repeated, zero and oversized (clamped) checkpoints.
+        checkpoints=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tables_and_scan_match_each_permutation(
+        self, num_items, num_columns, unseen, num_permutations, seed, checkpoints
+    ):
+        rng = np.random.default_rng(seed)
+        votes = np.where(
+            rng.random((num_items, num_columns)) < unseen,
+            UNSEEN,
+            rng.choice([CLEAN, DIRTY], size=(num_items, num_columns)),
+        ).astype(np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        orders = [None] + [
+            [int(i) for i in rng.permutation(num_columns)]
+            for _ in range(num_permutations - 1)
+        ]
+        batch = PermutationBatch(matrix, orders, checkpoints)
+        resolved = [matrix.resolve_upto(checkpoint) for checkpoint in checkpoints]
+        scan = batch._scan
+        for p, order in enumerate(orders):
+            permuted = matrix if order is None else matrix.permute_columns(order)
+            np.testing.assert_array_equal(
+                batch.positive_table[p], permuted.positive_counts_at(resolved)
+            )
+            np.testing.assert_array_equal(
+                batch.negative_table[p], permuted.negative_counts_at(resolved)
+            )
+            # Rows p * N .. (p + 1) * N - 1 of the batch stream are the
+            # permuted matrix's rows.
+            serial = _SwitchScan.of(permuted.values)
+            low = p * num_items
+            for prefix, fields in (
+                ("vote", ("cols", "states", "majority_delta")),
+                ("event", ("cols", "states", "vote_index", "last_vote")),
+            ):
+                rows = getattr(scan, f"{prefix}_rows")
+                mine = (rows >= low) & (rows < low + num_items)
+                np.testing.assert_array_equal(
+                    rows[mine] - low, getattr(serial, f"{prefix}_rows")
+                )
+                for field in fields:
+                    name = f"{prefix}_{field}"
+                    np.testing.assert_array_equal(
+                        getattr(scan, name)[mine], getattr(serial, name), err_msg=name
+                    )
 
 
 class TestBatchInternals:

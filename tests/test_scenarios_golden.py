@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.core import state
 from repro.scenarios import (
     ADVERSARIAL_TAG,
     ScenarioRunner,
@@ -117,24 +116,3 @@ class TestGoldenReplay:
         scenario = get_scenario(name)
         assert scenario.is_adversarial == (ADVERSARIAL_TAG in scenario.tags)
         assert scenario.is_adversarial == (name in adversarial_scenarios())
-
-
-class TestFusedScanGoldens:
-    def test_every_golden_replays_byte_identical_with_the_fused_kernels(
-        self, runner, monkeypatch
-    ):
-        """The ``perm_batch`` mode on the fused kernels reproduces every golden.
-
-        Forcing ``_FUSED_SCANS`` on runs the kernels wherever the suite
-        runs (interpreted without numba).  Strict mode raises if the
-        batch engine disagrees with the vectorised sweep, and the bytes
-        must still match the stored file.
-        """
-        monkeypatch.setattr(state, "_FUSED_SCANS", True)
-        drifted = [
-            name
-            for name in ALL_SCENARIOS
-            if runner.run(get_scenario(name)).canonical_json() + "\n"
-            != read_golden(name)
-        ]
-        assert drifted == []

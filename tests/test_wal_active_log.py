@@ -454,3 +454,58 @@ def test_synced_and_unsynced_stores_recover_the_same_session(tmp_path, sync):
     live, recovered = service.estimate_report("s"), reopened.estimate_report("s")
     assert recovered.version[:2] == live.version[:2] == (7, 14)
     assert recovered.results == live.results
+
+
+class TestRecoveryPastAnUnreadableGeneration:
+    """A crash left ``gen-00000003`` unreadable beside ``gen-00000002``."""
+
+    def _crash_mid_compaction(self, root: Path, sync: bool) -> EstimationService:
+        service = EstimationService(
+            DirectorySessionStore(root, sync=sync), compact_after_bytes=None
+        )
+        service.create_session("s", range(5), ESTIMATORS)
+        service.ingest("s", _batch(0), source="l", sequence=1)
+        service.compact("s")
+        service.ingest("s", _batch(1), source="l", sequence=2)
+        session_dir = root / "s"
+        # The next compaction's snapshot and empty log are in place, but
+        # its arrays never reached the disk intact.
+        unreadable = session_dir / "gen-00000003"
+        unreadable.mkdir()
+        for name in ("manifest.json", "arrays.npz"):
+            (unreadable / name).write_bytes(b"\0" * 16)
+        (session_dir / "wal-00000003.log").touch()
+        return EstimationService(
+            DirectorySessionStore(root, sync=sync), compact_after_bytes=None
+        )
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_batches_acknowledged_after_the_fallback_survive_a_reopen(
+        self, tmp_path, sync
+    ):
+        service = self._crash_mid_compaction(tmp_path, sync)
+        assert service.estimate_report("s").version[:2] == (2, 4)
+        assert service.ingest("s", _batch(2), source="l", sequence=3).applied
+        _assert_reopens_as_live(service, tmp_path, (3, 6))
+        # The skipped entries are kept, out of the layout, through a
+        # reopen (which sweeps stale files) and the next compaction.
+        service.compact("s")
+        _assert_reopens_as_live(service, tmp_path, (3, 6))
+        layout, skipped = [], []
+        for path in sorted((tmp_path / "s").iterdir()):
+            name, _, suffix = path.name.partition(".skipped-")
+            (skipped if suffix else layout).append(name)
+        assert layout == skipped == ["gen-00000003", "wal-00000003.log"]
+
+    @_NAMES_DESCRIPTORS
+    def test_sync_true_fsyncs_the_session_directory_after_setting_aside(
+        self, tmp_path, monkeypatch
+    ):
+        service = self._crash_mid_compaction(tmp_path, sync=True)
+        recorder = _DurabilityRecorder(monkeypatch, tmp_path)
+        service.estimate_report("s")
+        assert recorder.take() == [
+            ("rename", "s/gen-00000003"),
+            ("rename", "s/wal-00000003.log"),
+            ("fsync", "s"),
+        ]
