@@ -181,8 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time one pinned workload and append its entry to BENCH_runner.json",
     )
-    # The options live next to the workload registry; tools/bench_record.py
-    # forwards to this subcommand.
+    # The options live next to the workload registry.
     from repro.experiments.bench import add_bench_arguments
 
     add_bench_arguments(bench)
@@ -218,7 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="convert a recorded session WAL into a traced scenario "
         "(the trace-replay regression codec)",
     )
-    replay.add_argument("wal", help="path to a session write-ahead log file")
+    replay.add_argument(
+        "wal",
+        help="a session's log, <store-root>/<name>.log (a compacted log "
+        "starts with a snapshot: it cannot be traced)",
+    )
     replay.add_argument(
         "--name", required=True, help="name for the traced scenario"
     )
@@ -440,7 +443,6 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
         get_scenario,
         record_scenarios,
     )
-    from repro.scenarios.golden import report_check_results
 
     if args.scenario_command == "list":
         print(f"{'scenario':<22} {'tags':<24} description")
@@ -460,7 +462,19 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.scenario_command == "check":
-        failures = report_check_results(check_scenarios(args.names or None))
+        failures = 0
+        for name, (ok, diff) in sorted(check_scenarios(args.names or None).items()):
+            print(f"{'ok' if ok else 'DRIFT':<6} {name}")
+            if not ok:
+                failures += 1
+                print(diff)
+        if failures:
+            print(
+                f"\n{failures} golden file(s) drifted. If the change is "
+                "intentional, re-record with 'python -m repro scenario record' "
+                "and commit the diff.",
+                file=sys.stderr,
+            )
         return 1 if failures else 0
 
     return 1  # pragma: no cover - argparse enforces the subcommand choices
@@ -600,7 +614,7 @@ def _run_session_command(args: argparse.Namespace) -> int:
 
     if args.session_command == "snapshot":
         snapshot = service.snapshot(args.name)
-        print(f"snapshotted {args.name!r} -> {Path(args.store) / args.name}")
+        print(f"snapshotted {args.name!r} into {args.store}")
         if args.out:
             write_snapshot(snapshot, args.out)
             print(f"exported -> {args.out}")

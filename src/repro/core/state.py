@@ -926,14 +926,6 @@ class StreamingState:
         """Total number of votes ingested."""
         return self._switch.total_votes
 
-    def positive_counts(self) -> np.ndarray:
-        """``n_i^+`` — a copy of the per-item dirty-vote counts."""
-        return self._positive.copy()
-
-    def negative_counts(self) -> np.ndarray:
-        """``n_i^-`` — a copy of the per-item clean-vote counts."""
-        return self._negative.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
             f"StreamingState(num_items={self.num_items}, "

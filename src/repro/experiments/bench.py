@@ -1,6 +1,6 @@
 """Recorded benchmarks: the repo's performance trajectory.
 
-``repro bench`` (or ``python tools/bench_record.py``) times one pinned
+``python -m repro bench`` times one pinned
 workload and appends its entry to ``BENCH_runner.json``, so performance
 drift is a diff instead of folklore.  Every workload in the one
 :data:`WORKLOADS` registry is a :class:`RecordedWorkload` of one of five

@@ -5,8 +5,8 @@ scenario at its default seed, stored under ``tests/golden/<name>.json``.
 ``record`` (re)writes them; ``check`` replays the scenario and compares
 byte-for-byte.  Any estimator change that moves a single float on any
 regime shows up as a golden diff — intentional changes re-record via
-``repro scenario record`` (or ``python tools/golden.py record``) and the
-diff documents exactly which trajectories moved.
+``python -m repro scenario record`` and the diff documents exactly which
+trajectories moved.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def read_golden(name: str, directory: Optional[Path] = None) -> str:
     if not path.exists():
         raise ConfigurationError(
             f"no golden file for scenario {name!r} at {path}; record it with "
-            "'repro scenario record' or 'python tools/golden.py record'"
+            "'python -m repro scenario record'"
         )
     return path.read_text(encoding="utf-8")
 
@@ -112,18 +112,3 @@ def check_scenarios(
         name: check_scenario(name, directory=directory, runner=runner)
         for name in (list(names) if names else available_scenarios())
     }
-
-
-def report_check_results(results: Dict[str, Tuple[bool, str]]) -> int:
-    """Print the standard ok/DRIFT report and return the failure count.
-
-    Shared by ``repro scenario check`` and ``tools/golden.py`` so the
-    report format lives in one place.
-    """
-    failures = 0
-    for name, (ok, diff) in sorted(results.items()):
-        print(f"{'ok' if ok else 'DRIFT':<6} {name}")
-        if not ok:
-            failures += 1
-            print(diff)
-    return failures

@@ -103,18 +103,10 @@ def _series_equal(a: List[EstimateResult], b: List[EstimateResult]) -> bool:
 class ScenarioRunner:
     """Execute scenarios and emit canonical trajectories.
 
-    Parameters
-    ----------
-    strict:
-        Raise :class:`~repro.common.exceptions.ConfigurationError` when
-        the batch, sweep and streaming paths disagree (they never should;
-        a mismatch means an estimator broke the shared-state contract).
-        When false the disagreement is only recorded in the trajectory's
-        ``equivalence`` flags.
+    :meth:`run` raises :class:`~repro.common.exceptions.ConfigurationError`
+    when the batch, sweep and streaming paths disagree (they never should;
+    a mismatch means an estimator broke the shared-state contract).
     """
-
-    def __init__(self, *, strict: bool = True) -> None:
-        self.strict = bool(strict)
 
     def simulate(self, scenario: Scenario, seed: Optional[int] = None) -> CrowdSimulation:
         """Run just the crowd simulation of ``scenario``.
@@ -219,7 +211,7 @@ class ScenarioRunner:
             equivalence["serving_vs_replay"] = drive.serving_matches_replay
             dynamics_stats = drive.stats()
 
-        if self.strict and not all(equivalence.values()):
+        if not all(equivalence.values()):
             failing = sorted(key for key, ok in equivalence.items() if not ok)
             raise ConfigurationError(
                 f"scenario {scenario.name!r} modes disagree: {failing} — an estimator "

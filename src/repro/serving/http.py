@@ -275,25 +275,26 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
     timeout = 30.0
 
     def _respond(self) -> None:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        if length > MAX_BODY_BYTES:
-            status, payload = 400, {
-                "error": f"request body exceeds {MAX_BODY_BYTES} bytes",
-                "kind": "validation",
-            }
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            refused = f"invalid Content-Length {declared!r}: expected a byte count"
+        elif int(declared) > MAX_BODY_BYTES:
+            refused = f"request body exceeds {MAX_BODY_BYTES} bytes"
+        else:
+            refused = None
+        if refused is not None:
+            status, payload = 400, {"error": refused, "kind": "validation"}
             # Never materialise (or even wait for) the declared body: a
             # single ``read(length)`` here would allocate whatever
             # Content-Length the client claimed — exactly the ballooning
             # the guard exists to prevent — and would block until those
-            # bytes actually arrived.  The connection is closed after the
-            # error response instead of drained for keep-alive; a client
-            # that declares gigabytes does not deserve its socket back.
+            # bytes actually arrived; a negative one reads to EOF.  The
+            # connection is closed after the error response instead of
+            # drained for keep-alive: where the body ends is unknown, so
+            # the next bytes cannot be taken for the next request.
             self.close_connection = True
         else:
-            body = self.rfile.read(length) if length else b""
+            body = self.rfile.read(int(declared))
             try:
                 status, payload = self.server.api.handle(self.command, self.path, body)
             except Exception as error:  # never leak a traceback onto the wire

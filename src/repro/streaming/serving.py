@@ -830,7 +830,10 @@ def reconcile_shard_manifest(root: Path, num_shards: Optional[int]) -> int:
                 f"unsupported shard manifest version in {manifest_path}: "
                 f"{manifest.get('format_version')!r}"
             )
-        recorded = int(manifest["num_shards"])
+        try:
+            recorded = check_int(manifest.get("num_shards"), "num_shards", minimum=1)
+        except ValidationError as error:
+            raise ConfigurationError(f"unreadable shard manifest {manifest_path}: {error}") from None
         if num_shards is not None and num_shards != recorded:
             raise ConfigurationError(
                 f"shard count mismatch for {root}: the root was "

@@ -2,15 +2,13 @@
 
 The log-structured persistence path (the HTAP-style split: an
 append-only update path for ingestion, snapshots only at compaction)
-rests on one small primitive — a :class:`SessionLog` holding a sequence
-of framed, checksummed records:
-
-* :class:`CreateRecord` — the session's birth certificate (item ids,
-  estimator names, ``keep_votes``); always the first record of a log
-  that has no base snapshot yet.
-* :class:`BatchRecord` — one ingested batch of task columns, carrying
-  the serving layer's ``(source, sequence)`` idempotency pair so a
-  duplicate record replays as a no-op.
+rests on one small primitive — a :class:`SessionLog`, one file of
+framed, checksummed records.  Its head is a :class:`CreateRecord` (the
+session's birth certificate) or, once compacted, a snapshot record (see
+:func:`write_snapshot_record`); every later record is a
+:class:`BatchRecord`, one ingested batch carrying the serving layer's
+``(source, sequence)`` idempotency pair so a duplicate replays as a
+no-op.
 
 Frame format (little-endian)::
 
@@ -18,10 +16,11 @@ Frame format (little-endian)::
     | RWAL | u32 size | u32 crc32  | payload (size B) |
     +------+----------+------------+------------------+
 
-The payload is canonical JSON (sorted keys, compact separators), so a
-log of identical appends is byte-identical across runs.  Readers stop at
-the first frame that is short, has a wrong magic, or fails its CRC —
-a torn final record from a crash mid-append is therefore *ignored*, and
+Create and batch payloads are canonical JSON (sorted keys, compact
+separators), so a log of identical appends is byte-identical across
+runs; a snapshot frame has the magic ``RSNP``.  Readers stop at the
+first frame that is short, has a wrong magic, or fails its CRC — a torn
+final record from a crash mid-append is therefore *ignored*, and
 :meth:`SessionLog.repair` truncates it away so later appends land on a
 valid prefix.  Appending a batch costs O(batch), independent of the
 session's accumulated state — the whole point of the WAL path.
@@ -29,15 +28,19 @@ session's accumulated state — the whole point of the WAL path.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
+from repro.streaming.session import SessionSnapshot
 
 #: Log payload format version; bump when the record schema changes.
 WAL_FORMAT_VERSION = 1
@@ -45,11 +48,14 @@ WAL_FORMAT_VERSION = 1
 #: Per-record frame: magic, payload size, payload crc32.
 _FRAME = struct.Struct("<4sII")
 _MAGIC = b"RWAL"
+_SNAPSHOT_MAGIC = b"RSNP"
+#: A snapshot payload starts with the size of its manifest JSON.
+_MANIFEST_SIZE = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
 class CreateRecord:
-    """The first record of a snapshotless log: how to build the session.
+    """The head of a log never compacted: how to build the session.
 
     Carrying creation in the log keeps ``create_session`` O(1) on the
     durable path — no snapshot is written until the first compaction.
@@ -128,6 +134,63 @@ class BatchRecord:
 
 
 WalRecord = Union[CreateRecord, BatchRecord]
+LogRecord = Union[CreateRecord, BatchRecord, SessionSnapshot]  # a snapshot only heads a log
+
+
+class _Checksummed(io.RawIOBase):
+    """A write-only stream that passes its bytes on and sums them up."""
+
+    def __init__(self, handle: BinaryIO) -> None:
+        super().__init__()
+        self.handle, self.size, self.crc = handle, 0, 0
+
+    def write(self, data) -> int:
+        self.size += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+        return self.handle.write(data)
+
+
+def write_snapshot_record(handle: BinaryIO, snapshot: SessionSnapshot) -> None:
+    """Write ``snapshot`` as one framed record at the start of ``handle``.
+
+    The payload is ``u32 manifest size | manifest JSON | npz bytes``,
+    encoded as :func:`~repro.streaming.session.write_snapshot` encodes
+    ``manifest.json`` and ``arrays.npz``.  It streams to the file through
+    :class:`_Checksummed`, which ``np.savez`` cannot seek, so every byte
+    is final when written and no copy of the arrays is built.
+    """
+    manifest = (
+        json.dumps(snapshot.manifest, indent=2, sort_keys=True) + "\n"
+    ).encode("utf-8")
+    handle.write(bytes(_FRAME.size))
+    payload = _Checksummed(handle)
+    payload.write(_MANIFEST_SIZE.pack(len(manifest)) + manifest)
+    np.savez(payload, **snapshot.arrays)
+    handle.seek(0)
+    handle.write(_FRAME.pack(_SNAPSHOT_MAGIC, payload.size, payload.crc))
+
+
+def _decode_snapshot(payload: bytes) -> SessionSnapshot:
+    """Rebuild a snapshot from a CRC-verified payload, without copying it.
+
+    The npz archive ends the payload, and the zip reader skips what precedes it.
+    """
+    try:
+        start = _MANIFEST_SIZE.size + _MANIFEST_SIZE.unpack_from(payload)[0]
+        manifest = json.loads(payload[_MANIFEST_SIZE.size : start].decode("utf-8"))
+        archive = io.BytesIO(payload)
+        archive.seek(start)
+        with np.load(archive) as arrays:
+            return SessionSnapshot(manifest, {key: arrays[key] for key in arrays.files})
+    except Exception as error:
+        raise ConfigurationError(f"undecodable snapshot record: {error!r}") from error
+
+
+def _snapshot_bytes(descriptor: int) -> int:
+    """Size of the snapshot record a log starts with (0 for any other head)."""
+    header = os.pread(descriptor, _FRAME.size, 0).ljust(_FRAME.size, b"\0")
+    magic, size, _ = _FRAME.unpack(header)
+    return _FRAME.size + size if magic == _SNAPSHOT_MAGIC else 0
 
 
 def encode_record(record: WalRecord) -> bytes:
@@ -204,19 +267,23 @@ class SessionLog:
     def __init__(self, path: Union[str, Path], *, sync: bool = False) -> None:
         self.path = Path(path)
         self.sync = bool(sync)
+        #: Size of the log's snapshot head (0 for a create head) at the last :meth:`append`.
+        self.snapshot_bytes = 0
 
     def append(self, record: WalRecord) -> int:
         """Append one framed record; returns the log size in bytes after.
 
-        O(record) — the log is opened in append mode and never rewritten.
-        A failed write or fsync truncates the log back to its size before
-        the append and re-raises, so the next append never lands behind
-        a partial frame that recovery would stop at; if that truncate
-        fails too, :class:`TornAppendError` is raised instead.
+        O(record) — the log is opened in append mode and never rewritten;
+        the same open reads :attr:`snapshot_bytes`.  A failed write or
+        fsync truncates the log back to its size before the append and
+        re-raises, so the next append never lands behind a partial frame
+        that recovery would stop at; if that truncate fails too,
+        :class:`TornAppendError` is raised instead.
         """
         frame = encode_record(record)
-        with open(self.path, "ab", buffering=0) as handle:
+        with open(self.path, "a+b", buffering=0) as handle:
             start = handle.tell()
+            self.snapshot_bytes = _snapshot_bytes(handle.fileno())
             try:
                 written = 0
                 while written < len(frame):
@@ -234,48 +301,57 @@ class SessionLog:
                 raise
         return start + written
 
-    def scan(self) -> Tuple[List[WalRecord], int, bool]:
+    def scan(self) -> Tuple[List[LogRecord], int, bool]:
         """Read every intact record.
 
         Returns ``(records, valid_bytes, torn)`` where ``valid_bytes``
         is the length of the longest valid prefix and ``torn`` reports
         whether trailing bytes (a short frame, wrong magic or checksum
         mismatch — the signature of a crash mid-append) were ignored.
+        Each payload is read once, into its own buffer.
         """
-        if not self.path.exists():
-            return [], 0, False
-        data = self.path.read_bytes()
-        records: List[WalRecord] = []
+        records: List[LogRecord] = []
         offset = 0
-        while offset < len(data):
-            header = data[offset : offset + _FRAME.size]
-            if len(header) < _FRAME.size:
-                break
-            magic, size, checksum = _FRAME.unpack(header)
-            if magic != _MAGIC:
-                break
-            payload = data[offset + _FRAME.size : offset + _FRAME.size + size]
-            if len(payload) < size or zlib.crc32(payload) != checksum:
-                break
-            records.append(decode_payload(payload))
-            offset += _FRAME.size + size
-        return records, offset, offset != len(data)
+        if not self.path.exists():
+            return records, offset, False
+        with open(self.path, "rb") as handle:
+            end = os.fstat(handle.fileno()).st_size
+            while end - offset >= _FRAME.size:
+                magic, size, checksum = _FRAME.unpack(handle.read(_FRAME.size))
+                if magic not in (_MAGIC, _SNAPSHOT_MAGIC) or size > end - offset - _FRAME.size:
+                    break
+                payload = handle.read(size)
+                if zlib.crc32(payload) != checksum:
+                    break
+                decode = _decode_snapshot if magic == _SNAPSHOT_MAGIC else decode_payload
+                records.append(decode(payload))
+                offset += _FRAME.size + size
+        return records, offset, offset != end
 
-    def records(self) -> List[WalRecord]:
+    def records(self) -> List[LogRecord]:
         """Every intact record, ignoring any torn tail."""
         return self.scan()[0]
 
     def repair(self) -> bool:
         """Truncate a torn tail so future appends land on a valid prefix.
 
-        Returns True when bytes were removed.  Safe to call on a healthy
-        (or missing) log — it is a no-op then.
+        Returns True when bytes were removed.  A no-op on a healthy or
+        missing log, and on one whose head record does not verify: that
+        log has no valid prefix to keep, only bytes to inspect.
         """
-        _, valid_bytes, torn = self.scan()
-        if torn:
-            with open(self.path, "ab") as handle:
-                handle.truncate(valid_bytes)
-        return torn
+        records, valid_bytes, torn = self.scan()
+        if not (torn and records):
+            return False
+        os.truncate(self.path, valid_bytes)
+        return True
+
+    def tail_bytes(self) -> int:
+        """Bytes after the log's snapshot head (all of them for any other head)."""
+        try:
+            with open(self.path, "rb", buffering=0) as handle:
+                return os.fstat(handle.fileno()).st_size - _snapshot_bytes(handle.fileno())
+        except FileNotFoundError:
+            return 0
 
     def size_bytes(self) -> int:
         """Current log size (0 when the file does not exist yet)."""
@@ -288,11 +364,11 @@ class SessionLog:
         return f"SessionLog({str(self.path)!r}, size={self.size_bytes()})"
 
 
-def check_batch_record(record: WalRecord) -> BatchRecord:
-    """Assert a replayed mid-log record is a batch (creates lead a log)."""
+def check_batch_record(record: LogRecord) -> BatchRecord:
+    """Assert a replayed mid-log record is a batch (only a head is not)."""
     if not isinstance(record, BatchRecord):
         raise ValidationError(
-            "unexpected create record in the middle of a session log — the "
-            "log is not a valid ingestion history"
+            f"unexpected {type(record).__name__} in the middle of a session "
+            "log — the log is not a valid ingestion history"
         )
     return record

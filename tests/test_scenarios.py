@@ -244,7 +244,7 @@ class TestScenarioRunner:
         """A state-estimator that diverges from its batch path is caught."""
         from repro.core.descriptive import VotingEstimator
 
-        runner = ScenarioRunner(strict=True)
+        runner = ScenarioRunner()
         original = VotingEstimator.estimate
 
         def broken_estimate(self, matrix, upto=None):

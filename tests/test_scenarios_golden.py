@@ -5,8 +5,8 @@ byte-for-byte against its golden file under ``tests/golden/``; the same
 run asserts the batch == sweep == streaming equivalence contract on the
 scenario's regime.  A failure here means an estimator's trajectory moved
 on some crowd regime — if the movement is intentional, re-record with
-``python tools/golden.py record`` (or ``repro scenario record``) and
-commit the diff as the reviewable evidence of the behaviour change.
+``python -m repro scenario record`` and commit the diff as the
+reviewable evidence of the behaviour change.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ ALL_SCENARIOS = available_scenarios()
 
 @pytest.fixture(scope="module")
 def runner() -> ScenarioRunner:
-    return ScenarioRunner(strict=True)
+    return ScenarioRunner()
 
 
 class TestCatalogueShape:
@@ -64,7 +64,7 @@ class TestCatalogueShape:
         for name in ALL_SCENARIOS:
             assert golden_path(name).exists(), (
                 f"scenario {name!r} has no golden file; run "
-                "'python tools/golden.py record'"
+                "'python -m repro scenario record'"
             )
 
     def test_no_orphaned_golden_files(self):
@@ -77,9 +77,9 @@ class TestGoldenReplay:
     def test_replay_is_byte_identical_and_modes_agree(self, runner, name):
         """One run pins both guarantees: golden stability + mode equivalence.
 
-        ``strict=True`` makes the runner raise if batch, sweep and
-        streaming disagree, so reaching the byte comparison already
-        certifies the equivalence contract for this scenario's regime.
+        The runner raises if batch, sweep and streaming disagree, so
+        reaching the byte comparison already certifies the equivalence
+        contract for this scenario's regime.
         """
         scenario = get_scenario(name)
         trajectory = runner.run(scenario)

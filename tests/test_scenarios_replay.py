@@ -104,7 +104,7 @@ class TestScenarioFromWal:
             ]
             service.ingest("prod", columns, source="w0", sequence=sequence)
         live = service.estimates("prod")
-        wal = tmp_path / "store" / "prod" / "wal-00000001.log"
+        wal = tmp_path / "store" / "prod.log"
         scenario = scenario_from_wal(wal, "prod-replay")
         assert TRACE_TAG in scenario.tags
         assert scenario.estimators == ESTIMATORS

@@ -385,7 +385,7 @@ class TestSessionStores:
         store.save("alpha", session.snapshot())
         assert store.load("alpha").manifest["num_columns"] == 1
         # No staging leftovers.
-        assert [p.name for p in (tmp_path / "root").iterdir()] == ["alpha"]
+        assert [p.name for p in (tmp_path / "root").iterdir()] == ["alpha.log"]
 
 
 class TestThreadSafety:

@@ -20,7 +20,7 @@ from repro.serving import (
     ShardedEstimationService,
     shard_index,
 )
-from repro.streaming.serving import SHARD_MANIFEST_FILENAME
+from repro.streaming.serving import SHARD_MANIFEST_FILENAME, reconcile_shard_manifest
 
 ESTIMATORS = ["voting", "chao92"]
 
@@ -91,6 +91,32 @@ class TestRootManifest:
         )
         with pytest.raises(ConfigurationError, match="manifest version"):
             ShardedEstimationService(tmp_path)
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"format_version": 1},
+            {"format_version": 1, "num_shards": "x"},
+            {"format_version": 1, "num_shards": True},
+            {"format_version": 1, "num_shards": 0},
+            {"format_version": 1, "num_shards": -2},
+            {"format_version": 1, "num_shards": 1.5},
+        ],
+        ids=["missing", "string", "bool", "zero", "negative", "fraction"],
+    )
+    def test_a_malformed_shard_count_is_rejected_naming_the_file(
+        self, tmp_path, document
+    ):
+        manifest = tmp_path / SHARD_MANIFEST_FILENAME
+        manifest.write_text(json.dumps(document), encoding="utf-8")
+        for open_root in (
+            lambda: ShardedEstimationService(tmp_path),
+            lambda: reconcile_shard_manifest(tmp_path, None),
+        ):
+            with pytest.raises(ConfigurationError, match="num_shards") as caught:
+                open_root()
+            assert str(manifest) in str(caught.value)
+        assert json.loads(manifest.read_text(encoding="utf-8")) == document
 
     def test_sharded_root_survives_crash_and_reopen(self, tmp_path):
         service = ShardedEstimationService(tmp_path, num_shards=4)

@@ -3,15 +3,15 @@
 The durability contract under test: every mutation the serving layer
 acknowledges is on disk before the call returns, a crash at *any* point
 (mid-append, mid-compaction) loses at most the unacknowledged tail, and
-recovery — newest valid snapshot generation plus log replay — rebuilds
-estimates bit-identical to the live session.  Torn final records are
-detected by checksum and ignored; duplicate ``(source, sequence)``
-records replay as no-ops exactly as their deliveries did live.
+recovery — the one log file, snapshot head plus the batches after it —
+rebuilds estimates bit-identical to the live session.  Torn final
+records are detected by checksum and ignored; an unreadable head is
+reported and left untouched; duplicate ``(source, sequence)`` records
+replay as no-ops exactly as their deliveries did live.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.common.exceptions import ConfigurationError, ValidationError
@@ -23,6 +23,7 @@ from repro.streaming import (
     UnknownSessionError,
     write_snapshot,
 )
+from repro.streaming.store import StoreCorruptionError
 from repro.streaming.wal import (
     BatchRecord,
     CreateRecord,
@@ -31,6 +32,7 @@ from repro.streaming.wal import (
     check_batch_record,
     decode_payload,
     encode_record,
+    write_snapshot_record,
 )
 
 ESTIMATORS = ["voting", "chao92", "switch_total"]
@@ -51,6 +53,14 @@ def _service(root, **kwargs) -> EstimationService:
 
 def _estimates(service, name="s"):
     return service.estimates(name)
+
+
+def _flip_head_byte(log) -> bytes:
+    """Corrupt one payload byte of the log's head record; the new bytes."""
+    data = bytearray(log.read_bytes())
+    data[20] ^= 0xFF
+    log.write_bytes(bytes(data))
+    return bytes(data)
 
 
 class TestRecordCodec:
@@ -175,84 +185,99 @@ class TestLogStructuredStore:
         assert store.log_size("s") == 0
         snapshot, records = store.recovery("s")
         assert snapshot is not None and records == []
-        # Exactly one generation + its fresh log remain.
-        entries = sorted(p.name for p in (tmp_path / "s").iterdir())
-        assert entries == ["gen-00000002", "wal-00000002.log"]
+        # Exactly one file remains: the log, now a snapshot head alone.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.log"]
+        (head,) = SessionLog(tmp_path / "s.log").records()
+        assert head.manifest == session.snapshot().manifest
 
-    def test_legacy_prewal_layout_reads_as_generation_zero(self, tmp_path):
-        # A pre-WAL store put the snapshot directly in the session dir.
+    def test_snapshot_record_shares_the_export_encoding(self, tmp_path):
         session = StreamingSession([0, 1, 2], ESTIMATORS)
         session.add_column({0: DIRTY, 2: CLEAN}, worker_id=1)
-        write_snapshot(session.snapshot(), tmp_path / "old")
-        store = DirectorySessionStore(tmp_path)
-        assert store.names() == ["old"]
-        assert store.load("old").manifest == session.snapshot().manifest
-        # Appends pair with the legacy generation's log.
-        store.append("old", BatchRecord.from_columns(_batch()))
-        assert (tmp_path / "old" / "wal-00000000.log").exists()
-        snapshot, records = store.recovery("old")
-        assert snapshot is not None and len(records) == 1
-        # Compaction upgrades the layout and removes the legacy files.
-        store.save("old", session.snapshot())
-        remaining = sorted(p.name for p in (tmp_path / "old").iterdir())
-        assert remaining == ["gen-00000001", "wal-00000001.log"]
+        snapshot = session.snapshot()
+        log = SessionLog(tmp_path / "s.log")
+        with open(log.path, "wb") as handle:
+            write_snapshot_record(handle, snapshot)
+        exported = write_snapshot(snapshot, tmp_path / "export")
+        data = log.path.read_bytes()
+        manifest = (exported / "manifest.json").read_bytes()
+        # Frame header, manifest size, the manifest.json bytes, then npz.
+        assert data[16 : 16 + len(manifest)] == manifest
+        assert data[16 + len(manifest) : 18 + len(manifest)] == b"PK"
+        (record,) = log.records()
+        assert record.manifest == snapshot.manifest
+        restored = StreamingSession.from_snapshot(record)
+        assert restored.estimate() == session.estimate()
+
+    def test_an_old_layout_root_is_refused(self, tmp_path):
+        session = StreamingSession([0, 1], ["voting"])
+        write_snapshot(session.snapshot(), tmp_path / "old" / "gen-00000001")
+        (tmp_path / "old" / "wal-00000001.log").touch()
+        (tmp_path / ".old.tmp-dead").touch()
+        before = sorted(str(path) for path in tmp_path.rglob("*"))
+        with pytest.raises(ConfigurationError, match="old store layout") as caught:
+            DirectorySessionStore(tmp_path)
+        assert str(tmp_path / "old") in str(caught.value)
+        assert not isinstance(caught.value, StoreCorruptionError)
+        # Refused as it is: nothing swept, nothing migrated.
+        assert sorted(str(path) for path in tmp_path.rglob("*")) == before
+        # Directories of any other shape are not sessions and stay allowed.
+        (tmp_path / "old" / "gen-00000001").rename(tmp_path / "exports")
+        (tmp_path / "old" / "wal-00000001.log").unlink()
+        assert DirectorySessionStore(tmp_path).names() == []
 
     def test_kill_mid_compaction_staging_is_swept_and_old_generation_wins(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
         session = StreamingSession([0, 1], ["voting"])
         store.save("s", session.snapshot())
-        # Crash before the rename: only the staging directory exists for
-        # the new generation.
-        staging = tmp_path / "s" / ".gen-00000002.tmp-dead"
-        staging.mkdir()
-        (staging / "manifest.json").write_text("{}", encoding="utf-8")
+        before = (tmp_path / "s.log").read_bytes()
+        # Crash before the rename: the next log exists only as its
+        # staging file.
+        staging = tmp_path / ".s.log.tmp-dead"
+        staging.write_bytes(before[:20])
         reopened = DirectorySessionStore(tmp_path)
         assert not staging.exists(), "stale staging must be swept on open"
         snapshot, records = reopened.recovery("s")
         assert snapshot is not None and records == []
-
-    def test_kill_mid_compaction_after_rename_picks_the_new_generation(self, tmp_path):
-        store = DirectorySessionStore(tmp_path)
-        old = StreamingSession([0, 1], ["voting"])
-        store.save("s", old.snapshot())
-        old_log = tmp_path / "s" / "wal-00000001.log"
-        SessionLog(old_log).append(BatchRecord.from_columns(_batch()))
-        # Crash after the new generation became visible but before the old
-        # pair was cleaned up: both generations and the old log coexist.
-        new = StreamingSession([0, 1], ["voting"])
-        new.add_column({0: DIRTY})
-        write_snapshot(new.snapshot(), tmp_path / "s" / "gen-00000002")
-        snapshot, records = DirectorySessionStore(tmp_path).recovery("s")
-        # The newest generation wins and the stale old log is NOT replayed
-        # onto it (its records are already folded into generation 2).
-        assert snapshot.manifest["num_columns"] == 1
-        assert records == []
-
-    def test_corrupt_newest_generation_falls_back_to_older_one(self, tmp_path):
-        store = DirectorySessionStore(tmp_path)
-        good = StreamingSession([0, 1], ["voting"])
-        store.save("s", good.snapshot())
-        later = StreamingSession([0, 1], ["voting"])
-        later.add_column({1: DIRTY})
-        store.save("s", later.snapshot())  # gen-00000002 (gen 1 cleaned up)
-        newest = tmp_path / "s" / "gen-00000002"
-        (newest / "arrays.npz").write_bytes(b"garbage")
-        # Only an older generation remains readable.
-        write_snapshot(good.snapshot(), tmp_path / "s" / "gen-00000001")
-        snapshot, _ = DirectorySessionStore(tmp_path).recovery("s")
-        assert snapshot.manifest["num_columns"] == 0
+        assert (tmp_path / "s.log").read_bytes() == before
 
     def test_unknown_and_corrupt_sessions_are_distinct_errors(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
         with pytest.raises(UnknownSessionError):
             store.recovery("ghost")
-        session = StreamingSession([0], ["voting"])
-        store.save("bad", session.snapshot())
-        for path in (tmp_path / "bad" / "gen-00000001").iterdir():
-            path.write_bytes(b"garbage")
-        with pytest.raises(ConfigurationError, match="corrupt") as exc_info:
+        store.save("bad", StreamingSession([0], ["voting"]).snapshot())
+        store.append("bad", BatchRecord.from_columns([{0: DIRTY}]))
+        corrupt = _flip_head_byte(tmp_path / "bad.log")
+        with pytest.raises(StoreCorruptionError, match="corrupt") as exc_info:
             DirectorySessionStore(tmp_path).recovery("bad")
         assert not isinstance(exc_info.value, UnknownSessionError)
+        # No path truncates a log whose head does not verify.
+        assert not SessionLog(tmp_path / "bad.log").repair()
+        with pytest.raises(StoreCorruptionError):
+            _service(tmp_path).estimates("bad")
+        assert (tmp_path / "bad.log").read_bytes() == corrupt
+
+    def test_an_unreadable_create_head_is_left_as_it_is(self, tmp_path):
+        store = DirectorySessionStore(tmp_path)
+        store.append("bad", CreateRecord(item_ids=(0,), estimators=("voting",)))
+        store.append("bad", BatchRecord.from_columns([{0: DIRTY}]))
+        corrupt = _flip_head_byte(tmp_path / "bad.log")
+        with pytest.raises(StoreCorruptionError, match="does not verify"):
+            store.recovery("bad")
+        assert not SessionLog(tmp_path / "bad.log").repair()
+        assert (tmp_path / "bad.log").read_bytes() == corrupt
+
+    def test_a_torn_head_is_left_as_it_is(self, tmp_path):
+        # A crash during the very first append: half a create frame.
+        log = tmp_path / "s.log"
+        torn = encode_record(CreateRecord(item_ids=(0,), estimators=("voting",)))[:-3]
+        log.write_bytes(torn)
+        store = DirectorySessionStore(tmp_path)
+        assert store.names() == ["s"]
+        with pytest.raises(StoreCorruptionError, match="does not verify"):
+            store.recovery("s")
+        assert log.read_bytes() == torn
+        store.delete("s")  # what an operator does with it
+        assert store.names() == []
 
     def test_stale_staging_files_swept_on_open(self, tmp_path):
         """Regression: orphaned ``*.tmp`` staging entries are removed."""
@@ -261,15 +286,14 @@ class TestLogStructuredStore:
         store.save("s", session.snapshot())
         stale_root_file = tmp_path / ".snapshot.tmp-1234"
         stale_root_file.write_text("partial", encoding="utf-8")
-        stale_dir = tmp_path / ".export.staging-77"
-        stale_dir.mkdir()
-        (stale_dir / "arrays.npz").write_bytes(b"partial")
-        stale_session_file = tmp_path / "s" / ".gen-00000009.tmp-99"
-        stale_session_file.write_text("partial", encoding="utf-8")
+        stale_log = tmp_path / ".s.log.tmp-99"
+        stale_log.write_text("partial", encoding="utf-8")
+        kept = tmp_path / ".notes"
+        kept.write_text("not a staging file", encoding="utf-8")
         DirectorySessionStore(tmp_path)
         assert not stale_root_file.exists()
-        assert not stale_dir.exists()
-        assert not stale_session_file.exists()
+        assert not stale_log.exists()
+        assert kept.exists()
         # The real session was untouched.
         assert DirectorySessionStore(tmp_path).load("s") is not None
 
@@ -301,7 +325,7 @@ class TestServiceCrashConsistency:
         for sequence, batch in enumerate(batches, start=1):
             service.ingest("s", batch, source="l", sequence=sequence)
         # Crash mid-append: a half-written frame lands at the log tail.
-        wal = tmp_path / "s" / "wal-00000001.log"
+        wal = tmp_path / "s.log"
         with open(wal, "ab") as handle:
             handle.write(encode_record(BatchRecord.from_columns(_batch(9)))[:-7])
         recovered = _service(tmp_path)
@@ -340,9 +364,10 @@ class TestServiceCrashConsistency:
         service.ingest("a", _batch(0), source="l", sequence=1)  # revives "a"
         service.ingest("b", _batch(1), source="l", sequence=1)
         assert service.sessions_evicted >= 2
-        # No snapshot generation was ever written — the sessions live
-        # entirely in their logs — yet a crash loses nothing.
-        assert not list((tmp_path / "a").glob("gen-*"))
+        # No snapshot was ever written — the sessions live entirely in
+        # their logs, behind their create records — yet a crash loses
+        # nothing.
+        assert service.store.recovery("a")[0] is None
         recovered = _service(tmp_path)
         assert _estimates(recovered, "a") == self._reference([_batch(0)])
         assert _estimates(recovered, "b") == self._reference([_batch(1)])
@@ -354,7 +379,7 @@ class TestServiceCrashConsistency:
         service.create_session("s", range(5), ESTIMATORS)
         service.ingest("s", _batch(0), source="l", sequence=1)
         # Every ingest exceeds the 1-byte threshold, so the log is folded
-        # into a snapshot generation immediately.
+        # into a snapshot head immediately.
         assert service.store.log_size("s") == 0
         assert service.store.load("s").manifest["num_columns"] == len(_batch(0))
         assert _estimates(_service(tmp_path)) == self._reference([_batch(0)])

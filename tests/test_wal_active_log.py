@@ -1,13 +1,16 @@
-"""The durable-ingest hot path: one directory listing and one open per append.
+"""The durable-ingest hot path and the one-file log's durability contracts.
 
-`DirectorySessionStore.append` finds the session's active log with one
-listing of its directory and returns the log size after the write, which
-is what `EstimationService.ingest` compares with ``compact_after_bytes``.
+Each session is one file, ``<root>/<name>.log``: a head record (the
+create record, or after a compaction the snapshot) followed by the
+batches applied since.  `DirectorySessionStore.append` opens that one
+path and returns the log's bytes beyond its snapshot head, which is
+what `EstimationService.ingest` compares with ``compact_after_bytes``.
 These tests pin what one warm ingest costs in system calls, that the
 returned size is the size on disk, that a log replaced by another store
-object on the same root or left behind by a failed compaction is never
-written again, that a failed append which created a log takes it back,
-and the fsync order that makes a ``sync=True`` store power-loss durable.
+object on the same root is the one the next append extends, that a
+compaction failing at any step loses no acknowledged batch, that a
+failed append which created a log takes it back, and the fsync order
+that makes a ``sync=True`` store power-loss durable.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 import errno
 import os
 import re
+import stat
+import struct
 import sys
 import threading
 from pathlib import Path
@@ -23,6 +28,8 @@ import pytest
 
 from repro.common.labels import CLEAN, DIRTY
 from repro.streaming import DirectorySessionStore, EstimationService, StreamingSession
+from repro.streaming import store as store_module
+from repro.streaming import wal
 from repro.streaming.wal import BatchRecord, CreateRecord, encode_record
 
 ESTIMATORS = ["voting", "chao92", "switch_total"]
@@ -48,11 +55,17 @@ def _record(offset: int) -> BatchRecord:
     return BatchRecord.from_columns(_batch(offset), source="l", sequence=offset + 1)
 
 
+def _head(root: Path, name: str):
+    """Magic and total size of the log's head frame, read without the store."""
+    magic, size, _ = struct.unpack_from("<4sII", (root / f"{name}.log").read_bytes())
+    return magic, 12 + size
+
+
 def _log_on_disk(root: Path, name: str) -> int:
-    """Size of the session's only log file, found without the store."""
-    logs = sorted((root / name).glob("wal-*.log"))
-    assert len(logs) == 1, logs
-    return logs[0].stat().st_size
+    """Bytes of the session's log beyond its snapshot head, found without the store."""
+    magic, head = _head(root, name)
+    size = (root / f"{name}.log").stat().st_size
+    return size - head if magic == b"RSNP" else size
 
 
 def _fail_once(monkeypatch, owner, attribute: str, *, skip: int = 0) -> None:
@@ -70,10 +83,53 @@ def _fail_once(monkeypatch, owner, attribute: str, *, skip: int = 0) -> None:
     monkeypatch.setattr(owner, attribute, failing)
 
 
+def _fail_half_way(monkeypatch, owner, attribute: str) -> None:
+    """Make the next ``owner.attribute(handle, ...)`` write part of its bytes, then fail."""
+    real = getattr(owner, attribute)
+
+    def failing(handle, *args, **kwargs):
+        monkeypatch.setattr(owner, attribute, real)
+        handle.write(b"RSNP\xff\xff")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(owner, attribute, failing)
+
+
+def _fail_next_log_write(monkeypatch) -> None:
+    """Make the next log opened by ``repro.streaming.wal`` refuse its write."""
+    real_open = open
+
+    class _Refusing:
+        def __init__(self, handle) -> None:
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def __getattr__(self, name):
+            return getattr(self._handle, name)
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def refusing_open(*args, **kwargs):
+        monkeypatch.undo()
+        return _Refusing(real_open(*args, **kwargs))
+
+    monkeypatch.setattr(wal, "open", refusing_open, raising=False)
+
+
 def _assert_reopens_as_live(service, root, version) -> None:
     live, reopened = service.estimate_report("s"), _service(root).estimate_report("s")
     assert reopened.version[:2] == live.version[:2] == version
     assert reopened.results == live.results
+
+
+def _entries(root: Path):
+    return sorted(path.name for path in root.iterdir())
 
 
 class _SyscallCounter:
@@ -101,6 +157,9 @@ class _SyscallCounter:
 
 
 class TestWarmIngest:
+    #: One ``stat`` (does the log exist?) and one ``open``; no listing.
+    WARM = {"listdir": 0, "scandir": 0, "stat": 1, "mkdir": 0, "open": 1, "log_size": 0}
+
     def _count_one_ingest(self, service, monkeypatch, sequence: int) -> dict:
         counter = _SyscallCounter(monkeypatch)
         assert service.ingest("s", _batch(sequence), source="l", sequence=sequence).applied
@@ -110,34 +169,21 @@ class TestWarmIngest:
     def test_a_warm_ingest_lists_the_session_once_and_opens_the_log_once(
         self, tmp_path, monkeypatch
     ):
+        """The session is looked up by one ``stat`` of its log: no listing."""
         service = EstimationService(DirectorySessionStore(tmp_path))
         service.create_session("s", range(5), ESTIMATORS)
         service.ingest("s", _batch(0), source="l", sequence=1)
-        assert self._count_one_ingest(service, monkeypatch, 2) == {
-            "listdir": 0,
-            "scandir": 1,
-            "stat": 0,
-            "mkdir": 0,
-            "open": 1,
-            "log_size": 0,
-        }
+        assert self._count_one_ingest(service, monkeypatch, 2) == self.WARM
 
     def test_a_compacted_session_also_checks_its_snapshot_is_complete(
         self, tmp_path, monkeypatch
     ):
+        """The snapshot head's frame header is read through the append's own open."""
         service = EstimationService(DirectorySessionStore(tmp_path))
         service.create_session("s", range(5), ESTIMATORS)
         service.ingest("s", _batch(0), source="l", sequence=1)
         service.compact("s")
-        # manifest.json and arrays.npz of gen-00000002.
-        assert self._count_one_ingest(service, monkeypatch, 2) == {
-            "listdir": 0,
-            "scandir": 1,
-            "stat": 2,
-            "mkdir": 0,
-            "open": 1,
-            "log_size": 0,
-        }
+        assert self._count_one_ingest(service, monkeypatch, 2) == self.WARM
 
 
 class TestAppendReturnsTheLogSize:
@@ -153,12 +199,14 @@ class TestAppendReturnsTheLogSize:
         step(store.append("s", _record(0)))
         session = StreamingSession(range(5), ["voting"])
         session.add_columns(_batch(0))
-        store.save("s", session.snapshot())  # compaction: gen-2 + wal-2
-        assert _log_on_disk(tmp_path, "s") == 0
+        store.save("s", session.snapshot())  # compaction: a snapshot head only
+        assert _head(tmp_path, "s")[0] == b"RSNP"
+        assert _log_on_disk(tmp_path, "s") == store.log_size("s") == 0
         step(store.append("s", _record(1)))
         assert sizes[-1] == len(encode_record(_record(1)))
         store.delete("s")
-        step(store.append("s", _create()))  # re-created at generation 1
+        assert store.log_size("s") == 0
+        step(store.append("s", _create()))  # re-created: a create head again
         step(store.append("s", _record(2)))
         assert sizes == [
             sizes[0],
@@ -173,7 +221,7 @@ class TestAppendReturnsTheLogSize:
         store.append("s", _create())
         store.append("s", _record(0))
         # A crash mid-append by an earlier writer left half a frame.
-        log = tmp_path / "s" / "wal-00000001.log"
+        log = tmp_path / "s.log"
         intact = log.stat().st_size
         with open(log, "ab") as handle:
             handle.write(encode_record(_record(9))[:-7])
@@ -213,7 +261,8 @@ class TestAppendReturnsTheLogSize:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert all(list((tmp_path / name).glob("gen-*")) for name in names)
+        assert all(_head(tmp_path, name)[0] == b"RSNP" for name in names)
+        assert _entries(tmp_path) == [f"{name}.log" for name in names]
         reopened = _service(tmp_path)
         for name in names:
             live, recovered = service.estimate_report(name), reopened.estimate_report(name)
@@ -228,14 +277,16 @@ class TestSharedRoot:
         live = _service(tmp_path)
         live.create_session("s", range(5), ESTIMATORS)
         live.ingest("s", _batch(0), source="l", sequence=1)
-        _service(tmp_path).compact("s")  # wal-1 is gone, gen-2 + wal-2 replace it
+        _service(tmp_path).compact("s")  # a snapshot log replaces the old one
         live.ingest("s", _batch(1), source="l", sequence=2)
         report = live.estimate_report("s")
         assert report.version[:2] == (2, 4)
         reopened = _service(tmp_path).estimate_report("s")
         assert reopened.version[:2] == report.version[:2]
         assert reopened.results == report.results
-        assert not (tmp_path / "s" / "wal-00000001.log").exists()
+        # The batch went behind the other store's snapshot head.
+        assert _head(tmp_path, "s")[0] == b"RSNP"
+        assert _log_on_disk(tmp_path, "s") == len(encode_record(_record(1)))
 
     def test_a_session_dropped_by_another_store_takes_a_fresh_log(self, tmp_path):
         live = _service(tmp_path)
@@ -248,57 +299,98 @@ class TestSharedRoot:
         assert size == _log_on_disk(tmp_path, "s") == len(encode_record(_record(0)))
 
 
+def _staged_write(monkeypatch) -> None:
+    _fail_half_way(monkeypatch, store_module, "write_snapshot_record")
+
+
+def _staged_fsync(monkeypatch) -> None:
+    _fail_once(monkeypatch, os, "fsync")  # the staged file's, before the rename
+
+
+def _rename(monkeypatch) -> None:
+    _fail_once(monkeypatch, os, "replace")
+
+
+def _root_fsync(monkeypatch) -> None:
+    _fail_once(monkeypatch, os, "fsync", skip=1)  # the root's, after the rename
+
+
 class TestFailedCompaction:
-    """A compaction that fails after its new generation is renamed in."""
+    """A compaction that fails at any step loses no acknowledged batch.
+
+    Before the rename the old log stays in place, byte for byte, and the
+    staged file is removed; after it the new log is in place.  Either
+    way later batches land in the log that is there.
+    """
 
     @pytest.mark.parametrize(
-        "sync, owner, attribute, skip",
-        [(False, Path, "touch", 0), (True, Path, "touch", 0), (True, os, "fsync", 3)],
-        ids=["new-log", "new-log-sync", "directory-fsync"],
+        "sync, fail, renamed",
+        [
+            (False, _staged_write, False),
+            (True, _staged_fsync, False),
+            (True, _rename, False),
+            (True, _root_fsync, True),
+        ],
+        ids=["new-log", "new-log-sync", "rename", "directory-fsync"],
     )
     def test_later_batches_land_in_the_new_generation(
-        self, tmp_path, monkeypatch, sync, owner, attribute, skip
+        self, tmp_path, monkeypatch, sync, fail, renamed
     ):
         service = EstimationService(
             DirectorySessionStore(tmp_path, sync=sync), compact_after_bytes=None
         )
         service.create_session("s", range(5), ESTIMATORS)
         service.ingest("s", _batch(0), source="l", sequence=1)
-        # Under sync=True, fsyncs 0-2 are the staged snapshot's; 3 is the
-        # session directory's, after the rename and the new empty log.
-        _fail_once(monkeypatch, owner, attribute, skip=skip)
+        before = (tmp_path / "s.log").read_bytes()
+        fail(monkeypatch)
         with pytest.raises(OSError):
             service.compact("s")
-        assert (tmp_path / "s" / "gen-00000002").is_dir()
-        assert (tmp_path / "s" / "wal-00000001.log").exists()
+        monkeypatch.undo()
+        assert _entries(tmp_path) == ["s.log"]
+        if renamed:
+            assert _head(tmp_path, "s")[0] == b"RSNP"
+        else:
+            assert (tmp_path / "s.log").read_bytes() == before
         service.ingest("s", _batch(1), source="l", sequence=2)
         _assert_reopens_as_live(service, tmp_path, (2, 4))
+
+
+def _log_write(monkeypatch) -> None:
+    _fail_next_log_write(monkeypatch)
+
+
+def _log_fsync(monkeypatch) -> None:
+    _fail_once(monkeypatch, os, "fsync")
+
+
+def _creating_root_fsync(monkeypatch) -> None:
+    _fail_once(monkeypatch, os, "fsync", skip=1)
 
 
 class TestFailedCreatingAppend:
     """An append that created the log and then failed takes the log back."""
 
     @_NAMES_DESCRIPTORS
-    @pytest.mark.parametrize("skip", [0, 1, 2], ids=["log", "session-dir", "root"])
-    def test_a_failed_create_session_can_be_retried(self, tmp_path, monkeypatch, skip):
+    @pytest.mark.parametrize(
+        "fail",
+        [_log_fsync, _log_write, _creating_root_fsync],
+        ids=["log", "session-write", "root"],
+    )
+    def test_a_failed_create_session_can_be_retried(self, tmp_path, monkeypatch, fail):
         service = EstimationService(
             DirectorySessionStore(tmp_path, sync=True), compact_after_bytes=None
         )
-        # The creating append fsyncs the log, the session directory and
-        # the root, in that order.
-        _fail_once(monkeypatch, os, "fsync", skip=skip)
+        # The creating append writes the create record, then fsyncs the
+        # log and the root, in that order.
+        fail(monkeypatch)
         with pytest.raises(OSError):
             service.create_session("s", range(5), ESTIMATORS)
-        assert not (tmp_path / "s").exists()
+        assert _entries(tmp_path) == []
         assert "s" not in service.store
         monkeypatch.undo()
         recorder = _DurabilityRecorder(monkeypatch, tmp_path)
         service.create_session("s", range(5), ESTIMATORS)
-        assert recorder.take() == [
-            ("fsync", "s/wal-00000001.log"),
-            ("fsync", "s"),
-            ("fsync", "."),
-        ]
+        assert recorder.take() == [("fsync", "s.log"), ("fsync", ".")]
         service.ingest("s", _batch(0), source="l", sequence=1)
         _assert_reopens_as_live(service, tmp_path, (1, 2))
 
@@ -310,48 +402,44 @@ class TestFailedCreatingAppend:
         )
         service.create_session("s", range(5), ESTIMATORS)
         service.ingest("s", _batch(0))
-        _fail_once(monkeypatch, Path, "touch")
-        with pytest.raises(OSError):
-            service.compact("s")  # gen-00000002 is in, its log is not
-        # The batch creates wal-00000002.log; fsync 0 is the log's, 1 its
-        # directory's.  The batch is rejected, so it must not replay.
+        _service(tmp_path).drop("s")  # another store object removes the log
+        # The batch creates s.log; fsync 0 is the log's, 1 the root's.
+        # The batch is rejected, so nothing of it may replay.
         _fail_once(monkeypatch, os, "fsync", skip=1)
         with pytest.raises(OSError):
             service.ingest("s", _batch(1))
-        assert not (tmp_path / "s" / "wal-00000002.log").exists()
-        service.ingest("s", _batch(2))
-        _assert_reopens_as_live(service, tmp_path, (2, 4))
+        assert _entries(tmp_path) == []
+        assert _service(tmp_path).sessions() == []
 
 
 class _DurabilityRecorder:
-    """Record every fsync, rename, unlink and rmdir, relative to ``root``."""
+    """Record every fsync, rename, replace and unlink, relative to ``root``."""
 
     def __init__(self, monkeypatch, root: Path) -> None:
         self.root = os.path.realpath(root)
         self.events = []
-        real = {name: getattr(os, name) for name in ("fsync", "rename", "unlink", "rmdir")}
+        real = {name: getattr(os, name) for name in ("fsync", "rename", "replace", "unlink")}
 
         def fsync(descriptor):
             self._record("fsync", os.readlink(f"/proc/self/fd/{descriptor}"))
             return real["fsync"](descriptor)
 
-        def rename(source, target, **kwargs):
-            self._record("rename", source, kwargs.get("src_dir_fd"))
-            return real["rename"](source, target, **kwargs)
+        def renaming(kind):
+            def rename(source, target, **kwargs):
+                self._record(kind, source, kwargs.get("src_dir_fd"))
+                return real[kind](source, target, **kwargs)
+
+            return rename
 
         def unlink(path, *, dir_fd=None):
             self._record("unlink", path, dir_fd)
             return real["unlink"](path, dir_fd=dir_fd)
 
-        def rmdir(path, *, dir_fd=None):
-            self._record("rmdir", path, dir_fd)
-            return real["rmdir"](path, dir_fd=dir_fd)
-
         for name, function in (
             ("fsync", fsync),
-            ("rename", rename),
+            ("rename", renaming("rename")),
+            ("replace", renaming("replace")),
             ("unlink", unlink),
-            ("rmdir", rmdir),
         ):
             monkeypatch.setattr(os, name, function)
 
@@ -380,54 +468,53 @@ def _life_of_a_session(store: DirectorySessionStore, recorder) -> dict:
     steps["compact again"] = recorder.take()
     store.append("s", _record(1))
     steps["append after compact"] = recorder.take()
+    store.delete("s")
+    steps["delete"] = recorder.take()
     return steps
 
 
 @_NAMES_DESCRIPTORS
 class TestSyncOrdering:
-    def test_sync_true_fsyncs_before_each_rename_and_unlink(
-        self, tmp_path, monkeypatch
-    ):
+    def test_sync_true_fsyncs_before_each_rename_and_unlink(self, tmp_path, monkeypatch):
+        """The staged log before its rename, the root after it; a delete syncs nothing."""
         root = tmp_path / "root"
         root.mkdir()
         recorder = _DurabilityRecorder(monkeypatch, root)
         steps = _life_of_a_session(DirectorySessionStore(root, sync=True), recorder)
-        assert steps["create"] == [
-            ("fsync", "s/wal-00000001.log"),
-            ("fsync", "s"),  # the new log's directory entry
-            ("fsync", "."),  # the new session directory's entry
+        compaction = [
+            ("fsync", ".s.log.tmp"),
+            ("replace", ".s.log.tmp"),
+            ("fsync", "."),  # the rename
         ]
-        assert steps["append"] == [("fsync", "s/wal-00000001.log")]
-        assert steps["compact"] == [
-            ("fsync", "s/.gen-00000002.tmp/manifest.json"),
-            ("fsync", "s/.gen-00000002.tmp/arrays.npz"),
-            ("fsync", "s/.gen-00000002.tmp"),
-            ("rename", "s/.gen-00000002.tmp"),
-            ("fsync", "s"),
-            ("unlink", "s/wal-00000001.log"),
-        ]
-        head, tail = steps["compact again"][:5], steps["compact again"][5:]
-        assert head == [
-            ("fsync", "s/.gen-00000003.tmp/manifest.json"),
-            ("fsync", "s/.gen-00000003.tmp/arrays.npz"),
-            ("fsync", "s/.gen-00000003.tmp"),
-            ("rename", "s/.gen-00000003.tmp"),
-            ("fsync", "s"),
-        ]
-        assert tail[0] == ("unlink", "s/wal-00000002.log")
-        assert sorted(tail[1:]) == [
-            ("rmdir", "s/gen-00000002"),
-            ("unlink", "s/gen-00000002/arrays.npz"),
-            ("unlink", "s/gen-00000002/manifest.json"),
-        ]
-        # The log a compaction created is already in a synced directory.
-        assert steps["append after compact"] == [("fsync", "s/wal-00000003.log")]
+        assert steps == {
+            "create": [("fsync", "s.log"), ("fsync", ".")],  # the new log's entry
+            "append": [("fsync", "s.log")],
+            "compact": compaction,
+            "compact again": compaction,
+            "append after compact": [("fsync", "s.log")],
+            "delete": [("unlink", "s.log")],
+        }
+
+    def test_the_staged_log_is_whole_when_it_is_fsynced(self, tmp_path, monkeypatch):
+        """Its header is written last, and must not wait in a buffer."""
+        store = DirectorySessionStore(tmp_path, sync=True)
+        synced = []
+        real = os.fsync
+
+        def fsync(descriptor):
+            if stat.S_ISREG(os.fstat(descriptor).st_mode):
+                synced.append(os.pread(descriptor, 1 << 20, 0))
+            return real(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        store.save("s", StreamingSession(range(5), ["voting"]).snapshot())
+        assert synced == [(tmp_path / "s.log").read_bytes()]
 
     def test_a_reopened_store_fsyncs_only_the_log(self, tmp_path, monkeypatch):
         DirectorySessionStore(tmp_path).append("s", _create())
         recorder = _DurabilityRecorder(monkeypatch, tmp_path)
         DirectorySessionStore(tmp_path, sync=True).append("s", _record(0))
-        assert recorder.take() == [("fsync", "s/wal-00000001.log")]
+        assert recorder.take() == [("fsync", "s.log")]
 
     def test_sync_false_never_fsyncs(self, tmp_path, monkeypatch):
         recorder = _DurabilityRecorder(monkeypatch, tmp_path)
@@ -435,7 +522,7 @@ class TestSyncOrdering:
         assert [
             event for events in steps.values() for event in events if event[0] == "fsync"
         ] == []
-        assert ("rename", "s/.gen-00000002.tmp") in steps["compact"]
+        assert steps["compact"] == [("replace", ".s.log.tmp")]
 
 
 @pytest.mark.parametrize("sync", [False, True])
@@ -447,65 +534,10 @@ def test_synced_and_unsynced_stores_recover_the_same_session(tmp_path, sync):
     service.create_session("s", range(5), ESTIMATORS)
     for sequence in range(1, 8):
         service.ingest("s", _batch(sequence), source="l", sequence=sequence)
-    assert list((root / "s").glob("gen-*"))
+    assert _head(root, "s")[0] == b"RSNP"
     reopened = EstimationService(DirectorySessionStore(root, sync=sync))
     # A session restored from a snapshot restarts its mutation counter,
     # the version's last field.
     live, recovered = service.estimate_report("s"), reopened.estimate_report("s")
     assert recovered.version[:2] == live.version[:2] == (7, 14)
     assert recovered.results == live.results
-
-
-class TestRecoveryPastAnUnreadableGeneration:
-    """A crash left ``gen-00000003`` unreadable beside ``gen-00000002``."""
-
-    def _crash_mid_compaction(self, root: Path, sync: bool) -> EstimationService:
-        service = EstimationService(
-            DirectorySessionStore(root, sync=sync), compact_after_bytes=None
-        )
-        service.create_session("s", range(5), ESTIMATORS)
-        service.ingest("s", _batch(0), source="l", sequence=1)
-        service.compact("s")
-        service.ingest("s", _batch(1), source="l", sequence=2)
-        session_dir = root / "s"
-        # The next compaction's snapshot and empty log are in place, but
-        # its arrays never reached the disk intact.
-        unreadable = session_dir / "gen-00000003"
-        unreadable.mkdir()
-        for name in ("manifest.json", "arrays.npz"):
-            (unreadable / name).write_bytes(b"\0" * 16)
-        (session_dir / "wal-00000003.log").touch()
-        return EstimationService(
-            DirectorySessionStore(root, sync=sync), compact_after_bytes=None
-        )
-
-    @pytest.mark.parametrize("sync", [False, True])
-    def test_batches_acknowledged_after_the_fallback_survive_a_reopen(
-        self, tmp_path, sync
-    ):
-        service = self._crash_mid_compaction(tmp_path, sync)
-        assert service.estimate_report("s").version[:2] == (2, 4)
-        assert service.ingest("s", _batch(2), source="l", sequence=3).applied
-        _assert_reopens_as_live(service, tmp_path, (3, 6))
-        # The skipped entries are kept, out of the layout, through a
-        # reopen (which sweeps stale files) and the next compaction.
-        service.compact("s")
-        _assert_reopens_as_live(service, tmp_path, (3, 6))
-        layout, skipped = [], []
-        for path in sorted((tmp_path / "s").iterdir()):
-            name, _, suffix = path.name.partition(".skipped-")
-            (skipped if suffix else layout).append(name)
-        assert layout == skipped == ["gen-00000003", "wal-00000003.log"]
-
-    @_NAMES_DESCRIPTORS
-    def test_sync_true_fsyncs_the_session_directory_after_setting_aside(
-        self, tmp_path, monkeypatch
-    ):
-        service = self._crash_mid_compaction(tmp_path, sync=True)
-        recorder = _DurabilityRecorder(monkeypatch, tmp_path)
-        service.estimate_report("s")
-        assert recorder.take() == [
-            ("rename", "s/gen-00000003"),
-            ("rename", "s/wal-00000003.log"),
-            ("fsync", "s"),
-        ]

@@ -1,0 +1,122 @@
+"""Model-based durability check of the WAL-backed service.
+
+A hypothesis state machine drives ``EstimationService`` over a
+``DirectorySessionStore`` through create, ingest, retried and reordered
+deliveries, eviction, compaction and crash+reopen (the service is
+dropped and a new one opened on the same root).  The model is one plain
+``StreamingSession`` per session, fed exactly the acknowledged
+non-duplicate batches.  After every step each session's served
+``(columns, votes)`` and estimates must equal the model's, and a
+duplicate delivery must leave the served version as it was.  No faults
+are injected here; the disk always works.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.common.labels import CLEAN, DIRTY
+from repro.streaming import DirectorySessionStore, EstimationService, StreamingSession
+
+ESTIMATORS = ["voting", "chao92", "switch_total"]
+ITEMS = 6
+NAMES = ("a", "b")
+
+batches = st.lists(
+    st.dictionaries(
+        st.integers(0, ITEMS - 1), st.sampled_from([DIRTY, CLEAN]), min_size=1
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class DurableService(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="wal-model-"))
+        self.service = self._open()
+        #: session name -> the model session and the acknowledged batches
+        self.models = {}
+        self.acknowledged = {}
+
+    def _open(self) -> EstimationService:
+        # A small threshold, so ingest compacts by itself now and then.
+        return EstimationService(
+            DirectorySessionStore(self.root), compact_after_bytes=500
+        )
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _deliver_duplicate(self, name: str, sequence: int, columns) -> None:
+        before = self.service.estimate_report(name).version
+        ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+        assert ack.duplicate and ack.applied == 0
+        assert self.service.estimate_report(name).version == before
+
+    @precondition(lambda self: len(self.models) < len(NAMES))
+    @rule(data=st.data())
+    def create(self, data) -> None:
+        name = data.draw(st.sampled_from([n for n in NAMES if n not in self.models]))
+        self.service.create_session(name, range(ITEMS), ESTIMATORS)
+        self.models[name] = StreamingSession(range(ITEMS), ESTIMATORS)
+        self.acknowledged[name] = []
+
+    @precondition(lambda self: self.models)
+    @rule(data=st.data())
+    def ingest(self, data) -> None:
+        name = data.draw(st.sampled_from(sorted(self.models)))
+        for columns in data.draw(st.lists(batches, min_size=1, max_size=3)):
+            sequence = len(self.acknowledged[name]) + 1
+            ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+            assert not ack.duplicate and ack.applied == len(columns)
+            self.models[name].add_columns(columns)
+            self.acknowledged[name].append(columns)
+
+    @precondition(lambda self: any(self.acknowledged.values()))
+    @rule(data=st.data())
+    def retry(self, data) -> None:
+        name = data.draw(st.sampled_from(sorted(n for n, b in self.acknowledged.items() if b)))
+        sequence = data.draw(st.integers(1, len(self.acknowledged[name])))
+        self._deliver_duplicate(name, sequence, self.acknowledged[name][sequence - 1])
+
+    @precondition(lambda self: any(len(b) > 1 for b in self.acknowledged.values()))
+    @rule(data=st.data())
+    def reorder(self, data) -> None:
+        # A batch that arrives after a later one was acknowledged.
+        name = data.draw(
+            st.sampled_from(sorted(n for n, b in self.acknowledged.items() if len(b) > 1))
+        )
+        stale = data.draw(st.integers(1, len(self.acknowledged[name]) - 1))
+        self._deliver_duplicate(name, stale, data.draw(batches))
+
+    @precondition(lambda self: self.models)
+    @rule(data=st.data())
+    def evict(self, data) -> None:
+        self.service.evict(data.draw(st.sampled_from(sorted(self.models))))
+
+    @precondition(lambda self: self.models)
+    @rule(data=st.data())
+    def compact(self, data) -> None:
+        self.service.compact(data.draw(st.sampled_from(sorted(self.models))))
+
+    @rule()
+    def crash_and_reopen(self) -> None:
+        self.service = self._open()
+
+    @invariant()
+    def served_state_equals_the_model(self) -> None:
+        assert self.service.sessions() == sorted(self.models)
+        for name, model in self.models.items():
+            report = self.service.estimate_report(name)
+            assert report.version[:2] == (model.num_columns, model.total_votes)
+            assert report.results == model.estimate()
+
+
+TestDurableService = DurableService.TestCase
