@@ -33,14 +33,14 @@ accompany each ingested batch).  The store is log-structured: ingests
 append to a per-session write-ahead log and ``session compact`` folds the
 log into a fresh snapshot; ``--shards N`` partitions sessions across N
 hash-routed stores under the same root (the shard count is recorded in
-the root manifest and reused by later invocations).  Store errors —
-unknown sessions, corrupt session directories, malformed ``--votes``
-payloads — exit with code 2 and a one-line ``error:`` message instead of
-a traceback.  ``serve`` exposes the same store over a JSON HTTP API
-(:mod:`repro.serving.http`): it prints one parseable ``serving on
-http://host:port`` line, runs until SIGTERM/SIGINT, and shuts down
-cleanly with exit code 0; bind failures and store errors exit 2 with the
-same one-line diagnosis.
+the root manifest and reused by later invocations).  ``serve`` exposes
+the same store over a JSON HTTP API (:mod:`repro.serving.http`): it
+prints one parseable ``serving on http://host:port`` line, runs until
+SIGTERM/SIGINT, and shuts down cleanly with exit code 0.  Errors of
+every command — bad argument values, unknown estimators, scenarios or
+sessions, corrupt session directories, malformed ``--votes`` payloads,
+missing files, occupied ports — exit with code 2 and a one-line
+``error:`` message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.common.exceptions import ReproError
 from repro.core.registry import available_estimators
 from repro.core.remaining import data_quality_report
 from repro.crowd.simulator import CrowdSimulator, SimulationConfig
@@ -689,52 +690,40 @@ def _run_serve_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point.  Returns a process exit code."""
+    """CLI entry point.  Returns a process exit code.
+
+    One error boundary covers every command: a library error (bad
+    arguments, unknown names, corrupt stores, bad batches) or an
+    operating-system error (missing files, occupied ports) prints a
+    one-line ``error:`` diagnosis and exits 2, never a traceback.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ReproError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
-    if args.command == "scenario":
-        return _run_scenario_command(args)
 
-    if args.command == "replay":
-        from repro.common.exceptions import ConfigurationError, ValidationError
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit code."""
+    runners = {
+        "scenario": _run_scenario_command,
+        "replay": _run_replay_command,
+        "serve": _run_serve_command,
+        "session": _run_session_command,
+    }
+    if args.command in runners:
+        return runners[args.command](args)
 
-        try:
-            return _run_replay_command(args)
-        except (ConfigurationError, ValidationError, OSError) as error:
-            # Missing or torn log files, logs without a create record:
-            # operator-facing problems get a one-line diagnosis.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    if args.command == "bench":
+        from repro.experiments.bench import run_from_args
 
-    if args.command in ("session", "serve"):
-        from repro.common.exceptions import ConfigurationError, ValidationError
+        return run_from_args(args)
 
-        try:
-            if args.command == "serve":
-                return _run_serve_command(args)
-            return _run_session_command(args)
-        except (ConfigurationError, ValidationError, OSError) as error:
-            # Unknown sessions, corrupt session directories, bad batches,
-            # occupied ports: operator-facing problems get a one-line
-            # diagnosis and a distinct exit code, not a traceback.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command in ("bench", "sweep"):
-        from repro.common.exceptions import ConfigurationError, ValidationError
-
-        try:
-            if args.command == "bench":
-                from repro.experiments.bench import run_from_args
-
-                return run_from_args(args)
-            _run_sweep(args)
-            return 0
-        except (ConfigurationError, ValidationError) as error:
-            # A bad argument value (``--permutations 0``) or an unreadable
-            # bench record: a one-line diagnosis, never a traceback.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    if args.command == "sweep":
+        _run_sweep(args)
+        return 0
 
     if args.command == "list":
         print("experiments:")

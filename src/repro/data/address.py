@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.common.exceptions import ValidationError
 from repro.common.rng import RandomState, derive_rng, ensure_rng
 from repro.common.validation import check_int
 from repro.data import vocab
@@ -74,7 +75,7 @@ class AddressDatasetConfig:
         check_int(self.num_records, "num_records", minimum=1)
         check_int(self.num_errors, "num_errors", minimum=0)
         if self.num_errors > self.num_records:
-            raise ValueError(
+            raise ValidationError(
                 f"num_errors ({self.num_errors}) cannot exceed num_records ({self.num_records})"
             )
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.common.exceptions import ValidationError
 from repro.common.rng import RandomState, derive_rng, ensure_rng
 from repro.common.validation import check_int, check_probability
 from repro.data import vocab
@@ -72,7 +73,7 @@ class ProductDatasetConfig:
         check_probability(self.token_shuffle_probability, "token_shuffle_probability")
         check_probability(self.price_jitter, "price_jitter")
         if self.num_matches > min(self.num_amazon, self.num_google):
-            raise ValueError(
+            raise ValidationError(
                 "num_matches cannot exceed the smaller catalogue size "
                 f"({self.num_matches} > {min(self.num_amazon, self.num_google)})"
             )

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.exceptions import ValidationError
 from repro.common.rng import RandomState, derive_rng, ensure_rng
 from repro.common.validation import check_int
 from repro.data.record import Dataset, Record
@@ -49,7 +50,7 @@ class SyntheticPairConfig:
         check_int(self.num_items, "num_items", minimum=1)
         check_int(self.num_errors, "num_errors", minimum=0)
         if self.num_errors > self.num_items:
-            raise ValueError(
+            raise ValidationError(
                 f"num_errors ({self.num_errors}) cannot exceed num_items ({self.num_items})"
             )
 

@@ -301,9 +301,11 @@ class WalWorkload(_ArithmeticSessions, RecordedWorkload):
     (``max_active`` bounds live memory; eviction is free under a WAL).
     After a simulated crash, ``verify_sample`` sessions are recovered by
     log replay and must equal their live estimates.  The snapshot-per-save
-    baseline (a full snapshot after every mutation: O(state) where the WAL
-    pays O(batch)) then runs the same ingestion for at most
-    ``max(wal_time * baseline_budget_factor, baseline_budget_floor_s)`` s.
+    baseline (a plain :class:`~repro.streaming.StreamingSession` whose full
+    snapshot is saved to a ``DirectorySessionStore`` after every mutation:
+    O(state) where the WAL pays O(batch)) then runs the same ingestion for
+    at most ``max(wal_time * baseline_budget_factor,
+    baseline_budget_floor_s)`` s.
     """
 
     name: str
@@ -336,7 +338,11 @@ class WalWorkload(_ArithmeticSessions, RecordedWorkload):
         return time.perf_counter() - start
 
     def measure(self, repeats: int, n_jobs: int) -> Measurement:
-        from repro.streaming import DirectorySessionStore, EstimationService
+        from repro.streaming import (
+            DirectorySessionStore,
+            EstimationService,
+            StreamingSession,
+        )
 
         verify = [self.session_name(index) for index in self.verify_indexes()]
         with tempfile.TemporaryDirectory(
@@ -364,27 +370,20 @@ class WalWorkload(_ArithmeticSessions, RecordedWorkload):
                 self.baseline_budget_floor_s,
             )
             gc.collect()
-            baseline = EstimationService(
-                DirectorySessionStore(root / "baseline"),
-                max_active=self.max_active,
-                wal=False,
-            )
+            baseline = DirectorySessionStore(root / "baseline")
             completed = 0
             start = time.perf_counter()
             for session_index in range(self.num_sessions):
                 if time.perf_counter() - start > budget:
                     break
                 name = self.session_name(session_index)
-                self.create(baseline, session_index)
-                baseline.snapshot(name)
+                session = StreamingSession(
+                    range(self.num_items), list(self.estimators), keep_votes=False
+                )
+                baseline.save(name, session.snapshot())
                 for batch_index in range(self.num_batches):
-                    baseline.ingest(
-                        name,
-                        self.batch(session_index, batch_index),
-                        source="bench",
-                        sequence=batch_index + 1,
-                    )
-                    baseline.snapshot(name)
+                    session.add_columns(self.batch(session_index, batch_index))
+                    baseline.save(name, session.snapshot())
                 completed += 1
             baseline_seconds = time.perf_counter() - start
 

@@ -222,10 +222,10 @@ class EstimationRunner:
             get_estimator(e) if isinstance(e, str) else e for e in estimators
         ]
         if not self.estimators:
-            raise ValueError("at least one estimator is required")
+            raise ValidationError("at least one estimator is required")
         names = [est.name for est in self.estimators]
         if len(set(names)) != len(names):
-            raise ValueError(f"estimator names must be unique, got {names}")
+            raise ValidationError(f"estimator names must be unique, got {names}")
         self.config = config or RunnerConfig()
 
     def _permutation_orders(

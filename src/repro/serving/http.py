@@ -33,9 +33,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
 from repro.streaming.serving import (  # noqa: F401 - wire codecs re-exported
     SERVING_OPS,
-    RemoteFacade,
     ServingOp,
     ShardUnavailableError,
+    _install_ops,
     parse_columns_payload,
     report_from_payload,
     report_to_payload,
@@ -96,9 +96,7 @@ class HttpShardUnavailableError(ShardUnavailableError, HttpApiError):
 
 
 #: How the server classifies library errors: ``(exception, status, kind)``,
-#: checked in order (subclasses before their bases).  Shared by
-#: :meth:`ServingApi.handle` and the per-shard worker processes
-#: (:mod:`repro.serving.workers`), so the two boundaries cannot drift.
+#: checked in order (subclasses before their bases).
 SERVER_ERROR_TAXONOMY: Tuple[Tuple[type, int, str], ...] = (
     (UnknownSessionError, 404, "unknown_session"),
     (StoreCorruptionError, 500, "store_corruption"),
@@ -428,11 +426,12 @@ def _query_flag(query: Mapping[str, str], key: str) -> bool:
     return value.strip().lower() not in {"", "0", "false", "no"}
 
 
-class SessionClient(RemoteFacade):
+class SessionClient:
     """A ``urllib``-based client speaking the :class:`ServingApi` wire format.
 
     Its methods are generated from :data:`~repro.streaming.serving.SERVING_OPS`
-    — one per op with an HTTP route — so they mirror the in-process
+    — one per op with an HTTP route, each encoding its arguments with the
+    op's codecs and decoding the reply — so they mirror the in-process
     façade and return the same dataclasses (:class:`IngestResult`,
     :class:`EstimateReport`, :class:`~repro.core.base.EstimateResult`),
     and code — including the load generator — can run against either
@@ -449,10 +448,6 @@ class SessionClient(RemoteFacade):
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
-
-    @staticmethod
-    def _carries(op: ServingOp) -> bool:
-        return op.http is not None or op.local is not None
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
@@ -497,3 +492,18 @@ class SessionClient(RemoteFacade):
 
     def health(self) -> Dict[str, object]:
         return self._request("GET", "/health")
+
+
+def _over_http(op: ServingOp):
+    def method(self, *args, **kwargs):
+        if op.local is not None:
+            return op.local(self, *args, **kwargs)
+        name, wire_args = op.encode(*args, **kwargs)
+        return op.result(self._call(op, name, wire_args))
+
+    return method
+
+
+_install_ops(
+    SessionClient, _over_http, lambda op: op.http is not None or op.local is not None
+)

@@ -10,16 +10,16 @@ one shard rather than the server and recovers bit-identically from its
 WAL, and shards stop sharing a GIL.  ``docs/architecture.md`` has the
 topology.
 
-The parent↔worker RPC is deliberately tiny: length-prefixed JSON frames
-(4-byte big-endian length + UTF-8 JSON) over the worker's stdin/stdout
-pipes.  Both ends are driven by the op table the HTTP boundary uses
-(:data:`~repro.streaming.serving.SERVING_OPS`): the parent's worker
-proxy is a :class:`~repro.streaming.serving.RemoteFacade` like
-:class:`~repro.serving.http.SessionClient`, the worker's frame loop runs
-each frame through :func:`~repro.streaming.serving.serve_op` like
-:class:`~repro.serving.http.ServingApi`, and error replies carry the
-same taxonomy (:data:`~repro.serving.http.SERVER_ERROR_TAXONOMY`) — so
-the pipe boundary and the HTTP boundary cannot drift apart.
+Each frame on the worker's stdin/stdout pipes is a 4-byte big-endian
+length and one pickled call, ``(op, args, kwargs)`` exactly as the
+parent's caller passed them.  The worker runs
+``getattr(service, op)(*args, **kwargs)`` for an ``op`` of
+:data:`~repro.streaming.serving.SERVING_OPS` (any other name is refused)
+and replies ``(True, result)`` or ``(False, exception)``, which the
+parent returns or raises: a process worker answers exactly as the
+in-process service, with the same result objects and exception classes.
+Frames are unpickled only here, between a parent and the workers it
+spawned; the HTTP API stays JSON, validated by the op codecs first.
 
 Failure contract (what callers may rely on):
 
@@ -34,6 +34,9 @@ Failure contract (what callers may rely on):
   with its ``(source, sequence)`` pair is always safe: if the batch was
   applied (and therefore logged) before the crash, the retry is a
   duplicate no-op.
+* **Unsendable payloads** — arguments, results or exceptions that do
+  not pickle or fit in :data:`MAX_FRAME_BYTES` are refused by their
+  sender with a ``ReproError`` naming the op; the pipe stays in sync.
 * **Restart budget** — each worker may be restarted at most
   ``max_restarts`` times over the service's lifetime; beyond it the
   shard stays unavailable (``ShardUnavailableError``) instead of
@@ -48,8 +51,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
+import pickle
 import select
 import signal
 import struct
@@ -58,24 +61,22 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
-from repro.serving.http import classify_error, error_from_kind
 from repro.streaming.serving import (
     SERVING_OPS,
     EstimationService,
-    RemoteFacade,
-    ServingOp,
     ShardRouter,
     ShardUnavailableError,
+    _install_ops,
     reconcile_shard_manifest,
-    serve_op,
 )
 from repro.streaming.store import DirectorySessionStore
 
-#: Upper bound on one RPC frame; a longer length prefix means the stream
-#: is desynchronised (or the peer is hostile) and the connection is torn
+#: Upper bound on one RPC frame.  A sender refuses a larger payload; a
+#: larger length prefix on the read side means the stream is
+#: desynchronised (or the peer is hostile) and the connection is torn
 #: down rather than trusted.
 MAX_FRAME_BYTES = 256 << 20
 
@@ -95,9 +96,22 @@ DEFAULT_MAX_RESTARTS = 3
 # --------------------------------------------------------------------- #
 # framing (shared by both ends of the pipe)
 # --------------------------------------------------------------------- #
-def write_frame(stream: BinaryIO, payload: Mapping[str, object]) -> None:
-    """Write one length-prefixed JSON frame and flush it."""
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
+class _BadFrame(ReproError):
+    """A payload that does not pickle, unpickle or fit in a frame."""
+
+
+def write_frame(stream: BinaryIO, payload: object) -> None:
+    """Write ``payload`` as one length-prefixed pickled frame and flush it.
+
+    Raises :class:`_BadFrame`, having written nothing, when the payload
+    does not pickle or pickles to more than :data:`MAX_FRAME_BYTES`.
+    """
+    try:
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as error:
+        raise _BadFrame(f"pickling failed: {error!r}") from None
+    if len(data) > MAX_FRAME_BYTES:
+        raise _BadFrame(f"{len(data)} bytes pickled, over the {MAX_FRAME_BYTES} limit")
     stream.write(struct.pack(">I", len(data)) + data)
     stream.flush()
 
@@ -126,56 +140,26 @@ def _read_exact(descriptor: int, count: int, deadline: Optional[float]) -> bytes
     return chunks
 
 
-def read_frame(descriptor: int, deadline: Optional[float] = None) -> Dict[str, object]:
-    """Read one frame from a pipe, by ``deadline`` (``time.monotonic``) if set."""
+def read_frame(descriptor: int, deadline: Optional[float] = None) -> object:
+    """Read one frame from a pipe, by ``deadline`` (``time.monotonic``) if set.
+
+    One that does not unpickle raises :class:`_BadFrame`, read whole.
+    """
     (length,) = struct.unpack(">I", _read_exact(descriptor, 4, deadline))
     if length > MAX_FRAME_BYTES:
         raise _WorkerDied(f"oversized frame ({length} bytes): stream desynchronised")
-    return json.loads(_read_exact(descriptor, length, deadline).decode("utf-8"))
+    data = _read_exact(descriptor, length, deadline)
+    try:
+        return pickle.loads(data)
+    except Exception as error:
+        raise _BadFrame(f"unpickling failed: {error!r}") from None
 
 
 # --------------------------------------------------------------------- #
-# the worker process (python -m repro.serving.workers)
+# the worker process (python -m repro.serving._worker_main)
 # --------------------------------------------------------------------- #
-def _ok(result: object) -> Dict[str, object]:
-    return {"ok": True, "result": result}
-
-
-def _err(error: BaseException) -> Dict[str, object]:
-    mapped = classify_error(error) if isinstance(error, ReproError) else None
-    status, kind = mapped if mapped is not None else (500, "internal")
-    message = str(error) or repr(error)
-    return {"ok": False, "status": status, "kind": kind, "error": message}
-
-
-def _reply_result(reply: Mapping[str, object]) -> object:
-    """A reply frame's result, or the typed error it carries."""
-    if reply.get("ok"):
-        return reply.get("result")
-    raise error_from_kind(
-        int(reply.get("status", 500)),
-        str(reply.get("error", "worker error")),
-        str(reply.get("kind", "internal")),
-    )
-
-
-#: The ops a worker serves, by frame ``op`` name.
-_FRAME_OPS: Dict[str, ServingOp] = {
-    op.name: op for op in SERVING_OPS if op.reply is not None
-}
-
-
-def _serve_frame(service: EstimationService, request: Dict[str, object]) -> object:
-    """Apply one RPC frame to the shard's service; returns the result."""
-    op = request.pop("op", None)
-    if op == "debug_sleep":
-        # Test hook for the parent's timeout path: wedge this worker for
-        # a caller-chosen interval.
-        time.sleep(float(request.get("seconds", 0.0)))
-        return {"slept": float(request.get("seconds", 0.0))}
-    if op not in _FRAME_OPS:
-        raise ValidationError(f"unknown worker op {op!r}")
-    return serve_op(service, _FRAME_OPS[op], request.pop("name", None), request)
+#: The names a frame may call: the op table's, and nothing else.
+_CALLABLE = frozenset(op.name for op in SERVING_OPS)
 
 
 def serve_worker(service: EstimationService, stdin: BinaryIO, stdout: BinaryIO) -> int:
@@ -185,27 +169,34 @@ def serve_worker(service: EstimationService, stdin: BinaryIO, stdout: BinaryIO) 
     away — treated exactly like a ``shutdown`` request, since every
     acknowledged mutation is already in the shard's WAL.
     """
-    write_frame(stdout, _ok({"pid": os.getpid()}))  # the boot handshake
+    write_frame(stdout, (True, os.getpid()))  # the boot handshake
     while True:
+        op = None
         try:
-            request = read_frame(stdin.fileno())
+            op, args, kwargs = read_frame(stdin.fileno())
+            if op == "shutdown":
+                write_frame(stdout, (True, None))
+                return 0
+            if op not in _CALLABLE:
+                raise ValidationError(f"unknown worker op {op!r}")
+            ok, value = True, getattr(service, op)(*args, **kwargs)
         except _WorkerDied:
             return 0
-        if request.get("op") == "shutdown":
-            write_frame(stdout, _ok({"bye": True}))
-            return 0
+        except Exception as error:  # raised again in the parent
+            ok, value = False, error
         try:
-            reply = _ok(_serve_frame(service, request))
-        except Exception as error:  # structured, never a traceback
-            reply = _err(error)
-        write_frame(stdout, reply)
+            write_frame(stdout, (ok, value))
+        except _BadFrame as error:
+            what = "the result of" if ok else f"the {type(value).__name__} raised by"
+            refusal = ReproError(f"shard worker cannot return {what} {op!r}: {error}")
+            write_frame(stdout, (False, refusal))
 
 
 def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro.serving._worker_main``.
 
     Opens the shard store with **exclusive ownership** (another live
-    owner is a boot failure, reported as a structured handshake error),
+    owner is a boot failure: the handshake carries its error),
     recovers its sessions lazily through the normal service path, then
     serves RPC frames until shutdown/EOF.
     """
@@ -229,12 +220,10 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     try:
-        store = DirectorySessionStore(
-            args.shard_dir, sync=args.sync, exclusive=True
-        )
-        service = EstimationService(store, max_active=args.max_active, wal=True)
+        store = DirectorySessionStore(args.shard_dir, sync=args.sync, exclusive=True)
+        service = EstimationService(store, max_active=args.max_active)
     except Exception as error:
-        write_frame(rpc_out, _err(error))
+        write_frame(rpc_out, (False, error))
         return 1
     return serve_worker(service, sys.stdin.buffer, rpc_out)
 
@@ -242,16 +231,15 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
 # --------------------------------------------------------------------- #
 # the parent-side worker handle
 # --------------------------------------------------------------------- #
-class _ShardWorker(RemoteFacade):
+class _ShardWorker:
     """The parent's handle on one shard worker process.
 
-    A :class:`~repro.streaming.serving.RemoteFacade` over the frame
-    pipe: it has every op's method, so it is a
-    :class:`~repro.streaming.serving.ShardRouter` backend like an
-    in-process service.  One request is in flight per worker at a time
-    (``self.lock``), which is what makes the framed pipe a sufficient
-    transport: replies cannot interleave.  Cross-shard parallelism comes
-    from having N workers, not from pipelining within one.
+    It has a method per op of the table, each one pickled call over the
+    frame pipe, so it is a :class:`~repro.streaming.serving.ShardRouter`
+    backend like an in-process service.  One request is in flight per
+    worker at a time (``self.lock``), which is what makes the framed pipe
+    a sufficient transport: replies cannot interleave.  Cross-shard
+    parallelism comes from N workers, not from pipelining within one.
     """
 
     #: Worker shards always ingest through the write-ahead log.
@@ -309,15 +297,15 @@ class _ShardWorker(RemoteFacade):
             env=env,
         )
         try:
-            reply = self._read_frame(time.monotonic() + BOOT_TIMEOUT)
-        except (_WorkerDied, _WorkerTimeout) as error:
+            ok, value = read_frame(self.process.stdout.fileno(), time.monotonic() + BOOT_TIMEOUT)
+        except (_WorkerDied, _WorkerTimeout, _BadFrame) as error:
             self._kill()
             raise ShardUnavailableError(
                 f"shard {self.index} worker failed to boot: {error!r}"
             ) from None
-        if not reply.get("ok"):
+        if not ok:
             self._kill()
-            _reply_result(reply)
+            raise value
 
     def _alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
@@ -358,20 +346,18 @@ class _ShardWorker(RemoteFacade):
             self.restarts += 1
         self._spawn()
 
-    def _read_frame(self, deadline: float) -> Dict[str, object]:
-        return read_frame(self.process.stdout.fileno(), deadline)
-
     # -------------------------------------------------------------- #
     # the request path
     # -------------------------------------------------------------- #
     def request(
         self,
         op: str,
-        params: Optional[Mapping[str, object]] = None,
+        args: Sequence[object] = (),
+        kwargs: Optional[Dict[str, object]] = None,
         *,
         timeout: Optional[float] = None,
     ) -> object:
-        """One RPC round-trip, with restart/timeout/crash handling.
+        """Call ``op(*args, **kwargs)`` in the worker: its result, or its error raised.
 
         A death detected *before* the worker received the request is
         retried transparently after a restart (the operation cannot have
@@ -379,8 +365,9 @@ class _ShardWorker(RemoteFacade):
         raises :class:`ShardUnavailableError` — whether it applied is
         unknowable here, and the ``(source, sequence)`` idempotency pair
         exists precisely so the caller's retry is safe either way.
+        Arguments that do not pickle or fit in a frame are refused unsent.
         """
-        frame = {"op": op, **(params or {})}
+        frame = (op, tuple(args), kwargs or {})
         budget = self.request_timeout if timeout is None else float(timeout)
         with self.lock:
             if self.closed:
@@ -391,6 +378,11 @@ class _ShardWorker(RemoteFacade):
                 self._ensure_started()
                 try:
                     write_frame(self.process.stdin, frame)
+                except _BadFrame as error:
+                    raise ValidationError(
+                        f"cannot send the arguments of {op!r} to shard "
+                        f"{self.index}'s worker: {error}"
+                    ) from None
                 except (BrokenPipeError, OSError):
                     # The pipe's read end is gone: the worker died before
                     # this request could reach it.  Restart and retry once.
@@ -402,7 +394,11 @@ class _ShardWorker(RemoteFacade):
                         ) from None
                     continue
                 try:
-                    reply = self._read_frame(time.monotonic() + budget)
+                    ok, value = read_frame(self.process.stdout.fileno(), time.monotonic() + budget)
+                except _BadFrame as error:
+                    raise ReproError(
+                        f"cannot read shard {self.index} worker's reply to {op!r}: {error}"
+                    ) from None
                 except _WorkerDied:
                     self._reap()
                     raise ShardUnavailableError(
@@ -419,12 +415,9 @@ class _ShardWorker(RemoteFacade):
                         "be restarted on the next request"
                     ) from None
                 break
-        return _reply_result(reply)
-
-    def _call(
-        self, op: ServingOp, name: Optional[str], args: Dict[str, object]
-    ) -> object:
-        return self.request(op.name, {"name": name, **args})
+        if ok:
+            return value
+        raise value
 
     def close(self, timeout: float = 5.0) -> None:
         """Drain this worker: polite shutdown, then terminate, then kill."""
@@ -434,7 +427,7 @@ class _ShardWorker(RemoteFacade):
                 return
             if self.process.poll() is None:
                 with contextlib.suppress(Exception):
-                    write_frame(self.process.stdin, {"op": "shutdown"})
+                    write_frame(self.process.stdin, ("shutdown", (), {}))
                 try:
                     self.process.wait(timeout)
                 except subprocess.TimeoutExpired:
@@ -444,6 +437,16 @@ class _ShardWorker(RemoteFacade):
                     except subprocess.TimeoutExpired:
                         self.process.kill()
             self._reap()
+
+
+def _pickled_call(op):
+    def call(self, *args, **kwargs):
+        return self.request(op.name, args, kwargs)
+
+    return call
+
+
+_install_ops(_ShardWorker, _pickled_call, lambda op: True)
 
 
 # --------------------------------------------------------------------- #
@@ -481,12 +484,10 @@ class ProcessShardedService(ShardRouter):
     Use as a context manager (or call :meth:`close`) so workers drain
     instead of being orphaned.
 
-    What the process boundary forces, exactly as for
-    :class:`~repro.serving.SessionClient`: :meth:`snapshot` /
-    :meth:`compact` return a receipt mapping instead of the
-    :class:`SessionSnapshot` object, :meth:`collusion_report` returns
-    the report's JSON payload, :meth:`restore` only restores from the
-    shard's own store, and ``estimators`` must be registry names.
+    Every op answers as on :class:`ShardedEstimationService`: the same
+    result objects, the same exception classes.  Its arguments must
+    pickle (estimator objects included); one that does not raises
+    ``ValidationError`` naming the op, and the worker serves on.
     """
 
     def __init__(

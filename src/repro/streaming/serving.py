@@ -17,9 +17,10 @@ tour each of these.
 
 Every op of the façade is declared once, in :data:`SERVING_OPS`: its
 method, whether it routes by session name or fans out to every shard,
-its wire codecs and its HTTP route.  The HTTP API, the shard worker
-frames and the remote clients are all driven from that table, and one
-:class:`ShardRouter` routes it across shards.  For deployments whose
+and, for an op on the HTTP API, its wire codecs and route.  The HTTP
+API and its client are driven from that table, a shard worker frame may
+call only the ops it names, and one :class:`ShardRouter` routes it
+across shards.  For deployments whose
 throughput outgrows one service, :class:`ShardedEstimationService`
 partitions sessions across N single-process shards by session-key hash
 behind the same façade — ``N=1`` is exactly one :class:`EstimationService`.
@@ -33,7 +34,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -61,7 +62,6 @@ from repro.streaming.store import (
     DirectorySessionStore,
     MemorySessionStore,
     SessionStore,
-    StoreCorruptionError,  # noqa: F401 - re-exported for error-mapping callers
     UnknownSessionError,
     check_session_name,
 )
@@ -220,16 +220,15 @@ class EstimationService:
         Maximum number of live in-memory sessions; beyond it the
         least-recently-used session is snapshotted to the store and
         dropped from memory.  ``None`` (default) keeps every session live.
-    wal:
-        ``"auto"`` (default) uses the store's write-ahead log when it has
-        one (``store.supports_wal``); ``True`` requires one; ``False``
-        forces the snapshot-only behaviour even on a log-structured
-        store.  With a WAL, creation and every applied ingest batch are
-        durable before the call returns, in O(batch).
     compact_after_bytes:
         Fold the log into a fresh snapshot once it grows past this many
         bytes (checked after each applied batch).  ``None`` disables
         automatic compaction; :meth:`compact` always remains available.
+
+    The store decides durability: on a store with a write-ahead log
+    (``store.supports_wal``) creation and every applied ingest batch are
+    durable before the call returns, in O(batch); on a snapshot-only
+    store state reaches the store only through snapshots and eviction.
 
     Examples
     --------
@@ -248,24 +247,13 @@ class EstimationService:
         store: Optional[SessionStore] = None,
         *,
         max_active: Optional[int] = None,
-        wal: Union[str, bool] = "auto",
         compact_after_bytes: Optional[int] = DEFAULT_COMPACT_BYTES,
     ) -> None:
         self._store = store if store is not None else MemorySessionStore()
         if max_active is not None:
             max_active = check_int(max_active, "max_active", minimum=1)
         self._max_active = max_active
-        if wal == "auto":
-            self._wal = bool(getattr(self._store, "supports_wal", False))
-        elif isinstance(wal, bool):
-            if wal and not getattr(self._store, "supports_wal", False):
-                raise ConfigurationError(
-                    f"wal=True requires a log-structured store; "
-                    f"{type(self._store).__name__} has no write-ahead log"
-                )
-            self._wal = wal
-        else:
-            raise ValidationError(f"wal must be 'auto', True or False, got {wal!r}")
+        self._wal = bool(getattr(self._store, "supports_wal", False))
         if compact_after_bytes is not None:
             compact_after_bytes = check_int(
                 compact_after_bytes, "compact_after_bytes", minimum=1
@@ -424,7 +412,10 @@ class EstimationService:
         session's log — one O(batch) record — *before* it mutates the
         in-memory session, so an applied batch is always durable and the
         store never lags the live state.  Once the log outgrows
-        ``compact_after_bytes`` it is folded into a fresh snapshot.
+        ``compact_after_bytes`` it is folded into a fresh snapshot; an
+        ``OSError`` from that compaction leaves the log as it was and the
+        batch acknowledged, and the next ingest past the threshold tries
+        again.
         """
         if (source is None) != (sequence is None):
             raise ValidationError(
@@ -470,7 +461,10 @@ class EstimationService:
                 self._compact_after_bytes is not None
                 and log_bytes >= self._compact_after_bytes
             ):
-                self._store.save(name, self._snapshot_locked(handle))
+                # The batch is logged and applied: it is acknowledged
+                # whatever the compaction does.
+                with suppress(OSError):
+                    self._store.save(name, self._snapshot_locked(handle))
             return IngestResult(
                 session=name,
                 applied=len(columns),
@@ -811,9 +805,15 @@ def reconcile_shard_manifest(root: Path, num_shards: Optional[int]) -> int:
     would silently strand every session whose hash moved — and a fresh
     root records the requested count (default 1) atomically.
     Returns the authoritative shard count.
+
+    The manifest is staged in ``.shards.json.tmp-*`` and renamed into
+    place; a staging file whose write or rename fails is removed, and one
+    found next to an existing manifest (a crash's leftover) is swept.
     """
     manifest_path = root / SHARD_MANIFEST_FILENAME
     if manifest_path.exists():
+        for leftover in root.glob(f".{SHARD_MANIFEST_FILENAME}.tmp-*"):
+            leftover.unlink(missing_ok=True)
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as error:
@@ -847,18 +847,22 @@ def reconcile_shard_manifest(root: Path, num_shards: Optional[int]) -> int:
     descriptor, staging = tempfile.mkstemp(
         prefix=f".{SHARD_MANIFEST_FILENAME}.tmp-", dir=root
     )
-    with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "format_version": SHARD_MANIFEST_VERSION,
-                "num_shards": int(resolved),
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
-    os.replace(staging, manifest_path)
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            json.dump(
+                {
+                    "format_version": SHARD_MANIFEST_VERSION,
+                    "num_shards": int(resolved),
+                },
+                handle,
+                indent=2,
+                sort_keys=True,
+            )
+            handle.write("\n")
+        os.replace(staging, manifest_path)
+    except BaseException:
+        Path(staging).unlink(missing_ok=True)
+        raise
     return resolved
 
 
@@ -878,7 +882,7 @@ def shard_index(name: str, num_shards: int) -> int:
 
 
 # --------------------------------------------------------------------- #
-# wire codecs (shared by the HTTP API, the shard worker frames and the CLI)
+# wire codecs (shared by the HTTP API and the CLI)
 # --------------------------------------------------------------------- #
 def _plain(value):
     """JSON-safe value: numpy scalars and arrays become Python equivalents."""
@@ -907,8 +911,8 @@ def parse_columns_payload(
 ) -> Tuple[List[Dict[int, int]], List[Optional[int]]]:
     """Decode the JSON wire shape of a vote batch into ingest arguments.
 
-    The accepted shape — shared by ``POST /sessions/<name>/batches``, the
-    shard worker frames and ``repro session ingest`` — is a list with one
+    The accepted shape — shared by ``POST /sessions/<name>/batches`` and
+    ``repro session ingest`` — is a list with one
     entry per task column, each either ``{"votes": {"<item>": vote, ...},
     "worker": id}`` or the bare ``{"<item>": vote}`` mapping itself.
     Votes and worker ids are integers in the :func:`check_int` sense:
@@ -1036,16 +1040,17 @@ class HttpRoute:
 class ServingOp:
     """One op of the serving façade: its method, routing and wire codecs.
 
-    ``name`` is the :class:`EstimationService` method.  The codecs:
-    ``encode(*args, **kwargs) -> (session name, wire args)`` has the
-    method's signature (remote fronts); ``decode(wire args) -> kwargs``
-    validates them (servers; ``None`` when the op takes no arguments);
-    ``reply(name, kwargs, result)`` is the JSON response and ``result``
-    its client-side inverse.  An op ``by_name`` goes to the shard owning
-    its first argument, any other op to every shard, with ``merge``
-    combining the per-shard results (lazily: ``evict()``, routed by name,
-    fans out when the name is ``None``).  ``http`` is its route, if any;
-    ``local`` computes an op without a wire form from the other ops.
+    ``name`` is the :class:`EstimationService` method.  An op ``by_name``
+    goes to the shard owning its first argument, any other op to every
+    shard, with ``merge`` combining the per-shard results (lazily:
+    ``evict()``, routed by name, fans out when the name is ``None``).
+    ``http`` is its route, if any, and an op with a route has the JSON
+    codecs of the HTTP wire: ``encode(*args, **kwargs) -> (session name,
+    wire args)`` has the method's signature (the client);
+    ``decode(wire args) -> kwargs`` validates them (the server; ``None``
+    when the op takes no arguments); ``reply(name, kwargs, result)`` is
+    the JSON response and ``result`` its client-side inverse.  ``local``
+    computes an op without a wire form from the other ops.
     """
 
     name: str
@@ -1060,14 +1065,14 @@ class ServingOp:
 
 
 def _estimator_names(estimators: object) -> Optional[List[str]]:
-    """Estimators as registry names, the only form a wire can carry."""
+    """Estimators as registry names, the only form the HTTP wire carries."""
     if estimators is not None and (
         not isinstance(estimators, (list, tuple))
         or not all(isinstance(name, str) for name in estimators)
     ):
         raise ValidationError(
             "'estimators' must be a list of registry names (estimator objects "
-            f"cannot cross a process or wire boundary), got {estimators!r}"
+            f"cannot cross the HTTP wire), got {estimators!r}"
         )
     return None if estimators is None else list(estimators)
 
@@ -1196,30 +1201,12 @@ def _collusion_kwargs(args: Mapping[str, object]) -> Dict[str, object]:
     return kwargs
 
 
-def _restore_args(
-    name: str,
-    snapshot: Optional[SessionSnapshot] = None,
-    estimators: Optional[Sequence[str]] = None,
-) -> Tuple[str, Dict[str, object]]:
-    if snapshot is not None:
-        raise ValidationError(
-            "a remote front restores only from the shard's own store (a "
-            "snapshot object cannot cross the boundary); save it there first"
-        )
-    args = {} if estimators is None else {"estimators": _estimator_names(estimators)}
-    return name, args
-
-
 def _receipt(action: str) -> Callable[..., Dict[str, object]]:
     return lambda name, kwargs, result: {"session": name, action: True}
 
 
 def _progress(name: str, kwargs: object, progress: Mapping[str, float]) -> object:
     return {"session": name, "progress": progress}
-
-
-def _listing(name: None, kwargs: object, names: Sequence[str]) -> object:
-    return {"sessions": list(names)}
 
 
 def _created(name: str, kwargs: Mapping[str, object], result: str) -> object:
@@ -1230,11 +1217,6 @@ def _created(name: str, kwargs: Mapping[str, object], result: str) -> object:
     }
 
 
-def _collusion(name: str, kwargs: object, report: object) -> object:
-    # A remote front's result already is the payload.
-    return report if isinstance(report, dict) else report.to_dict()
-
-
 def _sum_counts(per_shard: Iterable[Mapping[str, int]]) -> Dict[str, int]:
     total: Dict[str, int] = {}
     for counts in per_shard:
@@ -1243,24 +1225,22 @@ def _sum_counts(per_shard: Iterable[Mapping[str, int]]) -> Dict[str, int]:
     return total
 
 
-_SESSION, _PROGRESS, _SESSIONS, _EVICTED = map(
-    itemgetter, ("session", "progress", "sessions", "evicted")
-)
+_SESSION, _PROGRESS, _SESSIONS = map(itemgetter, ("session", "progress", "sessions"))
 _ROUTE = "/sessions/{name}"
 
 #: Every serving op, in one table: ``ServingOp(name, encode, decode,
 #: reply, result, ...)``.  :class:`~repro.serving.ServingApi` routes HTTP
-#: requests through it and the shard worker's frame loop dispatches
-#: frames through it; :class:`ShardRouter` and the remote fronts
-#: (:class:`~repro.serving.SessionClient`, the shard worker proxy)
-#: generate their methods from it.
+#: requests through it, a shard worker runs only the ops it names, and
+#: :class:`ShardRouter`, :class:`~repro.serving.SessionClient` and the
+#: shard worker proxy generate their methods from it.
 SERVING_OPS: Tuple[ServingOp, ...] = (
     ServingOp("create_session", _create_args, _create_kwargs, _created, _SESSION,
               http=HttpRoute("POST", "/sessions", status=201)),
-    ServingOp("sessions", _unnamed, None, _listing, _SESSIONS, by_name=False,
-              merge=lambda per_shard: sorted(set().union(*per_shard)),
+    ServingOp("sessions", _unnamed, None,
+              lambda name, kwargs, names: {"sessions": list(names)}, _SESSIONS,
+              by_name=False, merge=lambda per_shard: sorted(set().union(*per_shard)),
               http=HttpRoute("GET", "/sessions")),
-    ServingOp("active_sessions", _unnamed, None, _listing, _SESSIONS, by_name=False,
+    ServingOp("active_sessions", by_name=False,
               merge=lambda per_shard: [name for names in per_shard for name in names]),
     ServingOp("progress", _named, None, _progress, _PROGRESS,
               http=HttpRoute("GET", _ROUTE)),
@@ -1277,27 +1257,23 @@ SERVING_OPS: Tuple[ServingOp, ...] = (
               report_from_payload, http=HttpRoute("GET", _ROUTE + "/estimates")),
     ServingOp("estimates",
               local=lambda front, name: front.estimate_report(name).results),
-    ServingOp("collusion_report", _collusion_args, _collusion_kwargs, _collusion, dict,
+    ServingOp("collusion_report", _collusion_args, _collusion_kwargs,
+              lambda name, kwargs, report: report.to_dict(), dict,
               http=HttpRoute("GET", _ROUTE + "/estimates", flag="collusion")),
     ServingOp("snapshot", _named, None, _receipt("snapshotted"), dict,
               http=HttpRoute("POST", _ROUTE + "/snapshot")),
     ServingOp("compact", _named, None, _receipt("compacted"), dict,
               http=HttpRoute("POST", _ROUTE + "/compact")),
-    ServingOp("restore", _restore_args,
-              lambda args: {"estimators": _estimator_names(args.get("estimators"))},
-              _progress, _PROGRESS),
-    ServingOp("evict", _named, None, lambda name, kwargs, victim: {"evicted": victim},
-              _EVICTED, merge=lambda victims: next(filter(None, victims), None)),
-    ServingOp("stats", _unnamed, None, lambda name, kwargs, counts: dict(counts),
-              dict, by_name=False, merge=_sum_counts),
+    ServingOp("restore"),
+    ServingOp("evict", merge=lambda victims: next(filter(None, victims), None)),
+    ServingOp("stats", by_name=False, merge=_sum_counts),
 )
 
 
 def serve_op(service, op: ServingOp, name: Optional[str], args: Mapping[str, object]):
     """Run ``op`` on ``service`` from its wire arguments; returns the reply.
 
-    The one server-side path behind both boundaries: the HTTP API and
-    the shard worker's frame loop.
+    The one server-side path of the HTTP API.
     """
     kwargs = op.decode(args) if op.decode is not None else {}
     method = getattr(service, op.name)
@@ -1332,16 +1308,6 @@ def _routed(op: ServingOp) -> Callable:
         return getattr(self._backend(name), op.name)(name, *args, **kwargs)
 
     return routed if op.by_name else fanned
-
-
-def _remote(op: ServingOp) -> Callable:
-    def remote(self, *args, **kwargs):
-        if op.local is not None:
-            return op.local(self, *args, **kwargs)
-        name, wire_args = op.encode(*args, **kwargs)
-        return op.result(self._call(op, name, wire_args))
-
-    return remote
 
 
 def _counter(key: str) -> property:
@@ -1390,29 +1356,6 @@ class ShardRouter:
 
 
 _install_ops(ShardRouter, _routed, lambda op: True)
-
-
-class RemoteFacade:
-    """The :data:`SERVING_OPS` methods over a request transport.
-
-    A subclass implements ``_call(op, name, args) -> wire reply`` and
-    gets a generated method per op it ``_carries``: each encodes its
-    arguments with the op's codec, sends them and decodes the reply.
-    The HTTP :class:`~repro.serving.SessionClient` and the shard worker
-    proxy of :class:`~repro.serving.ProcessShardedService` are the two
-    transports.
-    """
-
-    @staticmethod
-    def _carries(op: ServingOp) -> bool:
-        return True
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        _install_ops(cls, _remote, cls._carries)
-
-    def _call(self, op: ServingOp, name: Optional[str], args: Dict[str, object]):
-        raise NotImplementedError
 
 
 class ShardedEstimationService(ShardRouter):

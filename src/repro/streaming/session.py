@@ -165,6 +165,12 @@ class StreamingSession:
             get_estimator(e) if isinstance(e, str) else e
             for e in (available_estimators() if estimators is None else estimators)
         ]
+        for instance in instances:
+            if not isinstance(getattr(instance, "name", None), str):
+                raise ValidationError(
+                    "estimators must be registry names or estimator objects "
+                    f"with a string 'name', got {instance!r}"
+                )
         if estimators is None:
             # Several registry keys may alias one estimator name (tests and
             # user code register variants); the implicit "track everything"

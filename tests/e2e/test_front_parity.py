@@ -4,10 +4,11 @@ One script of calls runs against each front: the in-process service,
 the in-process sharded service (one and three shards), process workers,
 and the HTTP client in front of an in-process service and in front of
 process workers.  Each result is compared through its op's wire reply
-(canonical JSON), and each error by the ``(type, status, kind)`` the
-taxonomy gives it.  A front without an op of the table fails here, which
-is how a drifted copy of the façade used to slip through (collusion
-reports under process workers answered 400).
+(canonical JSON), or by value for an op the HTTP API does not serve,
+and each error by the ``(type, status, kind)`` the taxonomy gives it.
+A front without an op of the table fails here, which is how a drifted
+copy of the façade used to slip through (collusion reports under
+process workers answered 400).
 """
 
 from __future__ import annotations
@@ -120,15 +121,19 @@ def declares(front, op) -> bool:
 
 
 def canonical(op, args, kwargs, result) -> str:
-    """A result as its op's wire reply: equal strings, equal answers."""
-    if op.reply is None:  # ``estimates``: the results of a report
+    """A result as its op's wire reply, or by value for an op without one."""
+    if op.name == "estimates":  # the results of a report
         payload = {name: result_to_payload(value) for name, value in result.items()}
+    elif op.name == "collusion_report" and isinstance(result, dict):
+        payload = result  # the HTTP client's result is the wire reply
+    elif op.reply is None:
+        payload = result
+        if op.name == "active_sessions":  # shards list in shard order, not LRU
+            payload = sorted(result)
     else:
         name, wire_args = op.encode(*args, **kwargs)
         decoded = op.decode(wire_args) if op.decode is not None else {}
         payload = op.reply(name, decoded, result)
-    if op.name == "active_sessions":  # shards list in shard order, not LRU
-        payload = {"sessions": sorted(payload["sessions"])}
     return json.dumps(payload, sort_keys=True)
 
 

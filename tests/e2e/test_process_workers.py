@@ -24,10 +24,21 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.common.exceptions import ConfigurationError, ValidationError
-from repro.serving import ProcessShardedService, ShardUnavailableError
+from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
+from repro.core.chao92 import Chao92Estimator
+from repro.core.descriptive import CollusionReport
+from repro.serving import (
+    ProcessShardedService,
+    ShardUnavailableError,
+    UnknownSessionError,
+    workers,
+)
 from repro.serving.http import report_to_payload
-from repro.streaming import DirectorySessionStore, ShardedEstimationService
+from repro.streaming import (
+    DirectorySessionStore,
+    SessionSnapshot,
+    ShardedEstimationService,
+)
 
 SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 BANNER = re.compile(r"^serving on (http://[^ ]+)")
@@ -130,13 +141,11 @@ class TestProcessShardedFacade:
         with ProcessShardedService(tmp_path / "root", num_shards=2) as service:
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 2)
-            assert service.snapshot(SESSION)["snapshotted"] is True
-            assert service.compact(SESSION)["compacted"] is True
+            assert isinstance(service.snapshot(SESSION), SessionSnapshot)
+            assert service.compact(SESSION).manifest["num_columns"] == 4
             assert service.evict(SESSION) == SESSION
             progress = service.restore(SESSION)
             assert progress["num_columns"] == 4
-            with pytest.raises(ValidationError):
-                service.restore(SESSION, snapshot=object())
             service.drop(SESSION)
             assert service.sessions() == []
 
@@ -144,6 +153,63 @@ class TestProcessShardedFacade:
         with ProcessShardedService(tmp_path / "root") as service:
             with pytest.raises(ValidationError, match="registry names"):
                 service.create_session(SESSION, ITEMS, [object()])
+
+
+class TestAnswersAsInProcess:
+    """Results and errors are the in-process objects, not wire receipts."""
+
+    def test_snapshots_reports_and_errors_are_the_in_process_ones(self, tmp_path):
+        in_process = ShardedEstimationService(num_shards=2)
+        with ProcessShardedService(tmp_path / "root", num_shards=2) as service:
+            for front in (service, in_process):
+                front.create_session(SESSION, ITEMS, ESTIMATORS)
+                drive(front, 4)
+            snapshot = service.snapshot(SESSION)
+            assert isinstance(snapshot, SessionSnapshot)
+            assert service.restore("copy", snapshot)["num_columns"] == 8
+            assert service.sessions() == ["copy", SESSION]
+            copy = service.estimate_report("copy")
+            assert copy.results == service.estimate_report(SESSION).results
+            report = service.collusion_report(SESSION, min_overlap=1)
+            assert isinstance(report, CollusionReport)
+            assert report == in_process.collusion_report(SESSION, min_overlap=1)
+            with pytest.raises(UnknownSessionError) as caught:
+                service.progress("ghost")
+            assert type(caught.value) is UnknownSessionError
+
+    def test_an_estimator_object_that_pickles_is_served(self, tmp_path):
+        with ProcessShardedService(tmp_path / "root") as service:
+            service.create_session(SESSION, ITEMS, [Chao92Estimator()])
+            drive(service, 3)
+            assert sorted(service.estimates(SESSION)) == ["chao92"]
+
+
+class TestUnsendableFrames:
+    """A frame its sender cannot send is refused, and the pipe stays in sync."""
+
+    def test_an_unpicklable_argument_is_refused_naming_the_op(self, tmp_path):
+        with ProcessShardedService(tmp_path / "root") as service:
+            pids = service.worker_pids()
+            with pytest.raises(ReproError, match="'create_session'.*pickle"):
+                service.create_session(SESSION, ITEMS, [lambda: None])
+            service.create_session(SESSION, ITEMS, ESTIMATORS)
+            drive(service, 2)
+            assert service.progress(SESSION)["num_columns"] == 4
+            assert service.worker_pids() == pids
+            assert service._workers[0].restarts == 0
+
+    def test_an_oversized_frame_is_refused_naming_the_op(self, tmp_path, monkeypatch):
+        with ProcessShardedService(tmp_path / "root") as service:
+            service.create_session(SESSION, ITEMS, ESTIMATORS)
+            pids = service.worker_pids()
+            monkeypatch.setattr(workers, "MAX_FRAME_BYTES", 4096)
+            columns = [{item: item % 2 for item in ITEMS} for _ in range(200)]
+            with pytest.raises(ReproError, match="'ingest'.*bytes pickled, over the 4096 limit"):
+                service.ingest(SESSION, columns, source="loader", sequence=1)
+            drive(service, 2)
+            assert service.progress(SESSION)["num_columns"] == 4
+            assert service.worker_pids() == pids
+            assert service._workers[0].restarts == 0
 
 
 class TestCrashRecovery:
@@ -168,19 +234,22 @@ class TestCrashRecovery:
         with ProcessShardedService(tmp_path / "killed", num_shards=1) as service:
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 5)
-            worker = service._workers[service.shard_of(SESSION)]
+            pid = owning_pid(service)
             failures = []
 
             def wedge():
                 try:
-                    worker.request("debug_sleep", {"seconds": 30})
+                    service.ingest(SESSION, batch(5), source="loader", sequence=5)
                 except ShardUnavailableError as error:
                     failures.append(error)
 
+            # A stopped worker takes the request into its pipe but never
+            # answers it.
+            os.kill(pid, signal.SIGSTOP)
             thread = threading.Thread(target=wedge)
             thread.start()
             time.sleep(0.3)  # let the request reach the worker
-            os.kill(owning_pid(service), signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             thread.join(timeout=10)
             assert not thread.is_alive()
             assert failures, "a mid-request death must surface, not hang"
@@ -223,9 +292,10 @@ class TestTimeouts:
             drive(service, 3)
             worker = service._workers[0]
             pid = owning_pid(service)
+            os.kill(pid, signal.SIGSTOP)  # wedged: it never answers
             started = time.monotonic()
             with pytest.raises(ShardUnavailableError, match="deadline"):
-                worker.request("debug_sleep", {"seconds": 30}, timeout=0.5)
+                worker.request("progress", (SESSION,), timeout=0.5)
             assert time.monotonic() - started < 10
             # The wedged process was killed; the next request restarts a
             # fresh worker that recovered the shard from its WAL.

@@ -151,6 +151,28 @@ class TestCliArgumentErrors:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["scenario", "run", "not-a-scenario"], "unknown scenario"),
+            (
+                ["stream", "--items", "50", "--errors", "5", "--tasks", "5",
+                 "--estimators", "nosuch"],
+                "unknown estimator",
+            ),
+            (["quality", "--items", "10", "--errors", "20", "--tasks", "5"], "num_errors"),
+        ],
+        ids=["scenario", "stream", "quality"],
+    )
+    def test_every_command_exits_2_with_one_line(self, args, message, capsys):
+        """One error boundary covers every command, not only the store ones."""
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
         "args",
         [SWEEP_ARGS, ["bench", "--workload", "smoke", "--dry-run"]],
         ids=["sweep", "bench"],
@@ -220,12 +242,6 @@ class TestCliScenario:
         assert main(["scenario", "record", "fp-heavy"]) == 0
         assert "recorded" in capsys.readouterr().out
         assert (tmp_path / "fp-heavy.json").exists()
-
-    def test_scenario_unknown_name_raises_configuration_error(self):
-        from repro.common.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
-            main(["scenario", "run", "not-a-scenario"])
 
 
 class TestCliReplay:

@@ -8,6 +8,7 @@ from a single :class:`EstimationService` — ``N=1`` *is* one service.
 
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.serving import (
     ShardedEstimationService,
     shard_index,
 )
+from repro.streaming import serving as serving_module
 from repro.streaming.serving import SHARD_MANIFEST_FILENAME, reconcile_shard_manifest
 
 ESTIMATORS = ["voting", "chao92"]
@@ -117,6 +119,26 @@ class TestRootManifest:
                 open_root()
             assert str(manifest) in str(caught.value)
         assert json.loads(manifest.read_text(encoding="utf-8")) == document
+
+    def test_a_crashed_writers_staging_file_is_swept_on_open(self, tmp_path):
+        ShardedEstimationService(tmp_path, num_shards=2)
+        leftover = tmp_path / f".{SHARD_MANIFEST_FILENAME}.tmp-dead"
+        leftover.write_text("{", encoding="utf-8")
+        assert ShardedEstimationService(tmp_path).num_shards == 2
+        assert [path.name for path in tmp_path.iterdir()] == [SHARD_MANIFEST_FILENAME]
+
+    def test_a_failed_manifest_rename_leaves_no_staging_file(
+        self, tmp_path, monkeypatch
+    ):
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(serving_module.os, "replace", full_disk)
+        with pytest.raises(OSError):
+            reconcile_shard_manifest(tmp_path, 3)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert reconcile_shard_manifest(tmp_path, 3) == 3
 
     def test_sharded_root_survives_crash_and_reopen(self, tmp_path):
         service = ShardedEstimationService(tmp_path, num_shards=4)

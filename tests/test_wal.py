@@ -396,17 +396,5 @@ class TestServiceCrashConsistency:
     def test_wal_rejected_on_snapshot_only_store(self):
         from repro.streaming import MemorySessionStore
 
-        with pytest.raises(ConfigurationError, match="write-ahead log"):
-            EstimationService(MemorySessionStore(), wal=True)
         service = EstimationService(MemorySessionStore())
         assert not service.wal_enabled
-
-    def test_wal_opt_out_restores_snapshot_per_save_behaviour(self, tmp_path):
-        service = EstimationService(DirectorySessionStore(tmp_path), wal=False)
-        assert not service.wal_enabled
-        service.create_session("s", range(5), ESTIMATORS)
-        service.ingest("s", _batch(0), source="l", sequence=1)
-        # Nothing durable until an explicit snapshot (the pre-WAL contract).
-        assert DirectorySessionStore(tmp_path).names() == []
-        service.snapshot("s")
-        assert _estimates(_service(tmp_path)) == self._reference([_batch(0)])

@@ -355,6 +355,55 @@ class TestFailedCompaction:
         _assert_reopens_as_live(service, tmp_path, (2, 4))
 
 
+class TestFailedAutomaticCompaction:
+    """An ingest whose size-triggered compaction fails is still acknowledged.
+
+    The batch is logged and applied before the compaction starts, so the
+    client must see it applied: an error would make it retry a batch that
+    is already served (and read ``duplicate=True``).  The log stays as it
+    was, and the next ingest past the threshold compacts again.
+    """
+
+    @pytest.mark.parametrize(
+        "sync, fail",
+        [
+            (False, _staged_write),
+            (False, _rename),
+            # fsync 0 is the appended batch's, 1 the staged file's.
+            (True, lambda monkeypatch: _fail_once(monkeypatch, os, "fsync", skip=1)),
+        ],
+        ids=["new-log", "rename", "new-log-sync"],
+    )
+    def test_the_ingest_is_acknowledged_and_the_next_one_compacts(
+        self, tmp_path, monkeypatch, sync, fail
+    ):
+        service = EstimationService(
+            DirectorySessionStore(tmp_path, sync=sync), compact_after_bytes=1
+        )
+        service.create_session("s", range(5), ESTIMATORS)
+        service.ingest("s", _batch(0), source="l", sequence=1)
+        assert service.store.log_size("s") == 0  # every ingest compacts
+        batch = _batch(1) + _batch(2)
+        fail(monkeypatch)
+        ack = service.ingest("s", batch, source="l", sequence=2)
+        monkeypatch.undo()
+        assert (ack.applied, ack.duplicate) == (2, False)
+        assert _entries(tmp_path) == ["s.log"]
+        assert service.store.log_size("s") > 0  # the batch, after the old head
+        _assert_reopens_as_live(service, tmp_path, (3, 6))
+        assert service.ingest("s", batch, source="l", sequence=2).duplicate
+        service.ingest("s", _batch(3), source="l", sequence=3)
+        assert service.store.log_size("s") == 0
+        _assert_reopens_as_live(service, tmp_path, (4, 8))
+
+    def test_an_explicit_compaction_still_raises(self, tmp_path, monkeypatch):
+        service = EstimationService(DirectorySessionStore(tmp_path), compact_after_bytes=1)
+        service.create_session("s", range(5), ESTIMATORS)
+        _rename(monkeypatch)
+        with pytest.raises(OSError):
+            service.snapshot("s")
+
+
 def _log_write(monkeypatch) -> None:
     _fail_next_log_write(monkeypatch)
 

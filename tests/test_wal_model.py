@@ -7,21 +7,34 @@ dropped and a new one opened on the same root).  The model is one plain
 ``StreamingSession`` per session, fed exactly the acknowledged
 non-duplicate batches.  After every step each session's served
 ``(columns, votes)`` and estimates must equal the model's, and a
-duplicate delivery must leave the served version as it was.  No faults
-are injected here; the disk always works.
+duplicate delivery must leave the served version as it was.
+
+The fault layer: one rule arms a single ``OSError(ENOSPC)`` for the next
+ingest only, at the k-th write the store makes (a log append, or a write
+of the staged file of the compaction the ingest triggers; the failing
+write lands half its bytes) or at the store's next ``os.replace``.  An
+ingest that raises must leave the served version as it was and use up
+no sequence, so the same batch then applies; an ingest that returns is
+acknowledged, and joins the model, also when its compaction failed.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.common.labels import CLEAN, DIRTY
 from repro.streaming import DirectorySessionStore, EstimationService, StreamingSession
+from repro.streaming import store as store_module
+from repro.streaming import wal
 
 ESTIMATORS = ["voting", "chao92", "switch_total"]
 ITEMS = 6
@@ -34,6 +47,62 @@ batches = st.lists(
     min_size=1,
     max_size=3,
 )
+
+#: Where the armed ENOSPC strikes: the k-th write the store makes, or its
+#: next rename.
+faults = st.one_of(st.integers(0, 4), st.just("replace"))
+
+
+def _enospc() -> OSError:
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullDiskHandle:
+    """A store file handle that shares a write count with its siblings."""
+
+    def __init__(self, handle, writes: list, fail_at: object) -> None:
+        self._handle = handle
+        self._writes = writes
+        self._fail_at = fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def write(self, data):
+        self._writes.append(len(data))
+        if len(self._writes) - 1 == self._fail_at:
+            self._handle.write(bytes(data[: len(data) // 2]))
+            raise _enospc()
+        return self._handle.write(data)
+
+
+@contextmanager
+def _full_disk(fault):
+    """Arm one ENOSPC at write number ``fault`` (from 0) or, for
+    ``"replace"``, at the next ``os.replace``; disarmed on exit."""
+    writes: list = []
+    replaces: list = []
+    real_replace = os.replace
+
+    def opened(*args, **kwargs):
+        return _FullDiskHandle(open(*args, **kwargs), writes, fault)
+
+    def replace(*args, **kwargs):
+        replaces.append(args)
+        if fault == "replace" and len(replaces) == 1:
+            raise _enospc()
+        return real_replace(*args, **kwargs)
+
+    with mock.patch.object(wal, "open", opened, create=True), mock.patch.object(
+        store_module, "open", opened, create=True
+    ), mock.patch.object(os, "replace", replace):
+        yield
 
 
 class DurableService(RuleBasedStateMachine):
@@ -78,6 +147,25 @@ class DurableService(RuleBasedStateMachine):
             assert not ack.duplicate and ack.applied == len(columns)
             self.models[name].add_columns(columns)
             self.acknowledged[name].append(columns)
+
+    @precondition(lambda self: self.models)
+    @rule(data=st.data(), fault=faults)
+    def ingest_on_a_full_disk(self, data, fault) -> None:
+        name = data.draw(st.sampled_from(sorted(self.models)))
+        columns = data.draw(batches)
+        sequence = len(self.acknowledged[name]) + 1
+        before = self.service.estimate_report(name).version
+        try:
+            with _full_disk(fault):
+                ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+        except OSError:
+            # A failed ingest changes nothing and uses up no sequence ...
+            assert self.service.estimate_report(name).version == before
+            ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+        # ... and one that returns is acknowledged, compaction or not.
+        assert not ack.duplicate and ack.applied == len(columns)
+        self.models[name].add_columns(columns)
+        self.acknowledged[name].append(columns)
 
     @precondition(lambda self: any(self.acknowledged.values()))
     @rule(data=st.data())
