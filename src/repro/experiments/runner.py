@@ -17,8 +17,8 @@ runner implements exactly that loop:
    :class:`~repro.experiments.results.EstimateSeries`.
 
 ``RunnerConfig(engine="serial")`` keeps the classic one-permutation-at-a-
-time sweep loop (useful for benchmarking the batch engine against it);
-both engines produce bit-identical estimates.
+time sweep loop in-process (useful for benchmarking the batch engine
+against it); both engines produce bit-identical estimates.
 
 Permutations are independent of each other, so the loop parallelises
 across processes: ``RunnerConfig(n_jobs=4)`` farms contiguous chunks of
@@ -78,8 +78,9 @@ class RunnerConfig:
         ``"batch"`` (default) evaluates all permutations through the
         cross-permutation tensor engine
         (:class:`~repro.core.state.PermutationBatch`); ``"serial"`` keeps
-        the classic one-permutation-at-a-time sweep loop.  Results are
-        bit-identical; only the wall-clock differs.
+        the classic one-permutation-at-a-time sweep loop, in-process
+        only (``n_jobs=1``).  Results are bit-identical; only the
+        wall-clock differs.
     """
 
     num_permutations: int = 10
@@ -96,6 +97,10 @@ class RunnerConfig:
         if self.engine not in ENGINES:
             raise ValidationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
+            )
+        if self.engine == "serial" and self.n_jobs > 1:
+            raise ValidationError(
+                f"the serial engine runs in-process: n_jobs must be 1, got {self.n_jobs}"
             )
 
     def resolve_checkpoints(self, num_columns: int) -> List[int]:
@@ -118,9 +123,8 @@ def _evaluate_permutation(
 ) -> Dict[str, List[float]]:
     """Evaluate every estimator's sweep for one permutation trial.
 
-    The body of both the serial loop and the pool workers, guaranteeing
-    the two run identical code.  The sweep states are built once and
-    shared by all estimators of the trial.
+    The body of the serial engine's loop.  The sweep states are built
+    once and shared by all estimators of the trial.
     """
     permuted = matrix if order is None else matrix.permute_columns(order)
     states = matrix_sweep_states(permuted, checkpoints)
@@ -186,12 +190,6 @@ def _init_worker(
 ) -> None:
     """Install the shared trial inputs in a pool worker (once per process)."""
     _worker_context["args"] = (matrix, estimators, checkpoints)
-
-
-def _evaluate_order(order: Optional[List[int]]) -> Dict[str, List[float]]:
-    """Pool task: one permutation trial against the worker's installed context."""
-    matrix, estimators, checkpoints = _worker_context["args"]
-    return _evaluate_permutation(matrix, order, estimators, checkpoints)
 
 
 def _evaluate_order_chunk(
@@ -278,8 +276,7 @@ class EstimationRunner:
             # The matrix and estimators are identical across trials, so they
             # ship once per worker process (initializer) rather than once
             # per task; only the column-order index arrays travel with the
-            # tasks (one order per task for the serial engine, one chunk of
-            # orders per task for the batch engine).
+            # tasks, one chunk of orders per task.
             # Platforms without usable multiprocessing (no /dev/shm, no
             # sem_open, sandboxed interpreters) fail at pool *construction*
             # and degrade to the serial path — results are identical either
@@ -301,15 +298,10 @@ class EstimationRunner:
                 n_jobs = 1
             else:
                 with pool:
-                    if engine == "batch":
-                        chunk_results = pool.map(
-                            _evaluate_order_chunk, _chunk_orders(orders, n_jobs)
-                        )
-                        trial_results = [
-                            trial for chunk in chunk_results for trial in chunk
-                        ]
-                    else:
-                        trial_results = pool.map(_evaluate_order, orders)
+                    chunk_results = pool.map(
+                        _evaluate_order_chunk, _chunk_orders(orders, n_jobs)
+                    )
+                trial_results = [trial for chunk in chunk_results for trial in chunk]
         if trial_results is None:
             if engine == "batch":
                 trial_results = _evaluate_permutation_batch(

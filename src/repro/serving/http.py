@@ -234,7 +234,6 @@ class ServingApi:
             "sessions": len(service.sessions()),
             "active_sessions": len(service.active_sessions()),
             "shards": int(getattr(service, "num_shards", 1)),
-            "wal": bool(getattr(service, "wal_enabled", False)),
         }
 
     @staticmethod

@@ -242,9 +242,6 @@ class _ShardWorker:
     parallelism comes from N workers, not from pipelining within one.
     """
 
-    #: Worker shards always ingest through the write-ahead log.
-    wal_enabled = True
-
     def __init__(
         self,
         index: int,

@@ -13,10 +13,10 @@ On top of the single session sits the serving layer
 :class:`EstimationService` hosts many named sessions with idempotent
 batched ingestion, cached estimates, LRU eviction and durable
 snapshot/restore through a :class:`SessionStore`
-(:mod:`repro.streaming.store`).  On a directory store, persistence is
-log-structured: ingests append O(batch) records to a per-session
-write-ahead log (:mod:`repro.streaming.wal`) and compaction folds the
-log into a fresh snapshot.  :class:`ShardedEstimationService` partitions
+(:mod:`repro.streaming.store`).  Persistence is log-structured on every
+store: ingests append O(batch) records to a per-session log — on a
+directory store, a write-ahead log file (:mod:`repro.streaming.wal`) —
+and compaction folds the log into a fresh snapshot.  :class:`ShardedEstimationService` partitions
 sessions across N such services by session-key hash.
 """
 

@@ -8,12 +8,10 @@ sessions** behind one façade, with what a long-running deployment needs:
 idempotent ingestion (a batch whose ``(source, sequence)`` does not
 advance its source's high-water mark is a no-op), estimates cached on
 the session state's mutation version, durability through a pluggable
-:class:`~repro.streaming.store.SessionStore` (on a
-:class:`~repro.streaming.store.DirectorySessionStore` every applied
-batch is logged before it mutates the session, and recovery is last
-snapshot + log replay), LRU eviction under ``max_active``, and
-per-session locks.  ``docs/serving.md`` and ``docs/persistence.md``
-tour each of these.
+:class:`~repro.streaming.store.SessionStore` (every applied batch is
+logged before it mutates the session, and recovery is last snapshot +
+log replay), LRU eviction under ``max_active``, and per-session locks.
+``docs/serving.md`` and ``docs/persistence.md`` tour each of these.
 
 Every op of the façade is declared once, in :data:`SERVING_OPS`: its
 method, whether it routes by session name or fans out to every shard,
@@ -34,7 +32,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -200,9 +198,9 @@ class _ActiveSession:
         self.sources: Dict[str, int] = dict(sources or {})
         self.cache_version: Optional[tuple] = None
         self.cache: Optional[Dict[str, EstimateResult]] = None
-        #: set under the service lock when the handle leaves the table; any
-        #: caller that raced the eviction re-activates instead of mutating
-        #: a parked session.
+        #: set under this handle's lock and the service lock as the handle
+        #: leaves the table; any caller that raced the eviction re-activates
+        #: instead of mutating a retired session.
         self.evicted = False
 
 
@@ -212,23 +210,24 @@ class EstimationService:
     Parameters
     ----------
     store:
-        Snapshot store for durability and eviction
+        The session store holding each session's log
         (:class:`~repro.streaming.store.MemorySessionStore` by default;
         pass a :class:`~repro.streaming.store.DirectorySessionStore` to
         survive restarts).
     max_active:
         Maximum number of live in-memory sessions; beyond it the
-        least-recently-used session is snapshotted to the store and
-        dropped from memory.  ``None`` (default) keeps every session live.
+        least-recently-used session is dropped from memory, to be
+        recovered from its log on the next touch.  ``None`` (default)
+        keeps every session live.
     compact_after_bytes:
         Fold the log into a fresh snapshot once it grows past this many
         bytes (checked after each applied batch).  ``None`` disables
         automatic compaction; :meth:`compact` always remains available.
 
-    The store decides durability: on a store with a write-ahead log
-    (``store.supports_wal``) creation and every applied ingest batch are
-    durable before the call returns, in O(batch); on a snapshot-only
-    store state reaches the store only through snapshots and eviction.
+    Creation and every applied ingest batch reach the store's log before
+    the call returns, in O(batch), so the store is never behind a live
+    session: eviction is an in-memory drop, and a new service over the
+    same store recovers every session.
 
     Examples
     --------
@@ -253,7 +252,6 @@ class EstimationService:
         if max_active is not None:
             max_active = check_int(max_active, "max_active", minimum=1)
         self._max_active = max_active
-        self._wal = bool(getattr(self._store, "supports_wal", False))
         if compact_after_bytes is not None:
             compact_after_bytes = check_int(
                 compact_after_bytes, "compact_after_bytes", minimum=1
@@ -288,13 +286,8 @@ class EstimationService:
     # ------------------------------------------------------------------ #
     @property
     def store(self) -> SessionStore:
-        """The snapshot store backing eviction and durability."""
+        """The session store holding every session's log."""
         return self._store
-
-    @property
-    def wal_enabled(self) -> bool:
-        """Whether ingestion lands in the store's write-ahead log."""
-        return self._wal
 
     def create_session(
         self,
@@ -310,20 +303,23 @@ class EstimationService:
         live or stored — since silently rebinding a tenant's name would
         orphan its history.
 
-        On a write-ahead-log store the creation itself is durable before
-        the call returns — as one O(1) create record, not a snapshot.
+        The creation is in the store before the call returns — as one
+        O(1) create record, not a snapshot.
         """
         check_session_name(name)
         session = StreamingSession(item_ids, estimators, keep_votes=keep_votes)
-        with self._lock:
-            if name in self._active or name in self._store:
-                raise ConfigurationError(
-                    f"session {name!r} already exists; drop it first or pick "
-                    "another name"
-                )
-            self._dropped.discard(name)
-            self._active[name] = _ActiveSession(session)
-        if self._wal:
+        handle = _ActiveSession(session)
+        # Under the new handle's lock, so no batch is logged ahead of the
+        # create record.
+        with handle.lock:
+            with self._lock:
+                if name in self._active or name in self._store:
+                    raise ConfigurationError(
+                        f"session {name!r} already exists; drop it first or pick "
+                        "another name"
+                    )
+                self._dropped.discard(name)
+                self._active[name] = handle
             try:
                 self._store.append(
                     name,
@@ -335,7 +331,8 @@ class EstimationService:
                 )
             except Exception:
                 with self._lock:
-                    self._active.pop(name, None)
+                    del self._active[name]
+                    handle.evicted = True
                 raise
         self._enforce_limit(keep=name)
         return name
@@ -355,16 +352,14 @@ class EstimationService:
     def drop(self, name: str) -> None:
         """Forget a session everywhere: live table and store.
 
-        The live removal, the store delete and the tombstone are applied
-        in one critical section, so an accessor racing the drop either
-        sees the session fully alive or fully gone — never a store copy
-        it could resurrect from.
+        An ingest already inside the session lands first; then the live
+        removal, the store delete and the tombstone are applied in one
+        critical section, so an accessor racing the drop either sees the
+        session fully alive or fully gone — never a store copy it could
+        resurrect from.
         """
         check_session_name(name)
-        with self._lock:
-            handle = self._active.pop(name, None)
-            if handle is not None:
-                handle.evicted = True
+        with self._replacing(name) as handle:
             stored = name in self._store
             if stored:
                 self._store.delete(name)
@@ -408,10 +403,10 @@ class EstimationService:
         applied, so a rejected batch leaves the session untouched and can
         be fixed and redelivered under the same sequence number.
 
-        On a write-ahead-log store the validated batch is appended to the
-        session's log — one O(batch) record — *before* it mutates the
-        in-memory session, so an applied batch is always durable and the
-        store never lags the live state.  Once the log outgrows
+        The validated batch is appended to the session's log — one
+        O(batch) record — *before* it mutates the in-memory session, so
+        an applied batch is always in the store and the store never lags
+        the live state.  Once the log outgrows
         ``compact_after_bytes`` it is folded into a fresh snapshot; an
         ``OSError`` from that compaction leaves the log as it was and the
         batch acknowledged, and the next ingest past the threshold tries
@@ -447,13 +442,11 @@ class EstimationService:
                 for item_id, vote in votes.items():
                     state.row_index(item_id)  # raises on unknown ids
                     check_vote(vote, item_id)
-            log_bytes = 0
-            if self._wal:
-                # Log first, apply second: a crash between the two
-                # replays the record on recovery, so the durable state
-                # is never behind what the client saw acknowledged.
-                record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
-                log_bytes = self._store.append(name, record)
+            # Log first, apply second: a crash between the two replays
+            # the record on recovery, so the durable state is never
+            # behind what the client saw acknowledged.
+            record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
+            log_bytes = self._store.append(name, record)
             session.add_columns(columns, worker_ids)
             if source is not None:
                 handle.sources[source] = sequence
@@ -537,9 +530,9 @@ class EstimationService:
         restored session keeps rejecting the duplicates its predecessor
         already saw.  The session stays live.
 
-        On a write-ahead-log store this **is** compaction: the store
-        folds the session's log into the fresh snapshot and restarts the
-        log empty (see :meth:`compact`).
+        This **is** compaction: the store folds the session's log into
+        the fresh snapshot and restarts the log empty (see
+        :meth:`compact`).
         """
         with self._live(name) as handle:
             snapshot = self._snapshot_locked(handle)
@@ -551,8 +544,8 @@ class EstimationService:
 
         Recovery cost is proportional to the log tail, so a periodic
         compaction (or the automatic ``compact_after_bytes`` trigger)
-        keeps reopen latency flat.  On a snapshot-only store this is
-        simply :meth:`snapshot`.  Returns the compacted snapshot.
+        keeps reopen latency flat.  The same as :meth:`snapshot`; returns
+        the compacted snapshot.
         """
         return self.snapshot(name)
 
@@ -568,52 +561,46 @@ class EstimationService:
         what every other accessor does transparently, so an explicit
         ``restore`` is only needed to import a foreign snapshot or to
         override the estimator set.  Any live session under the name is
-        replaced.  Returns the restored session's progress summary.
+        replaced, once an ingest already inside it has landed; an
+        imported snapshot becomes the head of the session's log.
+        Returns the restored session's progress summary.
         """
         check_session_name(name)
-        if snapshot is None:
-            session, sources = self._recover_session(name, estimators)
-        else:
-            session = StreamingSession.from_snapshot(snapshot, estimators)
-            sources = self._serving_sources(snapshot)
-        with self._lock:
-            previous = self._active.pop(name, None)
-            if previous is not None:
-                previous.evicted = True
-            self._dropped.discard(name)
+        if snapshot is not None and not isinstance(snapshot, SessionSnapshot):
+            raise ValidationError(
+                "snapshot must be a SessionSnapshot or None, got "
+                f"{type(snapshot).__name__}"
+            )
+        with self._replacing(name):
+            if snapshot is None:
+                session, sources = self._recover_session(name, estimators)
+            else:
+                session = StreamingSession.from_snapshot(snapshot, estimators)
+                sources = self._serving_sources(snapshot)
             handle = _ActiveSession(session, sources)
-            self._active[name] = handle
-        if self._wal and snapshot is not None:
-            # An imported foreign snapshot exists nowhere in the store;
-            # persist it so the WAL invariant (store ≥ live state) holds
-            # and a later eviction can stay write-free.
-            with handle.lock:
+            if snapshot is not None:
+                # The store is never behind a live session.
                 self._store.save(name, self._snapshot_locked(handle))
+            self._dropped.discard(name)
+            self._active[name] = handle
         self._count("sessions_restored")
         self._enforce_limit(keep=name)
         return session.progress()
 
     def evict(self, name: Optional[str] = None) -> Optional[str]:
-        """Park a live session in the store and free its memory.
+        """Free a live session's memory; its log stays in the store.
 
         ``name=None`` picks the least-recently-used live session.  Returns
         the evicted name, or ``None`` when nothing is live.  The session
-        remains addressable: the next touch restores it from the store.
+        remains addressable: the next touch recovers it from the store.
         """
         with self._lock:
             if name is None:
-                name = next(
-                    (
-                        key
-                        for key, candidate in self._active.items()
-                        if not candidate.evicted
-                    ),
-                    None,
-                )
+                name = next(iter(self._active), None)
                 if name is None:
                     return None
             handle = self._active.get(name)
-            if handle is None or handle.evicted:
+            if handle is None:
                 raise ConfigurationError(
                     f"session {name!r} is not live; active: {list(self._active)}"
                 )
@@ -644,12 +631,10 @@ class EstimationService:
     ) -> Tuple[StreamingSession, Dict[str, int]]:
         """Rebuild ``name`` from the store: base snapshot + log replay.
 
-        On a snapshot-only store this degenerates to plain snapshot
-        restoration (the record list is empty).  On a log-structured
-        store the base may even be absent — then the log's leading
-        create record builds the empty session — and every batch record
-        replays through the same idempotency gate live ingestion uses,
-        so duplicate records are no-ops and the recovered state is
+        The base is absent until the first compaction — then the log's
+        leading create record builds the empty session — and every batch
+        record replays through the same idempotency gate live ingestion
+        uses, so duplicate records are no-ops and the recovered state is
         bit-identical to the pre-crash live session.
         """
         snapshot, records = self._store.recovery(name)
@@ -680,7 +665,7 @@ class EstimationService:
         """The live handle for ``name``, held under its lock.
 
         A handle that lost a race with eviction is revived and locked
-        again, so no caller ever mutates or reads a parked session.
+        again, so no caller ever mutates or reads a retired session.
         """
         while True:
             handle = self._activate(name)
@@ -699,15 +684,9 @@ class EstimationService:
         check_session_name(name)
         with self._lock:
             handle = self._active.get(name)
-            if handle is not None and not handle.evicted:
+            if handle is not None:
                 self._active.move_to_end(name)
                 return handle
-            if handle is not None:
-                # An evicted husk awaiting table removal; its state is
-                # already durable (snapshot saved before the evicted flag
-                # flips, or every batch logged under a WAL), so reviving
-                # from the store is safe.
-                del self._active[name]
         # Recover outside the table lock: store I/O can be slow and must
         # not serialise unrelated sessions.
         try:
@@ -734,52 +713,60 @@ class EstimationService:
     def _enforce_limit(self, keep: str) -> None:
         """Evict LRU sessions until at most ``max_active`` are live.
 
-        Runs *outside* the table lock: each victim is picked under the
-        lock, then snapshotted and saved while holding only its own
-        session lock, so a slow store write never stalls unrelated
-        sessions.
+        Each victim is picked under the table lock and dropped under its
+        own session lock, so an eviction waits only for its victim.
         """
         if self._max_active is None:
             return
         while True:
             with self._lock:
-                live = [
-                    key
-                    for key, handle in self._active.items()
-                    if not handle.evicted
-                ]
-                if len(live) <= self._max_active:
+                if len(self._active) <= self._max_active:
                     return
-                victim = next((key for key in live if key != keep), None)
+                victim = next((key for key in self._active if key != keep), None)
                 if victim is None:
                     return
                 handle = self._active[victim]
             self._evict_handle(victim, handle)
 
     def _evict_handle(self, name: str, handle: _ActiveSession) -> None:
-        """Snapshot ``handle`` into the store, then drop it from the table.
+        """Drop ``handle`` from memory: its log already holds every batch.
 
-        The save happens under the handle's own lock (so in-flight
-        ingestion is included and later mutation is impossible — any
-        writer acquiring the lock afterwards sees ``evicted`` and
-        re-activates); the ``evicted`` flag flips only once the snapshot
-        is durable, so a concurrent revival always loads complete state.
-
-        Under a write-ahead log the save is skipped entirely: every
-        mutation was already logged before it was applied, so the store
-        copy is complete and eviction is a free in-memory drop — what
-        lets ``max_active`` bound memory over very large session counts
-        without turning eviction into an O(state) write.
+        Every mutation was logged before it was applied, so eviction is
+        an in-memory drop, never an O(state) write — what lets
+        ``max_active`` bound memory over very large session counts.  It
+        takes the handle's lock, so in-flight ingestion lands first and
+        any caller locking it afterwards sees ``evicted`` and recovers
+        the session from the store.
         """
-        with handle.lock:
-            if not handle.evicted:
-                if not self._wal:
-                    self._store.save(name, self._snapshot_locked(handle))
-                handle.evicted = True
-                self._count("sessions_evicted")
-        with self._lock:
-            if self._active.get(name) is handle:
-                del self._active[name]
+        with handle.lock, self._lock:
+            if handle.evicted:
+                return
+            handle.evicted = True
+            del self._active[name]
+        self._count("sessions_evicted")
+
+    @contextmanager
+    def _replacing(self, name: str) -> Iterator[Optional[_ActiveSession]]:
+        """Hold ``name``'s live handle (``None`` if not live) for a replacement.
+
+        Takes the handle's lock, then the table lock, so an ingest already
+        inside the session lands before the body runs; nothing takes the
+        two locks in the other order.  When the body returns, the old
+        handle is retired: marked evicted, and out of the table unless the
+        body put a new handle in its place.
+        """
+        while True:
+            with self._lock:
+                handle = self._active.get(name)
+            with (nullcontext() if handle is None else handle.lock), self._lock:
+                if self._active.get(name) is not handle:
+                    continue  # the table moved on while this waited
+                yield handle
+                if handle is not None:
+                    handle.evicted = True
+                    if self._active.get(name) is handle:
+                        del self._active[name]
+                return
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
@@ -1340,11 +1327,6 @@ class ShardRouter:
     def shard_of(self, name: str) -> int:
         """The shard index owning session ``name``."""
         return shard_index(name, len(self._backends))
-
-    @property
-    def wal_enabled(self) -> bool:
-        """True when every shard ingests through a write-ahead log."""
-        return all(backend.wal_enabled for backend in self._backends)
 
     def _backend(self, name: str):
         return self._backends[self.shard_of(name)]

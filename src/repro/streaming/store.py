@@ -1,30 +1,33 @@
-"""Durable session storage behind the serving layer.
+"""Session storage behind the serving layer: one log per session.
 
-A :class:`SessionStore` keeps :class:`~repro.streaming.session.SessionSnapshot`
-values by session name.  The serving façade
-(:class:`~repro.streaming.serving.EstimationService`) uses one to park
-evicted sessions and to survive restarts; the CLI uses a
-:class:`DirectorySessionStore` so `repro session` invocations compose into
-one long-lived session across processes.
+A :class:`SessionStore` keeps each named session as a **log**: a head
+record (the session's :class:`~repro.streaming.wal.CreateRecord` or,
+once compacted, its :class:`~repro.streaming.session.SessionSnapshot`)
+followed by the :class:`~repro.streaming.wal.BatchRecord` of every batch
+applied since.  The serving façade
+(:class:`~repro.streaming.serving.EstimationService`) appends to it
+before each mutation, so the store is never behind a live session:
+eviction frees memory without a write, and a new service over the same
+store recovers every session.  ``append`` is the hot path, O(batch);
+``save`` is **compaction**, the snapshot becomes the head and the
+records go; ``recovery`` returns the head snapshot (``None`` under a
+create head) and the records.
 
-Two backends cover the operational spectrum:
+Two backends share that contract, byte counts included:
 
-* :class:`MemorySessionStore` — a process-local dict; zero I/O, the
-  default for tests and single-process serving.  It is the degenerate
-  no-WAL case: ``supports_wal`` is False and recovery is just a load.
-* :class:`DirectorySessionStore` — a **log-structured** store, one
-  file per session under a root path: ``<root>/<name>.log``, a
-  write-ahead log (see :mod:`repro.streaming.wal`) whose head record is
-  the session's create record or, once compacted, its snapshot.
-  ``append`` is the hot path — O(batch) per durable ingest; ``save`` is
-  **compaction** — it stages a file holding only the new snapshot record
-  and renames it over the log in one atomic step.  Recovery reads the
-  one file, so a kill at any point of a compaction leaves either the
-  old log or the new one, never a mix.
+* :class:`MemorySessionStore` — the log in a process-local dict; zero
+  I/O, the default for tests and single-process serving.
+* :class:`DirectorySessionStore` — one file per session under a root
+  path, ``<root>/<name>.log``, a write-ahead log (see
+  :mod:`repro.streaming.wal`); the CLI uses one, so `repro session`
+  invocations compose into one long-lived session across processes.
+  Compaction stages a file holding only the new snapshot record and
+  renames it over the log in one atomic step, so a kill at any point of
+  a compaction leaves either the old log or the new one, never a mix.
 
 Both backends return independent snapshot copies: mutating a loaded
 snapshot (or the session restored from it) never corrupts the stored
-bytes.
+state.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -42,7 +46,14 @@ except ImportError:  # pragma: no cover - Windows fallback: no advisory locks
 
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.streaming.session import SessionSnapshot
-from repro.streaming.wal import SessionLog, TornAppendError, WalRecord, write_snapshot_record
+from repro.streaming.wal import (
+    LogRecord,
+    SessionLog,
+    TornAppendError,
+    WalRecord,
+    encode_record,
+    write_snapshot_record,
+)
 
 #: Session names double as file names, so keep them filesystem-safe.
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
@@ -98,66 +109,61 @@ def check_session_name(name: str) -> str:
 
 
 class SessionStore:
-    """Interface of a snapshot store (see module docstring).
+    """Interface of a session store (see module docstring).
 
-    Subclasses implement :meth:`save`, :meth:`load`, :meth:`delete` and
-    :meth:`names`; the convenience dunders are shared.  Log-structured
-    backends additionally set :attr:`supports_wal` and implement
-    :meth:`append` / :meth:`recovery` / :meth:`log_size`; the defaults
-    here make every plain snapshot store the degenerate no-WAL case.
+    Subclasses implement :meth:`append`, :meth:`save`, :meth:`recovery`,
+    :meth:`log_size`, :meth:`delete` and :meth:`names`; :meth:`load` and
+    the convenience dunders are shared.
     """
 
-    #: Whether :meth:`append` lands records in a durable write-ahead log.
-    supports_wal = False
+    def append(self, name: str, record: WalRecord) -> int:
+        """Append one record to ``name``'s log, starting the log if there is none.
 
-    def save(self, name: str, snapshot: SessionSnapshot) -> None:
-        """Persist ``snapshot`` under ``name`` (overwriting any previous).
-
-        On a log-structured store this is **compaction**: the snapshot
-        becomes the head of a fresh log that holds nothing else.
+        Returns :meth:`log_size` after the append.
         """
         raise NotImplementedError
 
-    def load(self, name: str) -> SessionSnapshot:
-        """Return an independent copy of the snapshot stored under ``name``.
+    def save(self, name: str, snapshot: SessionSnapshot) -> None:
+        """Compact: replace ``name``'s log with one headed by ``snapshot`` alone."""
+        raise NotImplementedError
 
-        Raises ``ConfigurationError`` (listing available names) when the
+    def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[LogRecord]]:
+        """Everything needed to rebuild ``name``: the head snapshot and the records.
+
+        The snapshot is ``None`` for a log never compacted, whose records
+        then start with its create record.  Raises
+        :class:`UnknownSessionError` (listing available names) when the
         session is unknown.
         """
         raise NotImplementedError
 
+    def log_size(self, name: str) -> int:
+        """The log's bytes beyond its head snapshot, as framed on disk (0 for no log)."""
+        raise NotImplementedError
+
+    def load(self, name: str) -> SessionSnapshot:
+        """Return an independent copy of the head snapshot of ``name``'s log.
+
+        Records after the head are *not* folded in: use :meth:`recovery`
+        (or an :class:`~repro.streaming.serving.EstimationService`) to
+        rebuild the live state of a session with a non-empty log.
+        """
+        snapshot, records = self.recovery(name)
+        if snapshot is None:
+            raise ConfigurationError(
+                f"session {name!r} has no base snapshot yet ({len(records)} "
+                "log record(s) only); open it through an EstimationService "
+                "or compact it first"
+            )
+        return snapshot
+
     def delete(self, name: str) -> None:
-        """Remove the snapshot stored under ``name`` (missing is an error)."""
+        """Remove ``name``'s log (missing is an error)."""
         raise NotImplementedError
 
     def names(self) -> List[str]:
         """Stored session names, sorted."""
         raise NotImplementedError
-
-    def append(self, name: str, record: WalRecord) -> int:
-        """Append one durable log record for ``name`` (O(record)).
-
-        Returns :meth:`log_size` after the write.  Only meaningful when
-        :attr:`supports_wal` is True.
-        """
-        raise ConfigurationError(
-            f"{type(self).__name__} has no write-ahead log; use a "
-            "log-structured store (DirectorySessionStore) or snapshot "
-            "explicitly"
-        )
-
-    def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[WalRecord]]:
-        """Everything needed to rebuild ``name``: base snapshot + log tail.
-
-        The default (no-WAL) implementation returns ``(load(name), [])``.
-        Log-structured stores may return ``(None, records)`` for a
-        session whose whole history still lives in its log.
-        """
-        return self.load(name), []
-
-    def log_size(self, name: str) -> int:
-        """Log bytes beyond the base snapshot (0 on snapshot-only stores)."""
-        return 0
 
     def __contains__(self, name: str) -> bool:
         return name in self.names()
@@ -178,33 +184,60 @@ class SessionStore:
         )
 
 
+@dataclass
+class _MemoryLog:
+    """One session's log in memory: its head snapshot, records and tail size."""
+
+    head: Optional[SessionSnapshot] = None
+    records: List[WalRecord] = field(default_factory=list)
+    tail_bytes: int = 0
+
+
 class MemorySessionStore(SessionStore):
-    """In-process snapshot store (the default serving backend)."""
+    """In-process log store (the default serving backend).
+
+    It keeps the records themselves and counts each as the bytes of its
+    on-disk frame, so :meth:`append` and :meth:`log_size` return what a
+    :class:`DirectorySessionStore` returns for the same records.  Like
+    that store it takes one writer per session at a time, which the
+    service's per-session lock provides.
+    """
 
     def __init__(self) -> None:
-        self._snapshots: Dict[str, SessionSnapshot] = {}
+        self._logs: Dict[str, _MemoryLog] = {}
+
+    def append(self, name: str, record: WalRecord) -> int:
+        """Keep ``record`` at the end of the session's log; returns the tail size."""
+        size = len(encode_record(record))
+        log = self._logs.setdefault(check_session_name(name), _MemoryLog())
+        log.records.append(record)
+        log.tail_bytes += size
+        return log.tail_bytes
 
     def save(self, name: str, snapshot: SessionSnapshot) -> None:
-        """Store a defensive copy of ``snapshot`` under ``name``."""
-        self._snapshots[check_session_name(name)] = snapshot.copy()
+        """Compact: a copy of ``snapshot`` becomes the head and the records go."""
+        self._logs[check_session_name(name)] = _MemoryLog(snapshot.copy())
 
-    def load(self, name: str) -> SessionSnapshot:
-        """Return a fresh copy of the stored snapshot."""
-        check_session_name(name)
-        try:
-            return self._snapshots[name].copy()
-        except KeyError:
-            raise self._unknown(name) from None
+    def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[LogRecord]]:
+        """A copy of the head snapshot (``None`` before any compaction) and the records."""
+        log = self._logs.get(check_session_name(name))
+        if log is None:
+            raise self._unknown(name)
+        return (None if log.head is None else log.head.copy()), list(log.records)
+
+    def log_size(self, name: str) -> int:
+        """Bytes of the records after the head snapshot (0 for a missing log)."""
+        log = self._logs.get(check_session_name(name))
+        return 0 if log is None else log.tail_bytes
 
     def delete(self, name: str) -> None:
-        """Drop the stored snapshot."""
-        check_session_name(name)
-        if self._snapshots.pop(name, None) is None:
+        """Drop the session's log."""
+        if self._logs.pop(check_session_name(name), None) is None:
             raise self._unknown(name)
 
     def names(self) -> List[str]:
         """Stored session names, sorted."""
-        return sorted(self._snapshots)
+        return sorted(self._logs)
 
 
 class DirectorySessionStore(SessionStore):
@@ -232,8 +265,6 @@ class DirectorySessionStore(SessionStore):
         always reclaim its shard.  Released by :meth:`close` (or
         process exit).
     """
-
-    supports_wal = True
 
     #: Name of the advisory ownership lockfile inside the root.
     LOCK_FILENAME = ".lock"
@@ -346,22 +377,6 @@ class DirectorySessionStore(SessionStore):
         if self.sync:
             _fsync(self.root)
 
-    def load(self, name: str) -> SessionSnapshot:
-        """Read the stored base snapshot (the head of a compacted log).
-
-        Pending log records are *not* folded in — use :meth:`recovery`
-        (or an :class:`~repro.streaming.serving.EstimationService`) to
-        rebuild the live state of a session with a non-empty log.
-        """
-        snapshot, records = self.recovery(name)
-        if snapshot is None:
-            raise ConfigurationError(
-                f"session {name!r} has no base snapshot yet ({len(records)} "
-                "log record(s) only); open it through an EstimationService "
-                "or compact it first"
-            )
-        return snapshot
-
     def delete(self, name: str) -> None:
         """Remove the session's log."""
         try:
@@ -426,7 +441,7 @@ class DirectorySessionStore(SessionStore):
             raise
         return size - log.snapshot_bytes
 
-    def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[WalRecord]]:
+    def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[LogRecord]]:
         """The log's base snapshot (``None`` before any compaction) and records.
 
         A torn tail (crash mid-append) is ignored and truncated away; a

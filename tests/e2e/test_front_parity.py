@@ -71,23 +71,29 @@ SCRIPT = (
     ("progress", ("alpha",), {}),
 )
 
-#: label → call; every front must raise the same ``(type, status, kind)``.
+#: label → (op, call); every front carrying the op must raise the same
+#: ``(type, status, kind)``.
 ERROR_CASES = {
-    "unknown_session": lambda front: front.estimates("ghost"),
-    "bad_vote": lambda front: front.ingest("alpha", [{0: 7}]),
-    "fractional_vote": lambda front: front.ingest("alpha", [{0: 0.5}]),
-    "bool_vote": lambda front: front.ingest("alpha", [{0: True}]),
-    "fractional_sequence": lambda front: front.ingest(
+    "unknown_session": ("estimates", lambda front: front.estimates("ghost")),
+    "bad_vote": ("ingest", lambda front: front.ingest("alpha", [{0: 7}])),
+    "fractional_vote": ("ingest", lambda front: front.ingest("alpha", [{0: 0.5}])),
+    "bool_vote": ("ingest", lambda front: front.ingest("alpha", [{0: True}])),
+    "fractional_sequence": ("ingest", lambda front: front.ingest(
         "alpha", [{0: DIRTY}], source="a", sequence=5.5
-    ),
-    "bool_sequence": lambda front: front.ingest(
+    )),
+    "bool_sequence": ("ingest", lambda front: front.ingest(
         "alpha", [{0: DIRTY}], source="a", sequence=True
-    ),
-    "non_string_source": lambda front: front.ingest(
+    )),
+    "non_string_source": ("ingest", lambda front: front.ingest(
         "alpha", [{0: DIRTY}], source=5, sequence=9
+    )),
+    "duplicate_create": (
+        "create_session", lambda front: front.create_session("alpha", [0, 1])
     ),
-    "duplicate_create": lambda front: front.create_session("alpha", [0, 1]),
-    "collusion_without_votes": lambda front: front.collusion_report("gamma"),
+    "collusion_without_votes": (
+        "collusion_report", lambda front: front.collusion_report("gamma")
+    ),
+    "restore_non_snapshot": ("restore", lambda front: front.restore("alpha", object())),
 }
 
 
@@ -172,7 +178,9 @@ def outcomes(tmp_path_factory):
             script = run_script(front)
             front.create_session("gamma", [0, 1, 2], ["voting"], keep_votes=False)
             errors = {
-                case: error_signature(front, call) for case, call in ERROR_CASES.items()
+                case: error_signature(front, call)
+                for case, (op, call) in ERROR_CASES.items()
+                if declares(front, OPS[op])
             }
             results[label] = (script, errors)
     return results
@@ -201,7 +209,9 @@ class TestFrontParity:
 
     @pytest.mark.parametrize("label", [label for label in FRONTS if label != "service"])
     def test_errors_match_the_in_process_service(self, outcomes, label):
-        assert outcomes[label][1] == outcomes["service"][1]
+        expected = outcomes["service"][1]
+        got = outcomes[label][1]
+        assert got == {case: expected[case] for case in got}
 
     def test_the_error_cases_keep_their_taxonomy(self, outcomes):
         errors = outcomes["service"][1]
@@ -215,6 +225,7 @@ class TestFrontParity:
             "fractional_sequence",
             "bool_sequence",
             "non_string_source",
+            "restore_non_snapshot",
         ):
             assert errors[case] == ("ValidationError", 400, "validation"), case
 

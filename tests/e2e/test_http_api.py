@@ -26,7 +26,7 @@ class TestRoutes:
         assert health["status"] == "ok"
         assert health["sessions"] == 0
         assert health["shards"] == 1
-        assert health["wal"] is False  # memory store: nothing durable
+        assert set(health) == {"status", "sessions", "active_sessions", "shards"}
 
     def test_session_lifecycle_over_the_wire(self, client):
         assert client.sessions() == []

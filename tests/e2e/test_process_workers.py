@@ -112,7 +112,6 @@ class TestProcessShardedFacade:
         root = tmp_path / "root"
         with ProcessShardedService(root, num_shards=2) as service:
             assert service.num_shards == 2
-            assert service.wal_enabled is True
             service.create_session(SESSION, ITEMS, ESTIMATORS)
             drive(service, 4)
             duplicate = service.ingest(
@@ -368,7 +367,7 @@ class TestServeWorkersSubprocess:
             url = match.group(1)
             with urllib.request.urlopen(url + "/health", timeout=10) as response:
                 health = json.load(response)
-            assert health["shards"] == 2 and health["wal"] is True
+            assert health["shards"] == 2
             request = urllib.request.Request(
                 url + "/sessions",
                 data=json.dumps(

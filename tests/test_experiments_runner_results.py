@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.exceptions import ValidationError
 from repro.core.descriptive import VotingEstimator
 from repro.core.total_error import SwitchTotalErrorEstimator
 from repro.experiments.reporting import render_series_table, render_summary, series_to_csv
@@ -82,6 +83,11 @@ class TestEngines:
     def test_invalid_engine_rejected(self):
         with pytest.raises(Exception, match="engine"):
             RunnerConfig(engine="tensor")
+
+    def test_serial_engine_runs_in_process_only(self):
+        with pytest.raises(ValidationError, match="serial engine runs in-process"):
+            RunnerConfig(engine="serial", n_jobs=2)
+        assert RunnerConfig(engine="serial", n_jobs=1).n_jobs == 1
 
     def test_default_engine_is_batch(self, noisy_crowd_simulation):
         config = RunnerConfig(num_permutations=2, num_checkpoints=3)

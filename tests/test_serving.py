@@ -3,14 +3,16 @@
 Covers the tentpole behaviors: named sessions, idempotent batched
 ingestion (duplicate deliveries are no-ops), estimate caching keyed on
 the state's mutation version, snapshot/restore through both store
-backends, LRU eviction with transparent revival, and thread-safe
-ingestion.
+backends and their one log contract, LRU eviction with transparent
+revival, and thread-safe ingestion, drop and restore.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -21,12 +23,15 @@ from repro.core.registry import get_estimator
 from repro.crowd.response_matrix import ResponseMatrix
 from repro.serving import ServingApi
 from repro.streaming import (
+    BatchRecord,
+    CreateRecord,
     DirectorySessionStore,
     EstimationService,
     MemorySessionStore,
     StreamingSession,
     check_session_name,
 )
+from repro.streaming.wal import encode_record
 
 
 def _columns(rng, num_items, count, touched=6):
@@ -377,6 +382,49 @@ class TestSessionStores:
         with pytest.raises(ConfigurationError, match="no stored session"):
             store.delete("alpha")
 
+    @pytest.mark.parametrize("backend", ["memory", "directory"])
+    def test_log_contract(self, backend, tmp_path):
+        """create → batches → compaction → more batches → recovery.
+
+        Both stores count each record as its on-disk frame, so they
+        return the same sizes and the same records for the same log.
+        """
+        store = (
+            MemorySessionStore()
+            if backend == "memory"
+            else DirectorySessionStore(tmp_path / "root")
+        )
+        create = CreateRecord(item_ids=(0, 1, 2), estimators=("voting",))
+        batches = [
+            BatchRecord.from_columns([{0: DIRTY, 2: CLEAN}], [7], "s", sequence)
+            for sequence in range(1, 5)
+        ]
+        frames = [len(encode_record(record)) for record in (create, *batches)]
+        assert store.log_size("alpha") == 0
+        sizes = [store.append("alpha", record) for record in (create, *batches[:2])]
+        assert sizes == list(accumulate(frames[:3]))
+        assert store.log_size("alpha") == sizes[-1]
+        assert store.recovery("alpha") == (None, [create, *batches[:2]])
+        with pytest.raises(ConfigurationError, match="no base snapshot"):
+            store.load("alpha")
+
+        session = StreamingSession([0, 1, 2], ["voting"])
+        session.add_columns([{0: DIRTY, 2: CLEAN}] * 2, [7, 7])
+        snapshot = session.snapshot()
+        store.save("alpha", snapshot)
+        assert store.log_size("alpha") == 0
+        sizes = [store.append("alpha", record) for record in batches[2:]]
+        assert sizes == list(accumulate(frames[3:]))
+        assert store.log_size("alpha") == sizes[-1]
+        head, records = store.recovery("alpha")
+        assert records == batches[2:]
+        assert head.manifest == snapshot.manifest
+        assert head.arrays.keys() == snapshot.arrays.keys()
+        for key in snapshot.arrays:
+            assert np.array_equal(head.arrays[key], snapshot.arrays[key])
+        with pytest.raises(ConfigurationError, match="no stored session"):
+            store.recovery("beta")
+
     def test_directory_store_overwrites_atomically(self, tmp_path):
         store = DirectorySessionStore(tmp_path / "root")
         session = StreamingSession([0, 1], ["voting"])
@@ -450,3 +498,110 @@ class TestThreadSafety:
         assert progress["total_votes"] == 8 * per_thread
         # Order-independent statistics match the batch reference exactly.
         assert service.estimates("shared")["voting"].estimate == 8.0
+
+
+class _GatedStore(DirectorySessionStore):
+    """Holds the next batch append, once armed, until the test releases it."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def append(self, name, record):
+        if self.armed and isinstance(record, BatchRecord):
+            self.armed = False
+            self.entered.set()
+            assert self.release.wait(10)
+        return super().append(name, record)
+
+
+class TestRetiringALiveSession:
+    """``drop`` and ``restore`` let an ingest already inside the session land first."""
+
+    def _race(self, store, service, call):
+        """Run ``call`` while an ingest of one vote into ``a`` is held in its append."""
+        store.armed = True
+        acks = []
+        ingest = threading.Thread(
+            target=lambda: acks.append(
+                service.ingest("a", [{0: DIRTY}], source="s", sequence=1)
+            )
+        )
+        ingest.start()
+        assert store.entered.wait(10)
+        other = threading.Thread(target=call)
+        other.start()
+        other.join(1.0)  # it either returns now or waits for the ingest
+        store.release.set()
+        ingest.join(10)
+        other.join(10)
+        assert acks and acks[0].applied == 1
+
+    def test_drop_waits_for_an_ingest_in_flight(self, tmp_path):
+        store = _GatedStore(tmp_path)
+        service = EstimationService(store)
+        service.create_session("a", range(3), ["voting"])
+        self._race(store, service, lambda: service.drop("a"))
+        assert service.sessions() == [] and "a" not in store
+        service.create_session("a", range(3), ["voting"])
+        assert EstimationService(DirectorySessionStore(tmp_path)).progress("a")[
+            "num_columns"
+        ] == 0
+
+    def test_restore_waits_for_an_ingest_in_flight(self, tmp_path):
+        store = _GatedStore(tmp_path)
+        service = EstimationService(store)
+        service.create_session("a", range(3), ["voting"])
+        foreign = StreamingSession(range(3), ["voting"])
+        foreign.add_column({0: DIRTY, 1: CLEAN})
+        self._race(store, service, lambda: service.restore("a", foreign.snapshot()))
+        live = service.estimate_report("a")
+        reopened = EstimationService(DirectorySessionStore(tmp_path)).estimate_report("a")
+        assert live.version[:2] == (1, 2)
+        assert (reopened.version, reopened.results) == (live.version, live.results)
+
+    def test_restore_and_compact_under_concurrent_ingest_lose_nothing(self):
+        store = MemorySessionStore()
+        service = EstimationService(store, compact_after_bytes=400)
+        names, writers, per_writer = ("a", "b"), 4, 30
+        for name in names:
+            service.create_session(name, range(10), ["voting", "chao92"])
+
+        def write(index):
+            for sequence in range(1, per_writer + 1):
+                for name in names:
+                    column = {index: DIRTY, 4 + sequence % 6: CLEAN}
+                    service.ingest(name, [column], source=f"w{index}", sequence=sequence)
+
+        def churn():
+            for _ in range(40):
+                for name in names:
+                    service.restore(name)
+                    service.compact(name)
+
+        threads = [threading.Thread(target=write, args=(i,)) for i in range(writers)]
+        threads.append(threading.Thread(target=churn))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        reopened = EstimationService(store)
+        for name in names:
+            live, cold = service.estimate_report(name), reopened.estimate_report(name)
+            assert live.version[:2] == (writers * per_writer, 2 * writers * per_writer)
+            assert (cold.version[:2], cold.results) == (live.version[:2], live.results)
+
+    def test_restore_rejects_anything_but_a_snapshot(self):
+        service = EstimationService()
+        service.create_session("a", range(3), ["voting"])
+        with pytest.raises(ValidationError, match="snapshot must be a SessionSnapshot"):
+            service.restore("a", object())
+        assert service.progress("a")["num_columns"] == 0

@@ -64,7 +64,6 @@ class TestRouting:
     def test_memory_backed_sharding_needs_no_root(self):
         service = ShardedEstimationService(num_shards=3)
         assert service.root is None
-        assert not service.wal_enabled
         _populate(service, ["a", "b", "c"])
         assert service.sessions() == ["a", "b", "c"]
 

@@ -392,9 +392,3 @@ class TestServiceCrashConsistency:
         service.compact("s")
         assert service.store.log_size("s") == 0
         assert _estimates(_service(tmp_path)) == before
-
-    def test_wal_rejected_on_snapshot_only_store(self):
-        from repro.streaming import MemorySessionStore
-
-        service = EstimationService(MemorySessionStore())
-        assert not service.wal_enabled

@@ -1,15 +1,16 @@
-"""Model-based durability check of the WAL-backed service.
+"""Model-based durability check of the log-backed service, on both stores.
 
-A hypothesis state machine drives ``EstimationService`` over a
-``DirectorySessionStore`` through create, ingest, retried and reordered
-deliveries, eviction, compaction and crash+reopen (the service is
-dropped and a new one opened on the same root).  The model is one plain
+A hypothesis state machine drives ``EstimationService`` through create,
+ingest, retried and reordered deliveries, eviction, compaction and
+crash+reopen (the service is dropped and a new one opened on the same
+store: a ``DirectorySessionStore`` on the same root, or the same
+``MemorySessionStore`` object).  The model is one plain
 ``StreamingSession`` per session, fed exactly the acknowledged
 non-duplicate batches.  After every step each session's served
 ``(columns, votes)`` and estimates must equal the model's, and a
 duplicate delivery must leave the served version as it was.
 
-The fault layer: one rule arms a single ``OSError(ENOSPC)`` for the next
+The fault layer, on the directory store only: one rule arms a single ``OSError(ENOSPC)`` for the next
 ingest only, at the k-th write the store makes (a log append, or a write
 of the staged file of the compaction the ingest triggers; the failing
 write lands half its bytes) or at the store's next ``os.replace``.  An
@@ -32,7 +33,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.common.labels import CLEAN, DIRTY
-from repro.streaming import DirectorySessionStore, EstimationService, StreamingSession
+from repro.streaming import (
+    DirectorySessionStore,
+    EstimationService,
+    MemorySessionStore,
+    StreamingSession,
+)
 from repro.streaming import store as store_module
 from repro.streaming import wal
 
@@ -105,23 +111,18 @@ def _full_disk(fault):
         yield
 
 
-class DurableService(RuleBasedStateMachine):
+class _ServiceModel(RuleBasedStateMachine):
+    """The rules every store runs; :meth:`_open` opens a service on the store."""
+
     def __init__(self) -> None:
         super().__init__()
-        self.root = Path(tempfile.mkdtemp(prefix="wal-model-"))
         self.service = self._open()
         #: session name -> the model session and the acknowledged batches
         self.models = {}
         self.acknowledged = {}
 
     def _open(self) -> EstimationService:
-        # A small threshold, so ingest compacts by itself now and then.
-        return EstimationService(
-            DirectorySessionStore(self.root), compact_after_bytes=500
-        )
-
-    def teardown(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
+        raise NotImplementedError
 
     def _deliver_duplicate(self, name: str, sequence: int, columns) -> None:
         before = self.service.estimate_report(name).version
@@ -147,25 +148,6 @@ class DurableService(RuleBasedStateMachine):
             assert not ack.duplicate and ack.applied == len(columns)
             self.models[name].add_columns(columns)
             self.acknowledged[name].append(columns)
-
-    @precondition(lambda self: self.models)
-    @rule(data=st.data(), fault=faults)
-    def ingest_on_a_full_disk(self, data, fault) -> None:
-        name = data.draw(st.sampled_from(sorted(self.models)))
-        columns = data.draw(batches)
-        sequence = len(self.acknowledged[name]) + 1
-        before = self.service.estimate_report(name).version
-        try:
-            with _full_disk(fault):
-                ack = self.service.ingest(name, columns, source="w", sequence=sequence)
-        except OSError:
-            # A failed ingest changes nothing and uses up no sequence ...
-            assert self.service.estimate_report(name).version == before
-            ack = self.service.ingest(name, columns, source="w", sequence=sequence)
-        # ... and one that returns is acknowledged, compaction or not.
-        assert not ack.duplicate and ack.applied == len(columns)
-        self.models[name].add_columns(columns)
-        self.acknowledged[name].append(columns)
 
     @precondition(lambda self: any(self.acknowledged.values()))
     @rule(data=st.data())
@@ -207,4 +189,49 @@ class DurableService(RuleBasedStateMachine):
             assert report.results == model.estimate()
 
 
+class DurableService(_ServiceModel):
+    def __init__(self) -> None:
+        self.root = Path(tempfile.mkdtemp(prefix="wal-model-"))
+        super().__init__()
+
+    def _open(self) -> EstimationService:
+        # A small threshold, so ingest compacts by itself now and then.
+        return EstimationService(
+            DirectorySessionStore(self.root), compact_after_bytes=500
+        )
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @precondition(lambda self: self.models)
+    @rule(data=st.data(), fault=faults)
+    def ingest_on_a_full_disk(self, data, fault) -> None:
+        name = data.draw(st.sampled_from(sorted(self.models)))
+        columns = data.draw(batches)
+        sequence = len(self.acknowledged[name]) + 1
+        before = self.service.estimate_report(name).version
+        try:
+            with _full_disk(fault):
+                ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+        except OSError:
+            # A failed ingest changes nothing and uses up no sequence ...
+            assert self.service.estimate_report(name).version == before
+            ack = self.service.ingest(name, columns, source="w", sequence=sequence)
+        # ... and one that returns is acknowledged, compaction or not.
+        assert not ack.duplicate and ack.applied == len(columns)
+        self.models[name].add_columns(columns)
+        self.acknowledged[name].append(columns)
+
+
+class MemoryService(_ServiceModel):
+    def __init__(self) -> None:
+        self.store = MemorySessionStore()
+        super().__init__()
+
+    def _open(self) -> EstimationService:
+        # Reopening is a new service over the same store object.
+        return EstimationService(self.store, compact_after_bytes=500)
+
+
 TestDurableService = DurableService.TestCase
+TestMemoryService = MemoryService.TestCase
