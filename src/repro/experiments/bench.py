@@ -5,8 +5,7 @@ workload and appends its entry to ``BENCH_runner.json``, so performance
 drift is a diff instead of folklore.  Every workload in the one
 :data:`WORKLOADS` registry is a :class:`RecordedWorkload` of one of five
 families (runner, serving, wal, http, proc-shards), and every entry has
-one schema: ``{recorded_at, machine, params, backend, timings_s,
-metrics}``.
+one schema: ``{recorded_at, machine, params, timings_s, metrics}``.
 
 Regression checking is **relative**: wall times are machine-specific,
 but the batch-vs-serial speedup ratio is not, so ``--check`` fails when
@@ -37,7 +36,7 @@ from repro.crowd.response_matrix import ResponseMatrix
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
 #: Record-file format version (bump when the layout changes).
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Default record location (repo root when run from there).
 DEFAULT_RECORD = "BENCH_runner.json"
@@ -685,11 +684,10 @@ def run_workload(
     """Measure one workload and build its record entry.
 
     Every family's entry has the same keys: ``params`` is the workload's
-    fields plus this run's ``repeats``/``n_jobs``, ``backend`` the batch
-    engine's scan path (``numpy``), ``timings_s`` wall times in seconds (to
-    0.1 ms) and ``metrics`` the family's flat derived numbers (floats to
-    three decimals).  Raises ``RuntimeError`` when the workload's oracle
-    fails.
+    fields plus this run's ``repeats``/``n_jobs``, ``timings_s`` wall times
+    in seconds (to 0.1 ms) and ``metrics`` the family's flat derived
+    numbers (floats to three decimals).  Raises ``RuntimeError`` when the
+    workload's oracle fails.
     """
     check_int(n_jobs, "n_jobs", minimum=1)
     check_int(repeats, "repeats", minimum=1)
@@ -698,7 +696,6 @@ def run_workload(
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": machine_info(),
         "params": {**asdict(workload), "repeats": repeats, "n_jobs": n_jobs},
-        "backend": "numpy",
         "timings_s": {key: round(seconds, 4) for key, seconds in timings.items()},
         "metrics": {
             key: round(value, 3) if isinstance(value, float) else value
@@ -711,10 +708,9 @@ def run_workload(
 #: an existing file picks up wording changes).
 RECORD_NOTE = (
     "Performance trajectory of this repo; append entries with `repro bench`. "
-    "Every entry is {recorded_at, machine, params, backend, timings_s, "
-    "metrics}. `--check` compares metrics.batch_vs_serial (runner entries "
-    "only; machine-independent) against the workload's baseline for the same "
-    "'backend', the batch engine's scan path (numpy in every entry)."
+    "Every entry is {recorded_at, machine, params, timings_s, metrics}. "
+    "`--check` compares metrics.batch_vs_serial (runner entries only; "
+    "machine-independent) against the workload's baseline, its first entry."
 )
 
 
@@ -750,16 +746,14 @@ def update_record(
 ) -> Optional[Dict[str, object]]:
     """Append ``entry`` to its workload's history; returns the baseline.
 
-    Baselines are kept per scan path (``slot["baselines"][backend]``) so
-    the regression gate only ever compares like with like.  The first
-    entry recorded for a (workload, scan path) pair becomes that pair's
-    baseline and ``None`` is returned for it.
+    The first entry recorded for a workload becomes its one baseline
+    (``slot["baseline"]``), and ``None`` is returned for it.
     """
     workloads = record.setdefault("workloads", {})
     slot = workloads.setdefault(
-        entry["params"]["name"], {"baselines": {}, "history": []}
+        entry["params"]["name"], {"baseline": entry, "history": []}
     )
-    baseline = slot["baselines"].setdefault(entry["backend"], entry)
+    baseline = slot["baseline"]
     slot["history"].append(entry)
     return None if baseline is entry else baseline
 
@@ -805,7 +799,7 @@ def format_summary(entry: Dict[str, object]) -> str:
     )
     metrics = ", ".join(f"{key}={value}" for key, value in entry["metrics"].items())
     return (
-        f"BENCH {entry['params']['name']} [{entry['backend']}]: {timings}; "
+        f"BENCH {entry['params']['name']}: {timings}; "
         f"{metrics} on {entry['machine']['usable_cpus']} usable cpu(s)"
     )
 

@@ -10,7 +10,8 @@ advance its source's high-water mark is a no-op), estimates cached on
 the session state's mutation version, durability through a pluggable
 :class:`~repro.streaming.store.SessionStore` (every applied batch is
 logged before it mutates the session, and recovery is last snapshot +
-log replay), LRU eviction under ``max_active``, and per-session locks.
+log replay), LRU eviction under ``max_active``, and one table entry,
+with its own lock, per session name.
 ``docs/serving.md`` and ``docs/persistence.md`` tour each of these.
 
 Every op of the façade is declared once, in :data:`SERVING_OPS`: its
@@ -32,7 +33,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -45,7 +46,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -185,23 +185,24 @@ class IngestResult:
 
 
 class _ActiveSession:
-    """A live session plus its serving bookkeeping (lock, cache, sources)."""
+    """One session name's table entry: its live session and serving bookkeeping.
 
-    __slots__ = ("session", "lock", "sources", "cache_version", "cache", "evicted")
+    Created empty (``session is None``) under the table lock, then loaded
+    (from the store, a create or a restored snapshot) under its own
+    ``lock`` by whichever caller holds that lock first.  ``retired`` is
+    set, under both locks, as the entry leaves the table.
+    """
 
-    def __init__(
-        self, session: StreamingSession, sources: Optional[Dict[str, int]] = None
-    ) -> None:
-        self.session = session
+    __slots__ = ("session", "lock", "sources", "cache_version", "cache", "retired")
+
+    def __init__(self) -> None:
+        self.session: Optional[StreamingSession] = None
         self.lock = threading.RLock()
         #: per-source ingestion high-water marks (idempotency state).
-        self.sources: Dict[str, int] = dict(sources or {})
+        self.sources: Dict[str, int] = {}
         self.cache_version: Optional[tuple] = None
         self.cache: Optional[Dict[str, EstimateResult]] = None
-        #: set under this handle's lock and the service lock as the handle
-        #: leaves the table; any caller that raced the eviction re-activates
-        #: instead of mutating a retired session.
-        self.evicted = False
+        self.retired = False
 
 
 class EstimationService:
@@ -228,6 +229,14 @@ class EstimationService:
     the call returns, in O(batch), so the store is never behind a live
     session: eviction is an in-memory drop, and a new service over the
     same store recovers every session.
+
+    Thread safety: each session name has at most one entry in the
+    service's table, and every op on the name, eviction included, runs
+    under that entry's lock.  The table lock only finds the entry, so no
+    store I/O ever holds it; a caller holding both took the entry's lock
+    first.  Whichever caller locks an empty entry first loads it from
+    the store, so a session is recovered once, by one caller, and no
+    batch can land between its recovery and its use.
 
     Examples
     --------
@@ -259,10 +268,8 @@ class EstimationService:
         self._compact_after_bytes = compact_after_bytes
         self._active: "OrderedDict[str, _ActiveSession]" = OrderedDict()
         self._lock = threading.Lock()
-        #: tombstones of dropped names: closes the race where an accessor
-        #: that loaded a snapshot just before ``drop`` would resurrect the
-        #: session afterwards.  ``create_session`` clears the tombstone.
-        self._dropped: Set[str] = set()
+        #: entries holding a session; changes with them, under ``_lock``.
+        self._live = 0
         #: serving counters (observability + the caching tests/benchmark);
         #: guarded by their own lock so concurrent handlers don't lose
         #: increments.
@@ -304,71 +311,57 @@ class EstimationService:
         orphan its history.
 
         The creation is in the store before the call returns — as one
-        O(1) create record, not a snapshot.
+        O(1) create record, not a snapshot — and the session goes live
+        under the name's lock, so no batch is logged ahead of it.
         """
-        check_session_name(name)
-        session = StreamingSession(item_ids, estimators, keep_votes=keep_votes)
-        handle = _ActiveSession(session)
-        # Under the new handle's lock, so no batch is logged ahead of the
-        # create record.
-        with handle.lock:
-            with self._lock:
-                if name in self._active or name in self._store:
-                    raise ConfigurationError(
-                        f"session {name!r} already exists; drop it first or pick "
-                        "another name"
-                    )
-                self._dropped.discard(name)
-                self._active[name] = handle
-            try:
-                self._store.append(
-                    name,
-                    CreateRecord(
-                        item_ids=tuple(int(item) for item in session.state.item_ids),
-                        estimators=tuple(est.name for est in session.estimators),
-                        keep_votes=keep_votes,
-                    ),
+        with self._handle(name, load=False) as handle:
+            session = StreamingSession(item_ids, estimators, keep_votes=keep_votes)
+            if handle.session is not None or name in self._store:
+                raise ConfigurationError(
+                    f"session {name!r} already exists; drop it first or pick "
+                    "another name"
                 )
-            except Exception:
-                with self._lock:
-                    del self._active[name]
-                    handle.evicted = True
-                raise
+            self._store.append(
+                name,
+                CreateRecord(
+                    item_ids=tuple(int(item) for item in session.state.item_ids),
+                    estimators=tuple(est.name for est in session.estimators),
+                    keep_votes=keep_votes,
+                ),
+            )
+            self._load(handle, session, {})
         self._enforce_limit(keep=name)
         return name
 
     def sessions(self) -> List[str]:
         """Every known session name — live and stored — sorted."""
-        with self._lock:
-            names = set(self._active)
+        names = set(self.active_sessions())
         names.update(self._store.names())
         return sorted(names)
 
     def active_sessions(self) -> List[str]:
         """Names of the sessions currently live in memory (LRU order)."""
         with self._lock:
-            return list(self._active)
+            return [
+                name
+                for name, handle in self._active.items()
+                if handle.session is not None
+            ]
 
     def drop(self, name: str) -> None:
         """Forget a session everywhere: live table and store.
 
-        An ingest already inside the session lands first; then the live
-        removal, the store delete and the tombstone are applied in one
-        critical section, so an accessor racing the drop either sees the
-        session fully alive or fully gone — never a store copy it could
-        resurrect from.
+        Runs under the name's lock, so an op already inside the session
+        lands first and one that waited for the drop finds no session.
         """
-        check_session_name(name)
-        with self._replacing(name) as handle:
-            stored = name in self._store
-            if stored:
+        with self._handle(name, load=False) as handle:
+            if name in self._store:
                 self._store.delete(name)
-            if handle is not None or stored:
-                self._dropped.add(name)
-                return
-        raise UnknownSessionError(
-            f"unknown session {name!r}; available: {self.sessions()}"
-        )
+            elif handle.session is None:
+                raise UnknownSessionError(
+                    f"unknown session {name!r}; available: {self.sessions()}"
+                )
+            self._load(handle, None, {})
 
     # ------------------------------------------------------------------ #
     # ingestion and estimation
@@ -424,7 +417,7 @@ class EstimationService:
             # would stop deduplicating after a compaction and reopen.
             raise ValidationError(f"source must be a string, got {source!r}")
         _check_worker_ids(columns, worker_ids)
-        with self._live(name) as handle:
+        with self._handle(name) as handle:
             session = handle.session
             if is_duplicate(handle.sources, source, sequence):
                 return IngestResult(
@@ -457,7 +450,7 @@ class EstimationService:
                 # The batch is logged and applied: it is acknowledged
                 # whatever the compaction does.
                 with suppress(OSError):
-                    self._store.save(name, self._snapshot_locked(handle))
+                    self._store.save(name, self._snapshot(session, handle.sources))
             return IngestResult(
                 session=name,
                 applied=len(columns),
@@ -482,7 +475,7 @@ class EstimationService:
         pair is consistent — the wire contract a retrying client needs to
         verify its duplicate delivery left the session untouched.
         """
-        with self._live(name) as handle:
+        with self._handle(name) as handle:
             self._count("estimates_served")
             version = handle.session.state.version
             if handle.cache is not None and handle.cache_version == version:
@@ -495,7 +488,7 @@ class EstimationService:
 
     def progress(self, name: str) -> Dict[str, float]:
         """The named session's stream-progress summary."""
-        with self._live(name) as handle:
+        with self._handle(name) as handle:
             return handle.session.progress()
 
     def collusion_report(
@@ -513,7 +506,7 @@ class EstimationService:
         """
         from repro.core.descriptive import collusion_report as _collusion_report
 
-        with self._live(name) as handle:
+        with self._handle(name) as handle:
             matrix = handle.session.matrix()
             return _collusion_report(
                 matrix, threshold=threshold, min_overlap=min_overlap
@@ -534,8 +527,8 @@ class EstimationService:
         the fresh snapshot and restarts the log empty (see
         :meth:`compact`).
         """
-        with self._live(name) as handle:
-            snapshot = self._snapshot_locked(handle)
+        with self._handle(name) as handle:
+            snapshot = self._snapshot(handle.session, handle.sources)
             self._store.save(name, snapshot)
             return snapshot
 
@@ -560,32 +553,30 @@ class EstimationService:
         With ``snapshot=None`` the store's copy is loaded — which is also
         what every other accessor does transparently, so an explicit
         ``restore`` is only needed to import a foreign snapshot or to
-        override the estimator set.  Any live session under the name is
-        replaced, once an ingest already inside it has landed; an
-        imported snapshot becomes the head of the session's log.
-        Returns the restored session's progress summary.
+        override the estimator set.  The restored session replaces any
+        live one under the name, once an op already inside it has landed,
+        and starts with an empty estimate cache; an imported snapshot
+        becomes the head of the session's log.  Returns the restored
+        session's progress summary.
         """
-        check_session_name(name)
         if snapshot is not None and not isinstance(snapshot, SessionSnapshot):
             raise ValidationError(
                 "snapshot must be a SessionSnapshot or None, got "
                 f"{type(snapshot).__name__}"
             )
-        with self._replacing(name):
+        with self._handle(name, load=False) as handle:
             if snapshot is None:
                 session, sources = self._recover_session(name, estimators)
             else:
                 session = StreamingSession.from_snapshot(snapshot, estimators)
                 sources = self._serving_sources(snapshot)
-            handle = _ActiveSession(session, sources)
-            if snapshot is not None:
                 # The store is never behind a live session.
-                self._store.save(name, self._snapshot_locked(handle))
-            self._dropped.discard(name)
-            self._active[name] = handle
+                self._store.save(name, self._snapshot(session, sources))
+            self._load(handle, session, sources)
+            progress = session.progress()
         self._count("sessions_restored")
         self._enforce_limit(keep=name)
-        return session.progress()
+        return progress
 
     def evict(self, name: Optional[str] = None) -> Optional[str]:
         """Free a live session's memory; its log stays in the store.
@@ -594,27 +585,26 @@ class EstimationService:
         the evicted name, or ``None`` when nothing is live.  The session
         remains addressable: the next touch recovers it from the store.
         """
-        with self._lock:
-            if name is None:
-                name = next(iter(self._active), None)
-                if name is None:
-                    return None
-            handle = self._active.get(name)
-            if handle is None:
-                raise ConfigurationError(
-                    f"session {name!r} is not live; active: {list(self._active)}"
-                )
-        self._evict_handle(name, handle)
+        if name is None:
+            live = self.active_sessions()
+            if not live:
+                return None
+            name = live[0]
+        if not self._evict(name):
+            raise ConfigurationError(
+                f"session {name!r} is not live; active: {self.active_sessions()}"
+            )
         return name
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _snapshot_locked(self, handle: _ActiveSession) -> SessionSnapshot:
-        """Build a snapshot (caller holds the handle lock)."""
-        snapshot = handle.session.snapshot()
+    @staticmethod
+    def _snapshot(session: StreamingSession, sources: Dict[str, int]) -> SessionSnapshot:
+        """``session``'s snapshot carrying ``sources`` (caller holds its entry's lock)."""
+        snapshot = session.snapshot()
         snapshot.manifest["serving"] = {
-            "sources": {key: int(value) for key, value in handle.sources.items()}
+            "sources": {key: int(value) for key, value in sources.items()}
         }
         return snapshot
 
@@ -637,7 +627,12 @@ class EstimationService:
         uses, so duplicate records are no-ops and the recovered state is
         bit-identical to the pre-crash live session.
         """
-        snapshot, records = self._store.recovery(name)
+        try:
+            snapshot, records = self._store.recovery(name)
+        except UnknownSessionError:
+            raise UnknownSessionError(
+                f"unknown session {name!r}; available: {self.sessions()}"
+            ) from None
         if snapshot is not None:
             session = StreamingSession.from_snapshot(snapshot, estimators)
             sources = self._serving_sources(snapshot)
@@ -661,116 +656,99 @@ class EstimationService:
         return session, sources
 
     @contextmanager
-    def _live(self, name: str) -> Iterator[_ActiveSession]:
-        """The live handle for ``name``, held under its lock.
+    def _handle(self, name: str, *, load: bool = True) -> Iterator[_ActiveSession]:
+        """``name``'s one table entry, held under its lock.
 
-        A handle that lost a race with eviction is revived and locked
-        again, so no caller ever mutates or reads a retired session.
-        """
-        while True:
-            handle = self._activate(name)
-            with handle.lock:
-                if not handle.evicted:
-                    yield handle
-                    return
-
-    def _activate(self, name: str) -> _ActiveSession:
-        """Return the live handle for ``name``, reviving from the store.
-
-        Every touch moves the session to the most-recently-used end of
-        the table; activation beyond ``max_active`` evicts from the LRU
-        end.
+        The table lock only finds the entry, or puts an empty one in the
+        table; the entry's own lock is taken after it.  An entry retired
+        while this waited for its lock is looked up again.  With ``load``
+        an empty entry is recovered from the store before the body runs,
+        and the limit is enforced once the lock is released.  An entry
+        the body leaves empty leaves the table, so a failed lookup leaves
+        the table as it found it.
         """
         check_session_name(name)
-        with self._lock:
-            handle = self._active.get(name)
-            if handle is not None:
-                self._active.move_to_end(name)
-                return handle
-        # Recover outside the table lock: store I/O can be slow and must
-        # not serialise unrelated sessions.
+        revived = False
         try:
-            session, sources = self._recover_session(name)
-        except UnknownSessionError:
-            raise UnknownSessionError(
-                f"unknown session {name!r}; available: {self.sessions()}"
-            ) from None
-        with self._lock:
-            if name in self._dropped:
-                raise UnknownSessionError(
-                    f"unknown session {name!r}; available: {self.sessions()}"
-                )
-            existing = self._active.get(name)
-            if existing is not None:  # someone else revived it first
-                self._active.move_to_end(name)
-                return existing
-            handle = _ActiveSession(session, sources)
-            self._active[name] = handle
-        self._count("sessions_restored")
-        self._enforce_limit(keep=name)
-        return handle
+            while True:
+                with self._lock:
+                    handle = self._active.get(name)
+                    if handle is None:
+                        handle = self._active[name] = _ActiveSession()
+                    else:
+                        self._active.move_to_end(name)
+                with handle.lock:
+                    if handle.retired:
+                        continue
+                    try:
+                        if load and handle.session is None:
+                            self._load(handle, *self._recover_session(name))
+                            revived = True
+                        yield handle
+                    finally:
+                        if handle.session is None:
+                            with self._lock:
+                                handle.retired = True
+                                del self._active[name]
+                    return
+        finally:
+            if revived:
+                self._count("sessions_restored")
+                self._enforce_limit(keep=name)
 
-    def _enforce_limit(self, keep: str) -> None:
-        """Evict LRU sessions until at most ``max_active`` are live.
+    def _load(
+        self,
+        handle: _ActiveSession,
+        session: Optional[StreamingSession],
+        sources: Dict[str, int],
+    ) -> None:
+        """Hold ``session`` (``None`` unloads) in ``handle``, with an empty cache.
 
-        Each victim is picked under the table lock and dropped under its
-        own session lock, so an eviction waits only for its victim.
+        The caller holds the entry's lock; the live count changes with
+        the entry, under the table lock.
         """
-        if self._max_active is None:
-            return
-        while True:
-            with self._lock:
-                if len(self._active) <= self._max_active:
-                    return
-                victim = next((key for key in self._active if key != keep), None)
-                if victim is None:
-                    return
-                handle = self._active[victim]
-            self._evict_handle(victim, handle)
+        with self._lock:
+            self._live += (session is not None) - (handle.session is not None)
+            handle.session = session
+        handle.sources = sources
+        handle.cache_version = handle.cache = None
 
-    def _evict_handle(self, name: str, handle: _ActiveSession) -> None:
-        """Drop ``handle`` from memory: its log already holds every batch.
+    def _evict(self, name: str) -> bool:
+        """Drop ``name``'s live session from memory; False if it is not live.
 
         Every mutation was logged before it was applied, so eviction is
         an in-memory drop, never an O(state) write — what lets
-        ``max_active`` bound memory over very large session counts.  It
-        takes the handle's lock, so in-flight ingestion lands first and
-        any caller locking it afterwards sees ``evicted`` and recovers
-        the session from the store.
+        ``max_active`` bound memory over very large session counts.  An
+        op already inside the session lands first, and one that waited
+        for the eviction recovers the session from the store.
         """
-        with handle.lock, self._lock:
-            if handle.evicted:
-                return
-            handle.evicted = True
-            del self._active[name]
+        with self._handle(name, load=False) as handle:
+            if handle.session is None:
+                return False
+            self._load(handle, None, {})
         self._count("sessions_evicted")
+        return True
 
-    @contextmanager
-    def _replacing(self, name: str) -> Iterator[Optional[_ActiveSession]]:
-        """Hold ``name``'s live handle (``None`` if not live) for a replacement.
+    def _enforce_limit(self, keep: str) -> None:
+        """Evict LRU sessions, never ``keep``, until at most ``max_active`` are live.
 
-        Takes the handle's lock, then the table lock, so an ingest already
-        inside the session lands before the body runs; nothing takes the
-        two locks in the other order.  When the body returns, the old
-        handle is retired: marked evicted, and out of the table unless the
-        body put a new handle in its place.
+        Called with no entry lock held: each victim is evicted under its
+        own lock, so an eviction waits only for its victim.
         """
-        while True:
+        while self._max_active is not None:
             with self._lock:
-                handle = self._active.get(name)
-            with (nullcontext() if handle is None else handle.lock), self._lock:
-                if self._active.get(name) is not handle:
-                    continue  # the table moved on while this waited
-                yield handle
-                if handle is not None:
-                    handle.evicted = True
-                    if self._active.get(name) is handle:
-                        del self._active[name]
-                return
+                if self._live <= self._max_active:
+                    return
+                victim = next(
+                    key
+                    for key, handle in self._active.items()
+                    if key != keep and handle.session is not None
+                )
+            self._evict(victim)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (
-            f"EstimationService(active={len(self._active)}, "
+            f"EstimationService(active={self._live}, "
             f"stored={len(self._store)}, max_active={self._max_active})"
         )
 
@@ -803,7 +781,7 @@ def reconcile_shard_manifest(root: Path, num_shards: Optional[int]) -> int:
             leftover.unlink(missing_ok=True)
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # undecodable bytes or malformed JSON
             raise ConfigurationError(
                 f"unreadable shard manifest {manifest_path}: {error}"
             ) from error

@@ -102,8 +102,9 @@ def write_snapshot(snapshot: SessionSnapshot, directory: Union[str, Path]) -> Pa
 def read_snapshot(directory: Union[str, Path]) -> SessionSnapshot:
     """Load a snapshot previously written by :func:`write_snapshot`.
 
-    Raises ``ConfigurationError`` when the directory is not a snapshot or
-    carries an unsupported format version.
+    Raises ``ConfigurationError`` when the directory is not a snapshot,
+    either file does not decode (naming it) or the snapshot carries an
+    unsupported format version.
     """
     path = Path(directory)
     manifest_path = path / MANIFEST_FILENAME
@@ -113,10 +114,21 @@ def read_snapshot(directory: Union[str, Path]) -> SessionSnapshot:
             f"{path} is not a session snapshot (expected {MANIFEST_FILENAME} "
             f"and {ARRAYS_FILENAME})"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    snapshot = SessionSnapshot(manifest=manifest)
-    with np.load(arrays_path) as archive:
-        snapshot.arrays = {key: archive[key].copy() for key in archive.files}
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as error:  # undecodable bytes or malformed JSON
+        raise ConfigurationError(f"undecodable {manifest_path}: {error}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(
+            f"undecodable {manifest_path}: expected a JSON object, "
+            f"got {type(manifest).__name__}"
+        )
+    try:
+        with np.load(arrays_path) as archive:
+            arrays = {key: archive[key].copy() for key in archive.files}
+    except Exception as error:  # np.load raises a different type per corruption
+        raise ConfigurationError(f"undecodable {arrays_path}: {error!r}") from error
+    snapshot = SessionSnapshot(manifest, arrays)
     if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported snapshot format version {snapshot.format_version!r} "

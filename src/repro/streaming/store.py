@@ -112,8 +112,9 @@ class SessionStore:
     """Interface of a session store (see module docstring).
 
     Subclasses implement :meth:`append`, :meth:`save`, :meth:`recovery`,
-    :meth:`log_size`, :meth:`delete` and :meth:`names`; :meth:`load` and
-    the convenience dunders are shared.
+    :meth:`log_size`, :meth:`delete`, :meth:`names`, ``len()`` and
+    ``in``, which must not list every name (``create_session`` probes it
+    each time); :meth:`load` is shared.
     """
 
     def append(self, name: str, record: WalRecord) -> int:
@@ -164,12 +165,6 @@ class SessionStore:
     def names(self) -> List[str]:
         """Stored session names, sorted."""
         raise NotImplementedError
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names()
-
-    def __len__(self) -> int:
-        return len(self.names())
 
     def _unknown(self, name: str) -> UnknownSessionError:
         names = self.names()
@@ -238,6 +233,12 @@ class MemorySessionStore(SessionStore):
     def names(self) -> List[str]:
         """Stored session names, sorted."""
         return sorted(self._logs)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._logs
+
+    def __len__(self) -> int:
+        return len(self._logs)
 
 
 class DirectorySessionStore(SessionStore):
@@ -400,6 +401,9 @@ class DirectorySessionStore(SessionStore):
             return self._path(name).exists()
         except ValidationError:
             return False
+
+    def __len__(self) -> int:
+        return len(self.names())
 
     def append(self, name: str, record: WalRecord) -> int:
         """Append one record to the session's log — O(record).

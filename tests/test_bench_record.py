@@ -28,7 +28,7 @@ from repro.experiments.bench import (
 )
 
 #: The one entry schema every family records.
-ENTRY_KEYS = {"recorded_at", "machine", "params", "backend", "timings_s", "metrics"}
+ENTRY_KEYS = {"recorded_at", "machine", "params", "timings_s", "metrics"}
 
 #: The committed performance trajectory.
 COMMITTED_RECORD = Path(__file__).resolve().parents[1] / "BENCH_runner.json"
@@ -58,12 +58,11 @@ TINY_SERVING = ServingWorkload(
 TINY_WAL = WalWorkload(name="wal_tiny_3x4", num_sessions=3, verify_sample=3)
 
 
-def _entry(speedup: float, backend: str = "numpy") -> dict:
+def _entry(speedup: float) -> dict:
     return {
         "recorded_at": "2026-07-30T00:00:00+00:00",
         "machine": {"usable_cpus": 1},
         "params": {"name": TINY.name, "repeats": 2, "n_jobs": 1},
-        "backend": backend,
         "timings_s": {"serial_engine": speedup, "batch_engine": 1.0},
         "metrics": {"batch_vs_serial": speedup},
     }
@@ -74,7 +73,6 @@ class TestRunWorkload:
         entry = run_workload(TINY, repeats=1)
         assert set(entry) == ENTRY_KEYS
         assert entry["params"] == {**asdict(TINY), "repeats": 1, "n_jobs": 1}
-        assert entry["backend"] == "numpy"
         assert set(entry["timings_s"]) == {"serial_engine", "batch_engine"}
         assert all(seconds > 0.0 for seconds in entry["timings_s"].values())
         assert entry["metrics"]["batch_vs_serial"] > 0.0
@@ -127,9 +125,9 @@ class TestRunServingWorkload:
             == 0
         )
         output = capsys.readouterr().out
-        assert f"BENCH {TINY_SERVING.name} [numpy]:" in output
+        assert f"BENCH {TINY_SERVING.name}:" in output
         record = json.loads(path.read_text())
-        assert record["workloads"][TINY_SERVING.name]["baselines"]["numpy"] is not None
+        assert record["workloads"][TINY_SERVING.name]["baseline"] is not None
 
 
 #: An HTTP workload small enough for unit tests to serve end-to-end.
@@ -185,9 +183,9 @@ class TestRunHttpWorkload:
             run_and_record(workload="http-tiny", output=str(path), check=True) == 0
         )
         output = capsys.readouterr().out
-        assert f"BENCH {TINY_HTTP.name} [numpy]:" in output
+        assert f"BENCH {TINY_HTTP.name}:" in output
         record = json.loads(path.read_text())
-        assert record["workloads"][TINY_HTTP.name]["baselines"]["numpy"] is not None
+        assert record["workloads"][TINY_HTTP.name]["baseline"] is not None
 
 
 class TestRecordPersistence:
@@ -195,23 +193,10 @@ class TestRecordPersistence:
         record = load_record(tmp_path / "BENCH.json")
         first = _entry(2.0)
         assert update_record(record, first) is None
-        assert record["workloads"][TINY.name]["baselines"] == {"numpy": first}
+        assert record["workloads"][TINY.name]["baseline"] == first
         second = _entry(2.1)
         assert update_record(record, second) is first
         assert record["workloads"][TINY.name]["history"] == [first, second]
-
-    def test_baselines_are_kept_per_backend(self, tmp_path):
-        record = load_record(tmp_path / "BENCH.json")
-        numpy_first = _entry(2.0)
-        assert update_record(record, numpy_first) is None
-        numba_first = _entry(5.0, backend="numba")
-        # First numba entry: no numba baseline yet, even though a numpy
-        # baseline exists — the gate must never compare across scan paths.
-        assert update_record(record, numba_first) is None
-        assert update_record(record, _entry(5.2, backend="numba")) is numba_first
-        assert update_record(record, _entry(2.1)) is numpy_first
-        slot = record["workloads"][TINY.name]
-        assert slot["baselines"] == {"numpy": numpy_first, "numba": numba_first}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "BENCH.json"
@@ -222,30 +207,31 @@ class TestRecordPersistence:
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "BENCH.json"
-        # 2 is the schema before the one entry schema.
-        for version in (1, 2, 999):
+        # 2 is the schema before the one entry schema, 3 the one with a
+        # baseline per scan path.
+        for version in (1, 2, 3, 999):
             path.write_text(json.dumps({"format_version": version}))
             with pytest.raises(ValueError, match="unsupported benchmark record version"):
                 load_record(path)
 
     def test_committed_record_has_one_baseline_schema(self):
         for name, slot in load_record(COMMITTED_RECORD)["workloads"].items():
-            assert set(slot) == {"baselines", "history"}, name
-            assert "numpy" in slot["baselines"], name
+            assert set(slot) == {"baseline", "history"}, name
+            assert slot["baseline"] in slot["history"], name
 
     def test_committed_entries_share_one_entry_schema(self):
         record = load_record(COMMITTED_RECORD)
-        assert record["format_version"] == 3
+        assert record["format_version"] == 4
         assert "reference" in record
         for name, slot in record["workloads"].items():
-            for entry in [*slot["baselines"].values(), *slot["history"]]:
+            for entry in [slot["baseline"], *slot["history"]]:
                 assert set(entry) == ENTRY_KEYS, name
                 assert {"name", "repeats", "n_jobs"} <= set(entry["params"]), name
         # Baselines never move, so the migrated values stay pinned.
         workloads = record["workloads"]
-        runner = workloads["runner_5000x200"]["baselines"]["numpy"]
+        runner = workloads["runner_5000x200"]["baseline"]
         assert runner["metrics"]["batch_vs_serial"] == 1.571
-        wal = workloads["wal_100000x12"]["baselines"]["numpy"]
+        wal = workloads["wal_100000x12"]["baseline"]
         assert wal["metrics"]["baseline_completed_sessions"] == 33618
 
 
@@ -275,11 +261,11 @@ class TestCliFlow:
             == 0
         )
         output = capsys.readouterr().out
-        assert f"BENCH {TINY.name} [" in output
+        assert f"BENCH {TINY.name}: " in output
         assert "recorded ->" in output
         record = json.loads(path.read_text())
         assert record["format_version"] == bench.FORMAT_VERSION
-        assert record["workloads"][TINY.name]["baselines"]["numpy"] is not None
+        assert record["workloads"][TINY.name]["baseline"] is not None
 
     def test_dry_run_does_not_write(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(bench.WORKLOADS, "tiny", TINY)
@@ -297,9 +283,8 @@ class TestCliFlow:
     def test_summary_line_mentions_speedup(self):
         assert "batch_vs_serial=1.8" in format_summary(_entry(1.8))
 
-    def test_summary_line_tags_the_backend(self):
-        assert "[numpy]" in format_summary(_entry(1.8))
-        assert "[numba]" in format_summary(_entry(4.0, backend="numba"))
+    def test_summary_line_names_the_workload(self):
+        assert format_summary(_entry(1.8)).startswith(f"BENCH {TINY.name}: ")
 
 
 class TestBenchCommandErrors:

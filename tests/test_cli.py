@@ -412,26 +412,47 @@ class TestCliSession:
         assert "shard count mismatch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "num_shards",
-        [None, "x", True, 0, -2],
-        ids=["missing", "string", "bool", "zero", "negative"],
+        "content, needle",
+        [
+            (b'{"format_version": 1}', "num_shards"),
+            (b'{"format_version": 1, "num_shards": "x"}', "num_shards"),
+            (b'{"format_version": 1, "num_shards": true}', "num_shards"),
+            (b'{"format_version": 1, "num_shards": 0}', "num_shards"),
+            (b'{"format_version": 1, "num_shards": -2}', "num_shards"),
+            (b'{"format_version": 1, "num_shards": "\xff"}', "utf-8"),
+        ],
+        ids=["missing", "string", "bool", "zero", "negative", "non-utf8"],
     )
     def test_a_malformed_shard_manifest_is_one_error_line(
-        self, capsys, tmp_path, num_shards
+        self, capsys, tmp_path, content, needle
     ):
-        import json
-
         root = tmp_path / "sessions"
         root.mkdir()
-        document = {"format_version": 1}
-        if num_shards is not None:
-            document["num_shards"] = num_shards
-        (root / "shards.json").write_text(json.dumps(document))
+        (root / "shards.json").write_bytes(content)
         assert main(["session", "list", *self._store_args(tmp_path)]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "shards.json" in lines[0] and "num_shards" in lines[0]
+        assert "shards.json" in lines[0] and needle in lines[0]
+
+    @pytest.mark.parametrize("damaged", ["manifest.json", "arrays.npz"])
+    def test_a_corrupt_snapshot_export_is_one_error_line(
+        self, capsys, tmp_path, damaged
+    ):
+        store = self._store_args(tmp_path)
+        assert main(["session", "create", "origin", "--items", "3",
+                     "--estimators", "voting", *store]) == 0
+        export = tmp_path / "export"
+        assert main(["session", "snapshot", "origin", "--out", str(export), *store]) == 0
+        capsys.readouterr()
+        (export / damaged).write_bytes(b"{ not a snapshot")
+        assert main(["session", "restore", "clone", "--from", str(export), *store]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(export / damaged) in lines[0]
+        assert main(["session", "list", *store]) == 0
+        assert "clone" not in capsys.readouterr().out
 
     def test_an_old_layout_store_is_one_error_line(self, capsys, tmp_path):
         old = tmp_path / "sessions" / "prod"

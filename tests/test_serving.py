@@ -4,7 +4,8 @@ Covers the tentpole behaviors: named sessions, idempotent batched
 ingestion (duplicate deliveries are no-ops), estimate caching keyed on
 the state's mutation version, snapshot/restore through both store
 backends and their one log contract, LRU eviction with transparent
-revival, and thread-safe ingestion, drop and restore.
+revival, and thread-safe ingestion, drop, restore and revival under one
+table entry per session name.
 """
 
 from __future__ import annotations
@@ -605,3 +606,186 @@ class TestRetiringALiveSession:
         with pytest.raises(ValidationError, match="snapshot must be a SessionSnapshot"):
             service.restore("a", object())
         assert service.progress("a")["num_columns"] == 0
+
+
+class _PausedRecoveryStore(DirectorySessionStore):
+    """Holds the next recovery, once armed, ``"before"`` or ``"after"`` it reads the log."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.armed = None
+        self.paused = threading.Event()
+        self.resume = threading.Event()
+
+    def _hold(self, point):
+        if self.armed == point:
+            self.armed = None
+            self.paused.set()
+            self.resume.wait(10)
+
+    def recovery(self, name):
+        self._hold("before")
+        try:
+            return super().recovery(name)
+        finally:
+            self._hold("after")
+
+
+class TestOneEntryPerName:
+    """Every op on a name runs under its one table entry's lock, recovery included."""
+
+    def _while_recovering(self, store, read, call, point="after"):
+        """Run ``call`` while ``read`` is held inside a recovery; returns both outcomes.
+
+        ``call`` either finishes while the recovery is held, or parks on
+        the name's lock until the recovery ends: the bounded join lets it
+        do either before the recovery resumes.
+        """
+        outcomes = {}
+
+        def run(key, target):
+            try:
+                outcomes[key] = target()
+            except Exception as error:  # the outcome under test
+                outcomes[key] = error
+
+        store.armed = point
+        reader = threading.Thread(target=run, args=("read", read), daemon=True)
+        reader.start()
+        assert store.paused.wait(10)
+        other = threading.Thread(target=run, args=("call", call), daemon=True)
+        other.start()
+        other.join(0.5)
+        store.resume.set()
+        reader.join(10)
+        other.join(10)
+        assert not reader.is_alive() and not other.is_alive()
+        return outcomes["read"], outcomes["call"]
+
+    def test_a_revival_never_installs_a_stale_state(self, tmp_path):
+        store = _PausedRecoveryStore(tmp_path)
+        service = EstimationService(store, max_active=1)
+        service.create_session("a", range(3), ["voting", "chao92"])
+        service.create_session("b", range(3), ["voting"])  # evicts "a"
+
+        def ingest_then_evict():
+            service.ingest("a", [{0: DIRTY}], source="s", sequence=1)
+            return service.progress("b")  # evicts "a" again
+
+        read, call = self._while_recovering(
+            store, lambda: service.progress("a"), ingest_then_evict
+        )
+        assert isinstance(read, dict) and isinstance(call, dict)
+        live = service.estimate_report("a")
+        cold = EstimationService(DirectorySessionStore(tmp_path)).estimate_report("a")
+        assert cold.version[:2] == (1, 1)
+        assert (live.version, live.results) == (cold.version, cold.results)
+
+    @pytest.mark.parametrize("point", ["before", "after"], ids=lambda p: f"{p}-read")
+    def test_a_drop_during_recovery_leaves_nothing_behind(self, tmp_path, point):
+        store = _PausedRecoveryStore(tmp_path)
+        service = EstimationService(store)
+        service.create_session("a", range(3), ["voting"])
+        service.ingest("a", [{0: DIRTY}])
+        service.evict("a")
+        read, call = self._while_recovering(
+            store, lambda: service.progress("a"), lambda: service.drop("a"), point
+        )
+        assert call is None
+        assert isinstance(read, dict) or "unknown session" in str(read)
+        assert service.sessions() == [] and service.active_sessions() == []
+        assert "a" not in store
+        assert EstimationService(DirectorySessionStore(tmp_path)).sessions() == []
+        service.create_session("a", range(3), ["voting"])
+        assert service.progress("a")["num_columns"] == 0
+        reopened = EstimationService(DirectorySessionStore(tmp_path))
+        assert reopened.progress("a")["num_columns"] == 0
+
+    def test_a_failed_read_does_not_block_the_create(self, tmp_path):
+        store = _PausedRecoveryStore(tmp_path)
+        service = EstimationService(store)
+        read, call = self._while_recovering(
+            store,
+            lambda: service.estimate_report("x"),
+            lambda: service.create_session("x", range(3), ["voting"]),
+        )
+        assert call == "x"
+        assert "unknown session" in str(read)
+        assert service.sessions() == ["x"] and service.active_sessions() == ["x"]
+        reopened = EstimationService(DirectorySessionStore(tmp_path))
+        assert reopened.progress("x")["num_columns"] == 0
+
+    def test_revival_churn_under_concurrent_ingest_loses_nothing(self, tmp_path):
+        # No compaction: decoding a snapshot record parses its npy headers
+        # with ``ast``, which is not thread-safe at this switch interval.
+        service = EstimationService(
+            DirectorySessionStore(tmp_path), max_active=1, compact_after_bytes=None
+        )
+        names, writers, per_writer = ("a", "b", "c"), 4, 15
+        for name in names:
+            service.create_session(name, range(10), ["voting", "chao92"])
+
+        def write(index):
+            for sequence in range(1, per_writer + 1):
+                for name in names:  # each touch evicts the session touched before
+                    column = {index: DIRTY, 4 + sequence % 6: CLEAN}
+                    service.ingest(name, [column], source=f"w{index}", sequence=sequence)
+                    service.estimate_report(name)
+
+        threads = [threading.Thread(target=write, args=(i,)) for i in range(writers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.sessions_evicted > len(names)
+        assert len(service.active_sessions()) == 1
+        reopened = EstimationService(DirectorySessionStore(tmp_path))
+        for name in names:
+            live, cold = service.estimate_report(name), reopened.estimate_report(name)
+            assert live.version[:2] == (writers * per_writer, 2 * writers * per_writer)
+            assert (cold.version[:2], cold.results) == (live.version[:2], live.results)
+
+    def test_a_failed_lookup_leaves_the_table_as_it_found_it(self):
+        service = EstimationService(max_active=2)
+        service.create_session("a", [0], ["voting"])
+        service.create_session("b", [0], ["voting"])
+        for call in (service.progress, service.drop, service.evict):
+            with pytest.raises(ConfigurationError):
+                call("ghost")
+        assert service.active_sessions() == ["a", "b"]
+        assert service.sessions() == ["a", "b"]
+
+    def test_restore_serves_the_restored_estimates_not_the_cached_ones(self):
+        service = EstimationService()
+        service.create_session("a", range(3), ["chao92"])
+        service.ingest("a", [{0: DIRTY}, {0: DIRTY}])
+        cached = service.estimate_report("a")
+        other = StreamingSession(range(3), ["chao92"])
+        other.add_columns([{0: DIRTY}, {1: DIRTY}])
+        expected = other.estimate()
+        # Same mutation version, different state: only the restore knows.
+        assert other.state.version == cached.version
+        assert expected["chao92"] != cached.results["chao92"]
+        service.restore("a", other.snapshot())
+        assert service.estimate_report("a").results == expected
+        assert EstimationService(service.store).estimate_report("a").results == expected
+
+    def test_create_on_a_memory_store_never_lists_every_name(self, monkeypatch):
+        store = MemorySessionStore()
+        service = EstimationService(store)
+
+        def listed(self):
+            raise AssertionError("create_session listed every stored name")
+
+        monkeypatch.setattr(MemorySessionStore, "names", listed)
+        for index in range(5):
+            service.create_session(f"s{index}", [0], ["voting"])
+        with pytest.raises(ConfigurationError, match="already exists"):
+            service.create_session("s0", [0], ["voting"])
+        assert "s4" in store and "s5" not in store and len(store) == 5

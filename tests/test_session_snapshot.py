@@ -202,6 +202,27 @@ class TestSnapshotDiskFormat:
         with pytest.raises(ConfigurationError, match="not a session snapshot"):
             read_snapshot(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("manifest.json", b"{ not json"),
+            ("manifest.json", b"\xff\xfe"),
+            ("manifest.json", b"[1, 2]"),
+            ("arrays.npz", b"{ not an archive"),
+            ("arrays.npz", b"PK\x03\x04 truncated"),
+        ],
+        ids=["manifest-not-json", "manifest-non-utf8", "manifest-not-object",
+             "arrays-not-zip", "arrays-truncated-zip"],
+    )
+    def test_undecodable_files_are_rejected_naming_the_file(
+        self, tmp_path, name, content
+    ):
+        directory = write_snapshot(StreamingSession([0, 1], ["voting"]).snapshot(), tmp_path)
+        (directory / name).write_bytes(content)
+        with pytest.raises(ConfigurationError, match="undecodable") as caught:
+            read_snapshot(directory)
+        assert str(directory / name) in str(caught.value)
+
     def test_manifest_records_session_shape(self):
         session = StreamingSession([3, 5, 9], ["voting", "chao92"])
         session.add_column({3: DIRTY, 5: CLEAN}, worker_id=7)
