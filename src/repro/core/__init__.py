@@ -27,6 +27,7 @@ configurations can refer to estimators by name.
 """
 
 from repro.core.base import (
+    BatchEstimates,
     EstimatorProtocol,
     EstimateResult,
     StateEstimatorMixin,
@@ -91,6 +92,7 @@ from repro.core.vchao92 import VChao92Estimator, vchao92_estimate
 __all__ = [
     "EstimatorProtocol",
     "EstimateResult",
+    "BatchEstimates",
     "StateEstimatorMixin",
     "SweepEstimatorMixin",
     "sweep_estimates",

@@ -14,18 +14,24 @@ without special cases.  Two further methods layer on top of it:
 * ``estimate_sweep_batch(batch)`` evaluates a whole
   :class:`~repro.core.state.PermutationBatch` — every checkpoint of every
   column permutation in one call over the batch's shared tables (the
-  engine behind the permutation-averaged experiment runner).
+  engine behind the permutation-averaged experiment runner) — and
+  returns one :class:`BatchEstimates`.
 
-Built-in estimators implement only ``estimate_state`` and inherit the
-others from :class:`StateEstimatorMixin`; third-party estimators can
+Built-in estimators implement ``estimate_state`` and inherit the others
+from :class:`StateEstimatorMixin`; those on the runner's hot path also
+implement ``estimate_sweep_batch`` as elementwise array arithmetic that
+repeats their scalar core step for step.  Third-party estimators can
 still provide just ``estimate`` and are handled by the fallback loops in
 :func:`sweep_estimates` and :func:`batch_estimates`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.crowd.response_matrix import ResponseMatrix
 
@@ -59,6 +65,72 @@ class EstimateResult:
     def remaining(self) -> float:
         """Estimated number of still-undetected errors (never negative)."""
         return max(0.0, float(self.estimate) - float(self.observed))
+
+
+class BatchEstimates:
+    """One estimator's results over every cell of a permutation batch.
+
+    ``estimates`` and ``observed`` are ``(R, m)`` float64 arrays indexed
+    ``[permutation, checkpoint]``; the runner reads ``estimates`` and
+    nothing else.  Indexing ``[p]`` gives permutation ``p``'s sweep as a
+    list of :class:`EstimateResult`, built on first access from the
+    arrays (each ``details`` value a float from the estimator's
+    ``(R, m)`` detail array), so ``batch[p][j]`` equals the serial
+    sweep's ``estimate_sweep(permuted_p, checkpoints)[j]``.
+    """
+
+    __slots__ = ("estimates", "observed", "_details", "_rows")
+
+    def __init__(
+        self,
+        estimates: np.ndarray,
+        observed: np.ndarray,
+        details: Mapping[str, np.ndarray],
+    ):
+        self.estimates = np.asarray(estimates, dtype=np.float64)
+        self.observed = np.asarray(observed, dtype=np.float64)
+        # A scalar detail (a parameter) broadcasts to every cell.
+        self._details = {
+            key: np.broadcast_to(np.asarray(values, dtype=np.float64), self.estimates.shape)
+            for key, values in details.items()
+        }
+        self._rows: List[Optional[List[EstimateResult]]] = [None] * len(self.estimates)
+
+    @classmethod
+    def from_results(
+        cls, results: Sequence[Sequence[EstimateResult]]
+    ) -> "BatchEstimates":
+        """Wrap ``[permutation][checkpoint]`` results; indexing returns them."""
+        rows = [list(row) for row in results]
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        batch = cls(
+            np.array([[r.estimate for r in row] for row in rows]).reshape(shape),
+            np.array([[r.observed for r in row] for row in rows]).reshape(shape),
+            {},
+        )
+        batch._rows = rows
+        return batch
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, permutation: int) -> List[EstimateResult]:
+        p = operator.index(permutation)
+        row = self._rows[p]
+        if row is None:
+            details = {key: values[p].tolist() for key, values in self._details.items()}
+            row = [
+                EstimateResult(
+                    estimate=estimate,
+                    observed=observed,
+                    details={key: column[j] for key, column in details.items()},
+                )
+                for j, (estimate, observed) in enumerate(
+                    zip(self.estimates[p].tolist(), self.observed[p].tolist())
+                )
+            ]
+            self._rows[p] = row
+        return row
 
 
 @runtime_checkable
@@ -118,7 +190,7 @@ class SweepEstimatorMixin:
         """Evaluate :meth:`estimate` at every checkpoint prefix."""
         return [self.estimate(matrix, checkpoint) for checkpoint in checkpoints]
 
-    def estimate_sweep_batch(self, batch) -> List[List[EstimateResult]]:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """Evaluate every permutation's sweep of a cross-permutation batch.
 
         ``batch`` is a :class:`~repro.core.state.PermutationBatch`; the
@@ -127,10 +199,12 @@ class SweepEstimatorMixin:
         fallback does exactly that (materialising one permuted matrix at a
         time); estimators with a batched implementation override it.
         """
-        return [
-            self.estimate_sweep(batch.permuted_matrix(p), batch.checkpoints)
-            for p in range(batch.num_permutations)
-        ]
+        return BatchEstimates.from_results(
+            [
+                self.estimate_sweep(batch.permuted_matrix(p), batch.checkpoints)
+                for p in range(batch.num_permutations)
+            ]
+        )
 
 
 class StateEstimatorMixin(SweepEstimatorMixin):
@@ -176,7 +250,7 @@ class StateEstimatorMixin(SweepEstimatorMixin):
             for state in matrix_sweep_states(matrix, checkpoints)
         ]
 
-    def estimate_sweep_batch(self, batch) -> List[List[EstimateResult]]:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """Evaluate every (permutation, checkpoint) cell of a batch.
 
         The default evaluates :meth:`estimate_state` over the batch's
@@ -184,10 +258,12 @@ class StateEstimatorMixin(SweepEstimatorMixin):
         batched implementation reuse the batch's one set of count tables
         and the single cross-permutation switch scan.
         """
-        return [
-            [self.estimate_state(state) for state in batch.states(p)]
-            for p in range(batch.num_permutations)
-        ]
+        return BatchEstimates.from_results(
+            [
+                [self.estimate_state(state) for state in batch.states(p)]
+                for p in range(batch.num_permutations)
+            ]
+        )
 
 
 def sweep_estimates(
@@ -226,20 +302,22 @@ def sweep_estimates(
     return [estimator.estimate(matrix, checkpoint) for checkpoint in checkpoints]
 
 
-def batch_estimates(estimator: EstimatorProtocol, batch) -> List[List[EstimateResult]]:
+def batch_estimates(estimator: EstimatorProtocol, batch) -> BatchEstimates:
     """Evaluate ``estimator`` over every cell of a cross-permutation batch.
 
     ``batch`` is a :class:`~repro.core.state.PermutationBatch`; the result
-    is indexed ``[permutation][checkpoint]``.  Estimators exposing
-    ``estimate_sweep_batch`` (every built-in, via the mixins) evaluate over
-    the batch's shared tables; estimate-only third-party estimators fall
-    back to one serial sweep per materialised permuted matrix — identical
-    results, only the wall-clock differs.
+    is a :class:`BatchEstimates`, indexed ``[permutation][checkpoint]``.
+    Estimators exposing ``estimate_sweep_batch`` (every built-in, via the
+    mixins) evaluate over the batch's shared tables; estimate-only
+    third-party estimators fall back to one serial sweep per materialised
+    permuted matrix — identical results, only the wall-clock differs.
     """
     fast = getattr(estimator, "estimate_sweep_batch", None)
     if fast is not None:
         return fast(batch)
-    return [
-        sweep_estimates(estimator, batch.permuted_matrix(p), batch.checkpoints)
-        for p in range(batch.num_permutations)
-    ]
+    return BatchEstimates.from_results(
+        [
+            sweep_estimates(estimator, batch.permuted_matrix(p), batch.checkpoints)
+            for p in range(batch.num_permutations)
+        ]
+    )

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import EstimateResult, StateEstimatorMixin
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.core.fstatistics import Fingerprint
 
 
@@ -50,12 +50,69 @@ def _skew_from_stats(
     return max(gamma_squared, 0.0)
 
 
+# The array forms below evaluate every branch of their scalar twin for all
+# cells and select with ``np.where``, so a division by zero in a cell the
+# scalar code never reaches is expected and masked.
+@np.errstate(divide="ignore", invalid="ignore")
+def _coverage_from_arrays(singletons: np.ndarray, num_observations: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_coverage_from_stats`."""
+    ratio = 1.0 - singletons / num_observations
+    # ``max(0.0, v)`` is ``v`` only when ``v > 0.0``.
+    return np.where(num_observations <= 0, 0.0, np.where(ratio > 0.0, ratio, 0.0))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _skew_from_arrays(
+    distinct: np.ndarray,
+    num_observations: np.ndarray,
+    coverage: np.ndarray,
+    pair_sum: np.ndarray,
+) -> np.ndarray:
+    """Elementwise :func:`_skew_from_stats`."""
+    gamma_squared = (
+        (distinct / coverage) * pair_sum / (num_observations * (num_observations - 1))
+        - 1.0
+    )
+    # ``max(v, 0.0)`` is ``0.0`` only when ``0.0 > v``.
+    gamma_squared = np.where(0.0 > gamma_squared, 0.0, gamma_squared)
+    return np.where(
+        (num_observations <= 1) | (coverage <= 0.0) | (distinct <= 0), 0.0, gamma_squared
+    )
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _chao92_from_arrays(
+    distinct: np.ndarray,
+    num_observations: np.ndarray,
+    singletons: np.ndarray,
+    pair_sum: np.ndarray,
+    use_skew_correction: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`chao92_components_from_stats` over int64 arrays, cell by cell.
+
+    Every branch of the scalar core becomes an ``np.where`` over values
+    computed for all cells, and every expression keeps its operand order,
+    so each float64 cell equals the scalar result bit for bit (the
+    integer operands stay below ``2**53``, where ``int / int`` and
+    float64 division agree).
+    """
+    coverage = _coverage_from_arrays(singletons, num_observations)
+    if use_skew_correction:
+        gamma_squared = _skew_from_arrays(distinct, num_observations, coverage, pair_sum)
+        estimate = distinct / coverage + singletons * gamma_squared / coverage
+    else:
+        gamma_squared = np.zeros(coverage.shape)
+        estimate = distinct / coverage
+    estimate = np.where(coverage <= 0.0, distinct.astype(np.float64), estimate)
+    return estimate, coverage, gamma_squared
+
+
 def _pair_sum(fingerprint: Fingerprint) -> int:
     """``sum_j j(j-1) f_j`` — the skew numerator of a fingerprint.
 
-    Equals ``sum_i n_i (n_i - 1)`` over the per-item occurrence counts,
-    which is how the batched fast paths compute it straight from a count
-    table without materialising the fingerprint.
+    Equals ``sum_i n_i (n_i - 1) = sum n^2 - sum n`` over the per-item
+    occurrence counts, which is how the batch engine computes it from its
+    positive-count moments without materialising the fingerprint.
     """
     return sum(j * (j - 1) * fj for j, fj in fingerprint.frequencies.items())
 
@@ -109,12 +166,13 @@ def chao92_components_from_stats(
 ) -> Tuple[float, float, float]:
     """Chao92 components from the four sufficient statistics.
 
-    This is the single arithmetic core behind :func:`chao92_components`:
-    the fingerprint path extracts the statistics from a
-    :class:`~repro.core.fstatistics.Fingerprint`, the cross-permutation
-    batch engine reduces them from its count tables — both then run the
-    identical scalar float operations, which is what makes the batched
-    estimates bit-identical to the per-prefix ones.
+    This is the scalar arithmetic core behind :func:`chao92_components`,
+    the serial sweep and the streaming session: the fingerprint path
+    extracts the statistics from a
+    :class:`~repro.core.fstatistics.Fingerprint`.  The cross-permutation
+    batch engine runs :func:`_chao92_from_arrays`, a step-for-step
+    elementwise copy of it, on every cell at once; this function stays the
+    oracle that copy is tested against.
     """
     c = int(distinct)
     n = int(num_observations)
@@ -238,32 +296,33 @@ class Chao92Estimator(StateEstimatorMixin):
         """Estimate the total error count from the state's vote fingerprint."""
         return self._result(state.positive_fingerprint(), state.nominal_count())
 
-    def estimate_sweep_batch(self, batch) -> list:
-        """Vectorised cross-permutation sweep over a :class:`PermutationBatch`.
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
+        """Every (permutation, checkpoint) cell of a :class:`PermutationBatch`.
 
-        The fingerprint sufficient statistics (``n``, ``f_1``, ``f_2`` and
-        the skew pair sum) reduce from the batched positive-count table in
-        C; the per-cell arithmetic then reuses the exact scalar code path,
-        so every estimate is bit-identical to the serial sweep.
+        ``n``, ``f_1``, ``f_2`` and the skew pair sum
+        ``sum_i n_i (n_i - 1) = sum n^2 - sum n`` follow exactly from the
+        batch's one pass of positive-count moments; the arithmetic is the
+        scalar core's, cell by cell in numpy, so every estimate is
+        bit-identical to the serial sweep.
         """
-        positives = batch.positive_table  # (R, m, N)
-        n = positives.sum(axis=2, dtype=np.int64)
-        f1 = np.count_nonzero(positives == 1, axis=2)
-        f2 = np.count_nonzero(positives == 2, axis=2)
-        # The int64 scalar promotes the product before it can overflow the
-        # table's compact dtype.
-        pair_sum = (positives * (positives - np.int64(1))).sum(axis=2)
+        moments = batch.positive_moments
+        n = moments.total
         observed = batch.nominal_counts
-        return [
-            [
-                self._result_from_stats(
-                    int(observed[p, j]),
-                    int(n[p, j]),
-                    int(f1[p, j]),
-                    int(f2[p, j]),
-                    int(pair_sum[p, j]),
-                )
-                for j in range(batch.num_checkpoints)
-            ]
-            for p in range(batch.num_permutations)
-        ]
+        estimate, coverage, gamma_squared = _chao92_from_arrays(
+            observed,
+            n,
+            moments.singletons,
+            moments.squares - n,
+            self.use_skew_correction,
+        )
+        return BatchEstimates(
+            estimate,
+            observed,
+            {
+                "coverage": coverage,
+                "singletons": moments.singletons,
+                "doubletons": moments.doubletons,
+                "positive_votes": n,
+                "gamma_squared": gamma_squared,
+            },
+        )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.validation import check_int, check_probability
-from repro.core.base import EstimateResult, StateEstimatorMixin
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.crowd.consensus import majority_count, nominal_count
 from repro.crowd.response_matrix import ResponseMatrix
 
@@ -27,17 +27,6 @@ def majority_estimate(matrix: ResponseMatrix, upto: Optional[int] = None) -> int
     return majority_count(matrix, upto)
 
 
-def _descriptive_batch_results(count_table) -> list:
-    """``[permutation][checkpoint]`` results from an ``(R, m)`` count table."""
-    return [
-        [
-            EstimateResult(estimate=float(count), observed=float(count), details={})
-            for count in row
-        ]
-        for row in count_table.tolist()
-    ]
-
-
 @dataclass
 class NominalEstimator(StateEstimatorMixin):
     """Descriptive estimator returning the nominal error count."""
@@ -49,9 +38,9 @@ class NominalEstimator(StateEstimatorMixin):
         count = float(state.nominal_count())
         return EstimateResult(estimate=count, observed=count, details={})
 
-    def estimate_sweep_batch(self, batch) -> list:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """All (permutation, checkpoint) cells straight from the batch table."""
-        return _descriptive_batch_results(batch.nominal_counts)
+        return BatchEstimates(batch.nominal_counts, batch.nominal_counts, {})
 
 
 @dataclass
@@ -70,9 +59,9 @@ class VotingEstimator(StateEstimatorMixin):
         count = float(state.majority_count())
         return EstimateResult(estimate=count, observed=count, details={})
 
-    def estimate_sweep_batch(self, batch) -> list:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """All (permutation, checkpoint) cells straight from the batch table."""
-        return _descriptive_batch_results(batch.majority_counts)
+        return BatchEstimates(batch.majority_counts, batch.majority_counts, {})
 
 
 @dataclass(frozen=True)

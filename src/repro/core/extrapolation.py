@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.common.rng import RandomState, ensure_rng
 from repro.common.validation import check_fraction, check_int
-from repro.core.base import EstimateResult, StateEstimatorMixin
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.data.record import Dataset
 
 
@@ -137,7 +137,7 @@ class ExtrapolationEstimator(StateEstimatorMixin):
             return EstimateResult(
                 estimate=0.0,
                 observed=0.0,
-                details={"covered_items": 0.0, "sample_errors": 0.0},
+                details={"covered_items": 0.0, "sample_errors": 0.0, "sample_rate": 0.0},
             )
         extrapolation = extrapolate_from_sample(covered, sample_errors, num_items)
         return EstimateResult(
@@ -161,26 +161,23 @@ class ExtrapolationEstimator(StateEstimatorMixin):
         covered, sample_errors = state.coverage_counts(self.min_votes)
         return self._result(covered, sample_errors, state.num_items)
 
-    def estimate_sweep_batch(self, batch) -> list:
-        """Vectorised cross-permutation sweep over a :class:`PermutationBatch`.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
+        """Every (permutation, checkpoint) cell of a :class:`PermutationBatch`.
 
-        The coverage masks reduce from the batched count tables in C; the
-        per-cell scaling reuses the exact scalar code path, so every
-        estimate is bit-identical to the serial sweep.
+        The coverage counts come from the batch's count tables; the
+        scaling is :func:`extrapolate_from_sample`'s, cell by cell in
+        numpy (an uncovered cell reports zeros, as :meth:`_result` does),
+        so every estimate is bit-identical to the serial sweep.
         """
-        positives, negatives = batch.positive_table, batch.negative_table
-        covered_mask = (positives + negatives) >= self.min_votes  # (R, m, N)
-        covered = covered_mask.sum(axis=2)
-        sample_errors = (covered_mask & (positives > negatives)).sum(axis=2)
-        return [
-            [
-                self._result(
-                    int(covered[p, j]), int(sample_errors[p, j]), batch.num_items
-                )
-                for j in range(batch.num_checkpoints)
-            ]
-            for p in range(batch.num_permutations)
-        ]
+        covered, sample_errors = batch.coverage_counts(self.min_votes)
+        uncovered = covered == 0
+        rate = np.where(uncovered, 0.0, sample_errors / covered)
+        return BatchEstimates(
+            np.where(uncovered, 0.0, rate * batch.num_items),
+            sample_errors,
+            {"covered_items": covered, "sample_errors": sample_errors, "sample_rate": rate},
+        )
 
 
 def extrapolation_band(

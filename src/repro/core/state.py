@@ -41,6 +41,7 @@ from functools import cached_property
 from typing import (
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -291,6 +292,23 @@ def matrix_sweep_states(
     return [MatrixSweepState(tables, index) for index in range(len(resolved))]
 
 
+class PositiveMoments(NamedTuple):
+    """Per-cell moments of the positive-vote counts ``n_i``, each ``(R, m)`` int64.
+
+    Every fingerprint statistic chao92 and vChao92 (``s = 1``) read is an
+    exact integer combination of these four and ``c_nominal``.
+    """
+
+    #: ``sum_i n_i`` — the positive votes ``n``.
+    total: np.ndarray
+    #: ``sum_i n_i^2``.
+    squares: np.ndarray
+    #: Items with exactly one positive vote (``f_1``).
+    singletons: np.ndarray
+    #: Items with exactly two positive votes (``f_2``).
+    doubletons: np.ndarray
+
+
 class PermutationBatch:
     """Batched estimation states for ``R`` column permutations of one matrix.
 
@@ -310,10 +328,11 @@ class PermutationBatch:
 
     Consumers come in two flavours:
 
-    * estimators with a batched fast path
-      (``estimate_sweep_batch``) reduce their sufficient statistics
-      straight from :attr:`positive_table` / :attr:`negative_table` /
-      :meth:`switch_stats`;
+    * estimators with a batched fast path (``estimate_sweep_batch``)
+      read ``(R, m)`` per-cell statistics — :attr:`positive_moments`,
+      :attr:`nominal_counts`, :attr:`majority_counts`,
+      :meth:`coverage_counts`, :meth:`switch_sweep_cells` and
+      :attr:`majority_history` — and evaluate every cell at once;
     * everything else evaluates ``estimate_state`` over :meth:`states`,
       whose per-cell states satisfy the :class:`EstimationState` protocol
       and are backed by the same shared tables.
@@ -463,6 +482,39 @@ class PermutationBatch:
     def majority_counts(self) -> np.ndarray:
         """``c_majority`` per (permutation, checkpoint) cell, ``(R, m)``."""
         return (self.positive_table > self.negative_table).sum(axis=2)
+
+    @cached_property
+    def positive_moments(self) -> PositiveMoments:
+        """One pass of per-cell positive-count moments, shared by chao92 and vChao92.
+
+        Sums and squares accumulate in int64, so they are exact for any
+        count; no per-count histogram is built, whose width would grow
+        with the largest count.
+        """
+        positives = self.positive_table
+        return PositiveMoments(
+            total=positives.sum(axis=2, dtype=np.int64),
+            squares=np.einsum("rmn,rmn->rm", positives, positives, dtype=np.int64),
+            singletons=np.count_nonzero(positives == 1, axis=2),
+            doubletons=np.count_nonzero(positives == 2, axis=2),
+        )
+
+    def coverage_counts(self, min_votes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(covered, sample_errors)`` per cell, each ``(R, m)``.
+
+        The batch form of :meth:`PermutationSweepState.coverage_counts`:
+        items with at least ``min_votes`` votes, and those of them whose
+        majority is dirty.
+        """
+        covered_mask = self._seen_table >= min_votes
+        covered = covered_mask.sum(axis=2)
+        if min_votes <= 1:
+            # A majority-dirty item has a vote, so it is always covered.
+            return covered, self.majority_counts
+        sample_errors = (
+            covered_mask & (self.positive_table > self.negative_table)
+        ).sum(axis=2)
+        return covered, sample_errors
 
     @cached_property
     def _scan(self) -> _SwitchScan:

@@ -46,9 +46,11 @@ import numpy as np
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core.base import EstimateResult, StateEstimatorMixin
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.core.chao92 import (
+    _chao92_from_arrays,
     _pair_sum,
+    _skew_from_arrays,
     _skew_from_stats,
     chao92_components_from_stats,
     chao92_estimate,
@@ -564,6 +566,36 @@ class _SwitchSweepCells:
             self.items[direction] = np.searchsorted(first, checkpoints[:, 0], side="left")
 
 
+class _BatchSwitchCells:
+    """Every permutation's :class:`_SwitchSweepCells`, stacked into ``(R, m)`` arrays.
+
+    What the batched SWITCH estimators read: :attr:`n_switch`,
+    :attr:`total_votes` and, per direction key, one ``(R, m)`` table of
+    each per-checkpoint statistic.
+    """
+
+    def __init__(self, batch):
+        self._cells = [
+            batch.switch_sweep_cells(p) for p in range(batch.num_permutations)
+        ]
+        self.n_switch = np.stack([cells.n_switch for cells in self._cells])
+        self.total_votes = np.stack([cells.total_votes for cells in self._cells])
+
+    def table(self, statistic: str, direction: Optional[str]) -> np.ndarray:
+        """``counts``, ``items``, ``singletons`` or ``pair_sums`` of one direction."""
+        return np.stack([getattr(cells, statistic)[direction] for cells in self._cells])
+
+    def totals(self, direction: Optional[str], use_skew_correction: bool):
+        """:func:`_chao92_from_arrays` over one direction's switch fingerprint."""
+        return _chao92_from_arrays(
+            self.table("items", direction),
+            self.n_switch,
+            self.table("singletons", direction),
+            self.table("pair_sums", direction),
+            use_skew_correction,
+        )
+
+
 def _first_columns_per_row(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sorted first-event columns per distinct row of a row-major event list.
 
@@ -933,32 +965,36 @@ class SwitchEstimator(StateEstimatorMixin):
         """Estimate the total number of consensus switches."""
         return self._result(state.switch_stats())
 
-    def estimate_sweep_batch(self, batch) -> List[List[EstimateResult]]:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """Cross-permutation sweep over the batch's single switch scan.
 
         All ``R`` permutations share one :class:`_SwitchScan` (rows are
         independent, so one vote stream over every permutation is scanned
-        once); the per-checkpoint sufficient statistics then come from each
-        permutation's vectorised :class:`_SwitchSweepCells`, and the final
-        arithmetic reuses the exact scalar code path — every estimate is
-        bit-identical to the serial sweep.
+        once); the per-checkpoint sufficient statistics come from each
+        permutation's vectorised :class:`_SwitchSweepCells`, and the
+        scalar core's arithmetic runs on all cells at once in numpy —
+        every estimate is bit-identical to the serial sweep.
         """
         direction = self.direction
-        results = []
-        for p in range(batch.num_permutations):
-            cells = batch.switch_sweep_cells(p)
-            results.append(
-                [
-                    self._result_from_stats(
-                        n_switch=int(cells.n_switch[j]),
-                        total_votes=int(cells.total_votes[j]),
-                        observed=int(cells.counts[direction][j]),
-                        distinct=int(cells.items[direction][j]),
-                        singletons=int(cells.singletons[direction][j]),
-                        pair_sum=int(cells.pair_sums[direction][j]),
-                        items_with_switches=int(cells.items[None][j]),
-                    )
-                    for j in range(batch.num_checkpoints)
-                ]
+        cells = _BatchSwitchCells(batch)
+        total, coverage, gamma_squared = cells.totals(direction, self.use_skew_correction)
+        items_with_switches = cells.table("items", None)
+        if direction is not None and self.use_skew_correction:
+            gamma_squared = _skew_from_arrays(
+                items_with_switches,
+                cells.n_switch,
+                coverage,
+                cells.table("pair_sums", direction),
             )
-        return results
+        return BatchEstimates(
+            total,
+            cells.table("counts", direction),
+            {
+                "n_switch": cells.n_switch,
+                "total_votes": cells.total_votes,
+                "coverage": coverage,
+                "singletons": cells.table("singletons", direction),
+                "items_with_switches": items_with_switches,
+                "gamma_squared": gamma_squared,
+            },
+        )

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.exceptions import ValidationError
 from repro.common.validation import check_int
-from repro.core.base import EstimateResult, StateEstimatorMixin
-from repro.core.chao92 import chao92_components_from_stats
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.core.switch import (
     NEGATIVE,
     POSITIVE,
+    _BatchSwitchCells,
     estimate_remaining_switches,
 )
 
@@ -178,61 +180,61 @@ class SwitchTotalErrorEstimator(StateEstimatorMixin):
         trend = self._detect_trend(state) if self.trend_mode == "auto" else "flat"
         return self._result(majority, stats, trend)
 
-    def _remaining_from_cells(self, cells, direction: str, index: int) -> float:
-        """``xi`` of one direction at one checkpoint from the batched cells.
+    def _batch_corrections(self, batch) -> np.ndarray:
+        """The correction each cell applies: 1 positive, -1 negative, 0 both.
 
-        Mirrors :func:`~repro.core.switch.estimate_remaining_switches` on
-        the vectorised sufficient statistics (identical scalar arithmetic).
+        In ``"auto"`` mode an increasing majority count selects the
+        positive correction and a decreasing one the negative; a flat
+        trend, or no column to look back to, applies both.
         """
-        total, _, _ = chao92_components_from_stats(
-            distinct=int(cells.items[direction][index]),
-            num_observations=int(cells.n_switch[index]),
-            singletons=int(cells.singletons[direction][index]),
-            pair_sum=int(cells.pair_sums[direction][index]),
-            use_skew_correction=self.use_skew_correction,
-        )
-        return max(0.0, float(total) - float(int(cells.counts[direction][index])))
+        if self.trend_mode != "auto":
+            code = {"positive": 1, "negative": -1, "both": 0}[self.trend_mode]
+            return np.full(batch.majority_counts.shape, code)
+        resolved = np.asarray(batch.resolved, dtype=np.int64)
+        lookback = np.where(resolved <= 1, 0, np.minimum(self.trend_window, resolved - 1))
+        earlier = batch.majority_history[:, resolved - lookback]
+        return np.where(lookback > 0, np.sign(batch.majority_counts - earlier), 0)
 
-    def estimate_sweep_batch(self, batch) -> list:
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
         """Cross-permutation sweep over the batch's shared statistics.
 
         The majority counts and trend lookbacks come from the batched
         count tables and majority history; both directional switch
-        estimates come from the vectorised per-permutation sweep cells.
-        Every cell's arithmetic reuses the exact scalar code path, so the
-        estimates are bit-identical to the serial sweep.
+        estimates come from the stacked per-permutation sweep cells.  The
+        scalar core's arithmetic then runs on every cell at once in
+        numpy, so the estimates are bit-identical to the serial sweep.
         """
-        results = []
-        for p in range(batch.num_permutations):
-            cells = batch.switch_sweep_cells(p)
-            majority_row = batch.majority_counts[p]
-            history = batch.majority_history[p]
-            row = []
-            for j in range(batch.num_checkpoints):
-                upto = batch.resolved[j]
-                majority = int(majority_row[j])
-                if self.trend_mode == "auto":
-                    lookback = self._trend_lookback(upto)
-                    trend = (
-                        "flat"
-                        if lookback == 0
-                        else self._classify_trend(
-                            majority, int(history[upto - lookback])
-                        )
-                    )
-                else:
-                    trend = "flat"
-                row.append(
-                    self._result_from_stats(
-                        float(majority),
-                        self._remaining_from_cells(cells, POSITIVE, j),
-                        self._remaining_from_cells(cells, NEGATIVE, j),
-                        trend,
-                        observed_switches=int(cells.counts[None][j]),
-                        observed_positive=int(cells.counts[POSITIVE][j]),
-                        observed_negative=int(cells.counts[NEGATIVE][j]),
-                        n_switch=int(cells.n_switch[j]),
-                    )
-                )
-            results.append(row)
-        return results
+        cells = _BatchSwitchCells(batch)
+        observed = {
+            direction: cells.table("counts", direction)
+            for direction in (None, POSITIVE, NEGATIVE)
+        }
+        xi = {}
+        for direction in (POSITIVE, NEGATIVE):
+            total, _, _ = cells.totals(direction, self.use_skew_correction)
+            remaining = total - observed[direction]
+            xi[direction] = np.where(remaining > 0.0, remaining, 0.0)
+        majority = batch.majority_counts.astype(np.float64)
+        correction = self._batch_corrections(batch)
+        estimate = np.where(
+            correction > 0,
+            majority + xi[POSITIVE],
+            np.where(
+                correction < 0,
+                majority - xi[NEGATIVE],
+                majority + xi[POSITIVE] - xi[NEGATIVE],
+            ),
+        )
+        return BatchEstimates(
+            np.where(estimate > 0.0, estimate, 0.0),
+            majority,
+            {
+                "xi_positive": xi[POSITIVE],
+                "xi_negative": xi[NEGATIVE],
+                "correction": correction,
+                "observed_switches": observed[None],
+                "observed_positive_switches": observed[POSITIVE],
+                "observed_negative_switches": observed[NEGATIVE],
+                "n_switch": cells.n_switch,
+            },
+        )

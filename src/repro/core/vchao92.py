@@ -27,8 +27,9 @@ from typing import Tuple
 import numpy as np
 
 from repro.common.validation import check_int
-from repro.core.base import EstimateResult, StateEstimatorMixin
+from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
 from repro.core.chao92 import (
+    _chao92_from_arrays,
     _coverage_from_stats,
     _pair_sum,
     _skew_from_stats,
@@ -45,9 +46,11 @@ def _vchao92_from_stats(
 ) -> Tuple[float, float]:
     """``(estimate, coverage)`` from the shifted sufficient statistics.
 
-    The single arithmetic core shared by the fingerprint path and the
-    cross-permutation batch fast path (identical scalar float operations,
-    hence bit-identical estimates).
+    The scalar arithmetic core of the fingerprint path (serial sweep and
+    streaming session).  It is Chao92 on the shifted statistics with
+    ``c_majority`` as the distinct count, which is how the batch engine
+    evaluates it: :func:`~repro.core.chao92._chao92_from_arrays` on every
+    cell at once, bit-identical to this function.
     """
     c = int(majority_count)
     coverage = _coverage_from_stats(shifted_singletons, shifted_observations)
@@ -180,38 +183,58 @@ class VChao92Estimator(StateEstimatorMixin):
         """Estimate the total error count from the shifted vote fingerprint."""
         return self._result(state.positive_fingerprint(), state.majority_count())
 
-    def estimate_sweep_batch(self, batch) -> list:
-        """Vectorised cross-permutation sweep over a :class:`PermutationBatch`.
+    def _shifted_statistics(self, batch) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n', f'_1, sum_j j(j-1) f'_j)`` of the shifted fingerprint per cell.
 
-        The shifted fingerprint's sufficient statistics come straight from
-        the batched positive-count table: ``f'_1`` is the number of items
-        with exactly ``1 + s`` positive votes, the shifted observation
-        count removes the first ``s`` frequency classes, and the skew pair
-        sum is ``sum_{n_i > s} (n_i - s)(n_i - s - 1)``.  The per-cell
-        arithmetic reuses the exact scalar code path (bit-identical).
+        At the default ``s = 1`` all three are exact integer combinations
+        of the batch's shared positive-count moments: ``n' = n - f_1``,
+        ``f'_1 = f_2`` and ``sum_{n_i > 1} (n_i - 1)(n_i - 2) =
+        sum n^2 - 3 sum n + 2 c_nominal``.  Other shifts reduce the
+        positive-count table directly: ``f'_1`` counts the items with
+        exactly ``1 + s`` positive votes, ``n'`` drops the first ``s``
+        frequency classes and the pair sum runs over ``n_i > s``.
         """
         s = self.shift
+        if s == 1:
+            moments = batch.positive_moments
+            return (
+                moments.total - moments.singletons,
+                moments.doubletons,
+                moments.squares - 3 * moments.total + 2 * batch.nominal_counts,
+            )
         positives = batch.positive_table  # (R, m, N)
         n = positives.sum(axis=2, dtype=np.int64)
-        shifted_f1 = np.count_nonzero(positives == 1 + s, axis=2)
         removed = np.count_nonzero((positives >= 1) & (positives <= s), axis=2)
-        shifted_n = np.maximum(0, n - removed)
         # The int64 shift promotes the products before they can overflow
         # the table's compact dtype.
         shifted_values = positives - np.int64(s)
-        shifted_pair_sum = (
-            shifted_values * (shifted_values - 1) * (positives > s)
-        ).sum(axis=2)
+        return (
+            np.maximum(0, n - removed),
+            np.count_nonzero(positives == 1 + s, axis=2),
+            (shifted_values * (shifted_values - 1) * (positives > s)).sum(axis=2),
+        )
+
+    def estimate_sweep_batch(self, batch) -> BatchEstimates:
+        """Every (permutation, checkpoint) cell of a :class:`PermutationBatch`.
+
+        The shifted statistics come from :meth:`_shifted_statistics`; the
+        arithmetic is the scalar core's, cell by cell in numpy (vChao92
+        is Chao92 on the shifted fingerprint with ``c_majority`` as the
+        distinct count), so every estimate is bit-identical to the serial
+        sweep.
+        """
+        shifted_n, shifted_f1, shifted_pair_sum = self._shifted_statistics(batch)
         observed = batch.majority_counts
-        return [
-            [
-                self._result_from_stats(
-                    int(observed[p, j]),
-                    int(shifted_n[p, j]),
-                    int(shifted_f1[p, j]),
-                    int(shifted_pair_sum[p, j]),
-                )
-                for j in range(batch.num_checkpoints)
-            ]
-            for p in range(batch.num_permutations)
-        ]
+        estimate, coverage, _ = _chao92_from_arrays(
+            observed, shifted_n, shifted_f1, shifted_pair_sum, self.use_skew_correction
+        )
+        return BatchEstimates(
+            estimate,
+            observed,
+            {
+                "shift": self.shift,
+                "coverage": coverage,
+                "shifted_singletons": shifted_f1,
+                "shifted_observations": shifted_n,
+            },
+        )

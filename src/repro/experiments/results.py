@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class ExperimentResult:
 def build_series(
     estimator_name: str,
     checkpoints: Sequence[int],
-    per_trial_estimates: Sequence[Sequence[float]],
+    per_trial_estimates: Union[np.ndarray, Sequence[Sequence[float]]],
 ) -> EstimateSeries:
     """Assemble an :class:`EstimateSeries` from per-trial estimate traces.
 
@@ -147,17 +147,30 @@ def build_series(
     checkpoints:
         The task counts, one per trace point.
     per_trial_estimates:
-        ``per_trial_estimates[t][i]`` is trial ``t``'s estimate at
-        checkpoint ``i``; every trial must cover every checkpoint.
+        An ``(R, m)`` array (or nested sequence): ``per_trial_estimates[t][i]``
+        is trial ``t``'s estimate at checkpoint ``i``; every trial must
+        cover every checkpoint.
+
+    Every checkpoint's mean and sample standard deviation (0 for a single
+    trial) come from one reduction each along the last axis of a
+    C-contiguous ``(m, R)`` copy, so each row is summed exactly as the
+    1-D reduction of that checkpoint's values would be; reducing the
+    ``(R, m)`` array along axis 0 would not be (numpy sums a strided axis
+    in another order).
     """
-    series = EstimateSeries(estimator_name=estimator_name)
-    trials = [list(t) for t in per_trial_estimates]
-    for index, num_tasks in enumerate(checkpoints):
-        values = tuple(trial[index] for trial in trials)
-        arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean()) if arr.size else 0.0
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        series.points.append(
-            TracePoint(num_tasks=int(num_tasks), mean=mean, std=std, values=values)
-        )
-    return series
+    trials = np.asarray(per_trial_estimates, dtype=np.float64).reshape(
+        len(per_trial_estimates), len(checkpoints)
+    )
+    columns = np.ascontiguousarray(trials.T)  # (m, R)
+    num_trials = columns.shape[1]
+    means = columns.mean(axis=1) if num_trials else np.zeros(len(columns))
+    stds = columns.std(axis=1, ddof=1) if num_trials > 1 else np.zeros(len(columns))
+    return EstimateSeries(
+        estimator_name=estimator_name,
+        points=[
+            TracePoint(num_tasks=int(num_tasks), mean=mean, std=std, values=tuple(values))
+            for num_tasks, mean, std, values in zip(
+                checkpoints, means.tolist(), stds.tolist(), columns.tolist()
+            )
+        ],
+    )

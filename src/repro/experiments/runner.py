@@ -39,6 +39,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.common.exceptions import ValidationError
 from repro.common.rng import RandomState, derive_rng, ensure_rng
 from repro.common.validation import check_int
@@ -120,19 +122,25 @@ def _evaluate_permutation(
     order: Optional[List[int]],
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
-) -> Dict[str, List[float]]:
+) -> Dict[str, np.ndarray]:
     """Evaluate every estimator's sweep for one permutation trial.
 
-    The body of the serial engine's loop.  The sweep states are built
-    once and shared by all estimators of the trial.
+    The body of the serial engine's loop, which runs each estimator's
+    scalar core per checkpoint.  The sweep states are built once and
+    shared by all estimators of the trial.
     """
     permuted = matrix if order is None else matrix.permute_columns(order)
     states = matrix_sweep_states(permuted, checkpoints)
     return {
-        estimator.name: [
-            result.estimate
-            for result in sweep_estimates(estimator, permuted, checkpoints, states=states)
-        ]
+        estimator.name: np.array(
+            [
+                result.estimate
+                for result in sweep_estimates(
+                    estimator, permuted, checkpoints, states=states
+                )
+            ],
+            dtype=np.float64,
+        )
         for estimator in estimators
     }
 
@@ -142,24 +150,22 @@ def _evaluate_permutation_batch(
     orders: List[Optional[List[int]]],
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
-) -> List[Dict[str, List[float]]]:
+) -> List[Dict[str, np.ndarray]]:
     """Evaluate a chunk of permutation trials through one tensor batch.
 
     The body of both the serial batch path and the pool workers of the
     chunked dispatch, guaranteeing the two run identical code.  Returns
-    one ``{estimator: [estimates]}`` dict per order, in order — the same
-    shape the per-permutation loop produces.
+    one ``{estimator: estimates}`` dict per order, in order — the same
+    shape the per-permutation loop produces; each value is that
+    permutation's row of the estimator's ``(R, m)`` estimate array.
     """
     batch = PermutationBatch(matrix, orders, checkpoints)
     per_estimator = {
-        estimator.name: batch_estimates(estimator, batch)
+        estimator.name: batch_estimates(estimator, batch).estimates
         for estimator in estimators
     }
     return [
-        {
-            name: [result.estimate for result in results[p]]
-            for name, results in per_estimator.items()
-        }
+        {name: estimates[p] for name, estimates in per_estimator.items()}
         for p in range(batch.num_permutations)
     ]
 
@@ -194,7 +200,7 @@ def _init_worker(
 
 def _evaluate_order_chunk(
     orders: List[Optional[List[int]]],
-) -> List[Dict[str, List[float]]]:
+) -> List[Dict[str, np.ndarray]]:
     """Pool task: one chunk of batched trials against the installed context."""
     matrix, estimators, checkpoints = _worker_context["args"]
     return _evaluate_permutation_batch(matrix, orders, estimators, checkpoints)
@@ -238,7 +244,7 @@ class EstimationRunner:
         rng = ensure_rng(seed if seed is not None else derive_rng(self.config.seed, 101))
         orders: List[Optional[List[int]]] = [None]
         for _ in range(1, self.config.num_permutations):
-            orders.append([int(i) for i in rng.permutation(matrix.num_columns)])
+            orders.append(rng.permutation(matrix.num_columns).tolist())
         return orders
 
     def run(
@@ -319,7 +325,7 @@ class EstimationRunner:
             metadata=dict(metadata or {}),
         )
         for estimator in self.estimators:
-            per_trial = [trial[estimator.name] for trial in trial_results]
+            per_trial = np.stack([trial[estimator.name] for trial in trial_results])
             experiment.add_series(build_series(estimator.name, checkpoints, per_trial))
         experiment.metadata.setdefault("num_permutations", self.config.num_permutations)
         experiment.metadata.setdefault("checkpoints", list(checkpoints))

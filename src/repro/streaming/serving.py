@@ -55,7 +55,7 @@ import numpy as np
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.validation import check_int, check_vote
 from repro.core.base import EstimateResult, EstimatorProtocol
-from repro.streaming.session import SessionSnapshot, StreamingSession
+from repro.streaming.session import SessionSnapshot, StreamingSession, _malformed_field
 from repro.streaming.store import (
     DirectorySessionStore,
     MemorySessionStore,
@@ -610,9 +610,15 @@ class EstimationService:
 
     @staticmethod
     def _serving_sources(snapshot: SessionSnapshot) -> Dict[str, int]:
+        """The idempotency gate's ``{source: sequence}`` from the manifest."""
         serving = snapshot.manifest.get("serving", {})
-        sources = serving.get("sources", {}) if isinstance(serving, dict) else {}
-        return {str(key): int(value) for key, value in sources.items()}
+        sources = serving.get("sources", {}) if isinstance(serving, dict) else None
+        if not isinstance(sources, dict) or not all(
+            isinstance(sequence, int) and not isinstance(sequence, bool)
+            for sequence in sources.values()
+        ):
+            raise _malformed_field("serving", '{"sources": {source: sequence}}', serving)
+        return {str(key): sequence for key, sequence in sources.items()}
 
     def _recover_session(
         self,

@@ -22,6 +22,9 @@ Guarantees:
 from __future__ import annotations
 
 import json
+import struct
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -42,6 +45,44 @@ SNAPSHOT_FORMAT_VERSION = 1
 #: File names inside a snapshot directory.
 MANIFEST_FILENAME = "manifest.json"
 ARRAYS_FILENAME = "arrays.npz"
+
+#: What ``np.load`` raises on bytes that are not a readable npz archive;
+#: ``RuntimeError`` covers the zip features the reader refuses
+#: (``NotImplementedError``) and encrypted members.
+_ARCHIVE_DECODE_ERRORS = (
+    ValueError,
+    KeyError,
+    OSError,
+    EOFError,
+    RuntimeError,
+    struct.error,
+    zipfile.BadZipFile,
+    zlib.error,
+)
+
+
+def _load_arrays(source, label: str) -> Dict[str, np.ndarray]:
+    """Every array of the npz archive ``source`` (a path or binary file).
+
+    Bytes that do not decode raise ``ConfigurationError("undecodable
+    <label>: ...")``.  Errors that say nothing about the bytes —
+    ``SystemError``, ``MemoryError``, ``RecursionError`` — surface as
+    themselves, so a transient failure is never reported as corruption.
+    """
+    try:
+        with np.load(source) as archive:
+            return {key: archive[key] for key in archive.files}
+    except RecursionError:
+        raise
+    except _ARCHIVE_DECODE_ERRORS as error:
+        raise ConfigurationError(f"undecodable {label}: {error!r}") from error
+
+
+def _malformed_field(name: str, expected: str, value: object) -> ConfigurationError:
+    return ConfigurationError(
+        f"malformed snapshot {MANIFEST_FILENAME}: field {name!r} must be "
+        f"{expected}, got {value!r}"
+    )
 
 
 @dataclass
@@ -65,13 +106,27 @@ class SessionSnapshot:
 
     @property
     def format_version(self) -> int:
-        """The snapshot format version recorded in the manifest."""
-        return int(self.manifest.get("format_version", -1))
+        """The snapshot format version recorded in the manifest.
+
+        Raises ``ConfigurationError`` naming the field when it is not an
+        integer.
+        """
+        version = self.manifest.get("format_version", -1)
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise _malformed_field("format_version", "an integer", version)
+        return version
 
     @property
     def estimator_names(self) -> List[str]:
-        """Names of the estimators the snapshotted session tracked."""
-        return [str(name) for name in self.manifest.get("estimators", [])]
+        """Names of the estimators the snapshotted session tracked.
+
+        Raises ``ConfigurationError`` naming the field when it is not a
+        list of strings.
+        """
+        names = self.manifest.get("estimators", [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise _malformed_field("estimators", "a list of names", names)
+        return list(names)
 
     def copy(self) -> "SessionSnapshot":
         """A deep-enough copy: fresh manifest tree and fresh arrays."""
@@ -123,12 +178,7 @@ def read_snapshot(directory: Union[str, Path]) -> SessionSnapshot:
             f"undecodable {manifest_path}: expected a JSON object, "
             f"got {type(manifest).__name__}"
         )
-    try:
-        with np.load(arrays_path) as archive:
-            arrays = {key: archive[key].copy() for key in archive.files}
-    except Exception as error:  # np.load raises a different type per corruption
-        raise ConfigurationError(f"undecodable {arrays_path}: {error!r}") from error
-    snapshot = SessionSnapshot(manifest, arrays)
+    snapshot = SessionSnapshot(manifest, _load_arrays(arrays_path, str(arrays_path)))
     if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
         raise ConfigurationError(
             f"unsupported snapshot format version {snapshot.format_version!r} "
@@ -299,8 +349,13 @@ class StreamingSession:
                     f"registry ({error}); pass estimator instances via "
                     "from_snapshot(..., estimators=...)"
                 ) from None
-        state = StreamingState.from_arrays(snapshot.arrays, snapshot.manifest["state"])
-        keep_votes = bool(snapshot.manifest.get("keep_votes", True))
+        state_meta = snapshot.manifest.get("state")
+        if not isinstance(state_meta, dict):
+            raise _malformed_field("state", "an object", state_meta)
+        keep_votes = snapshot.manifest.get("keep_votes", True)
+        if not isinstance(keep_votes, bool):
+            raise _malformed_field("keep_votes", "true or false", keep_votes)
+        state = StreamingState.from_arrays(snapshot.arrays, state_meta)
         session = cls(state.item_ids, estimators, keep_votes=keep_votes)
         session._state = state
         if keep_votes:

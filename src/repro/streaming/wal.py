@@ -40,7 +40,7 @@ from typing import BinaryIO, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
-from repro.streaming.session import SessionSnapshot
+from repro.streaming.session import SessionSnapshot, _load_arrays
 
 #: Log payload format version; bump when the record schema changes.
 WAL_FORMAT_VERSION = 1
@@ -178,12 +178,16 @@ def _decode_snapshot(payload: bytes) -> SessionSnapshot:
     try:
         start = _MANIFEST_SIZE.size + _MANIFEST_SIZE.unpack_from(payload)[0]
         manifest = json.loads(payload[_MANIFEST_SIZE.size : start].decode("utf-8"))
-        archive = io.BytesIO(payload)
-        archive.seek(start)
-        with np.load(archive) as arrays:
-            return SessionSnapshot(manifest, {key: arrays[key] for key in arrays.files})
-    except Exception as error:
+    except (struct.error, ValueError) as error:  # ValueError: bad UTF-8 or JSON
         raise ConfigurationError(f"undecodable snapshot record: {error!r}") from error
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(
+            "undecodable snapshot record: the manifest is a "
+            f"{type(manifest).__name__}, not an object"
+        )
+    archive = io.BytesIO(payload)
+    archive.seek(start)
+    return SessionSnapshot(manifest, _load_arrays(archive, "snapshot record"))
 
 
 def _snapshot_bytes(descriptor: int) -> int:

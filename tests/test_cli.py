@@ -454,6 +454,36 @@ class TestCliSession:
         assert main(["session", "list", *store]) == 0
         assert "clone" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("estimators", 5),
+            ("format_version", "x"),
+            ("state", []),
+            ("serving", {"sources": 5}),
+        ],
+    )
+    def test_a_malformed_manifest_field_is_one_error_line(
+        self, capsys, tmp_path, field, value
+    ):
+        import json
+
+        store = self._store_args(tmp_path)
+        assert main(["session", "create", "origin", "--items", "3",
+                     "--estimators", "voting", *store]) == 0
+        export = tmp_path / "export"
+        assert main(["session", "snapshot", "origin", "--out", str(export), *store]) == 0
+        capsys.readouterr()
+        manifest = json.loads((export / "manifest.json").read_text())
+        manifest[field] = value
+        (export / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["session", "restore", "clone", "--from", str(export), *store]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "manifest.json" in lines[0] and repr(field) in lines[0]
+        assert main(["session", "list", *store]) == 0
+        assert "clone" not in capsys.readouterr().out
+
     def test_an_old_layout_store_is_one_error_line(self, capsys, tmp_path):
         old = tmp_path / "sessions" / "prod"
         (old / "gen-00000001").mkdir(parents=True)

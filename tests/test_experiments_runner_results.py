@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.core.descriptive import VotingEstimator
@@ -96,20 +99,31 @@ class TestEngines:
         assert result.metadata["engine"] == "batch"
 
     def test_batch_engine_identical_to_serial_engine(self, noisy_crowd_simulation):
-        """The tensor engine must not move a single float on any estimator."""
+        """The tensor engine must not move a single float on any estimator.
+
+        Permutation counts straddle 8, numpy's pairwise-summation block:
+        below it a mean or std reduced along the wrong axis still agrees.
+        """
         matrix = noisy_crowd_simulation.matrix
-        shared = dict(num_permutations=4, num_checkpoints=5, seed=21)
-        batch = EstimationRunner(
-            self.NAMES, RunnerConfig(engine="batch", **shared)
-        ).run(matrix)
-        serial = EstimationRunner(
-            self.NAMES, RunnerConfig(engine="serial", **shared)
-        ).run(matrix)
-        assert batch.metadata["checkpoints"] == serial.metadata["checkpoints"]
-        for name in self.NAMES:
-            for a, b in zip(batch.series[name].points, serial.series[name].points):
-                assert a.values == b.values
-                assert a.num_tasks == b.num_tasks
+        for num_permutations in (1, 8, 12, 33):
+            shared = dict(num_permutations=num_permutations, num_checkpoints=5, seed=21)
+            batch = EstimationRunner(
+                self.NAMES, RunnerConfig(engine="batch", **shared)
+            ).run(matrix)
+            serial = EstimationRunner(
+                self.NAMES, RunnerConfig(engine="serial", **shared)
+            ).run(matrix)
+            assert batch.metadata["checkpoints"] == serial.metadata["checkpoints"]
+            for name in self.NAMES:
+                pairs = zip(batch.series[name].points, serial.series[name].points, strict=True)
+                for a, b in pairs:
+                    assert len(a.values) == num_permutations
+                    assert (a.num_tasks, a.values, a.mean, a.std) == (
+                        b.num_tasks,
+                        b.values,
+                        b.mean,
+                        b.std,
+                    ), (name, num_permutations)
 
     def test_batch_engine_chunked_dispatch_identical(self, noisy_crowd_simulation):
         """Chunked n_jobs dispatch of the batch engine changes nothing."""
@@ -179,6 +193,49 @@ class TestParallelRunner:
         assert fallback.metadata["n_jobs"] == 1
         for name in ("voting", "chao92"):
             assert fallback.series[name].means == serial.series[name].means
+
+
+def _reference_series(checkpoints, per_trial):
+    """One checkpoint at a time, as ``build_series`` once reduced them."""
+    points = []
+    for index, num_tasks in enumerate(checkpoints):
+        values = tuple(float(trial[index]) for trial in per_trial)
+        arr = np.asarray(values, dtype=float)
+        mean = float(arr.mean())
+        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        points.append((num_tasks, mean, std, values))
+    return points
+
+
+class TestBuildSeries:
+    @given(
+        num_trials=st.integers(min_value=1, max_value=300),
+        num_checkpoints=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_checkpoint_reduction(self, num_trials, num_checkpoints, seed):
+        """Every mean and std is bit-identical to the 1-D reduction of its column."""
+        rng = np.random.default_rng(seed)
+        # Log-uniform over 1e-3 .. 1e6, so sums mix magnitudes.
+        trials = 10.0 ** rng.uniform(-3.0, 6.0, size=(num_trials, num_checkpoints))
+        checkpoints = list(range(10, 10 * num_checkpoints + 1, 10))
+        series = build_series("demo", checkpoints, trials)
+        expected = _reference_series(checkpoints, trials.tolist())
+        assert len(series.points) == len(expected)
+        for point, (num_tasks, mean, std, values) in zip(series.points, expected):
+            assert point.num_tasks == num_tasks
+            assert point.values == values
+            assert all(type(value) is float for value in point.values)
+            assert repr(point.mean) == repr(mean)
+            assert repr(point.std) == repr(std)
+
+    def test_accepts_nested_lists_and_a_single_trial(self):
+        series = build_series("demo", [1, 2], [[3.0, 4.5]])
+        assert [(p.mean, p.std, p.values) for p in series.points] == [
+            (3.0, 0.0, (3.0,)),
+            (4.5, 0.0, (4.5,)),
+        ]
 
 
 class TestResultContainers:

@@ -22,43 +22,114 @@ from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
-from repro.core.base import EstimateResult, batch_estimates, sweep_estimates
+from repro.core.base import (
+    BatchEstimates,
+    EstimateResult,
+    StateEstimatorMixin,
+    SweepEstimatorMixin,
+    batch_estimates,
+    sweep_estimates,
+)
+from repro.core.chao92 import Chao92Estimator
+from repro.core.extrapolation import ExtrapolationEstimator
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import PermutationBatch
-from repro.core.switch import _SwitchScan, switch_statistics
+from repro.core.switch import SwitchEstimator, _SwitchScan, switch_statistics
+from repro.core.total_error import TREND_MODES, SwitchTotalErrorEstimator
+from repro.core.vchao92 import VChao92Estimator
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
+from repro.experiments.runner import EstimationRunner, RunnerConfig
 
 #: The batch engine's one scan path, named as benchmark entries name it;
 #: it keeps the ``[numpy]`` ids these suites have always had.
 SCAN_PATH = pytest.mark.parametrize("scan_path", ["numpy"])
 
 
-def _assert_batch_matches_serial(matrix, orders, checkpoints, names=None):
-    """Exact equality of the batched and serial sweeps for all estimators."""
+def _non_default_estimators():
+    """Every built-in batch path under parameters the registry does not use."""
+    return [
+        Chao92Estimator(use_skew_correction=False),
+        VChao92Estimator(shift=0),
+        VChao92Estimator(shift=2),
+        VChao92Estimator(use_skew_correction=False),
+        SwitchEstimator(direction="positive"),
+        SwitchEstimator(direction="negative"),
+        SwitchEstimator(direction="negative", use_skew_correction=False),
+        *[SwitchTotalErrorEstimator(trend_mode=mode) for mode in TREND_MODES],
+        SwitchTotalErrorEstimator(trend_window=1),
+        SwitchTotalErrorEstimator(trend_window=3),
+        SwitchTotalErrorEstimator(use_skew_correction=False),
+        ExtrapolationEstimator(min_votes=2),
+    ]
+
+
+def _registered_estimators():
+    return [get_estimator(name) for name in available_estimators()]
+
+
+def _assert_batch_matches_serial(matrix, orders, checkpoints, estimators=None):
+    """Exact equality of the batched and serial sweeps, cell by cell.
+
+    Both the ``(R, m)`` arrays and the materialised results are compared;
+    by default every registered estimator and every non-default
+    parameter set is checked.
+    """
     batch = PermutationBatch(matrix, orders, checkpoints)
-    for name in names or available_estimators():
-        estimator = get_estimator(name)
+    if estimators is None:
+        estimators = _registered_estimators() + _non_default_estimators()
+    for estimator in estimators:
         batched = batch_estimates(estimator, batch)
+        assert isinstance(batched, BatchEstimates)
+        assert batched.estimates.shape == (len(orders), len(checkpoints))
+        assert len(batched) == len(orders)
         for p, order in enumerate(orders):
             permuted = matrix if order is None else matrix.permute_columns(order)
             serial = estimator.estimate_sweep(permuted, checkpoints)
             assert len(batched[p]) == len(serial)
-            for got, want in zip(batched[p], serial):
-                assert got.estimate == want.estimate, (name, p)
-                assert got.observed == want.observed, (name, p)
-                assert got.details == want.details, (name, p)
+            for j, (got, want) in enumerate(zip(batched[p], serial)):
+                assert batched.estimates[p, j] == got.estimate, (estimator, p)
+                assert batched.observed[p, j] == got.observed, (estimator, p)
+                assert got.estimate == want.estimate, (estimator, p)
+                assert got.observed == want.observed, (estimator, p)
+                assert got.details == want.details, (estimator, p)
+                assert repr(got.details) == repr(want.details), (estimator, p)
+
+
+def _random_case(num_items, num_columns, num_permutations, matrix_seed, checkpoint_seed):
+    """A random matrix, permutation orders and checkpoint set."""
+    rng = np.random.default_rng(matrix_seed)
+    votes = rng.choice(
+        [UNSEEN, CLEAN, DIRTY],
+        size=(num_items, num_columns),
+        p=[0.4, 0.25, 0.35],
+    ).astype(np.int8)
+    matrix = ResponseMatrix.from_array(votes)
+    cp_rng = np.random.default_rng(checkpoint_seed)
+    # Random checkpoints including 0 and oversized values (they clamp).
+    checkpoints = sorted(
+        {0, num_columns, num_columns + 3}
+        | {int(c) for c in cp_rng.integers(0, num_columns + 2, size=4)}
+    )
+    orders = [None] + [
+        [int(i) for i in cp_rng.permutation(num_columns)]
+        for _ in range(num_permutations - 1)
+    ]
+    return matrix, orders, checkpoints
+
+
+_CASES = dict(
+    num_items=st.integers(min_value=1, max_value=10),
+    num_columns=st.integers(min_value=0, max_value=12),
+    num_permutations=st.sampled_from([1, 3, 10]),
+    matrix_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    checkpoint_seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
 
 
 @SCAN_PATH
 class TestPropertyEquivalence:
-    @given(
-        num_items=st.integers(min_value=1, max_value=10),
-        num_columns=st.integers(min_value=0, max_value=12),
-        num_permutations=st.sampled_from([1, 3, 10]),
-        matrix_seed=st.integers(min_value=0, max_value=2**31 - 1),
-        checkpoint_seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
+    @given(**_CASES)
     @settings(max_examples=25)
     def test_batch_equals_serial_sweep(
         self,
@@ -69,24 +140,30 @@ class TestPropertyEquivalence:
         matrix_seed,
         checkpoint_seed,
     ):
-        rng = np.random.default_rng(matrix_seed)
-        votes = rng.choice(
-            [UNSEEN, CLEAN, DIRTY],
-            size=(num_items, num_columns),
-            p=[0.4, 0.25, 0.35],
-        ).astype(np.int8)
-        matrix = ResponseMatrix.from_array(votes)
-        cp_rng = np.random.default_rng(checkpoint_seed)
-        # Random checkpoints including 0 and oversized values (they clamp).
-        checkpoints = sorted(
-            {0, num_columns, num_columns + 3}
-            | {int(c) for c in cp_rng.integers(0, num_columns + 2, size=4)}
+        matrix, orders, checkpoints = _random_case(
+            num_items, num_columns, num_permutations, matrix_seed, checkpoint_seed
         )
-        orders = [None] + [
-            [int(i) for i in cp_rng.permutation(num_columns)]
-            for _ in range(num_permutations - 1)
-        ]
-        _assert_batch_matches_serial(matrix, orders, checkpoints)
+        _assert_batch_matches_serial(
+            matrix, orders, checkpoints, _registered_estimators()
+        )
+
+    @given(**_CASES)
+    @settings(max_examples=25, deadline=None)
+    def test_non_default_parameters_equal_serial_sweep(
+        self,
+        scan_path,
+        num_items,
+        num_columns,
+        num_permutations,
+        matrix_seed,
+        checkpoint_seed,
+    ):
+        matrix, orders, checkpoints = _random_case(
+            num_items, num_columns, num_permutations, matrix_seed, checkpoint_seed
+        )
+        _assert_batch_matches_serial(
+            matrix, orders, checkpoints, _non_default_estimators()
+        )
 
 
 @SCAN_PATH
@@ -275,5 +352,79 @@ class TestBatchInternals:
 
         batch = PermutationBatch(matrix, orders, [3, 12])
         results = batch_estimates(EstimateOnly(), batch)
+        assert isinstance(results, BatchEstimates)
         assert [r.estimate for r in results[0]] == [3.0, 12.0]
         assert [r.estimate for r in results[1]] == [3.0, 12.0]
+        assert results.estimates.tolist() == [[3.0, 12.0], [3.0, 12.0]]
+        assert results.observed.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_mixin_fallbacks_index_to_the_results_they_wrap(self, matrix, orders):
+        """Both mixin defaults return the per-cell results they computed."""
+
+        class SweepOnly(SweepEstimatorMixin):
+            name = "sweep_only"
+
+            def estimate(self, m, upto=None):
+                prefix = m.resolve_upto(upto)
+                return EstimateResult(
+                    estimate=prefix / 4, observed=1.0, details={"prefix": prefix}
+                )
+
+        class StateOnly(StateEstimatorMixin):
+            name = "state_only"
+
+            def estimate_state(self, state):
+                count = state.majority_count()
+                return EstimateResult(
+                    estimate=count * 1.5, observed=float(count), details={"c": count}
+                )
+
+        checkpoints = [0, 3, 12]
+        batch = PermutationBatch(matrix, orders, checkpoints)
+        for estimator in (SweepOnly(), StateOnly()):
+            results = estimator.estimate_sweep_batch(batch)
+            assert isinstance(results, BatchEstimates)
+            assert len(results) == len(orders)
+            for p, order in enumerate(orders):
+                permuted = batch.permuted_matrix(p)
+                expected = estimator.estimate_sweep(permuted, checkpoints)
+                assert results[p] == expected
+                assert results[p] is results[p]
+                assert results.estimates[p].tolist() == [r.estimate for r in expected]
+                assert results.observed[p].tolist() == [r.observed for r in expected]
+
+    def test_batch_estimates_materialise_once_per_permutation(self, matrix, orders):
+        results = batch_estimates(get_estimator("chao92"), PermutationBatch(matrix, orders, [4, 8]))
+        first = results[1]
+        assert results[1] is first and results[-1] is first
+        assert [r.estimate for r in first] == results.estimates[1].tolist()
+        assert all(type(value) is float for r in first for value in r.details.values())
+        with pytest.raises(IndexError):
+            results[len(orders)]
+
+
+class TestRunnerDispatch:
+    def test_two_jobs_equal_one_job(self):
+        """The pool's chunks carry estimate rows; n_jobs changes no float."""
+        rng = np.random.default_rng(31)
+        votes = rng.choice(
+            [UNSEEN, CLEAN, DIRTY], size=(40, 30), p=[0.6, 0.25, 0.15]
+        ).astype(np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        # The built-ins: other suites register aliases that share a name.
+        names = [
+            "nominal", "voting", "chao92", "vchao92", "extrapolation",
+            "switch", "switch_total", "good_turing", "chao84", "jackknife",
+        ]
+        shared = dict(num_permutations=5, num_checkpoints=6, seed=4)
+        one = EstimationRunner(names, RunnerConfig(n_jobs=1, **shared)).run(matrix)
+        two = EstimationRunner(names, RunnerConfig(n_jobs=2, **shared)).run(matrix)
+        assert two.metadata["n_jobs"] == 2
+        for name in names:
+            for a, b in zip(one.series[name].points, two.series[name].points, strict=True):
+                assert (a.num_tasks, a.values, a.mean, a.std) == (
+                    b.num_tasks,
+                    b.values,
+                    b.mean,
+                    b.std,
+                )

@@ -223,6 +223,27 @@ class TestSnapshotDiskFormat:
             read_snapshot(directory)
         assert str(directory / name) in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format_version", "x"),
+            ("format_version", True),
+            ("estimators", 5),
+            ("estimators", ["voting", 3]),
+            ("state", []),
+            ("state", None),
+            ("keep_votes", "false"),
+        ],
+    )
+    def test_a_malformed_manifest_field_is_rejected_naming_it(self, tmp_path, field, value):
+        snapshot = StreamingSession([0, 1], ["voting"]).snapshot()
+        snapshot.manifest[field] = value
+        with pytest.raises(ConfigurationError, match=f"manifest.json: field '{field}'"):
+            StreamingSession.from_snapshot(snapshot)
+        directory = write_snapshot(snapshot, tmp_path / "export")
+        with pytest.raises(ConfigurationError, match=f"field '{field}'"):
+            StreamingSession.from_snapshot(read_snapshot(directory))
+
     def test_manifest_records_session_shape(self):
         session = StreamingSession([3, 5, 9], ["voting", "chao92"])
         session.add_column({3: DIRTY, 5: CLEAN}, worker_id=7)

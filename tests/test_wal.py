@@ -12,7 +12,16 @@ replay as no-ops exactly as their deliveries did live.
 
 from __future__ import annotations
 
+import io
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import CLEAN, DIRTY
@@ -296,6 +305,91 @@ class TestLogStructuredStore:
         assert kept.exists()
         # The real session was untouched.
         assert DirectorySessionStore(tmp_path).load("s") is not None
+
+
+def _snapshot_payload() -> bytes:
+    """The payload of a valid snapshot record (its frame header stripped)."""
+    session = StreamingSession([0, 1, 2], ESTIMATORS)
+    session.add_column({0: DIRTY, 2: CLEAN}, worker_id=1)
+    buffer = io.BytesIO()
+    write_snapshot_record(buffer, session.snapshot())
+    return buffer.getvalue()[12:]
+
+
+_PAYLOAD = _snapshot_payload()
+#: The npz archive's first central-directory entry.
+_CENTRAL = _PAYLOAD.index(b"PK\x01\x02")
+
+
+def _flipped(flips) -> bytes:
+    data = bytearray(_PAYLOAD)
+    for position, mask in flips:
+        data[position] ^= mask
+    return bytes(data)
+
+
+#: A valid payload cut short, or with one to three bytes flipped.
+_DAMAGED_PAYLOADS = st.one_of(
+    st.integers(min_value=0, max_value=len(_PAYLOAD) - 1).map(lambda cut: _PAYLOAD[:cut]),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(_PAYLOAD) - 1),
+            st.integers(min_value=1, max_value=255),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(_flipped),
+)
+
+
+class TestSnapshotDecodeErrors:
+    """Only bytes that do not decode are corruption."""
+
+    def test_a_transient_load_error_is_not_reported_as_corruption(
+        self, tmp_path, monkeypatch
+    ):
+        store = DirectorySessionStore(tmp_path)
+        session = StreamingSession([0, 1, 2], ESTIMATORS)
+        session.add_column({0: DIRTY, 2: CLEAN}, worker_id=1)
+        store.save("s", session.snapshot())
+        store.append("s", BatchRecord.from_columns(_batch()))
+        before = (tmp_path / "s.log").read_bytes()
+        load = np.load
+        raised = []
+
+        def load_failing_once(*args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise SystemError("AST constructor recursion depth mismatch")
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", load_failing_once)
+        with pytest.raises(SystemError, match="recursion depth"):
+            store.recovery("s")
+        assert (tmp_path / "s.log").read_bytes() == before
+        snapshot, records = store.recovery("s")
+        assert snapshot.manifest == session.snapshot().manifest
+        assert len(records) == 1
+        assert (tmp_path / "s.log").read_bytes() == before
+
+    @given(payload=_DAMAGED_PAYLOADS)
+    # Zip features the reader refuses: an unknown compression method
+    # (``NotImplementedError``) and an encrypted member (``RuntimeError``).
+    @example(payload=_flipped([(_CENTRAL + 10, 99)]))
+    @example(payload=_flipped([(_CENTRAL + 8, 1)]))
+    @settings(max_examples=400, deadline=None)
+    def test_a_damaged_payload_decodes_or_is_one_configuration_error(self, payload):
+        """Truncations and byte flips under a recomputed CRC reach the decoder."""
+        frame = struct.pack("<4sII", b"RSNP", len(payload), zlib.crc32(payload))
+        with tempfile.TemporaryDirectory() as root:
+            log = SessionLog(Path(root) / "s.log")
+            log.path.write_bytes(frame + payload)
+            try:
+                records = log.records()
+            except ConfigurationError as error:
+                assert "undecodable snapshot record" in str(error)
+            else:
+                assert len(records) == 1 and records[0].manifest
 
 
 class TestServiceCrashConsistency:
