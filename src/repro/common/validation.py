@@ -86,6 +86,31 @@ def check_int(value: object, name: str, *, minimum: Optional[int] = None) -> int
     return ivalue
 
 
+def check_order(order: object, num_columns: int) -> np.ndarray:
+    """Validate a column order: a permutation of ``range(num_columns)``.
+
+    ``order`` must be an integer (not boolean) sequence of shape
+    ``(num_columns,)`` whose sorted values are ``0..num_columns-1``; an
+    empty order of any dtype is the permutation of zero columns.
+    Returns it as an ``intp`` array.
+    """
+    try:
+        candidate = np.asarray(order)
+    except ValueError:  # a ragged nested sequence
+        candidate = None
+    if (
+        candidate is None
+        or candidate.shape != (num_columns,)
+        or (candidate.size and candidate.dtype.kind not in "iu")
+        or not np.array_equal(np.sort(candidate), np.arange(num_columns))
+    ):
+        raise ValidationError(
+            f"a column order must be a permutation of range({num_columns}), "
+            f"got {order!r}"
+        )
+    return candidate.astype(np.intp, copy=False)
+
+
 def check_vote(vote: object, item_id: object) -> None:
     """Validate one vote: ``DIRTY`` or ``CLEAN``, and not a boolean.
 

@@ -64,13 +64,17 @@ from repro.core.metrics import (
     scaled_rmse,
     signed_error,
 )
-from repro.core.registry import available_estimators, get_estimator, register_estimator
+from repro.core.registry import (
+    available_estimators,
+    get_estimator,
+    register_estimator,
+    unregister_estimator,
+)
 from repro.core.state import (
     EstimationState,
     MatrixPrefixState,
     MatrixSweepState,
     PermutationBatch,
-    PermutationSweepState,
     StreamingState,
     matrix_sweep_states,
 )
@@ -103,7 +107,6 @@ __all__ = [
     "StreamingState",
     "matrix_sweep_states",
     "PermutationBatch",
-    "PermutationSweepState",
     "Fingerprint",
     "IncrementalFingerprint",
     "fingerprint_from_counts",
@@ -138,6 +141,7 @@ __all__ = [
     "relative_error",
     "signed_error",
     "register_estimator",
+    "unregister_estimator",
     "get_estimator",
     "available_estimators",
 ]

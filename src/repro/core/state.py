@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY
-from repro.common.validation import check_int
+from repro.common.validation import check_int, check_order
 from repro.core.fstatistics import (
     Fingerprint,
     IncrementalFingerprint,
@@ -63,9 +63,8 @@ from repro.core.fstatistics import (
 from repro.core.switch import (
     IncrementalSwitchState,
     _estimation_sweep,
-    _EstimationSwitchStats,
+    _SwitchCells,
     _SwitchScan,
-    _SwitchSweepCells,
     _vote_list,
     switch_statistics,
 )
@@ -230,7 +229,10 @@ class _SweepTables:
     @cached_property
     def switch_stats(self) -> list:
         return _estimation_sweep(
-            self.matrix, self.resolved, self.positive_table + self.negative_table
+            _SwitchScan.of(self.matrix.values),
+            slice(None),
+            self.resolved,
+            self.positive_table + self.negative_table,
         )
 
     @cached_property
@@ -331,11 +333,11 @@ class PermutationBatch:
     * estimators with a batched fast path (``estimate_sweep_batch``)
       read ``(R, m)`` per-cell statistics — :attr:`positive_moments`,
       :attr:`nominal_counts`, :attr:`majority_counts`,
-      :meth:`coverage_counts`, :meth:`switch_sweep_cells` and
+      :meth:`coverage_counts`, :attr:`switch_sweep_cells` and
       :attr:`majority_history` — and evaluate every cell at once;
-    * everything else evaluates ``estimate_state`` over :meth:`states`,
-      whose per-cell states satisfy the :class:`EstimationState` protocol
-      and are backed by the same shared tables.
+    * everything else evaluates ``estimate_state`` over :meth:`states`:
+      the serial engine's :class:`MatrixSweepState`, reading one
+      permutation's slice of the same shared tables.
 
     Every quantity either path reads is integer-exact and identical to
     what ``matrix.permute_columns(order)`` + :func:`matrix_sweep_states`
@@ -370,20 +372,8 @@ class PermutationBatch:
         rows = []
         self._is_identity: List[bool] = []
         for order in orders:
-            if order is None:
-                rows.append(identity)
-                self._is_identity.append(True)
-                continue
-            candidate = np.asarray([int(i) for i in order], dtype=np.intp)
-            if candidate.shape != identity.shape or not np.array_equal(
-                np.sort(candidate), identity
-            ):
-                raise ValidationError(
-                    "every order must be a permutation of the column indices "
-                    f"0..{num_columns - 1}, got {list(order)!r}"
-                )
-            rows.append(candidate)
-            self._is_identity.append(False)
+            self._is_identity.append(order is None)
+            rows.append(identity if order is None else check_order(order, num_columns))
         if not rows:
             raise ValidationError("at least one permutation order is required")
         self._orders = np.vstack(rows)  # (R, K)
@@ -391,9 +381,7 @@ class PermutationBatch:
         self.checkpoints = list(checkpoints)
         self.resolved = [matrix.resolve_upto(cp) for cp in self.checkpoints]
         self.num_checkpoints = len(self.resolved)
-        self._switch_cells: Dict[Tuple[int, int], _EstimationSwitchStats] = {}
-        self._sweep_cells: Dict[int, _SwitchSweepCells] = {}
-        self._state_lists: Dict[int, List["PermutationSweepState"]] = {}
+        self._state_lists: Dict[int, List[MatrixSweepState]] = {}
 
     # ------------------------------------------------------------------ #
     # shared tables (all lazy: a batch of voting-only estimators never
@@ -502,7 +490,7 @@ class PermutationBatch:
     def coverage_counts(self, min_votes: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(covered, sample_errors)`` per cell, each ``(R, m)``.
 
-        The batch form of :meth:`PermutationSweepState.coverage_counts`:
+        The batch form of :meth:`MatrixSweepState.coverage_counts`:
         items with at least ``min_votes`` votes, and those of them whose
         majority is dirty.
         """
@@ -555,82 +543,15 @@ class PermutationBatch:
         return np.searchsorted(self._scan.event_rows, bounds)
 
     @cached_property
-    def _events_by_column(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per permutation: global event indices sorted by column, plus the
-        sorted columns themselves.
+    def switch_sweep_cells(self) -> _SwitchCells:
+        """Switch statistics of every cell as ``(R, m)`` tables.
 
-        Checkpoints are prefixes of the column-sorted order, so one
-        ``searchsorted`` + slice per cell replaces a full comparison scan
-        of the permutation's events.
+        Both batched SWITCH estimators read this one object, filled by one
+        ``(checkpoints x events)`` pass per permutation over the shared
+        scan; every cell equals ``switch_statistics(permuted_matrix,
+        checkpoint)``.
         """
-        scan, offsets = self._scan, self._event_offsets
-        ordered = []
-        for permutation in range(self.num_permutations):
-            low, high = offsets[permutation : permutation + 2]
-            columns = scan.event_cols[low:high]
-            order = np.argsort(columns, kind="stable")
-            ordered.append((low + order, columns[order]))
-        return ordered
-
-    @cached_property
-    def _cell_vote_totals(self) -> np.ndarray:
-        """Total votes per (permutation, checkpoint) cell, ``(R, m)``."""
-        return self._seen_table.sum(axis=2, dtype=np.int64)
-
-    def _event_items(self, permutation: int, events) -> np.ndarray:
-        """Item index of the given events of one permutation."""
-        return self._scan.event_rows[events] - permutation * self.num_items
-
-    def switch_sweep_cells(self, permutation: int) -> _SwitchSweepCells:
-        """Vectorised per-checkpoint switch statistics of one permutation.
-
-        The batched SWITCH estimators consume these; cached so the
-        remaining-switch and total-error estimators of one batch share the
-        single ``(events x checkpoints)`` pass.
-        """
-        cells = self._sweep_cells.get(permutation)
-        if cells is None:
-            low, high = self._event_offsets[permutation : permutation + 2]
-            events = slice(int(low), int(high))
-            items = self._event_items(permutation, events)
-            cells = _SwitchSweepCells(
-                self._scan,
-                events,
-                self.resolved,
-                self._seen_table[permutation][:, items],
-                self._cell_vote_totals[permutation],
-            )
-            self._sweep_cells[permutation] = cells
-        return cells
-
-    def switch_stats(self, permutation: int, index: int) -> _EstimationSwitchStats:
-        """Array-backed switch statistics of one (permutation, checkpoint) cell.
-
-        Cells are cached so the SWITCH and SWITCH-total estimators of one
-        batch share them; all quantities are integers identical to
-        ``switch_statistics(permuted_matrix, checkpoint)``.
-        """
-        key = (permutation, index)
-        cell = self._switch_cells.get(key)
-        if cell is None:
-            scan = self._scan
-            sorted_index, sorted_columns = self._events_by_column[permutation]
-            upto = self.resolved[index]
-            cut = int(np.searchsorted(sorted_columns, upto, side="left"))
-            # Ascending global indices restore the row-major scan order the
-            # statistics require.
-            active = np.sort(sorted_index[:cut])
-            seen = self._seen_table[permutation, index][
-                self._event_items(permutation, active)
-            ]
-            cell = _EstimationSwitchStats(
-                rediscoveries=scan.rediscoveries(active, seen),
-                states=scan.event_states[active],
-                rows=scan.event_rows[active],
-                total_votes=int(self._cell_vote_totals[permutation, index]),
-            )
-            self._switch_cells[key] = cell
-        return cell
+        return _SwitchCells(self._scan, self._event_offsets, self.resolved, self._seen_table)
 
     @cached_property
     def majority_history(self) -> np.ndarray:
@@ -671,76 +592,59 @@ class PermutationBatch:
         """
         if self._is_identity[permutation]:
             return self.matrix
-        return self.matrix.permute_columns(
-            [int(i) for i in self._orders[permutation]]
-        )
+        return self.matrix.permute_columns(self._orders[permutation])
 
-    def states(self, permutation: int) -> List["PermutationSweepState"]:
-        """One :class:`EstimationState` per checkpoint of one permutation.
+    def states(self, permutation: int) -> List[MatrixSweepState]:
+        """One :class:`MatrixSweepState` per checkpoint of one permutation.
 
-        The list (and the lazy fingerprints of its states) is cached, so
-        several estimators evaluating the same batch share every derived
-        statistic — mirroring what :func:`matrix_sweep_states` does for a
-        single sweep.
+        The states read :class:`_PermutationTables`, slices of the
+        batch's shared tables.  The list (and the fingerprints of its
+        tables) is cached, so several estimators evaluating the same batch
+        share every derived statistic — as :func:`matrix_sweep_states`
+        does for a single sweep.
         """
         states = self._state_lists.get(permutation)
         if states is None:
-            states = [
-                PermutationSweepState(self, permutation, index)
-                for index in range(self.num_checkpoints)
-            ]
+            tables = _PermutationTables(self, permutation)
+            states = [MatrixSweepState(tables, index) for index in range(self.num_checkpoints)]
             self._state_lists[permutation] = states
         return states
 
 
-class PermutationSweepState:
-    """One (permutation, checkpoint) estimation state of a batch.
+class _PermutationTables(_SweepTables):
+    """The sweep tables of one permutation of a :class:`PermutationBatch`.
 
-    The batch analogue of :class:`MatrixSweepState`: every accessor reads
-    the shared tables of its :class:`PermutationBatch`, returning
-    integers bit-identical to the state of the materialised permuted
-    matrix.
+    The count tables and the majority history are slices of the batch's,
+    and the switch statistics come from the permutation's block of the
+    batch's one scan; the serial engine's :class:`MatrixSweepState` reads
+    them as it reads a matrix's own tables, and the integers are the
+    same.
     """
 
-    def __init__(self, batch: PermutationBatch, permutation: int, index: int):
+    def __init__(self, batch: PermutationBatch, permutation: int):
+        super().__init__(batch.matrix, batch.resolved)
         self._batch = batch
         self._permutation = permutation
-        self._index = index
-        self._fingerprint: Optional[Fingerprint] = None
-        self.num_items = batch.num_items
-        self.num_columns = batch.resolved[index]
 
-    def positive_fingerprint(self) -> Fingerprint:
-        """f-statistics over per-item positive-vote counts (lazy, cached)."""
-        if self._fingerprint is None:
-            counts = self._batch.positive_table[self._permutation, self._index]
-            self._fingerprint = fingerprint_from_counts(counts.tolist())
-        return self._fingerprint
+    @cached_property
+    def positive_table(self) -> np.ndarray:
+        return self._batch.positive_table[self._permutation]
 
-    def nominal_count(self) -> int:
-        """``c_nominal`` of the cell's prefix."""
-        return int(self._batch.nominal_counts[self._permutation, self._index])
+    @cached_property
+    def negative_table(self) -> np.ndarray:
+        return self._batch.negative_table[self._permutation]
 
-    def majority_count(self) -> int:
-        """``c_majority`` of the cell's prefix."""
-        return int(self._batch.majority_counts[self._permutation, self._index])
+    @cached_property
+    def switch_stats(self) -> list:
+        batch, permutation = self._batch, self._permutation
+        low, high = batch._event_offsets[permutation : permutation + 2]
+        return _estimation_sweep(
+            batch._scan, slice(low, high), self.resolved, batch._seen_table[permutation]
+        )
 
-    def coverage_counts(self, min_votes: int) -> Tuple[int, int]:
-        """``(covered, sample_errors)`` for the extrapolation baseline."""
-        positives = self._batch.positive_table[self._permutation, self._index]
-        negatives = self._batch.negative_table[self._permutation, self._index]
-        covered_mask = (positives + negatives) >= min_votes
-        sample_errors = int((covered_mask & (positives > negatives)).sum())
-        return int(covered_mask.sum()), sample_errors
-
-    def switch_stats(self) -> _EstimationSwitchStats:
-        """Switch statistics of the cell (shared cross-permutation scan)."""
-        return self._batch.switch_stats(self._permutation, self._index)
-
-    def majority_count_back(self, lookback: int) -> int:
-        """``c_majority`` at ``num_columns - lookback`` columns."""
-        position = self.num_columns - _resolve_lookback(lookback, self.num_columns)
-        return int(self._batch.majority_history[self._permutation, position])
+    @cached_property
+    def majority_history(self) -> np.ndarray:
+        return self._batch.majority_history[self._permutation]
 
 
 class StreamingState:

@@ -489,20 +489,21 @@ class _EstimationSwitchStats:
         return _fingerprint_from_rediscoveries(counts, self.n_switch)
 
 
-class _SwitchSweepCells:
-    """Switch sufficient statistics for every checkpoint of one permutation.
+class _SwitchCells:
+    """Switch sufficient statistics of every (permutation, checkpoint) cell.
 
-    One vectorised ``(events x checkpoints)`` pass replaces the per-cell
-    event slicing the batched switch estimators would otherwise pay
-    ``m`` times: rediscovery counts are truncated against every checkpoint
-    at once, and the distinct-item counts become ``searchsorted`` lookups
-    over the per-item first-switch columns (an item has an active switch at
-    checkpoint ``upto`` iff its first switch of that direction happened
+    What the batched SWITCH estimators read: :attr:`n_switch`,
+    :attr:`total_votes` and, per direction key — ``None`` (all switches),
+    :data:`POSITIVE` and :data:`NEGATIVE` — one ``(R, m)`` int64 table of
+    each per-checkpoint statistic.  Every cell holds the integers
+    ``switch_statistics(permuted_matrix, checkpoint)`` gives.
+
+    One vectorised ``(checkpoints x events)`` pass per permutation fills
+    its row: rediscovery counts are truncated against every checkpoint at
+    once, and the distinct-item counts become ``searchsorted`` lookups
+    over the per-item first-switch columns (an item has an active switch
+    at checkpoint ``upto`` iff its first switch of that direction happened
     before column ``upto``).
-
-    Every exposed array is indexed by checkpoint and holds exact integers
-    identical to the per-cell :class:`_EstimationSwitchStats`; the direction
-    keys are ``None`` (all switches), :data:`POSITIVE` and :data:`NEGATIVE`.
     """
 
     __slots__ = ("n_switch", "total_votes", "counts", "singletons", "pair_sums", "items")
@@ -510,88 +511,77 @@ class _SwitchSweepCells:
     def __init__(
         self,
         scan: _SwitchScan,
-        events: slice,
+        event_offsets: np.ndarray,
         resolved: Sequence[int],
-        seen: np.ndarray,
-        total_votes: np.ndarray,
+        seen_table: np.ndarray,
     ):
-        """``events`` slices the permutation's events out of ``scan``;
-        ``seen`` is ``(m, E)``: the votes of each event's item at each
-        checkpoint."""
-        checkpoints = np.asarray(resolved, dtype=np.int64)[:, None]
-        rows = scan.event_rows[events]
-        cols = scan.event_cols[events]
-        positive = scan.event_states[events] == 1
-        #: (m,) unadjusted vote totals per checkpoint.
-        self.total_votes = total_votes
-        active = cols < checkpoints  # (m, E)
-        # Rediscovery counts truncated at each checkpoint; an event after
-        # the checkpoint is masked out by ``active``.
-        rediscoveries = np.where(
-            active,
-            np.minimum(scan.event_last_vote[events], seen)
-            - scan.event_vote_index[events]
-            + 1,
-            0,
-        )
-        #: (m,) adjusted observation count ``n_switch`` per checkpoint.
-        self.n_switch = rediscoveries.sum(axis=1, dtype=np.int64)
-        #: direction -> (m,) observed switch counts.
-        self.counts = {}
-        #: direction -> (m,) singleton (f'_1) counts.
-        self.singletons = {}
-        #: direction -> (m,) skew pair sums ``sum_e r_e (r_e - 1)``.
-        self.pair_sums = {}
-        # An active event has at least one rediscovery, so nonzero cells
-        # count the active events.
-        for direction, counted in (
-            (None, rediscoveries),
-            (POSITIVE, rediscoveries * positive),
-        ):
-            self.counts[direction] = np.count_nonzero(counted, axis=1)
-            self.singletons[direction] = np.count_nonzero(counted == 1, axis=1)
-            self.pair_sums[direction] = (counted * (counted - 1)).sum(axis=1, dtype=np.int64)
+        """``scan`` is the batch stream, whose row ``p * N + i`` is item ``i``
+        under permutation ``p`` and whose events ``event_offsets[p]`` to
+        ``event_offsets[p + 1]`` are permutation ``p``'s; ``seen_table`` is
+        ``(R, m, N)``: the votes of each item at each checkpoint."""
+        num_permutations, _, num_items = seen_table.shape
+        checkpoints = np.asarray(resolved, dtype=np.int64)
+        shape = (num_permutations, checkpoints.size)
+        #: (R, m) unadjusted vote totals.
+        self.total_votes = seen_table.sum(axis=2, dtype=np.int64)
+        #: (R, m) adjusted observation count ``n_switch``.
+        self.n_switch = np.zeros(shape, dtype=np.int64)
+        summed = (None, POSITIVE)
+        #: direction -> (R, m) observed switch counts.
+        self.counts = {d: np.zeros(shape, dtype=np.int64) for d in summed}
+        #: direction -> (R, m) singleton (f'_1) counts.
+        self.singletons = {d: np.zeros(shape, dtype=np.int64) for d in summed}
+        #: direction -> (R, m) skew pair sums ``sum_e r_e (r_e - 1)``.
+        self.pair_sums = {d: np.zeros(shape, dtype=np.int64) for d in summed}
+        #: direction -> (R, m) distinct items with at least one switch.
+        self.items = {
+            d: np.zeros(shape, dtype=np.int64) for d in (None, POSITIVE, NEGATIVE)
+        }
+        for p in range(num_permutations):
+            events = slice(event_offsets[p], event_offsets[p + 1])
+            rows = scan.event_rows[events]
+            cols = scan.event_cols[events]
+            positive = scan.event_states[events] == 1
+            # Rediscovery counts truncated at each checkpoint; an event
+            # after the checkpoint is masked out.
+            rediscoveries = np.where(
+                cols < checkpoints[:, None],
+                np.minimum(
+                    scan.event_last_vote[events], seen_table[p][:, rows - p * num_items]
+                )
+                - scan.event_vote_index[events]
+                + 1,
+                0,
+            )
+            self.n_switch[p] = rediscoveries.sum(axis=1)
+            # An active event has at least one rediscovery, so nonzero
+            # cells count the active events.
+            for direction, counted in (
+                (None, rediscoveries),
+                (POSITIVE, rediscoveries * positive),
+            ):
+                self.counts[direction][p] = np.count_nonzero(counted, axis=1)
+                self.singletons[direction][p] = np.count_nonzero(counted == 1, axis=1)
+                self.pair_sums[direction][p] = (counted * (counted - 1)).sum(axis=1)
+            for direction, event_filter in (
+                (None, slice(None)),
+                (POSITIVE, positive),
+                (NEGATIVE, ~positive),
+            ):
+                first = _first_columns_per_row(rows[event_filter], cols[event_filter])
+                self.items[direction][p] = np.searchsorted(first, checkpoints, side="left")
         # Every switch is positive or negative, so the negative sums are
         # the differences.
         for table in (self.counts, self.singletons, self.pair_sums):
             table[NEGATIVE] = table[None] - table[POSITIVE]
-        #: direction -> (m,) distinct items with at least one switch.
-        self.items = {}
-        for direction, event_filter in (
-            (None, slice(None)),
-            (POSITIVE, positive),
-            (NEGATIVE, ~positive),
-        ):
-            first = _first_columns_per_row(rows[event_filter], cols[event_filter])
-            self.items[direction] = np.searchsorted(first, checkpoints[:, 0], side="left")
-
-
-class _BatchSwitchCells:
-    """Every permutation's :class:`_SwitchSweepCells`, stacked into ``(R, m)`` arrays.
-
-    What the batched SWITCH estimators read: :attr:`n_switch`,
-    :attr:`total_votes` and, per direction key, one ``(R, m)`` table of
-    each per-checkpoint statistic.
-    """
-
-    def __init__(self, batch):
-        self._cells = [
-            batch.switch_sweep_cells(p) for p in range(batch.num_permutations)
-        ]
-        self.n_switch = np.stack([cells.n_switch for cells in self._cells])
-        self.total_votes = np.stack([cells.total_votes for cells in self._cells])
-
-    def table(self, statistic: str, direction: Optional[str]) -> np.ndarray:
-        """``counts``, ``items``, ``singletons`` or ``pair_sums`` of one direction."""
-        return np.stack([getattr(cells, statistic)[direction] for cells in self._cells])
 
     def totals(self, direction: Optional[str], use_skew_correction: bool):
         """:func:`_chao92_from_arrays` over one direction's switch fingerprint."""
         return _chao92_from_arrays(
-            self.table("items", direction),
+            self.items[direction],
             self.n_switch,
-            self.table("singletons", direction),
-            self.table("pair_sums", direction),
+            self.singletons[direction],
+            self.pair_sums[direction],
             use_skew_correction,
         )
 
@@ -795,24 +785,28 @@ class IncrementalSwitchState:
 
 
 def _estimation_sweep(
-    matrix: ResponseMatrix, resolved: Sequence[int], seen_table: np.ndarray
+    scan: _SwitchScan, events: slice, resolved: Sequence[int], seen_table: np.ndarray
 ) -> List[_EstimationSwitchStats]:
     """Array-backed switch statistics per checkpoint, for the estimators.
 
-    ``resolved`` are resolved checkpoints and ``seen_table`` is ``(m, N)``:
-    each item's votes at each of them (the sweep's count tables), which
-    truncate the rediscovery counts.
+    ``events`` slices one matrix's events out of ``scan``: all of a serial
+    scan, or one permutation's block of the batch stream, whose row
+    ``p * N + i`` is item ``i``.  ``resolved`` are resolved checkpoints and
+    ``seen_table`` is ``(m, N)``: each item's votes at each of them (the
+    sweep's count tables), which truncate the rediscovery counts.
     """
-    scan = _SwitchScan.of(matrix.values)
+    index = np.arange(scan.event_rows.size)[events]
+    rows = scan.event_rows[index]
+    items = rows % seen_table.shape[1]  # row p * N + i is item i
+    cols = scan.event_cols[index]
     stats = []
     for upto, seen in zip(resolved, seen_table):
-        active = scan.event_cols < upto
-        rows = scan.event_rows[active]
+        active = cols < upto
         stats.append(
             _EstimationSwitchStats(
-                rediscoveries=scan.rediscoveries(active, seen[rows]),
-                states=scan.event_states[active],
-                rows=rows,
+                rediscoveries=scan.rediscoveries(index[active], seen[items[active]]),
+                states=scan.event_states[index[active]],
+                rows=rows[active],
                 total_votes=int(seen.sum()),
             )
         )
@@ -970,31 +964,27 @@ class SwitchEstimator(StateEstimatorMixin):
 
         All ``R`` permutations share one :class:`_SwitchScan` (rows are
         independent, so one vote stream over every permutation is scanned
-        once); the per-checkpoint sufficient statistics come from each
-        permutation's vectorised :class:`_SwitchSweepCells`, and the
+        once) and one :class:`_SwitchCells` of per-cell sufficient
+        statistics (:attr:`PermutationBatch.switch_sweep_cells`); the
         scalar core's arithmetic runs on all cells at once in numpy —
         every estimate is bit-identical to the serial sweep.
         """
         direction = self.direction
-        cells = _BatchSwitchCells(batch)
+        cells = batch.switch_sweep_cells
         total, coverage, gamma_squared = cells.totals(direction, self.use_skew_correction)
-        items_with_switches = cells.table("items", None)
         if direction is not None and self.use_skew_correction:
             gamma_squared = _skew_from_arrays(
-                items_with_switches,
-                cells.n_switch,
-                coverage,
-                cells.table("pair_sums", direction),
+                cells.items[None], cells.n_switch, coverage, cells.pair_sums[direction]
             )
         return BatchEstimates(
             total,
-            cells.table("counts", direction),
+            cells.counts[direction],
             {
                 "n_switch": cells.n_switch,
                 "total_votes": cells.total_votes,
                 "coverage": coverage,
-                "singletons": cells.table("singletons", direction),
-                "items_with_switches": items_with_switches,
+                "singletons": cells.singletons[direction],
+                "items_with_switches": cells.items[None],
                 "gamma_squared": gamma_squared,
             },
         )

@@ -29,12 +29,7 @@ import numpy as np
 from repro.common.exceptions import ValidationError
 from repro.common.validation import check_int
 from repro.core.base import BatchEstimates, EstimateResult, StateEstimatorMixin
-from repro.core.switch import (
-    NEGATIVE,
-    POSITIVE,
-    _BatchSwitchCells,
-    estimate_remaining_switches,
-)
+from repro.core.switch import NEGATIVE, POSITIVE, estimate_remaining_switches
 
 #: Valid trend-selection modes.
 TREND_MODES = ("auto", "positive", "negative", "both")
@@ -200,19 +195,15 @@ class SwitchTotalErrorEstimator(StateEstimatorMixin):
 
         The majority counts and trend lookbacks come from the batched
         count tables and majority history; both directional switch
-        estimates come from the stacked per-permutation sweep cells.  The
-        scalar core's arithmetic then runs on every cell at once in
-        numpy, so the estimates are bit-identical to the serial sweep.
+        estimates come from the batch's shared switch cells.  The scalar
+        core's arithmetic then runs on every cell at once in numpy, so
+        the estimates are bit-identical to the serial sweep.
         """
-        cells = _BatchSwitchCells(batch)
-        observed = {
-            direction: cells.table("counts", direction)
-            for direction in (None, POSITIVE, NEGATIVE)
-        }
+        cells = batch.switch_sweep_cells
         xi = {}
         for direction in (POSITIVE, NEGATIVE):
             total, _, _ = cells.totals(direction, self.use_skew_correction)
-            remaining = total - observed[direction]
+            remaining = total - cells.counts[direction]
             xi[direction] = np.where(remaining > 0.0, remaining, 0.0)
         majority = batch.majority_counts.astype(np.float64)
         correction = self._batch_corrections(batch)
@@ -232,9 +223,9 @@ class SwitchTotalErrorEstimator(StateEstimatorMixin):
                 "xi_positive": xi[POSITIVE],
                 "xi_negative": xi[NEGATIVE],
                 "correction": correction,
-                "observed_switches": observed[None],
-                "observed_positive_switches": observed[POSITIVE],
-                "observed_negative_switches": observed[NEGATIVE],
+                "observed_switches": cells.counts[None],
+                "observed_positive_switches": cells.counts[POSITIVE],
+                "observed_negative_switches": cells.counts[NEGATIVE],
                 "n_switch": cells.n_switch,
             },
         )

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN, validate_labels
-from repro.common.validation import check_int
+from repro.common.validation import check_int, check_order
 
 
 class ResponseMatrix:
@@ -165,13 +165,11 @@ class ResponseMatrix:
         permuting columns of a fixed matrix is how the harness implements
         that without re-running the crowd.
         """
-        order = list(order)
-        if sorted(order) != list(range(self.num_columns)):
-            raise ValidationError("order must be a permutation of the column indices")
+        order = check_order(order, self.num_columns)
         return ResponseMatrix.from_array(
             self._votes[:, order],
             item_ids=self._item_ids,
-            worker_ids=[self._column_workers[i] for i in order],
+            worker_ids=[self._column_workers[i] for i in order.tolist()],
         )
 
     # ------------------------------------------------------------------ #

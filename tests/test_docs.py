@@ -82,6 +82,27 @@ class TestApiCoverage:
         failures = api_coverage_failures()
         assert "repro.core.PermutationBatch" in failures
 
+    def test_listed_but_unexported_name_is_detected(self, monkeypatch, tmp_path):
+        """A table entry its section's packages do not export fails the check."""
+        import check_docs
+
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text(
+            "`RetiredState` in prose is not an entry.\n\n"
+            "## Full export reference\n\n"
+            "### `repro.core` — estimators\n\n"
+            "| symbol | what it is |\n"
+            "| --- | --- |\n"
+            "| `PermutationBatch`, `RetiredState` | a `NotAnEntry` in the second cell |\n\n"
+            "### `repro.streaming` / `repro.serving` — sessions\n\n"
+            "| `StreamingSession` / `ShardRouter` | one export of each package |\n\n"
+            "## Next section\n\n"
+            "| `OutsideTheSection` | not an entry |\n"
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        stale = [f for f in api_coverage_failures() if f.endswith("not exported")]
+        assert stale == ["repro.core.RetiredState is listed but not exported"]
+
 
 class TestMarkdownLinks:
     """README + docs internal links (paths and anchors) must stay alive."""

@@ -34,7 +34,13 @@ from repro.core.chao92 import Chao92Estimator
 from repro.core.extrapolation import ExtrapolationEstimator
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import PermutationBatch
-from repro.core.switch import SwitchEstimator, _SwitchScan, switch_statistics
+from repro.core.switch import (
+    NEGATIVE,
+    POSITIVE,
+    SwitchEstimator,
+    _SwitchScan,
+    switch_statistics,
+)
 from repro.core.total_error import TREND_MODES, SwitchTotalErrorEstimator
 from repro.core.vchao92 import VChao92Estimator
 from repro.crowd.consensus import majority_count_history
@@ -164,6 +170,105 @@ class TestPropertyEquivalence:
         _assert_batch_matches_serial(
             matrix, orders, checkpoints, _non_default_estimators()
         )
+
+
+def _assert_switch_cells_match(matrix, orders, checkpoints):
+    """Every cell of ``batch.switch_sweep_cells`` holds the serial integers.
+
+    The reference is ``switch_statistics`` of the materialised
+    permutation, read through its event list: per direction the observed
+    switches, the distinct items, f'_1 and ``sum r (r - 1)``.
+    """
+    cells = PermutationBatch(matrix, orders, checkpoints).switch_sweep_cells
+    for p, order in enumerate(orders):
+        permuted = matrix if order is None else matrix.permute_columns(order)
+        for j, checkpoint in enumerate(checkpoints):
+            stats = switch_statistics(permuted, checkpoint)
+            assert cells.n_switch[p, j] == stats.n_switch
+            assert cells.total_votes[p, j] == stats.total_votes
+            for direction in (None, POSITIVE, NEGATIVE):
+                events = (
+                    stats.events
+                    if direction is None
+                    else stats.events_by_direction(direction)
+                )
+                counts = [event.rediscoveries for event in events]
+                got = [
+                    int(cells.counts[direction][p, j]),
+                    int(cells.items[direction][p, j]),
+                    int(cells.singletons[direction][p, j]),
+                    int(cells.pair_sums[direction][p, j]),
+                ]
+                assert got == [
+                    len(events),
+                    len({event.item_id for event in events}),
+                    counts.count(1),
+                    sum(r * (r - 1) for r in counts),
+                ], (direction, p, checkpoint)
+
+
+class TestSwitchCells:
+    """``PermutationBatch.switch_sweep_cells`` integer by integer."""
+
+    @given(**_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_equals_switch_statistics(
+        self, num_items, num_columns, num_permutations, matrix_seed, checkpoint_seed
+    ):
+        matrix, orders, checkpoints = _random_case(
+            num_items, num_columns, num_permutations, matrix_seed, checkpoint_seed
+        )
+        # 0 and past-K checkpoints come from the case; unsorted and repeated
+        # ones are added here.
+        _assert_switch_cells_match(matrix, orders, checkpoints[::-1] + checkpoints[:2])
+
+    def test_a_permutation_without_switch_events(self):
+        # Item 0 votes D, C, C: it switches at its first vote and again at
+        # the tie.  Reordered to C, C, D it never leaves clean, and item 1
+        # never votes dirty.
+        votes = np.array([[DIRTY, CLEAN, CLEAN], [CLEAN, CLEAN, UNSEEN]], dtype=np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        orders = [None, [1, 2, 0]]
+        cells = PermutationBatch(matrix, orders, [3]).switch_sweep_cells
+        assert cells.counts[None].tolist() == [[2], [0]]
+        _assert_switch_cells_match(matrix, orders, [3, 0, 1, 3, 5])
+
+
+#: ``(columns, order, accepted)``: one column-order rule for both
+#: ``PermutationBatch`` and ``ResponseMatrix.permute_columns``.
+_ORDERS = [
+    (3, [2, 0, 1], True),
+    (3, np.array([2, 0, 1]), True),
+    (3, np.array([2, 0, 1], dtype=np.uint8), True),
+    (0, [], True),
+    (0, np.array([], dtype=np.intp), True),
+    (3, [0.9, 1.9, 2.9], False),
+    (3, [0.0, 1.0, 2.0], False),
+    (3, [[0, 1, 2]], False),
+    (3, [[0], [1, 2]], False),
+    (2, [False, True], False),
+    (3, ["0", "1", "2"], False),
+    (3, [0, 0, 1], False),
+    (3, [1, 2, 3], False),
+    (3, [0, 1], False),
+    (3, [0, 1, 2, 3], False),
+]
+
+
+@pytest.mark.parametrize("num_columns, order, accepted", _ORDERS)
+def test_one_column_order_rule(num_columns, order, accepted):
+    votes = np.array([[DIRTY, CLEAN, UNSEEN], [UNSEEN, DIRTY, CLEAN]], dtype=np.int8)
+    matrix = ResponseMatrix.from_array(votes[:, :num_columns])
+    if not accepted:
+        with pytest.raises(ValidationError, match="permutation"):
+            matrix.permute_columns(order)
+        with pytest.raises(ValidationError, match="permutation"):
+            PermutationBatch(matrix, [order], [num_columns])
+        return
+    expected = matrix.values[:, list(order)]
+    np.testing.assert_array_equal(matrix.permute_columns(order).values, expected)
+    batch = PermutationBatch(matrix, [None, order], [num_columns])
+    np.testing.assert_array_equal(batch.permuted_matrix(1).values, expected)
 
 
 @SCAN_PATH
@@ -308,7 +413,7 @@ class TestBatchInternals:
         for p, order in enumerate(orders):
             permuted = matrix if order is None else matrix.permute_columns(order)
             for j, checkpoint in enumerate([3, 7, 12]):
-                cell = batch.switch_stats(p, j)
+                cell = batch.states(p)[j].switch_stats()
                 reference = switch_statistics(permuted, checkpoint)
                 assert cell.num_switches == reference.num_switches
                 assert cell.items_with_switches == reference.items_with_switches

@@ -9,7 +9,9 @@ Two checks live here:
   from a ``repro.*`` subpackage ``__init__`` (its ``__all__``) must be
   mentioned in ``docs/api.md`` — an export the reference never names is
   either undocumented surface or a leftover export, and both deserve a
-  red build.
+  red build.  The other way round, every name the "Full export
+  reference" tables list for a package must be exported by it, so a
+  removed or never-made export cannot stay in the reference.
 
 Used three ways:
 
@@ -62,6 +64,12 @@ API_PACKAGES = (
 #: The document that must mention every public symbol.
 API_REFERENCE = "docs/api.md"
 
+#: The heading of the reference's per-package export tables.
+EXPORT_SECTION = "## Full export reference"
+
+_PACKAGE = re.compile(r"`(repro[\w.]*)`")
+_NAME = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)`")
+
 _BLOCK_PATTERN = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
@@ -103,8 +111,28 @@ def public_api() -> Dict[str, List[str]]:
     return exports
 
 
+def listed_exports(text: str) -> List[Tuple[Tuple[str, ...], str]]:
+    """``(packages, name)`` for every entry of the export tables.
+
+    In the "Full export reference" section, each ``###`` heading names
+    its packages in backticks, and every backticked name in the first
+    cell of a table row below it is one entry.
+    """
+    section = text.partition(EXPORT_SECTION)[2]
+    section = re.split(r"^## ", section, flags=re.MULTILINE)[0]
+    entries = []
+    packages: Tuple[str, ...] = ()
+    for line in section.splitlines():
+        if line.startswith("### "):
+            packages = tuple(_PACKAGE.findall(line))
+        elif line.startswith("|"):
+            entries.extend((packages, name) for name in _NAME.findall(line.split("|")[1]))
+    return entries
+
+
 def api_coverage_failures() -> List[str]:
-    """Exported-but-undocumented symbols, as ``package.symbol`` strings.
+    """Exported-but-undocumented symbols, as ``package.symbol`` strings,
+    and listed-but-not-exported entries of the export tables.
 
     A symbol counts as documented when it appears as a whole word
     anywhere in ``docs/api.md`` (prose, table or code block) — the goal
@@ -113,14 +141,20 @@ def api_coverage_failures() -> List[str]:
     """
     text = (REPO_ROOT / API_REFERENCE).read_text(encoding="utf-8")
     words = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    exports = public_api()
     failures = []
-    for package, symbols in public_api().items():
+    for package, symbols in exports.items():
         if not symbols:
             failures.append(f"{package}.__all__ is missing or empty")
             continue
         for symbol in symbols:
             if symbol not in words:
                 failures.append(f"{package}.{symbol}")
+    for packages, name in listed_exports(text):
+        if not any(name in exports.get(package, ()) for package in packages):
+            failures.append(
+                f"{' / '.join(packages)}.{name} is listed but not exported"
+            )
     return failures
 
 
@@ -130,7 +164,7 @@ def run_api_coverage() -> int:
     total = sum(len(symbols) for symbols in exports.values())
     if failures:
         print(
-            f"{len(failures)} public symbol(s) missing from {API_REFERENCE}:",
+            f"{len(failures)} export(s) missing from or stale in {API_REFERENCE}:",
             file=sys.stderr,
         )
         for failure in failures:
@@ -164,7 +198,8 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--api-coverage",
         action="store_true",
-        help=f"check that every repro.* export is mentioned in {API_REFERENCE}",
+        help=f"check that {API_REFERENCE} mentions every repro.* export and "
+        "lists no name its package does not export",
     )
     args = parser.parse_args(argv)
     if args.api_coverage:
