@@ -91,8 +91,10 @@ def check_order(order: object, num_columns: int) -> np.ndarray:
 
     ``order`` must be an integer (not boolean) sequence of shape
     ``(num_columns,)`` whose sorted values are ``0..num_columns-1``; an
-    empty order of any dtype is the permutation of zero columns.
-    Returns it as an ``intp`` array.
+    empty order of any dtype is the permutation of zero columns.  A
+    sequence that is not an array must not hold a boolean anywhere, as
+    ``np.asarray`` turns ``[False, True, 2]`` into integers; an integer
+    array skips that per-element scan.  Returns it as an ``intp`` array.
     """
     try:
         candidate = np.asarray(order)
@@ -102,6 +104,10 @@ def check_order(order: object, num_columns: int) -> np.ndarray:
         candidate is None
         or candidate.shape != (num_columns,)
         or (candidate.size and candidate.dtype.kind not in "iu")
+        or (
+            not isinstance(order, np.ndarray)
+            and any(isinstance(value, _BOOLS) for value in order)
+        )
         or not np.array_equal(np.sort(candidate), np.arange(num_columns))
     ):
         raise ValidationError(

@@ -119,7 +119,7 @@ class RunnerConfig:
 
 def _evaluate_permutation(
     matrix: ResponseMatrix,
-    order: Optional[List[int]],
+    order: Optional[np.ndarray],
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
 ) -> Dict[str, np.ndarray]:
@@ -147,7 +147,7 @@ def _evaluate_permutation(
 
 def _evaluate_permutation_batch(
     matrix: ResponseMatrix,
-    orders: List[Optional[List[int]]],
+    orders: List[Optional[np.ndarray]],
     estimators: List[EstimatorProtocol],
     checkpoints: List[int],
 ) -> List[Dict[str, np.ndarray]]:
@@ -171,8 +171,8 @@ def _evaluate_permutation_batch(
 
 
 def _chunk_orders(
-    orders: List[Optional[List[int]]], num_chunks: int
-) -> List[List[Optional[List[int]]]]:
+    orders: List[Optional[np.ndarray]], num_chunks: int
+) -> List[List[Optional[np.ndarray]]]:
     """Split the trial orders into at most ``num_chunks`` contiguous chunks."""
     size, extra = divmod(len(orders), num_chunks)
     chunks, start = [], 0
@@ -199,7 +199,7 @@ def _init_worker(
 
 
 def _evaluate_order_chunk(
-    orders: List[Optional[List[int]]],
+    orders: List[Optional[np.ndarray]],
 ) -> List[Dict[str, np.ndarray]]:
     """Pool task: one chunk of batched trials against the installed context."""
     matrix, estimators, checkpoints = _worker_context["args"]
@@ -234,17 +234,18 @@ class EstimationRunner:
 
     def _permutation_orders(
         self, matrix: ResponseMatrix, seed: RandomState
-    ) -> List[Optional[List[int]]]:
+    ) -> List[Optional[np.ndarray]]:
         """Column orders per trial, drawn sequentially from the seeded rng.
 
         Trial 0 always evaluates the original column order (``None``); the
         sequential draw keeps the orders — and therefore every estimate —
         independent of ``n_jobs`` and identical to earlier serial runs.
+        The orders stay integer arrays, so checking them is one sort each.
         """
         rng = ensure_rng(seed if seed is not None else derive_rng(self.config.seed, 101))
-        orders: List[Optional[List[int]]] = [None]
+        orders: List[Optional[np.ndarray]] = [None]
         for _ in range(1, self.config.num_permutations):
-            orders.append(rng.permutation(matrix.num_columns).tolist())
+            orders.append(rng.permutation(matrix.num_columns))
         return orders
 
     def run(

@@ -33,6 +33,7 @@ from repro.streaming.serving import (
 )
 from repro.streaming.session import (
     SNAPSHOT_FORMAT_VERSION,
+    CheckedColumns,
     SessionSnapshot,
     StreamingSession,
     read_snapshot,
@@ -55,6 +56,7 @@ from repro.streaming.wal import (
 
 __all__ = [
     "StreamingSession",
+    "CheckedColumns",
     "SessionSnapshot",
     "SNAPSHOT_FORMAT_VERSION",
     "read_snapshot",

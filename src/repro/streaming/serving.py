@@ -53,7 +53,7 @@ from typing import (
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
-from repro.common.validation import check_int, check_vote
+from repro.common.validation import check_int
 from repro.core.base import EstimateResult, EstimatorProtocol
 from repro.streaming.session import SessionSnapshot, StreamingSession, _malformed_field
 from repro.streaming.store import (
@@ -427,20 +427,16 @@ class EstimationService:
                     num_columns=session.num_columns,
                     total_votes=session.total_votes,
                 )
-            # Validate the whole batch before applying any of it: a
-            # half-applied batch whose high-water mark never advanced
+            # Check the whole batch before logging or applying any of it:
+            # a half-applied batch whose high-water mark never advanced
             # would be double-counted by the (legitimate) retry.
-            state = session.state
-            for votes in columns:
-                for item_id, vote in votes.items():
-                    state.row_index(item_id)  # raises on unknown ids
-                    check_vote(vote, item_id)
+            checked = session.check_columns(columns)
             # Log first, apply second: a crash between the two replays
             # the record on recovery, so the durable state is never
             # behind what the client saw acknowledged.
             record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
             log_bytes = self._store.append(name, record)
-            session.add_columns(columns, worker_ids)
+            session.add_columns(checked, worker_ids)
             if source is not None:
                 handle.sources[source] = sequence
             if (

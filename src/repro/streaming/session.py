@@ -78,6 +78,17 @@ def _load_arrays(source, label: str) -> Dict[str, np.ndarray]:
         raise ConfigurationError(f"undecodable {label}: {error!r}") from error
 
 
+class CheckedColumns(List[Tuple[List[int], List[int]]]):
+    """A batch of task columns checked against one session's items.
+
+    One ``(rows, votes)`` pair of Python int lists per column: the item
+    rows and their votes, in the order the column listed them.  Built by
+    :meth:`StreamingSession.check_columns`;
+    :meth:`StreamingSession.add_columns` applies it without checking it
+    again.
+    """
+
+
 def _malformed_field(name: str, expected: str, value: object) -> ConfigurationError:
     return ConfigurationError(
         f"malformed snapshot {MANIFEST_FILENAME}: field {name!r} must be "
@@ -403,6 +414,26 @@ class StreamingSession:
         """The live estimation state (read it, don't mutate it)."""
         return self._state
 
+    def check_columns(self, columns: Sequence[Mapping[int, int]]) -> CheckedColumns:
+        """Check a batch of task columns against the session's items.
+
+        Every vote is checked once, in column order and, within a column,
+        in mapping order: an unknown item id raises before its vote value
+        is looked at.  Nothing is applied; :meth:`add_columns` applies the
+        returned batch without checking it again.
+        """
+        row_index = self._state.row_index
+        checked = CheckedColumns()
+        for votes in columns:
+            rows: List[int] = []
+            values: List[int] = []
+            for item_id, vote in votes.items():
+                rows.append(row_index(item_id))
+                check_vote(vote, item_id)
+                values.append(int(vote))
+            checked.append((rows, values))
+        return checked
+
     def add_column(self, votes: Mapping[int, int], worker_id: Optional[int] = None) -> int:
         """Ingest one worker-task column.
 
@@ -419,43 +450,49 @@ class StreamingSession:
         int
             The index of the ingested column.
         """
-        rows = []
-        values = []
-        for item_id, vote in votes.items():
-            check_vote(vote, item_id)
-            rows.append(self._state.row_index(item_id))
-            values.append(int(vote))
         index = self._state.num_columns
-        if self._keep_votes:
-            self._columns.append(
-                (np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=np.int8))
-            )
-            self._column_workers.append(int(worker_id) if worker_id is not None else index)
-            self._matrix_cache = None
-        self._state.apply_column(rows, values)
+        self.add_columns([votes], [worker_id])
         return index
 
     def add_columns(
         self,
-        columns: Sequence[Mapping[int, int]],
+        columns: Union[Sequence[Mapping[int, int]], CheckedColumns],
         worker_ids: Optional[Sequence[Optional[int]]] = None,
     ) -> int:
         """Ingest a batch of task columns in order; returns the count.
 
-        The single entry point shared by live serving ingestion and
-        write-ahead-log replay (:mod:`repro.streaming.wal`): both paths
-        make exactly these ``add_column`` calls, which is what makes a
-        replayed session bit-identical to the live one.
+        The batch is atomic: every vote is checked (:meth:`check_columns`;
+        a :class:`CheckedColumns` it returned is applied as is) before
+        any column is applied, so a rejected batch leaves the session as
+        it was.  This is the single apply path shared by every ingest —
+        single columns, live serving and write-ahead-log replay
+        (:mod:`repro.streaming.wal`) — which is what makes a replayed
+        session bit-identical to the live one.
         """
         if worker_ids is not None and len(worker_ids) != len(columns):
             raise ValidationError(
                 f"worker_ids length {len(worker_ids)} does not match "
                 f"{len(columns)} column(s)"
             )
-        for index, votes in enumerate(columns):
-            self.add_column(
-                votes, worker_ids[index] if worker_ids is not None else None
+        if not isinstance(columns, CheckedColumns):
+            columns = self.check_columns(columns)
+        state = self._state
+        if self._keep_votes:
+            if worker_ids is None:
+                worker_ids = [None] * len(columns)
+            first = state.num_columns
+            workers = [
+                first + offset if worker is None else int(worker)
+                for offset, worker in enumerate(worker_ids)
+            ]
+            self._column_workers.extend(workers)
+            self._columns.extend(
+                (np.asarray(rows, dtype=np.intp), np.asarray(values, dtype=np.int8))
+                for rows, values in columns
             )
+            self._matrix_cache = None
+        for rows, values in columns:
+            state.apply_column(rows, values)
         return len(columns)
 
     def add_vote(self, item_id: int, vote: int, worker_id: Optional[int] = None) -> int:

@@ -81,8 +81,9 @@ class BatchRecord:
 
     ``columns`` preserves both item order within a column and column
     order within the batch (each column is a tuple of ``(item, vote)``
-    pairs), so replaying a record drives the exact ``add_column`` calls
-    the live ingest made — the precondition for bit-identical recovery.
+    pairs), so replaying a record applies the exact columns, in the exact
+    vote order, that the live ingest applied — the precondition for
+    bit-identical recovery.
     """
 
     columns: Tuple[Tuple[Tuple[int, int], ...], ...]

@@ -247,6 +247,8 @@ _ORDERS = [
     (3, [[0, 1, 2]], False),
     (3, [[0], [1, 2]], False),
     (2, [False, True], False),
+    (3, [False, True, 2], False),
+    (3, (2, np.False_, 1), False),
     (3, ["0", "1", "2"], False),
     (3, [0, 0, 1], False),
     (3, [1, 2, 3], False),

@@ -173,6 +173,47 @@ class TestIdempotentIngestion:
         )
         assert (fixed.applied, fixed.duplicate) == (2, False)
 
+    def test_each_vote_is_checked_once(self, monkeypatch):
+        """The service checks a batch through the session, which then
+        applies it without a second check."""
+        import repro.streaming.serving as serving_module
+        import repro.streaming.session as session_module
+
+        calls = []
+        real_check = session_module.check_vote
+
+        def counting_check(vote, item_id):
+            calls.append(item_id)
+            real_check(vote, item_id)
+
+        # Wherever a module of the ingest path looks the name up.
+        monkeypatch.setattr(session_module, "check_vote", counting_check)
+        monkeypatch.setattr(serving_module, "check_vote", counting_check, raising=False)
+        service = EstimationService()
+        service.create_session("alpha", range(5), ["voting"])
+        columns = [{0: DIRTY, 1: CLEAN}, {2: DIRTY}, {0: CLEAN, 3: DIRTY, 4: DIRTY}]
+        ack = service.ingest("alpha", columns, source="loader", sequence=1)
+        assert ack.applied == 3 and ack.total_votes == 6
+        assert calls == [0, 1, 2, 0, 3, 4]
+
+    def test_an_unknown_item_is_reported_before_its_vote(self):
+        """A vote with an unknown item id *and* a bad value names the item,
+        in process and over HTTP alike."""
+        from repro.serving import HttpApiError, HttpServingServer, SessionClient
+
+        service = EstimationService()
+        service.create_session("alpha", range(5), ["voting"])
+        with pytest.raises(ValidationError) as in_process:
+            service.ingest("alpha", [{0: DIRTY}, {99: 7}])
+        assert str(in_process.value) == "unknown item id 99"
+        with HttpServingServer(service) as server:
+            with pytest.raises(HttpApiError) as remote:
+                SessionClient(server.url).ingest("alpha", [{0: DIRTY}, {99: 7}])
+        assert (remote.value.status, remote.value.kind) == (400, "validation")
+        assert "unknown item id 99" in str(remote.value)
+        assert "DIRTY" not in str(remote.value)
+        assert service.progress("alpha")["num_columns"] == 0.0
+
     def test_idempotency_survives_snapshot_restore(self):
         store = MemorySessionStore()
         service = EstimationService(store)

@@ -8,6 +8,8 @@ checkpoint ``j`` — for every registered estimator, at every prefix.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,36 +127,89 @@ class TestStreamingBatchEquivalence:
                 max_size=n_items,
             )
         )
-    )
+    ),
+    st.integers(min_value=0, max_value=8),
 )
 @settings(max_examples=40, deadline=None)
-def test_streaming_state_equals_prefix_state_property(rows):
-    """Property: the incremental state equals the batch state on any matrix."""
+def test_streaming_state_equals_prefix_state_property(rows, split):
+    """Property: the incremental state equals the batch state on any matrix.
+
+    A second state goes through the snapshot codec (``to_arrays`` ->
+    ``from_arrays``) after ``split`` columns and must then equal the state
+    fed straight through, at every prefix and in its final arrays.
+    """
     n_cols = len(rows[0]) if rows and rows[0] else 0
     votes = np.array(rows, dtype=np.int8).reshape(len(rows), n_cols)
     matrix = ResponseMatrix.from_array(votes)
     streaming = StreamingState(matrix.item_ids)
-    for prefix in range(1, matrix.num_columns + 1):
+    resumed = StreamingState(matrix.item_ids)
+    split = min(split, matrix.num_columns)
+    for prefix in range(matrix.num_columns + 1):
+        if prefix == split:
+            resumed = _snapshot_round_trip(resumed)
+        if prefix == 0:
+            continue
         column = votes[:, prefix - 1]
         present = np.nonzero(column != UNSEEN)[0]
-        streaming.apply_column(
-            [int(r) for r in present], [int(column[r]) for r in present]
-        )
+        for state in (streaming, resumed):
+            state.apply_column(
+                [int(r) for r in present], [int(column[r]) for r in present]
+            )
         batch = MatrixPrefixState(matrix, prefix)
-        assert streaming.nominal_count() == batch.nominal_count()
-        assert streaming.majority_count() == batch.majority_count()
-        assert streaming.positive_fingerprint() == batch.positive_fingerprint()
-        for min_votes in (1, 2, 3):
-            assert streaming.coverage_counts(min_votes) == batch.coverage_counts(min_votes)
-        live, reference = streaming.switch_stats(), batch.switch_stats()
-        assert live.num_switches == reference.num_switches
-        assert live.items_with_switches == reference.items_with_switches
-        assert live.n_switch == reference.n_switch
-        assert live.total_votes == reference.total_votes
-        for direction in (None, "positive", "negative"):
-            assert live.fingerprint(direction) == reference.fingerprint(direction)
-        lookback = min(3, prefix)
-        assert streaming.majority_count_back(lookback) == batch.majority_count_back(lookback)
+        for state in (streaming, resumed):
+            _assert_state_matches(state, batch, prefix)
+        # The fingerprint's mutation counter restarts on restore; the
+        # column and vote counts do not.
+        assert resumed.version[:2] == streaming.version[:2]
+    final, resumed_final = streaming.to_arrays(), resumed.to_arrays()
+    assert final[1] == resumed_final[1]
+    assert final[0].keys() == resumed_final[0].keys()
+    for key, value in final[0].items():
+        np.testing.assert_array_equal(resumed_final[0][key], value, err_msg=key)
+
+
+#: dtype of every snapshot array of a :class:`StreamingState`; all but the
+#: majority history have one entry per item.
+_STATE_ARRAY_DTYPES = {
+    "item_ids": np.int64,
+    "positive": np.int64,
+    "negative": np.int64,
+    "majority_history": np.int64,
+    "switch_margin": np.int64,
+    "switch_consensus": np.int8,
+    "switch_open_rediscoveries": np.int64,
+    "switch_open_positive": np.bool_,
+    "switch_has_positive": np.bool_,
+    "switch_has_negative": np.bool_,
+}
+
+
+def _snapshot_round_trip(state: StreamingState) -> StreamingState:
+    """``state`` through its snapshot codec, checking every array's dtype and shape."""
+    arrays, meta = state.to_arrays()
+    assert arrays.keys() == _STATE_ARRAY_DTYPES.keys()
+    for key, value in arrays.items():
+        assert value.dtype == _STATE_ARRAY_DTYPES[key], key
+        length = state.num_columns + 1 if key == "majority_history" else state.num_items
+        assert value.shape == (length,), key
+    return StreamingState.from_arrays(arrays, json.loads(json.dumps(meta)))
+
+
+def _assert_state_matches(state: StreamingState, batch: MatrixPrefixState, prefix: int):
+    assert state.nominal_count() == batch.nominal_count()
+    assert state.majority_count() == batch.majority_count()
+    assert state.positive_fingerprint() == batch.positive_fingerprint()
+    for min_votes in (1, 2, 3):
+        assert state.coverage_counts(min_votes) == batch.coverage_counts(min_votes)
+    live, reference = state.switch_stats(), batch.switch_stats()
+    assert live.num_switches == reference.num_switches
+    assert live.items_with_switches == reference.items_with_switches
+    assert live.n_switch == reference.n_switch
+    assert live.total_votes == reference.total_votes
+    for direction in (None, "positive", "negative"):
+        assert live.fingerprint(direction) == reference.fingerprint(direction)
+    lookback = min(3, prefix)
+    assert state.majority_count_back(lookback) == batch.majority_count_back(lookback)
 
 
 class TestLookbackContract:
@@ -332,6 +387,32 @@ class TestStreamingSessionEdgeCases:
         # The session still accepts valid work afterwards.
         session.add_column({2: DIRTY})
         assert session.num_columns == 2
+
+    @pytest.mark.parametrize(
+        "bad_column, message",
+        [({1: DIRTY, 2: 7}, "DIRTY"), ({1: DIRTY, 42: CLEAN}, "unknown item id")],
+        ids=["bad-vote", "unknown-item"],
+    )
+    def test_a_rejected_batch_applies_none_of_its_columns(self, bad_column, message):
+        """add_columns checks every column before applying any of them."""
+        session = StreamingSession([0, 1, 2], ["voting", "chao92", "switch"])
+        session.add_column({0: DIRTY, 1: CLEAN})
+        before = (
+            session.num_columns,
+            session.total_votes,
+            session.state.version,
+            session.estimate(),
+        )
+        with pytest.raises(ValidationError, match=message):
+            session.add_columns([{0: DIRTY}, {1: CLEAN, 2: DIRTY}, bad_column])
+        after = (
+            session.num_columns,
+            session.total_votes,
+            session.state.version,
+            session.estimate(),
+        )
+        assert after == before
+        assert session.matrix().num_columns == 1
 
 
 class TestServingUseEdgeCases:
