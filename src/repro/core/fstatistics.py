@@ -147,16 +147,12 @@ class IncrementalFingerprint:
     object.
     """
 
-    __slots__ = ("_frequencies", "num_observations", "_snapshot_cache", "version")
+    __slots__ = ("_frequencies", "num_observations", "_snapshot_cache")
 
     def __init__(self) -> None:
         self._frequencies: Dict[int, int] = {}
         self.num_observations = 0
         self._snapshot_cache: Optional[Fingerprint] = None
-        #: Monotonic mutation counter.  Consumers that cache derived values
-        #: (the serving layer's estimate cache) compare versions instead of
-        #: frequency tables.
-        self.version = 0
 
     def reclassify(self, old_count: int, new_count: int) -> None:
         """Move one item from occurrence class ``old_count`` to ``new_count``.
@@ -167,7 +163,6 @@ class IncrementalFingerprint:
         if old_count == new_count:
             return
         self._snapshot_cache = None
-        self.version += 1
         if old_count > 0:
             remaining = self._frequencies[old_count] - 1
             if remaining:
@@ -182,7 +177,6 @@ class IncrementalFingerprint:
         count = int(count)
         if count:
             self._snapshot_cache = None
-            self.version += 1
             self.num_observations += count
 
     def snapshot(self, num_observations: Optional[int] = None) -> Fingerprint:

@@ -63,6 +63,7 @@ from repro.core.fstatistics import (
 from repro.core.switch import (
     IncrementalSwitchState,
     _estimation_sweep,
+    _stream_key_dtype,
     _SwitchCells,
     _SwitchScan,
     _vote_list,
@@ -326,7 +327,10 @@ class PermutationBatch:
     label, and — because the switch scan treats rows independently — all
     ``R`` switch scans collapse into a **single**
     :class:`~repro.core.switch._SwitchScan` over one row-major vote
-    stream, row ``p * N + i`` being item ``i`` under permutation ``p``.
+    stream, row ``p * N + i`` being item ``i`` under permutation ``p``,
+    built by one sort of packed vote keys.  The switch statistics of
+    every (permutation, checkpoint) cell then come from that scan's
+    event lifetimes in one pass, with no loop over the permutations.
 
     Consumers come in two flavours:
 
@@ -520,31 +524,25 @@ class PermutationBatch:
         """One switch scan over every permutation's votes (rows are independent).
 
         The stream holds each vote once per permutation, at its position
-        there, sorted once into row-major order by two stable argsorts —
-        by position, then by item; on keys of 16 bits or fewer both are
-        radix sorts.
+        there.  Each vote packs into one key ``(item * K + position) * 2
+        + is_dirty``; one ``np.sort`` per permutation row puts the keys
+        in row-major order, and rows, columns and labels decode from
+        them.  Every permutation holds the same votes per item, so after
+        the sort slot ``v`` of every row belongs to item ``items[v]`` of
+        the row-major vote list.
         """
         items, columns, labels = self._votes
-        by_position = np.argsort(
-            self._positions[:, columns].astype(
-                np.min_scalar_type(self.matrix.num_columns)
-            ),
-            axis=1,
-            kind="stable",
-        )
-        by_item = np.argsort(
-            items.astype(np.min_scalar_type(self.num_items))[by_position],
-            axis=1,
-            kind="stable",
-        )
+        num_columns = self.matrix.num_columns
+        dtype = _stream_key_dtype(self.num_items, num_columns)
+        vote_keys = items.astype(dtype) * (2 * num_columns) + (labels == DIRTY)
+        keys = vote_keys + (2 * self._positions).astype(dtype)[:, columns]
+        keys.sort(axis=1)
         permutation = np.arange(self.num_permutations)[:, None]
-        # (R, V): the vote at each slot of every permutation's stream.
-        votes = by_position.ravel()[by_item + permutation * items.size]
         return _SwitchScan(
-            (items[votes] + permutation * self.num_items).ravel(),
-            self._positions[permutation, columns[votes]].ravel(),
-            labels[votes].ravel(),
-            self.matrix.num_columns,
+            (items + permutation * self.num_items).ravel(),
+            ((keys >> 1) - items * num_columns).ravel(),
+            (keys & 1).ravel(),
+            num_columns,
         )
 
     @cached_property
@@ -557,12 +555,12 @@ class PermutationBatch:
     def switch_sweep_cells(self) -> _SwitchCells:
         """Switch statistics of every cell as ``(R, m)`` tables.
 
-        Both batched SWITCH estimators read this one object, filled by one
-        ``(checkpoints x events)`` pass per permutation over the shared
-        scan; every cell equals ``switch_statistics(permuted_matrix,
+        Both batched SWITCH estimators read this one object, filled from
+        the shared scan's event lifetimes for all permutations at once;
+        every cell equals ``switch_statistics(permuted_matrix,
         checkpoint)``.
         """
-        return _SwitchCells(self._scan, self._event_offsets, self.resolved, self._seen_table)
+        return _SwitchCells(self._scan, self.resolved, self._seen_table)
 
     @cached_property
     def majority_history(self) -> np.ndarray:
@@ -572,22 +570,22 @@ class PermutationBatch:
         per permutation over its votes), so trend lookbacks at
         arbitrary positions — what the SWITCH total-error estimator needs —
         cost O(votes) for the whole batch, not O(N x K) per permutation.
+        Every permutation holds the matrix's ``V`` votes, so its votes are
+        one ``V``-long block of the stream.  One ``bincount`` over
+        (permutation, column) keys took longer at ``R = 32`` (5.9 -> 7.9
+        ms), for the ``(R, V)`` key array it writes.
         """
-        num_columns = self.matrix.num_columns
-        history = np.zeros((self.num_permutations, num_columns + 1), dtype=np.int64)
+        num_permutations, num_columns = self._orders.shape
+        history = np.zeros((num_permutations, num_columns + 1), dtype=np.int64)
         if num_columns:
             scan = self._scan
-            bounds = np.searchsorted(
-                scan.vote_rows, np.arange(self.num_permutations + 1) * self.num_items
-            )
-            for permutation in range(self.num_permutations):
-                low, high = bounds[permutation : permutation + 2]
+            columns = scan.vote_cols.reshape(num_permutations, -1)
+            deltas = scan.vote_majority_delta.reshape(num_permutations, -1)
+            for permutation in range(num_permutations):
                 # Integer deltas summed in the bincount's float64
-                # accumulator stay exact (|sum| <= K << 2**53).
+                # accumulator stay exact (|sum| <= N << 2**53).
                 net_per_column = np.bincount(
-                    scan.vote_cols[low:high],
-                    weights=scan.vote_majority_delta[low:high],
-                    minlength=num_columns,
+                    columns[permutation], weights=deltas[permutation], minlength=num_columns
                 ).astype(np.int64)
                 np.cumsum(net_per_column, out=history[permutation, 1:])
         return history
@@ -883,16 +881,16 @@ class StreamingState:
     # introspection
     # ------------------------------------------------------------------ #
     @property
-    def version(self) -> Tuple[int, int, int]:
-        """Monotonic mutation version of the state.
+    def version(self) -> Tuple[int, int]:
+        """Monotonic mutation version of the state: ``(num_columns, total_votes)``.
 
         Changes whenever any maintained statistic can have changed: every
-        vote advances ``total_votes``, every column boundary advances
-        ``num_columns``, and the positive fingerprint carries its own
-        mutation counter.  The serving layer keys its estimate cache on
-        this tuple.
+        vote advances ``total_votes`` and every column advances
+        ``num_columns``.  Both are saved in a snapshot, so a state
+        restored from one reads the version it was saved at.  The serving
+        layer keys its estimate cache on this tuple.
         """
-        return (self.num_columns, self.total_votes, self._positive_fingerprint.version)
+        return (self.num_columns, self.total_votes)
 
     @property
     def total_votes(self) -> int:

@@ -79,6 +79,13 @@ def _margin_cumsum_dtype(num_votes: int) -> type:
     return np.int64 if num_votes > np.iinfo(np.int32).max else np.int32
 
 
+def _stream_key_dtype(num_items: int, num_columns: int) -> type:
+    """Dtype of the batch engine's ``(item * K + position) * 2 + is_dirty``
+    sort keys: int32 while the largest key, ``2 * N * K - 1``, fits (an
+    int64 sort took twice as long at the benchmark's sweep shape)."""
+    return np.int64 if 2 * num_items * num_columns > 2**31 else np.int32
+
+
 @dataclass(frozen=True)
 class SwitchEvent:
     """One observed consensus switch on one item.
@@ -502,78 +509,83 @@ class _SwitchCells:
     each per-checkpoint statistic.  Every cell holds the integers
     ``switch_statistics(permuted_matrix, checkpoint)`` gives.
 
-    One vectorised ``(checkpoints x events)`` pass per permutation fills
-    its row: rediscovery counts are truncated against every checkpoint at
-    once, and the distinct-item counts become ``searchsorted`` lookups
-    over the per-item first-switch columns (an item has an active switch
-    at checkpoint ``upto`` iff its first switch of that direction happened
-    before column ``upto``).
+    The tables are filled from event lifetimes, for all permutations at
+    once.  The bucket of a column is the number of distinct checkpoints
+    at or before it.  An event is active from the bucket of its switch
+    column on, and complete from the bucket of its last vote's column:
+    from there its rediscovery count is its full ``L = last - index + 1``.
+    Complete events enter int64 difference arrays over (permutation,
+    bucket) that one ``cumsum`` sums; only the (event, checkpoint) pairs
+    between the two buckets read the seen table.  The active-event and
+    distinct-item counts are ``bincount``s of start buckets: of every
+    event, and of every row's first switch in each direction.
     """
 
     __slots__ = ("n_switch", "total_votes", "counts", "singletons", "pair_sums", "items")
 
-    def __init__(
-        self,
-        scan: _SwitchScan,
-        event_offsets: np.ndarray,
-        resolved: Sequence[int],
-        seen_table: np.ndarray,
-    ):
+    def __init__(self, scan: _SwitchScan, resolved: Sequence[int], seen_table: np.ndarray):
         """``scan`` is the batch stream, whose row ``p * N + i`` is item ``i``
-        under permutation ``p`` and whose events ``event_offsets[p]`` to
-        ``event_offsets[p + 1]`` are permutation ``p``'s; ``seen_table`` is
-        ``(R, m, N)``: the votes of each item at each checkpoint."""
-        num_permutations, _, num_items = seen_table.shape
-        checkpoints = np.asarray(resolved, dtype=np.int64)
-        shape = (num_permutations, checkpoints.size)
+        under permutation ``p``; ``seen_table`` is ``(R, m, N)``: the votes
+        of each item at each checkpoint."""
+        num_permutations, num_checkpoints, num_items = seen_table.shape
+        distinct, first_slot, slots = np.unique(
+            np.asarray(resolved, dtype=np.int64), return_index=True, return_inverse=True
+        )
+        buckets = distinct.size + 1
+        size = num_permutations * buckets
+        permutation, items = np.divmod(scan.event_rows, num_items)
+        offset = permutation * buckets
+        bucket_of = np.searchsorted(distinct, np.arange(scan.num_columns), side="right")
+        start = bucket_of[scan.event_cols]
+        end = bucket_of[scan.vote_cols[scan._event_first + scan.event_last_vote - 1]]
+        positive = scan.event_states == 1
+
+        def running(keys: np.ndarray) -> np.ndarray:
+            """``(R, m)`` counts of the cell ``keys`` at or before each checkpoint."""
+            counts = np.bincount(keys, minlength=size).reshape(num_permutations, buckets)
+            return np.cumsum(counts, axis=1)[:, slots]
+
+        started = offset + start
+        #: direction -> (R, m) observed switch counts.
+        self.counts = {None: running(started), POSITIVE: running(started[positive])}
+        # A row's switches alternate direction from its first, positive
+        # one: its first negative switch is its second switch.
+        first = np.ones(started.shape, dtype=bool)
+        first[1:] = scan.event_rows[1:] != scan.event_rows[:-1]
+        second = np.zeros_like(first)
+        second[1:] = first[:-1] & ~first[1:]
+        #: direction -> (R, m) distinct items with at least one switch.
+        self.items = {None: running(started[first]), NEGATIVE: running(started[second])}
+        self.items[POSITIVE] = self.items[None]
+        complete = _cell_sums(
+            offset + end, scan.event_last_vote - scan.event_vote_index + 1, positive, size
+        )
+        # The partial (event, checkpoint) pairs lie between an event's
+        # start and end buckets: ``np.repeat`` spells out each event's run
+        # of cell keys, and ``table_rows`` maps a cell key to the offset of
+        # its (permutation, checkpoint) row in the flat seen table.
+        spans = end - start
+        keys = np.arange(spans.sum()) + np.repeat(started - (np.cumsum(spans) - spans), spans)
+        table_rows = (
+            num_checkpoints * np.arange(num_permutations)[:, None] + np.append(first_slot, 0)
+        ) * num_items
+        seen = seen_table.reshape(-1)[table_rows.ravel()[keys] + np.repeat(items, spans)]
+        partial = _cell_sums(
+            keys,
+            seen - np.repeat(scan.event_vote_index - 1, spans),
+            np.repeat(positive, spans),
+            size,
+        )
+        shape = (5, num_permutations, buckets)
+        sums = (np.cumsum(complete.reshape(shape), axis=2) + partial.reshape(shape))[..., slots]
         #: (R, m) unadjusted vote totals.
         self.total_votes = seen_table.sum(axis=2, dtype=np.int64)
         #: (R, m) adjusted observation count ``n_switch``.
-        self.n_switch = np.zeros(shape, dtype=np.int64)
-        summed = (None, POSITIVE)
-        #: direction -> (R, m) observed switch counts.
-        self.counts = {d: np.zeros(shape, dtype=np.int64) for d in summed}
+        self.n_switch = sums[0]
         #: direction -> (R, m) singleton (f'_1) counts.
-        self.singletons = {d: np.zeros(shape, dtype=np.int64) for d in summed}
+        self.singletons = {None: sums[1], POSITIVE: sums[3]}
         #: direction -> (R, m) skew pair sums ``sum_e r_e (r_e - 1)``.
-        self.pair_sums = {d: np.zeros(shape, dtype=np.int64) for d in summed}
-        #: direction -> (R, m) distinct items with at least one switch.
-        self.items = {
-            d: np.zeros(shape, dtype=np.int64) for d in (None, POSITIVE, NEGATIVE)
-        }
-        for p in range(num_permutations):
-            events = slice(event_offsets[p], event_offsets[p + 1])
-            rows = scan.event_rows[events]
-            cols = scan.event_cols[events]
-            positive = scan.event_states[events] == 1
-            # Rediscovery counts truncated at each checkpoint; an event
-            # after the checkpoint is masked out.
-            rediscoveries = np.where(
-                cols < checkpoints[:, None],
-                np.minimum(
-                    scan.event_last_vote[events], seen_table[p][:, rows - p * num_items]
-                )
-                - scan.event_vote_index[events]
-                + 1,
-                0,
-            )
-            self.n_switch[p] = rediscoveries.sum(axis=1)
-            # An active event has at least one rediscovery, so nonzero
-            # cells count the active events.
-            for direction, counted in (
-                (None, rediscoveries),
-                (POSITIVE, rediscoveries * positive),
-            ):
-                self.counts[direction][p] = np.count_nonzero(counted, axis=1)
-                self.singletons[direction][p] = np.count_nonzero(counted == 1, axis=1)
-                self.pair_sums[direction][p] = (counted * (counted - 1)).sum(axis=1)
-            for direction, event_filter in (
-                (None, slice(None)),
-                (POSITIVE, positive),
-                (NEGATIVE, ~positive),
-            ):
-                first = _first_columns_per_row(rows[event_filter], cols[event_filter])
-                self.items[direction][p] = np.searchsorted(first, checkpoints, side="left")
+        self.pair_sums = {None: sums[2], POSITIVE: sums[4]}
         # Every switch is positive or negative, so the negative sums are
         # the differences.
         for table in (self.counts, self.singletons, self.pair_sums):
@@ -590,18 +602,25 @@ class _SwitchCells:
         )
 
 
-def _first_columns_per_row(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sorted first-event columns per distinct row of a row-major event list.
+def _cell_sums(
+    keys: np.ndarray, counts: np.ndarray, positive: np.ndarray, size: int
+) -> np.ndarray:
+    """``(5, size)`` int64 sums of rediscovery ``counts`` per cell key.
 
-    ``rows`` is ascending and each row's events are in column order, so the
-    first event of each run is that row's earliest switch.
+    Rows: ``n_switch``, f'_1, ``sum r (r - 1)``, then f'_1 and
+    ``sum r (r - 1)`` of the positive switches.  ``np.add.at`` sums in
+    int64, so every cell is exact; a pair sum passes 2**31 at 50,000
+    votes on one item.
     """
-    if rows.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    first = np.empty(rows.shape, dtype=bool)
-    first[0] = True
-    first[1:] = rows[1:] != rows[:-1]
-    return np.sort(cols[first])
+    single = counts == 1
+    pairs = counts * (counts - 1)
+    sums = np.zeros((5, size), dtype=np.int64)
+    np.add.at(sums[0], keys, counts)
+    sums[1] = np.bincount(keys[single], minlength=size)
+    np.add.at(sums[2], keys, pairs)
+    sums[3] = np.bincount(keys[single & positive], minlength=size)
+    np.add.at(sums[4], keys[positive], pairs[positive])
+    return sums
 
 
 class IncrementalSwitchState:

@@ -144,10 +144,11 @@ class EstimateReport:
         The session the read addressed.
     version:
         The state's mutation version at read time — ``(num_columns,
-        total_votes, fingerprint_version)``.  Two reads with equal
-        versions saw the identical state, which is what lets a wire
-        client assert "that retried batch really was a no-op" without
-        comparing every estimate.
+        total_votes)``.  Two reads with equal versions saw the identical
+        state, which is what lets a wire client assert "that retried
+        batch really was a no-op" without comparing every estimate.
+        Compaction, eviction and recovery keep it; only a ``restore``
+        replaces it, with the restored state's.
     results:
         ``{estimator name: EstimateResult}``, exactly what
         :meth:`EstimationService.estimates` returns (and served from the
@@ -155,7 +156,7 @@ class EstimateReport:
     """
 
     session: str
-    version: Tuple[int, int, int]
+    version: Tuple[int, int]
     results: Dict[str, EstimateResult]
 
 
@@ -229,6 +230,12 @@ class EstimationService:
     the call returns, in O(batch), so the store is never behind a live
     session: eviction is an in-memory drop, and a new service over the
     same store recovers every session.
+
+    Estimate reads are cached against the session state's version,
+    ``(num_columns, total_votes)``.  Every applied batch advances it,
+    and both parts are saved state, so a session read again after
+    compaction, eviction or a restart reports the version it was last
+    read at.
 
     Thread safety: each session name has at most one entry in the
     service's table, and every op on the name, eviction included, runs

@@ -1,6 +1,7 @@
 """Overflow guards of the switch scan.
 
 * the margin cumsum int32/int64 promotion of the vectorised compaction;
+* the int32/int64 choice of the batch engine's vote-stream sort keys;
 * a real scan past the int16 range: the vote ordinals, rediscoveries and
   vote totals of one item with 50,000 votes stay exact, in the serial
   scan and in the batch engine, and its skew pair sum passes the int32
@@ -11,9 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.labels import DIRTY
+from repro.common.labels import CLEAN, DIRTY, UNSEEN
+from repro.core import state
 from repro.core.state import PermutationBatch
-from repro.core.switch import _margin_cumsum_dtype, _SwitchScan, switch_statistics
+from repro.core.switch import (
+    _margin_cumsum_dtype,
+    _stream_key_dtype,
+    _SwitchScan,
+    switch_statistics,
+)
 from repro.crowd.response_matrix import ResponseMatrix
 
 
@@ -24,6 +31,34 @@ class TestDtypeAudit:
         boundary = int(np.iinfo(np.int32).max)
         assert _margin_cumsum_dtype(boundary) == np.int32
         assert _margin_cumsum_dtype(boundary + 1) == np.int64
+
+    def test_stream_key_dtype_boundary(self):
+        # The largest key, (item * K + position) * 2 + is_dirty, is
+        # 2 N K - 1: int32 holds it up to 2 N K = 2**31.
+        assert _stream_key_dtype(2**15, 2**15) == np.int32
+        assert _stream_key_dtype(2**15, 2**15 + 1) == np.int64
+        assert _stream_key_dtype(1, 2**30) == np.int32
+        assert _stream_key_dtype(1, 2**30 + 1) == np.int64
+        assert _stream_key_dtype(0, 0) == np.int32
+
+    def test_int64_keys_build_the_same_stream(self, monkeypatch):
+        # A matrix past 2 N K = 2**31 takes gigabytes, so the int64 path
+        # runs here on a small one.
+        rng = np.random.default_rng(8)
+        votes = rng.choice([UNSEEN, CLEAN, DIRTY], size=(7, 11)).astype(np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        orders = [None] + [list(rng.permutation(11)) for _ in range(3)]
+        checkpoints = [0, 3, 11, 6, 6]
+        narrow = PermutationBatch(matrix, orders, checkpoints)
+        monkeypatch.setattr(state, "_stream_key_dtype", lambda *shape: np.int64)
+        wide = PermutationBatch(matrix, orders, checkpoints)
+        for name in ("vote_rows", "vote_cols", "vote_states", "event_last_vote"):
+            np.testing.assert_array_equal(
+                getattr(wide._scan, name), getattr(narrow._scan, name), err_msg=name
+            )
+        np.testing.assert_array_equal(
+            wide.switch_sweep_cells.pair_sums[None], narrow.switch_sweep_cells.pair_sums[None]
+        )
 
     def test_long_row_counts_survive_int16_overflow(self):
         # One item, 50k columns, every vote dirty: the first vote is the

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.data.record import Record
@@ -16,7 +18,44 @@ from repro.er.similarity import (
 )
 
 
+def _dp_distance(a: str, b: str) -> int:
+    """The classic two-row Levenshtein dynamic program: the reference."""
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,  # deletion
+                    current[j - 1] + 1,  # insertion
+                    previous[j - 1] + (char_a != char_b),  # substitution
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+#: Short alphabets make matches common; non-ASCII and a space included.
+_TEXT = st.text(alphabet="abcé漢 ", max_size=90)
+
+
 class TestLevenshteinDistance:
+    @given(a=_TEXT, b=_TEXT, equal=st.booleans())
+    @settings(max_examples=300)
+    def test_equals_the_dynamic_program(self, a, b, equal):
+        # Empty, equal, non-ASCII and over-64-character strings: the bit
+        # vectors are Python ints of any length.
+        if equal:
+            b = a
+        assert levenshtein_distance(a, b) == _dp_distance(a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 130])
+    def test_pattern_lengths_around_a_machine_word(self, length):
+        a = "ab" * length
+        b = a[:length]
+        assert levenshtein_distance(a, b) == _dp_distance(a, b) == len(a) - length
+        assert levenshtein_distance(b, b[::-1]) == _dp_distance(b, b[::-1])
+
     def test_identical_strings(self):
         assert levenshtein_distance("portland", "portland") == 0
 

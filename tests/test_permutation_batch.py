@@ -233,6 +233,27 @@ class TestSwitchCells:
         assert cells.counts[None].tolist() == [[2], [0]]
         _assert_switch_cells_match(matrix, orders, [3, 0, 1, 3, 5])
 
+    def test_long_events_stay_partial_across_checkpoints(self):
+        # Items that vote (almost) only dirty switch once, early, and every
+        # later vote rediscovers that switch, so each event stays partial
+        # at every checkpoint before its item's last vote.  One
+        # permutation; more checkpoints than columns, repeated and
+        # unsorted.
+        votes = np.full((5, 9), DIRTY, dtype=np.int8)
+        votes[1, 4] = CLEAN  # a stray vote that flips nothing
+        votes[2, 1] = CLEAN  # a tie: switches back, then dirty again
+        votes[3, :3] = UNSEEN
+        votes[4, ::2] = UNSEEN
+        matrix = ResponseMatrix.from_array(votes)
+        checkpoints = [9, 4, 4, 0, 8, 1, 2, 7, 3, 6, 5, 9, 12, 2]
+        cells = PermutationBatch(matrix, [None], checkpoints).switch_sweep_cells
+        # Every item's first vote is dirty, so no vote precedes a first
+        # switch and n_switch counts every vote.
+        assert cells.n_switch.shape == (1, len(checkpoints))
+        np.testing.assert_array_equal(cells.n_switch, cells.total_votes)
+        _assert_switch_cells_match(matrix, [None], checkpoints)
+        _assert_switch_cells_match(matrix, [[8, 0, 7, 1, 6, 2, 5, 3, 4]], checkpoints)
+
 
 #: ``(columns, order, accepted)``: one column-order rule for both
 #: ``PermutationBatch`` and ``ResponseMatrix.permute_columns``.

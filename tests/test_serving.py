@@ -385,6 +385,20 @@ class TestDurabilityAndEviction:
             "alpha", [{0: DIRTY}], source="cli", sequence=1
         ).duplicate
 
+    def test_version_survives_compaction_and_eviction(self, tmp_path):
+        # A session revived from a compacted log reads the version it was
+        # last read at: every part of the version is saved state.
+        rng = np.random.default_rng(5)
+        service = EstimationService(DirectorySessionStore(tmp_path))
+        service.create_session("alpha", range(8), ["voting", "switch_total"])
+        service.ingest("alpha", _columns(rng, 8, 4, touched=3), source="s", sequence=1)
+        before = service.estimate_report("alpha")
+        service.compact("alpha")
+        assert service.evict("alpha") == "alpha"
+        after = service.estimate_report("alpha")
+        assert (after.version, after.results) == (before.version, before.results)
+        assert before.version == (4, 12)
+
     def test_restore_imports_a_foreign_snapshot_under_a_new_name(self):
         service = EstimationService()
         service.create_session("alpha", [0, 1], ["voting"])
@@ -601,7 +615,7 @@ class TestRetiringALiveSession:
         self._race(store, service, lambda: service.restore("a", foreign.snapshot()))
         live = service.estimate_report("a")
         reopened = EstimationService(DirectorySessionStore(tmp_path)).estimate_report("a")
-        assert live.version[:2] == (1, 2)
+        assert live.version == (1, 2)
         assert (reopened.version, reopened.results) == (live.version, live.results)
 
     def test_restore_and_compact_under_concurrent_ingest_lose_nothing(self):
@@ -638,8 +652,8 @@ class TestRetiringALiveSession:
         reopened = EstimationService(store)
         for name in names:
             live, cold = service.estimate_report(name), reopened.estimate_report(name)
-            assert live.version[:2] == (writers * per_writer, 2 * writers * per_writer)
-            assert (cold.version[:2], cold.results) == (live.version[:2], live.results)
+            assert live.version == (writers * per_writer, 2 * writers * per_writer)
+            assert (cold.version, cold.results) == (live.version, live.results)
 
     def test_restore_rejects_anything_but_a_snapshot(self):
         service = EstimationService()
@@ -719,7 +733,7 @@ class TestOneEntryPerName:
         assert isinstance(read, dict) and isinstance(call, dict)
         live = service.estimate_report("a")
         cold = EstimationService(DirectorySessionStore(tmp_path)).estimate_report("a")
-        assert cold.version[:2] == (1, 1)
+        assert cold.version == (1, 1)
         assert (live.version, live.results) == (cold.version, cold.results)
 
     @pytest.mark.parametrize("point", ["before", "after"], ids=lambda p: f"{p}-read")
@@ -789,8 +803,8 @@ class TestOneEntryPerName:
         reopened = EstimationService(DirectorySessionStore(tmp_path))
         for name in names:
             live, cold = service.estimate_report(name), reopened.estimate_report(name)
-            assert live.version[:2] == (writers * per_writer, 2 * writers * per_writer)
-            assert (cold.version[:2], cold.results) == (live.version[:2], live.results)
+            assert live.version == (writers * per_writer, 2 * writers * per_writer)
+            assert (cold.version, cold.results) == (live.version, live.results)
 
     def test_a_failed_lookup_leaves_the_table_as_it_found_it(self):
         service = EstimationService(max_active=2)

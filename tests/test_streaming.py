@@ -158,9 +158,8 @@ def test_streaming_state_equals_prefix_state_property(rows, split):
         batch = MatrixPrefixState(matrix, prefix)
         for state in (streaming, resumed):
             _assert_state_matches(state, batch, prefix)
-        # The fingerprint's mutation counter restarts on restore; the
-        # column and vote counts do not.
-        assert resumed.version[:2] == streaming.version[:2]
+        # The version is saved state, so a restored state keeps it.
+        assert resumed.version == streaming.version
     final, resumed_final = streaming.to_arrays(), resumed.to_arrays()
     assert final[1] == resumed_final[1]
     assert final[0].keys() == resumed_final[0].keys()

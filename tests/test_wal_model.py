@@ -185,7 +185,7 @@ class _ServiceModel(RuleBasedStateMachine):
         assert self.service.sessions() == sorted(self.models)
         for name, model in self.models.items():
             report = self.service.estimate_report(name)
-            assert report.version[:2] == (model.num_columns, model.total_votes)
+            assert report.version == (model.num_columns, model.total_votes)
             assert report.results == model.estimate()
 
 
