@@ -234,17 +234,18 @@ class _SwitchScan:
         self._event_first = empty
         if rows.size == 0:
             return
-        self.vote_states, is_event, self.vote_majority_delta, row_starts = (
+        self.vote_states, is_event, self.vote_majority_delta, row_starts, row_lengths = (
             self._compact(rows, labels)
         )
         event_pos = np.flatnonzero(is_event)
         self.event_rows = rows[event_pos].astype(np.int64)
         self.event_cols = cols[event_pos].astype(np.int64)
         self.event_states = self.vote_states[event_pos].astype(np.int64)
-        # Each event's item run: its first vote and the next item's first.
-        run = np.searchsorted(row_starts, event_pos, side="right")
-        self._event_first = row_starts[run - 1]
-        row_end = np.append(row_starts, rows.size)[run]
+        # Each event's item run, read from a per-vote run index: its first
+        # vote and the next item's first.
+        run = np.repeat(np.arange(row_starts.size), row_lengths)[event_pos]
+        self._event_first = row_starts[run]
+        row_end = (row_starts + row_lengths)[run]
         # The item's next switch, if any, is the next event before its end.
         next_event = np.append(event_pos[1:], rows.size)
         self.event_vote_index = event_pos - self._event_first + 1
@@ -262,7 +263,7 @@ class _SwitchScan:
         The per-vote margin comes from a segmented cumulative sum: a
         global cumsum of the ±1 deltas minus each row's base offset (the
         cumulative value just before the row's first vote).  Also returns
-        the stream position of every row's first vote.
+        the stream position of every row's first vote, and its vote count.
         """
         deltas = np.where(labels == DIRTY, np.int32(1), np.int32(-1))
         cumulative = np.cumsum(deltas, dtype=_margin_cumsum_dtype(deltas.size))
@@ -270,9 +271,8 @@ class _SwitchScan:
         new_row[0] = True
         new_row[1:] = rows[1:] != rows[:-1]
         row_starts = np.flatnonzero(new_row)
-        row_base = np.repeat(
-            (cumulative - deltas)[row_starts], np.diff(row_starts, append=deltas.size)
-        )
+        row_lengths = np.diff(row_starts, append=deltas.size)
+        row_base = np.repeat((cumulative - deltas)[row_starts], row_lengths)
         margin_at_vote = cumulative - row_base
         previous_margin = margin_at_vote - deltas
         # A tie can only follow a margin of ±1, so the flip target is dirty
@@ -287,7 +287,7 @@ class _SwitchScan:
         # state, not against the previous row's last vote.
         previous_state[row_starts] = False
         is_event = votes_state != previous_state
-        return votes_state, is_event, majority_delta, row_starts
+        return votes_state, is_event, majority_delta, row_starts, row_lengths
 
     @cached_property
     def _keys(self) -> np.ndarray:

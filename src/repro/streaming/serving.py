@@ -55,7 +55,12 @@ import numpy as np
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.validation import check_int
 from repro.core.base import EstimateResult, EstimatorProtocol
-from repro.streaming.session import SessionSnapshot, StreamingSession, _malformed_field
+from repro.streaming.session import (
+    SessionSnapshot,
+    StreamingSession,
+    _malformed_field,
+    check_worker_ids,
+)
 from repro.streaming.store import (
     DirectorySessionStore,
     MemorySessionStore,
@@ -63,7 +68,13 @@ from repro.streaming.store import (
     UnknownSessionError,
     check_session_name,
 )
-from repro.streaming.wal import BatchRecord, CreateRecord, check_batch_record
+from repro.streaming.wal import (
+    BatchRecord,
+    CreateRecord,
+    check_batch_record,
+    encode_batch,
+    encode_record,
+)
 
 #: Compact a session once its write-ahead log grows past this size.
 DEFAULT_COMPACT_BYTES = 1 << 20
@@ -194,10 +205,14 @@ class _ActiveSession:
     set, under both locks, as the entry leaves the table.
     """
 
-    __slots__ = ("session", "lock", "sources", "cache_version", "cache", "retired")
+    __slots__ = (
+        "session", "item_ids", "lock", "sources", "cache_version", "cache", "retired"
+    )
 
     def __init__(self) -> None:
         self.session: Optional[StreamingSession] = None
+        #: the session's item ids by row, as the create record logs them.
+        self.item_ids: List[int] = []
         self.lock = threading.RLock()
         #: per-source ingestion high-water marks (idempotency state).
         self.sources: Dict[str, int] = {}
@@ -328,14 +343,12 @@ class EstimationService:
                     f"session {name!r} already exists; drop it first or pick "
                     "another name"
                 )
-            self._store.append(
-                name,
-                CreateRecord(
-                    item_ids=tuple(int(item) for item in session.state.item_ids),
-                    estimators=tuple(est.name for est in session.estimators),
-                    keep_votes=keep_votes,
-                ),
+            record = CreateRecord(
+                item_ids=tuple(int(item) for item in session.state.item_ids),
+                estimators=tuple(est.name for est in session.estimators),
+                keep_votes=keep_votes,
             )
+            self._store.append(name, encode_record(record))
             self._load(handle, session, {})
         self._enforce_limit(keep=name)
         return name
@@ -390,7 +403,9 @@ class EstimationService:
             One ``{item_id: vote}`` mapping per task column, applied in
             order.
         worker_ids:
-            Optional worker id per column (aligned with ``columns``).
+            Optional worker id per column (aligned with ``columns``), each
+            ``None`` or an integer under the wire's rule
+            (:func:`~repro.streaming.session.check_worker_ids`).
         source, sequence:
             Idempotency pair.  When given (always together), the batch is
             applied only if ``sequence`` is strictly greater than the last
@@ -403,10 +418,11 @@ class EstimationService:
         applied, so a rejected batch leaves the session untouched and can
         be fixed and redelivered under the same sequence number.
 
-        The validated batch is appended to the session's log — one
-        O(batch) record — *before* it mutates the in-memory session, so
-        an applied batch is always in the store and the store never lags
-        the live state.  Once the log outgrows
+        The validated batch is encoded once, from the checked columns,
+        and appended to the session's log — one O(batch) frame —
+        *before* it mutates the in-memory session, so an applied batch is
+        always in the store and the store never lags the live state.
+        Once the log outgrows
         ``compact_after_bytes`` it is folded into a fresh snapshot; an
         ``OSError`` from that compaction leaves the log as it was and the
         batch acknowledged, and the next ingest past the threshold tries
@@ -423,7 +439,7 @@ class EstimationService:
             # Snapshots key high-water marks by string, so any other type
             # would stop deduplicating after a compaction and reopen.
             raise ValidationError(f"source must be a string, got {source!r}")
-        _check_worker_ids(columns, worker_ids)
+        worker_ids = check_worker_ids(worker_ids, len(columns))
         with self._handle(name) as handle:
             session = handle.session
             if is_duplicate(handle.sources, source, sequence):
@@ -441,8 +457,14 @@ class EstimationService:
             # Log first, apply second: a crash between the two replays
             # the record on recovery, so the durable state is never
             # behind what the client saw acknowledged.
-            record = BatchRecord.from_columns(columns, worker_ids, source, sequence)
-            log_bytes = self._store.append(name, record)
+            ids = handle.item_ids
+            frame = encode_batch(
+                [zip(map(ids.__getitem__, rows), votes) for rows, votes in checked],
+                worker_ids,
+                source,
+                sequence,
+            )
+            log_bytes = self._store.append(name, frame)
             session.add_columns(checked, worker_ids)
             if source is not None:
                 handle.sources[source] = sequence
@@ -714,11 +736,15 @@ class EstimationService:
         """Hold ``session`` (``None`` unloads) in ``handle``, with an empty cache.
 
         The caller holds the entry's lock; the live count changes with
-        the entry, under the table lock.
+        the entry, under the table lock.  The session's item ids are
+        converted to ints here, once per load, for the batch frames.
         """
         with self._lock:
             self._live += (session is not None) - (handle.session is not None)
             handle.session = session
+        handle.item_ids = (
+            [] if session is None else [int(item) for item in session.state.item_ids]
+        )
         handle.sources = sources
         handle.cache_version = handle.cache = None
 

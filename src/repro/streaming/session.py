@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.common.labels import UNSEEN
-from repro.common.validation import check_vote
+from repro.common.validation import check_int, check_vote
 from repro.core.base import EstimateResult, EstimatorProtocol
 from repro.core.registry import available_estimators, get_estimator
 from repro.core.state import StreamingState
@@ -87,6 +87,27 @@ class CheckedColumns(List[Tuple[List[int], List[int]]]):
     :meth:`StreamingSession.add_columns` applies it without checking it
     again.
     """
+
+
+def check_worker_ids(
+    worker_ids: Optional[Sequence[object]], num_columns: int
+) -> Optional[List[Optional[int]]]:
+    """A batch's worker ids, one per column, each ``None`` or an integer.
+
+    The wire's rule (:func:`~repro.common.validation.check_int`): ``2.0``
+    and ``numpy.int64(2)`` are taken as ``2``; ``"2"``, ``1.5`` and
+    ``True`` raise ``ValidationError``.  Returns the ids as Python ints.
+    """
+    if worker_ids is None:
+        return None
+    if len(worker_ids) != num_columns:
+        raise ValidationError(
+            f"worker_ids length {len(worker_ids)} does not match "
+            f"{num_columns} column(s)"
+        )
+    return [
+        None if worker is None else check_int(worker, "worker id") for worker in worker_ids
+    ]
 
 
 def _malformed_field(name: str, expected: str, value: object) -> ConfigurationError:
@@ -461,19 +482,16 @@ class StreamingSession:
     ) -> int:
         """Ingest a batch of task columns in order; returns the count.
 
-        The batch is atomic: every vote is checked (:meth:`check_columns`;
-        a :class:`CheckedColumns` it returned is applied as is) before
-        any column is applied, so a rejected batch leaves the session as
-        it was.  This is the single apply path shared by every ingest —
+        The batch is atomic: every worker id (:func:`check_worker_ids`)
+        and every vote is checked (:meth:`check_columns`; a
+        :class:`CheckedColumns` it returned is applied as is) before any
+        column is applied, so a rejected batch leaves the session as it
+        was.  This is the single apply path shared by every ingest —
         single columns, live serving and write-ahead-log replay
         (:mod:`repro.streaming.wal`) — which is what makes a replayed
         session bit-identical to the live one.
         """
-        if worker_ids is not None and len(worker_ids) != len(columns):
-            raise ValidationError(
-                f"worker_ids length {len(worker_ids)} does not match "
-                f"{len(columns)} column(s)"
-            )
+        worker_ids = check_worker_ids(worker_ids, len(columns))
         if not isinstance(columns, CheckedColumns):
             columns = self.check_columns(columns)
         state = self._state
@@ -482,7 +500,7 @@ class StreamingSession:
                 worker_ids = [None] * len(columns)
             first = state.num_columns
             workers = [
-                first + offset if worker is None else int(worker)
+                first + offset if worker is None else worker
                 for offset, worker in enumerate(worker_ids)
             ]
             self._column_workers.extend(workers)

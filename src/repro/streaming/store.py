@@ -8,15 +8,18 @@ applied since.  The serving façade
 (:class:`~repro.streaming.serving.EstimationService`) appends to it
 before each mutation, so the store is never behind a live session:
 eviction frees memory without a write, and a new service over the same
-store recovers every session.  ``append`` is the hot path, O(batch);
-``save`` is **compaction**, the snapshot becomes the head and the
-records go; ``recovery`` returns the head snapshot (``None`` under a
-create head) and the records.
+store recovers every session.  ``append`` is the hot path, O(batch): it
+takes a record's framed bytes, encoded once by the caller
+(:func:`~repro.streaming.wal.encode_batch`,
+:func:`~repro.streaming.wal.encode_record`); ``save`` is
+**compaction**, the snapshot becomes the head and the records go;
+``recovery`` returns the head snapshot (``None`` under a create head)
+and the decoded records.
 
 Two backends share that contract, byte counts included:
 
-* :class:`MemorySessionStore` — the log in a process-local dict; zero
-  I/O, the default for tests and single-process serving.
+* :class:`MemorySessionStore` — the log's frames in a process-local
+  dict; zero I/O, the default for tests and single-process serving.
 * :class:`DirectorySessionStore` — one file per session under a root
   path, ``<root>/<name>.log``, a write-ahead log (see
   :mod:`repro.streaming.wal`); the CLI uses one, so `repro session`
@@ -35,6 +38,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -47,11 +51,12 @@ except ImportError:  # pragma: no cover - Windows fallback: no advisory locks
 from repro.common.exceptions import ConfigurationError, ValidationError
 from repro.streaming.session import SessionSnapshot
 from repro.streaming.wal import (
+    _FRAME,
     LogRecord,
     SessionLog,
     TornAppendError,
-    WalRecord,
-    encode_record,
+    append_frame,
+    decode_payload,
     write_snapshot_record,
 )
 
@@ -84,7 +89,7 @@ class StoreCorruptionError(ConfigurationError):
     """
 
 
-def _fsync(path: Path) -> None:
+def _fsync(path: Union[str, Path]) -> None:
     """Flush a file, or a directory's entries, to disk."""
     descriptor = os.open(path, os.O_RDONLY)
     try:
@@ -117,8 +122,8 @@ class SessionStore:
     each time); :meth:`load` is shared.
     """
 
-    def append(self, name: str, record: WalRecord) -> int:
-        """Append one record to ``name``'s log, starting the log if there is none.
+    def append(self, name: str, frame: bytes) -> int:
+        """Append a record's frame to ``name``'s log, starting the log if there is none.
 
         Returns :meth:`log_size` after the append.
         """
@@ -181,32 +186,31 @@ class SessionStore:
 
 @dataclass
 class _MemoryLog:
-    """One session's log in memory: its head snapshot, records and tail size."""
+    """One session's log in memory: its head snapshot, frames and tail size."""
 
     head: Optional[SessionSnapshot] = None
-    records: List[WalRecord] = field(default_factory=list)
+    frames: List[bytes] = field(default_factory=list)
     tail_bytes: int = 0
 
 
 class MemorySessionStore(SessionStore):
     """In-process log store (the default serving backend).
 
-    It keeps the records themselves and counts each as the bytes of its
-    on-disk frame, so :meth:`append` and :meth:`log_size` return what a
-    :class:`DirectorySessionStore` returns for the same records.  Like
-    that store it takes one writer per session at a time, which the
-    service's per-session lock provides.
+    It keeps each record's frame, the bytes a :class:`DirectorySessionStore`
+    writes, so :meth:`append` and :meth:`log_size` return what that store
+    returns for the same frames, and :meth:`recovery` decodes them as it
+    does.  Like that store it takes one writer per session at a time,
+    which the service's per-session lock provides.
     """
 
     def __init__(self) -> None:
         self._logs: Dict[str, _MemoryLog] = {}
 
-    def append(self, name: str, record: WalRecord) -> int:
-        """Keep ``record`` at the end of the session's log; returns the tail size."""
-        size = len(encode_record(record))
+    def append(self, name: str, frame: bytes) -> int:
+        """Keep ``frame`` at the end of the session's log; returns the tail size."""
         log = self._logs.setdefault(check_session_name(name), _MemoryLog())
-        log.records.append(record)
-        log.tail_bytes += size
+        log.frames.append(frame)
+        log.tail_bytes += len(frame)
         return log.tail_bytes
 
     def save(self, name: str, snapshot: SessionSnapshot) -> None:
@@ -218,7 +222,8 @@ class MemorySessionStore(SessionStore):
         log = self._logs.get(check_session_name(name))
         if log is None:
             raise self._unknown(name)
-        return (None if log.head is None else log.head.copy()), list(log.records)
+        records = [decode_payload(frame[_FRAME.size :]) for frame in log.frames]
+        return (None if log.head is None else log.head.copy()), records
 
     def log_size(self, name: str) -> int:
         """Bytes of the records after the head snapshot (0 for a missing log)."""
@@ -278,6 +283,7 @@ class DirectorySessionStore(SessionStore):
         exclusive: bool = False,
     ) -> None:
         self.root = Path(root)
+        self._root = os.fspath(self.root)
         self.sync = bool(sync)
         self._lock_descriptor: Optional[int] = None
         #: Sessions whose log a failed append left torn (see :meth:`append`).
@@ -328,8 +334,8 @@ class DirectorySessionStore(SessionStore):
         except Exception:
             pass
 
-    def _path(self, name: str) -> Path:
-        return self.root / f"{check_session_name(name)}.log"
+    def _path(self, name: str) -> str:
+        return os.path.join(self._root, f"{check_session_name(name)}.log")
 
     def _open_root(self) -> None:
         """Refuse an old-layout root, then sweep interrupted compactions' staging files."""
@@ -363,7 +369,9 @@ class DirectorySessionStore(SessionStore):
         """
         path = self._path(name)
         self.root.mkdir(parents=True, exist_ok=True)
-        descriptor, staging = tempfile.mkstemp(prefix=f".{path.name}.tmp-", dir=self.root)
+        descriptor, staging = tempfile.mkstemp(
+            prefix=f".{os.path.basename(path)}.tmp-", dir=self.root
+        )
         try:
             with open(descriptor, "wb") as handle:
                 write_snapshot_record(handle, snapshot)
@@ -381,7 +389,7 @@ class DirectorySessionStore(SessionStore):
     def delete(self, name: str) -> None:
         """Remove the session's log."""
         try:
-            self._path(name).unlink()
+            os.unlink(self._path(name))
         except FileNotFoundError:
             raise self._unknown(name) from None
         self._torn.discard(name)
@@ -398,27 +406,27 @@ class DirectorySessionStore(SessionStore):
     def __contains__(self, name: str) -> bool:
         """One ``stat``: ``create_session`` probes membership every time."""
         try:
-            return self._path(name).exists()
+            return os.path.exists(self._path(name))
         except ValidationError:
             return False
 
     def __len__(self) -> int:
         return len(self.names())
 
-    def append(self, name: str, record: WalRecord) -> int:
-        """Append one record to the session's log — O(record).
+    def append(self, name: str, frame: bytes) -> int:
+        """Append one record's frame to the session's log — O(frame).
 
         Returns :meth:`log_size` after the write.  One ``stat`` (does the
-        log exist?) and one ``open``; nothing is kept between calls, so a
-        log another store object on the same root replaced is the one the
-        next append extends.  Under ``sync=True`` an append that creates
-        the log also fsyncs the root.
+        log exist?) and one ``open``, through the log's ``str`` path;
+        nothing is kept between calls, so a log another store object on
+        the same root replaced is the one the next append extends.  Under
+        ``sync=True`` an append that creates the log also fsyncs the root.
 
         A failed append leaves the log as it was (see
-        :meth:`SessionLog.append`), and one that was creating the log
-        removes it.  If the log keeps a partial frame, every later append
-        raises ``StoreCorruptionError`` until the store is reopened, or a
-        compaction or delete replaces the log.
+        :func:`~repro.streaming.wal.append_frame`), and one that was
+        creating the log removes it.  If the log keeps a partial frame,
+        every later append raises ``StoreCorruptionError`` until the store
+        is reopened, or a compaction or delete replaces the log.
         """
         if name in self._torn:
             raise StoreCorruptionError(
@@ -426,14 +434,13 @@ class DirectorySessionStore(SessionStore):
                 "partial frame in its log; reopen the store to repair it"
             )
         path = self._path(name)
-        exists = path.exists()
+        exists = os.path.exists(path)
         if not exists:
-            self.root.mkdir(parents=True, exist_ok=True)
-        log = SessionLog(path, sync=self.sync)
+            os.makedirs(self._root, exist_ok=True)
         try:
-            size = log.append(record)
+            size, snapshot_bytes = append_frame(path, frame, self.sync)
             if self.sync and not exists:
-                _fsync(self.root)
+                _fsync(self._root)
         except TornAppendError:
             self._torn.add(name)
             raise
@@ -441,9 +448,10 @@ class DirectorySessionStore(SessionStore):
             if not exists:
                 # Nothing of a rejected record may be replayed, and the
                 # next append must create the log, and sync it, again.
-                path.unlink(missing_ok=True)
+                with suppress(FileNotFoundError):
+                    os.unlink(path)
             raise
-        return size - log.snapshot_bytes
+        return size - snapshot_bytes
 
     def recovery(self, name: str) -> Tuple[Optional[SessionSnapshot], List[LogRecord]]:
         """The log's base snapshot (``None`` before any compaction) and records.
@@ -456,7 +464,7 @@ class DirectorySessionStore(SessionStore):
         log = SessionLog(path)
         records, _, torn = log.scan()
         if not records:
-            if not path.exists():
+            if not os.path.exists(path):
                 raise self._unknown(name)
             raise StoreCorruptionError(
                 f"stored session {name!r} is corrupt: the head record of "

@@ -18,7 +18,9 @@ Frame format (little-endian)::
 
 Create and batch payloads are canonical JSON (sorted keys, compact
 separators), so a log of identical appends is byte-identical across
-runs; a snapshot frame has the magic ``RSNP``.  Readers stop at the
+runs; a batch's is written by :func:`encode_batch`, once per applied
+batch, and :func:`append_frame` appends a ready frame.  A snapshot
+frame has the magic ``RSNP``.  Readers stop at the
 first frame that is short, has a wrong magic, or fails its CRC — a torn
 final record from a crash mid-append is therefore *ignored*, and
 :meth:`SessionLog.repair` truncates it away so later appends land on a
@@ -35,7 +37,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Tuple, Union
+from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,18 +123,6 @@ class BatchRecord:
         """The batch as ``{item: vote}`` mappings, in recorded order."""
         return [dict(pairs) for pairs in self.columns]
 
-    def payload(self) -> dict:
-        return {
-            "kind": "batch",
-            "format": WAL_FORMAT_VERSION,
-            "columns": [[[item, vote] for item, vote in pairs] for pairs in self.columns],
-            "worker_ids": (
-                None if self.worker_ids is None else list(self.worker_ids)
-            ),
-            "source": self.source,
-            "sequence": self.sequence,
-        }
-
 
 WalRecord = Union[CreateRecord, BatchRecord]
 LogRecord = Union[CreateRecord, BatchRecord, SessionSnapshot]  # a snapshot only heads a log
@@ -198,12 +188,48 @@ def _snapshot_bytes(descriptor: int) -> int:
     return _FRAME.size + size if magic == _SNAPSHOT_MAGIC else 0
 
 
+def _frame(payload: bytes) -> bytes:
+    return _FRAME.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_batch(
+    columns: Iterable[Iterable[Tuple[int, int]]],
+    worker_ids: Optional[Sequence[Optional[int]]] = None,
+    source: Optional[str] = None,
+    sequence: Optional[int] = None,
+) -> bytes:
+    """The framed bytes of one batch record.
+
+    ``columns`` holds one iterable of ``(item, vote)`` int pairs per
+    column, and the worker ids are ints or ``None``.  The payload is the
+    canonical JSON of the record (sorted keys, compact separators, ASCII
+    escapes), written with string joins instead of a dict for
+    ``json.dumps``: it is built once per applied batch, on the ingest
+    path.
+    """
+    text = ",".join(
+        ["[" + ",".join([f"[{item},{vote}]" for item, vote in pairs]) + "]" for pairs in columns]
+    )
+    workers = "null"
+    if worker_ids is not None:
+        workers = ",".join(["null" if worker is None else str(worker) for worker in worker_ids])
+        workers = f"[{workers}]"
+    return _frame(
+        (
+            f'{{"columns":[{text}],"format":{WAL_FORMAT_VERSION},"kind":"batch",'
+            f'"sequence":{"null" if sequence is None else sequence},'
+            f'"source":{json.dumps(source)},"worker_ids":{workers}}}'
+        ).encode("utf-8")
+    )
+
+
 def encode_record(record: WalRecord) -> bytes:
     """Serialise one record into its framed on-disk bytes."""
-    payload = json.dumps(
-        record.payload(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return _FRAME.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+    if isinstance(record, BatchRecord):
+        return encode_batch(record.columns, record.worker_ids, record.source, record.sequence)
+    return _frame(
+        json.dumps(record.payload(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
 
 
 def decode_payload(payload: bytes) -> WalRecord:
@@ -256,6 +282,38 @@ class TornAppendError(OSError):
     """A failed append left a partial frame the log could not truncate."""
 
 
+def append_frame(path: str, frame: bytes, sync: bool = False) -> Tuple[int, int]:
+    """Append one frame to the log file at ``path``, creating the file.
+
+    Returns the log's size after the append and the size of its snapshot
+    head (0 for any other head), read through the same ``open``.  O(frame):
+    the file is opened in append mode and never rewritten.  With ``sync``
+    the file is fsynced.  A failed write or fsync truncates the log back
+    to its size before the append and re-raises, so the next append never
+    lands behind a partial frame that recovery would stop at; if that
+    truncate fails too, :class:`TornAppendError` is raised instead.
+    """
+    with open(path, "a+b", buffering=0) as handle:
+        start = handle.tell()
+        snapshot_bytes = _snapshot_bytes(handle.fileno())
+        try:
+            written = 0
+            while written < len(frame):
+                written += handle.write(frame[written:])
+            if sync:
+                os.fsync(handle.fileno())
+        except BaseException:
+            try:
+                handle.truncate(start)
+            except OSError as error:
+                raise TornAppendError(
+                    f"{path} keeps a partial frame after a failed append: "
+                    f"truncating it back to {start} bytes failed"
+                ) from error
+            raise
+    return start + written, snapshot_bytes
+
+
 class SessionLog:
     """One session's append-only log file.
 
@@ -272,39 +330,10 @@ class SessionLog:
     def __init__(self, path: Union[str, Path], *, sync: bool = False) -> None:
         self.path = Path(path)
         self.sync = bool(sync)
-        #: Size of the log's snapshot head (0 for a create head) at the last :meth:`append`.
-        self.snapshot_bytes = 0
 
     def append(self, record: WalRecord) -> int:
-        """Append one framed record; returns the log size in bytes after.
-
-        O(record) — the log is opened in append mode and never rewritten;
-        the same open reads :attr:`snapshot_bytes`.  A failed write or
-        fsync truncates the log back to its size before the append and
-        re-raises, so the next append never lands behind a partial frame
-        that recovery would stop at; if that truncate fails too,
-        :class:`TornAppendError` is raised instead.
-        """
-        frame = encode_record(record)
-        with open(self.path, "a+b", buffering=0) as handle:
-            start = handle.tell()
-            self.snapshot_bytes = _snapshot_bytes(handle.fileno())
-            try:
-                written = 0
-                while written < len(frame):
-                    written += handle.write(frame[written:])
-                if self.sync:
-                    os.fsync(handle.fileno())
-            except BaseException:
-                try:
-                    handle.truncate(start)
-                except OSError as error:
-                    raise TornAppendError(
-                        f"{self.path} keeps a partial frame after a failed "
-                        f"append: truncating it back to {start} bytes failed"
-                    ) from error
-                raise
-        return start + written
+        """Append one framed record (see :func:`append_frame`); returns the log size after."""
+        return append_frame(self.path, encode_record(record), self.sync)[0]
 
     def scan(self) -> Tuple[List[LogRecord], int, bool]:
         """Read every intact record.

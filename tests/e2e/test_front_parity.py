@@ -87,6 +87,15 @@ ERROR_CASES = {
     "non_string_source": ("ingest", lambda front: front.ingest(
         "alpha", [{0: DIRTY}], source=5, sequence=9
     )),
+    "string_worker": ("ingest", lambda front: front.ingest(
+        "alpha", [{0: DIRTY}], worker_ids=["abc"]
+    )),
+    "fractional_worker": ("ingest", lambda front: front.ingest(
+        "alpha", [{0: DIRTY}], worker_ids=[1.5]
+    )),
+    "bool_worker": ("ingest", lambda front: front.ingest(
+        "alpha", [{0: DIRTY}], worker_ids=[True]
+    )),
     "duplicate_create": (
         "create_session", lambda front: front.create_session("alpha", [0, 1])
     ),
@@ -225,6 +234,9 @@ class TestFrontParity:
             "fractional_sequence",
             "bool_sequence",
             "non_string_source",
+            "string_worker",
+            "fractional_worker",
+            "bool_worker",
             "restore_non_snapshot",
         ):
             assert errors[case] == ("ValidationError", 400, "validation"), case

@@ -152,6 +152,49 @@ class TestIdempotentIngestion:
         with pytest.raises(ValidationError, match="worker_ids"):
             service.ingest("alpha", [{0: DIRTY}], worker_ids=[1, 2])
 
+    @pytest.mark.parametrize("store", ["memory", "directory"])
+    @pytest.mark.parametrize("worker", ["abc", 1.5, True, np.bool_(True), "2"])
+    def test_a_non_integer_worker_id_is_refused_before_the_log(
+        self, store, worker, tmp_path
+    ):
+        """The wire's rule in process: nothing is logged or applied."""
+        service = EstimationService(
+            MemorySessionStore() if store == "memory" else DirectorySessionStore(tmp_path)
+        )
+        service.create_session("alpha", range(3), ["voting"])
+        service.ingest("alpha", [{0: DIRTY}], worker_ids=[4], source="a", sequence=1)
+        size, version = service.store.log_size("alpha"), service.estimate_report("alpha").version
+        with pytest.raises(ValidationError, match="worker id must be an integer"):
+            service.ingest(
+                "alpha", [{1: DIRTY}, {2: CLEAN}], worker_ids=[5, worker],
+                source="a", sequence=2,
+            )
+        assert service.store.log_size("alpha") == size
+        assert service.estimate_report("alpha").version == version
+        # The sequence was not used up: the fixed batch applies under it.
+        ack = service.ingest(
+            "alpha", [{1: DIRTY}, {2: CLEAN}], worker_ids=[5, 6], source="a", sequence=2
+        )
+        assert ack.applied == 2
+
+    @pytest.mark.parametrize("worker", [2.0, np.int64(2)])
+    def test_integral_worker_ids_are_taken_as_ints(self, worker, tmp_path):
+        service = EstimationService(DirectorySessionStore(tmp_path))
+        service.create_session("alpha", range(3), ["voting"])
+        assert service.ingest("alpha", [{0: DIRTY}], worker_ids=[worker]).applied == 1
+        (record,) = service.store.recovery("alpha")[1][1:]
+        assert record.worker_ids == (2,)
+        session = StreamingSession(range(3), ["voting"])
+        session.add_columns([{0: DIRTY}], [worker])
+        assert session.snapshot().arrays["column_workers"].tolist() == [2]
+
+    def test_a_session_applies_the_same_worker_rule(self):
+        session = StreamingSession(range(3), ["voting"], keep_votes=False)
+        for worker in ("abc", 1.5, True):
+            with pytest.raises(ValidationError, match="worker id"):
+                session.add_columns([{0: DIRTY}], [worker])
+        assert session.num_columns == 0
+
     def test_failed_batch_is_atomic_and_safely_retryable(self):
         """A batch rejected mid-validation leaves no partial state, so the
         client can fix it and redeliver under the same sequence number."""
@@ -457,7 +500,7 @@ class TestSessionStores:
         ]
         frames = [len(encode_record(record)) for record in (create, *batches)]
         assert store.log_size("alpha") == 0
-        sizes = [store.append("alpha", record) for record in (create, *batches[:2])]
+        sizes = [store.append("alpha", encode_record(record)) for record in (create, *batches[:2])]
         assert sizes == list(accumulate(frames[:3]))
         assert store.log_size("alpha") == sizes[-1]
         assert store.recovery("alpha") == (None, [create, *batches[:2]])
@@ -469,7 +512,7 @@ class TestSessionStores:
         snapshot = session.snapshot()
         store.save("alpha", snapshot)
         assert store.log_size("alpha") == 0
-        sizes = [store.append("alpha", record) for record in batches[2:]]
+        sizes = [store.append("alpha", encode_record(record)) for record in batches[2:]]
         assert sizes == list(accumulate(frames[3:]))
         assert store.log_size("alpha") == sizes[-1]
         head, records = store.recovery("alpha")
@@ -565,12 +608,12 @@ class _GatedStore(DirectorySessionStore):
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def append(self, name, record):
-        if self.armed and isinstance(record, BatchRecord):
+    def append(self, name, frame):
+        if self.armed and b'"kind":"batch"' in frame:
             self.armed = False
             self.entered.set()
             assert self.release.wait(10)
-        return super().append(name, record)
+        return super().append(name, frame)
 
 
 class TestRetiringALiveSession:

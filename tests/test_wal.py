@@ -175,7 +175,7 @@ class TestSessionLog:
 class TestLogStructuredStore:
     def test_log_only_session_has_no_loadable_snapshot(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
-        store.append("s", CreateRecord(item_ids=(0, 1), estimators=("voting",)))
+        store.append("s", encode_record(CreateRecord(item_ids=(0, 1), estimators=("voting",))))
         assert "s" in store
         assert store.names() == ["s"]
         snapshot, records = store.recovery("s")
@@ -187,8 +187,8 @@ class TestLogStructuredStore:
     def test_save_compacts_and_truncates_the_log(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
         session = StreamingSession([0, 1, 2], ["voting"])
-        store.append("s", CreateRecord(item_ids=(0, 1, 2), estimators=("voting",)))
-        store.append("s", BatchRecord.from_columns(_batch()))
+        store.append("s", encode_record(CreateRecord(item_ids=(0, 1, 2), estimators=("voting",))))
+        store.append("s", encode_record(BatchRecord.from_columns(_batch())))
         assert store.log_size("s") > 0
         store.save("s", session.snapshot())
         assert store.log_size("s") == 0
@@ -254,7 +254,7 @@ class TestLogStructuredStore:
         with pytest.raises(UnknownSessionError):
             store.recovery("ghost")
         store.save("bad", StreamingSession([0], ["voting"]).snapshot())
-        store.append("bad", BatchRecord.from_columns([{0: DIRTY}]))
+        store.append("bad", encode_record(BatchRecord.from_columns([{0: DIRTY}])))
         corrupt = _flip_head_byte(tmp_path / "bad.log")
         with pytest.raises(StoreCorruptionError, match="corrupt") as exc_info:
             DirectorySessionStore(tmp_path).recovery("bad")
@@ -267,8 +267,8 @@ class TestLogStructuredStore:
 
     def test_an_unreadable_create_head_is_left_as_it_is(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
-        store.append("bad", CreateRecord(item_ids=(0,), estimators=("voting",)))
-        store.append("bad", BatchRecord.from_columns([{0: DIRTY}]))
+        store.append("bad", encode_record(CreateRecord(item_ids=(0,), estimators=("voting",))))
+        store.append("bad", encode_record(BatchRecord.from_columns([{0: DIRTY}])))
         corrupt = _flip_head_byte(tmp_path / "bad.log")
         with pytest.raises(StoreCorruptionError, match="does not verify"):
             store.recovery("bad")
@@ -352,7 +352,7 @@ class TestSnapshotDecodeErrors:
         session = StreamingSession([0, 1, 2], ESTIMATORS)
         session.add_column({0: DIRTY, 2: CLEAN}, worker_id=1)
         store.save("s", session.snapshot())
-        store.append("s", BatchRecord.from_columns(_batch()))
+        store.append("s", encode_record(BatchRecord.from_columns(_batch())))
         before = (tmp_path / "s.log").read_bytes()
         load = np.load
         raised = []
@@ -437,7 +437,7 @@ class TestServiceCrashConsistency:
         # A retried delivery that crashed after its append leaves the same
         # (source, sequence) record in the log twice.
         service.store.append(
-            "s", BatchRecord.from_columns(_batch(0), source="l", sequence=1)
+            "s", encode_record(BatchRecord.from_columns(_batch(0), source="l", sequence=1))
         )
         recovered = _service(tmp_path)
         assert _estimates(recovered) == self._reference([_batch(0)])

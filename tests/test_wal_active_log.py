@@ -195,19 +195,19 @@ class TestAppendReturnsTheLogSize:
             assert size == _log_on_disk(tmp_path, "s") == store.log_size("s")
             sizes.append(size)
 
-        step(store.append("s", _create()))
-        step(store.append("s", _record(0)))
+        step(store.append("s", encode_record(_create())))
+        step(store.append("s", encode_record(_record(0))))
         session = StreamingSession(range(5), ["voting"])
         session.add_columns(_batch(0))
         store.save("s", session.snapshot())  # compaction: a snapshot head only
         assert _head(tmp_path, "s")[0] == b"RSNP"
         assert _log_on_disk(tmp_path, "s") == store.log_size("s") == 0
-        step(store.append("s", _record(1)))
+        step(store.append("s", encode_record(_record(1))))
         assert sizes[-1] == len(encode_record(_record(1)))
         store.delete("s")
         assert store.log_size("s") == 0
-        step(store.append("s", _create()))  # re-created: a create head again
-        step(store.append("s", _record(2)))
+        step(store.append("s", encode_record(_create())))  # re-created: a create head again
+        step(store.append("s", encode_record(_record(2))))
         assert sizes == [
             sizes[0],
             sizes[0] + len(encode_record(_record(0))),
@@ -218,8 +218,8 @@ class TestAppendReturnsTheLogSize:
 
     def test_after_recovery_repairs_a_torn_tail(self, tmp_path):
         store = DirectorySessionStore(tmp_path)
-        store.append("s", _create())
-        store.append("s", _record(0))
+        store.append("s", encode_record(_create()))
+        store.append("s", encode_record(_record(0)))
         # A crash mid-append by an earlier writer left half a frame.
         log = tmp_path / "s.log"
         intact = log.stat().st_size
@@ -228,7 +228,7 @@ class TestAppendReturnsTheLogSize:
         _, records = store.recovery("s")
         assert len(records) == 2
         assert log.stat().st_size == intact
-        size = store.append("s", _record(1))
+        size = store.append("s", encode_record(_record(1)))
         assert size == log.stat().st_size == intact + len(encode_record(_record(1)))
 
     def test_threads_that_compact_as_they_go_lose_no_batch(self, tmp_path):
@@ -295,7 +295,7 @@ class TestSharedRoot:
         other.drop("s")
         other.create_session("s", range(5), ESTIMATORS)
         other.compact("s")
-        size = live.store.append("s", _record(0))
+        size = live.store.append("s", encode_record(_record(0)))
         assert size == _log_on_disk(tmp_path, "s") == len(encode_record(_record(0)))
 
 
@@ -507,15 +507,15 @@ def _life_of_a_session(store: DirectorySessionStore, recorder) -> dict:
     """Create, append, compact twice and append; the events of each step."""
     session = StreamingSession(range(5), ["voting"])
     steps = {}
-    store.append("s", _create())
+    store.append("s", encode_record(_create()))
     steps["create"] = recorder.take()
-    store.append("s", _record(0))
+    store.append("s", encode_record(_record(0)))
     steps["append"] = recorder.take()
     store.save("s", session.snapshot())
     steps["compact"] = recorder.take()
     store.save("s", session.snapshot())
     steps["compact again"] = recorder.take()
-    store.append("s", _record(1))
+    store.append("s", encode_record(_record(1)))
     steps["append after compact"] = recorder.take()
     store.delete("s")
     steps["delete"] = recorder.take()
@@ -560,9 +560,9 @@ class TestSyncOrdering:
         assert synced == [(tmp_path / "s.log").read_bytes()]
 
     def test_a_reopened_store_fsyncs_only_the_log(self, tmp_path, monkeypatch):
-        DirectorySessionStore(tmp_path).append("s", _create())
+        DirectorySessionStore(tmp_path).append("s", encode_record(_create()))
         recorder = _DurabilityRecorder(monkeypatch, tmp_path)
-        DirectorySessionStore(tmp_path, sync=True).append("s", _record(0))
+        DirectorySessionStore(tmp_path, sync=True).append("s", encode_record(_record(0)))
         assert recorder.take() == [("fsync", "s.log")]
 
     def test_sync_false_never_fsyncs(self, tmp_path, monkeypatch):

@@ -13,10 +13,16 @@ duplicate delivery must leave the served version as it was.
 The fault layer, on the directory store only: one rule arms a single ``OSError(ENOSPC)`` for the next
 ingest only, at the k-th write the store makes (a log append, or a write
 of the staged file of the compaction the ingest triggers; the failing
-write lands half its bytes) or at the store's next ``os.replace``.  An
-ingest that raises must leave the served version as it was and use up
-no sequence, so the same batch then applies; an ingest that returns is
-acknowledged, and joins the model, also when its compaction failed.
+write lands half its bytes) or at the store's next ``os.replace``.  On a
+``sync=True`` store it may instead raise ``OSError(EIO)`` at the k-th
+``os.fsync`` (the log's, or the staged file's or the root's of the
+compaction), which fails after the whole frame was written.  An ingest
+that raises must leave the served version as it was and use up no
+sequence, so a freshly drawn batch of another column count then
+applies under it: a frame the failed ingest left in the log would
+replay on reopen in its place, and the version would show it.  An
+ingest that returns is acknowledged, and joins the model, also when its
+compaction failed.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ batches = st.lists(
 #: Where the armed ENOSPC strikes: the k-th write the store makes, or its
 #: next rename.
 faults = st.one_of(st.integers(0, 4), st.just("replace"))
+#: Under ``sync=True``, also the k-th fsync (EIO).
+synced_faults = st.one_of(faults, st.integers(0, 2).map(lambda k: ("fsync", k)))
 
 
 def _enospc() -> OSError:
@@ -91,10 +99,12 @@ class _FullDiskHandle:
 @contextmanager
 def _full_disk(fault):
     """Arm one ENOSPC at write number ``fault`` (from 0) or, for
-    ``"replace"``, at the next ``os.replace``; disarmed on exit."""
+    ``"replace"``, at the next ``os.replace``, or one EIO at fsync number
+    ``k`` for ``("fsync", k)``; disarmed on exit."""
     writes: list = []
     replaces: list = []
-    real_replace = os.replace
+    fsyncs: list = []
+    real_replace, real_fsync = os.replace, os.fsync
 
     def opened(*args, **kwargs):
         return _FullDiskHandle(open(*args, **kwargs), writes, fault)
@@ -105,9 +115,15 @@ def _full_disk(fault):
             raise _enospc()
         return real_replace(*args, **kwargs)
 
+    def fsync(descriptor):
+        fsyncs.append(descriptor)
+        if fault == ("fsync", len(fsyncs) - 1):
+            raise OSError(errno.EIO, "Input/output error")
+        return real_fsync(descriptor)
+
     with mock.patch.object(wal, "open", opened, create=True), mock.patch.object(
         store_module, "open", opened, create=True
-    ), mock.patch.object(os, "replace", replace):
+    ), mock.patch.object(os, "replace", replace), mock.patch.object(os, "fsync", fsync):
         yield
 
 
@@ -190,6 +206,11 @@ class _ServiceModel(RuleBasedStateMachine):
 
 
 class DurableService(_ServiceModel):
+    #: Fsync the log after every append (and a compaction's files).
+    sync = False
+    #: Where the armed fault of :meth:`ingest_on_a_full_disk` strikes.
+    faults = faults
+
     def __init__(self) -> None:
         self.root = Path(tempfile.mkdtemp(prefix="wal-model-"))
         super().__init__()
@@ -197,16 +218,17 @@ class DurableService(_ServiceModel):
     def _open(self) -> EstimationService:
         # A small threshold, so ingest compacts by itself now and then.
         return EstimationService(
-            DirectorySessionStore(self.root), compact_after_bytes=500
+            DirectorySessionStore(self.root, sync=self.sync), compact_after_bytes=500
         )
 
     def teardown(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
 
     @precondition(lambda self: self.models)
-    @rule(data=st.data(), fault=faults)
-    def ingest_on_a_full_disk(self, data, fault) -> None:
+    @rule(data=st.data())
+    def ingest_on_a_full_disk(self, data) -> None:
         name = data.draw(st.sampled_from(sorted(self.models)))
+        fault = data.draw(self.faults)
         columns = data.draw(batches)
         sequence = len(self.acknowledged[name]) + 1
         before = self.service.estimate_report(name).version
@@ -214,13 +236,21 @@ class DurableService(_ServiceModel):
             with _full_disk(fault):
                 ack = self.service.ingest(name, columns, source="w", sequence=sequence)
         except OSError:
-            # A failed ingest changes nothing and uses up no sequence ...
+            # A failed ingest changes nothing and uses up no sequence, so a
+            # fresh batch of another column count applies under it ...
             assert self.service.estimate_report(name).version == before
+            failed = columns
+            columns = data.draw(batches.filter(lambda fresh: len(fresh) != len(failed)))
             ack = self.service.ingest(name, columns, source="w", sequence=sequence)
         # ... and one that returns is acknowledged, compaction or not.
         assert not ack.duplicate and ack.applied == len(columns)
         self.models[name].add_columns(columns)
         self.acknowledged[name].append(columns)
+
+
+class SyncedDurableService(DurableService):
+    sync = True
+    faults = synced_faults
 
 
 class MemoryService(_ServiceModel):
@@ -234,4 +264,5 @@ class MemoryService(_ServiceModel):
 
 
 TestDurableService = DurableService.TestCase
+TestSyncedDurableService = SyncedDurableService.TestCase
 TestMemoryService = MemoryService.TestCase
