@@ -22,10 +22,11 @@ directly.  Three implementations cover every access pattern:
   switch scan **shared across checkpoints and across estimators**;
 * :class:`PermutationBatch` — all checkpoint prefixes of **all column
   permutations** at once: the matrix's votes are read once and mapped to
-  their position in every permutation, the count tables become one
-  ``(R, m, N)`` ``bincount`` and the ``R`` switch scans collapse into a
-  single scan of one vote stream (the engine of the
-  permutation-averaged experiment runner);
+  their position in every permutation, the ``R`` switch scans collapse
+  into a single scan of one vote stream, and every per-cell statistic is
+  a running sum over that stream or, for dense matrices, a reduction of
+  ``(R, m, N)`` count tables (the engine of the permutation-averaged
+  experiment runner);
 * :class:`StreamingState` — a live state fed one worker response at a
   time, maintained with O(items touched) work per update (the engine of
   :class:`repro.streaming.StreamingSession`).
@@ -62,7 +63,10 @@ from repro.core.fstatistics import (
 )
 from repro.core.switch import (
     IncrementalSwitchState,
+    _CellGrid,
     _estimation_sweep,
+    _lifetime_sums,
+    _run_sums,
     _stream_key_dtype,
     _SwitchCells,
     _SwitchScan,
@@ -312,6 +316,37 @@ class PositiveMoments(NamedTuple):
     doubletons: np.ndarray
 
 
+#: Votes per checkpoint-item cell below which a batch reads its cell
+#: statistics from the vote stream (see :func:`_reads_stream`): when no
+#: reader of the batch builds the switch scan, and when one does.  Each
+#: lies midway between the last density of its sweep where the stream
+#: path won on most shapes and the first where it lost on most.
+_STREAM_DENSITY = 0.175
+_STREAM_DENSITY_SCANNED = 1.375
+
+
+def _reads_stream(
+    num_votes: int, num_items: int, num_checkpoints: int, reads_switch_scan: bool
+) -> bool:
+    """Whether a batch derives its cell statistics from the vote stream.
+
+    The count-table path costs ``O(R x m x N)`` (the tables and every
+    reduction over them), the stream path ``O(R x V)`` running sums of
+    per-vote deltas over the switch scan, whose sort of the ``R x V``
+    vote keys is its largest cost.  So the rule compares the matrix's
+    ``V`` votes with its ``m x N`` checkpoint-item cells; ``R`` scales
+    both sides alike, so the chunks of a parallel run choose alike.  When
+    a SWITCH estimator reads the batch, it builds the scan on either path
+    and only the running sums are extra: the stream path won on every
+    shape measured at ``V = 0.5 m N``, on three of five at ``1.25`` and
+    on none by more than 1 % from ``1.5``.  Without one it won on four
+    of five at ``0.15`` and on one of five at ``0.2`` (the density
+    sweeps in docs/performance.md).
+    """
+    density = _STREAM_DENSITY_SCANNED if reads_switch_scan else _STREAM_DENSITY
+    return num_votes < density * num_checkpoints * num_items
+
+
 class PermutationBatch:
     """Batched estimation states for ``R`` column permutations of one matrix.
 
@@ -322,15 +357,30 @@ class PermutationBatch:
     re-builds Python fingerprints.  This class restructures the data
     layout instead.  The matrix's votes are read once (``np.nonzero``)
     and each vote's column is mapped to its position in every permutation
-    through the inverse orders, so nothing is ever ``R x N x K``: the
-    checkpoint count tables become one ``(R, m, N)`` ``bincount`` per
-    label, and — because the switch scan treats rows independently — all
-    ``R`` switch scans collapse into a **single**
+    through the inverse orders, so nothing is ever ``R x N x K``, and —
+    because the switch scan treats rows independently — all ``R`` switch
+    scans collapse into a **single**
     :class:`~repro.core.switch._SwitchScan` over one row-major vote
     stream, row ``p * N + i`` being item ``i`` under permutation ``p``,
-    built by one sort of packed vote keys.  The switch statistics of
-    every (permutation, checkpoint) cell then come from that scan's
-    event lifetimes in one pass, with no loop over the permutations.
+    built by one sort of packed vote keys.
+
+    The ``(R, m)`` statistics of every (permutation, checkpoint) cell come
+    from one of two cell paths, chosen by :func:`_reads_stream` from the
+    batch's shape and ``reads_switch_scan``, with no loop over the
+    permutations:
+
+    * the **stream path**, for sparse matrices (the paper's task
+      streams): every statistic is a running sum of per-vote deltas over
+      the scan's stream — a ``bincount`` per group of statistics over
+      (permutation, checkpoint bucket) keys, then one ``cumsum`` — and
+      no ``(R, m, N)`` table is built;
+    * the **table path**, for dense matrices: per-item ``(R, m, N)``
+      count tables, one ``bincount`` per label, reduced per cell, and
+      the switch sums from the scan's event lifetimes.  A batch that no
+      SWITCH estimator reads builds no scan on this path.
+
+    On both, the switch cells' vote totals come from per-column vote
+    counts.
 
     Consumers come in two flavours:
 
@@ -341,7 +391,8 @@ class PermutationBatch:
       :attr:`majority_history` — and evaluate every cell at once;
     * everything else evaluates ``estimate_state`` over :meth:`states`:
       the serial engine's :class:`MatrixSweepState`, reading one
-      permutation's slice of the same shared tables.
+      permutation's slice of the batch's count tables, which are built
+      on first use on either path.
 
     Every quantity either path reads is integer-exact and identical to
     what ``matrix.permute_columns(order)`` + :func:`matrix_sweep_states`
@@ -361,6 +412,12 @@ class PermutationBatch:
         Prefix lengths to evaluate at (resolved with
         :meth:`~repro.crowd.response_matrix.ResponseMatrix.resolve_upto`,
         shared by every permutation).
+    reads_switch_scan:
+        Whether an estimator that reads the switch scan (a SWITCH
+        estimator, whose ``reads_switch_scan`` is true) will evaluate the
+        batch.  The scan is then built on either path, which moves the
+        density bound of :func:`_reads_stream`; the estimates are the same
+        either way.
     """
 
     def __init__(
@@ -368,8 +425,11 @@ class PermutationBatch:
         matrix: ResponseMatrix,
         orders: Sequence[Optional[Sequence[int]]],
         checkpoints: Sequence[int],
+        *,
+        reads_switch_scan: bool = False,
     ):
         self.matrix = matrix
+        self.reads_switch_scan = reads_switch_scan
         self.num_items = matrix.num_items
         num_columns = matrix.num_columns
         identity = np.arange(num_columns, dtype=np.intp)
@@ -388,8 +448,10 @@ class PermutationBatch:
         self._state_lists: Dict[int, List[MatrixSweepState]] = {}
 
     # ------------------------------------------------------------------ #
-    # shared tables (all lazy: a batch of voting-only estimators never
-    # pays for the switch scan, and vice versa)
+    # shared statistics (all lazy: on the table path a batch without a
+    # SWITCH estimator never builds the switch scan, and on the stream
+    # path only ``states(p)`` and vChao92 with a shift other than 1 build
+    # the count tables)
     # ------------------------------------------------------------------ #
     @cached_property
     def _votes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,26 +469,28 @@ class PermutationBatch:
         return positions
 
     @cached_property
-    def _bucket_keys(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The checkpoint-bucket lookup shared by both count tables.
+    def _grid(self) -> _CellGrid:
+        """The (permutation, checkpoint bucket) grid every cell statistic is summed on."""
+        return _CellGrid(
+            self.num_permutations, self.num_items, self.matrix.num_columns, self.resolved
+        )
 
-        Returns ``(keys, slots, buckets)``: ``keys[p, c]`` is the flat
-        ``(permutation, bucket)`` offset, times ``N``, of a vote in
-        original column ``c`` — bucket ``b`` holds the positions from the
-        ``b - 1``-th distinct checkpoint up to the ``b``-th, and the last
-        bucket the positions after every checkpoint.  ``slots`` maps each
-        resolved checkpoint to its distinct checkpoint.
+    @cached_property
+    def _from_stream(self) -> bool:
+        """Whether the cell statistics come from the vote stream (see :func:`_reads_stream`)."""
+        return _reads_stream(
+            self._votes[0].size, self.num_items, self.num_checkpoints, self.reads_switch_scan
+        )
+
+    @cached_property
+    def _bucket_keys(self) -> np.ndarray:
+        """``keys[p, c]``: the cell key, times ``N``, of a vote in original column ``c``.
+
+        Shared by both count tables; row ``p * N`` is permutation ``p``'s
+        first stream row.
         """
-        distinct, slots = np.unique(
-            np.asarray(self.resolved, dtype=np.int64), return_inverse=True
-        )
-        buckets = distinct.size + 1
-        by_position = np.searchsorted(
-            distinct, np.arange(self.matrix.num_columns), side="right"
-        )
-        offsets = np.arange(self.num_permutations)[:, None] * buckets
-        keys = (offsets + by_position[self._positions]) * self.num_items
-        return keys, slots, buckets
+        first_rows = np.arange(self.num_permutations)[:, None] * self.num_items
+        return self._grid.keys(first_rows, self._positions) * self.num_items
 
     def _label_table(self, label: int) -> np.ndarray:
         """(R, m, N) per-item counts of ``label`` votes at each checkpoint.
@@ -444,22 +508,23 @@ class PermutationBatch:
         """
         if not self.resolved:
             return np.zeros((self.num_permutations, 0, self.num_items), dtype=np.int32)
-        keys, slots, buckets = self._bucket_keys
+        grid = self._grid
+        num_permutations, buckets = grid.shape
         items, columns, labels = self._votes
         chosen = labels == label
         counts = np.bincount(
-            (keys[:, columns[chosen]] + items[chosen]).ravel(),
-            minlength=self.num_permutations * buckets * self.num_items,
-        ).reshape(self.num_permutations, buckets, self.num_items)
+            (self._bucket_keys[:, columns[chosen]] + items[chosen]).ravel(),
+            minlength=grid.size * self.num_items,
+        ).reshape(num_permutations, buckets, self.num_items)
         # int32 halves the table's memory traffic; counts are bounded by
         # the column count, far below the int32 range.
-        table = np.empty((self.num_permutations, buckets - 1, self.num_items), dtype=np.int32)
+        table = np.empty((num_permutations, buckets - 1, self.num_items), dtype=np.int32)
         table[:, 0] = counts[:, 0]
         for bucket in range(1, buckets - 1):
             np.add(
                 table[:, bucket - 1], counts[:, bucket], out=table[:, bucket], casting="unsafe"
             )
-        return table[:, slots]
+        return table[:, grid.slots]
 
     @cached_property
     def positive_table(self) -> np.ndarray:
@@ -477,13 +542,80 @@ class PermutationBatch:
         return self.positive_table + self.negative_table
 
     @cached_property
+    def _vote_keys(self) -> np.ndarray:
+        """(R x V,) cell key of every vote of the stream."""
+        return self._grid.keys(self._scan.vote_rows, self._scan.vote_cols)
+
+    @cached_property
+    def _prior_votes(self) -> np.ndarray:
+        """(V,) votes the item of each stream slot received before it.
+
+        Every permutation holds the same votes per item, so slot ``v`` of
+        every permutation's ``V``-long block of the stream is vote
+        ``prior[v] + 1`` of item ``items[v]`` of the row-major vote list.
+        """
+        items = self._votes[0]
+        return np.arange(items.size) - np.searchsorted(items, items)
+
+    def _by_slot(self, values: np.ndarray) -> np.ndarray:
+        """A stream array as ``(R, V)``: permutation x slot."""
+        return values.reshape(self.num_permutations, -1)
+
+    @cached_property
+    def _positive_sums(self) -> np.ndarray:
+        """``(5, R, m)`` stream-path positive-count statistics.
+
+        Rows: ``sum_i n_i``, ``sum_i n_i^2``, ``f_1``, ``f_2`` and
+        ``c_nominal``.  Only dirty votes move them: a dirty vote on an
+        item with ``a`` earlier positive votes adds 1 to ``n`` and ``2a +
+        1`` to ``sum n^2``; it adds an item to ``c_nominal`` and ``f_1``
+        at ``a = 0``, moves one from ``f_1`` to ``f_2`` at ``a = 1`` and
+        takes one out of ``f_2`` at ``a = 2``.  ``a`` comes from the
+        scan's margin after the vote, ``(prior votes + margin - 1) / 2``.
+        One ``bincount`` of the dirty votes by cell and ``min(a, 3)``
+        and one ``np.add.at`` of ``a`` fill the cells; both count in
+        int64, so every cell is exact.
+        """
+        scan, grid = self._scan, self._grid
+        dirty = np.flatnonzero(scan.vote_labels == DIRTY)
+        keys = self._vote_keys[dirty]
+        halves = self._by_slot(scan.vote_margin) + (self._prior_votes - 1)
+        earlier = halves.ravel()[dirty] >> 1
+        classes = np.bincount(
+            4 * keys + np.minimum(earlier, 3), minlength=4 * grid.size
+        ).reshape(grid.size, 4).T
+        earlier_sum = np.zeros(grid.size, dtype=np.int64)
+        np.add.at(earlier_sum, keys, earlier)
+        total = classes.sum(axis=0)
+        return grid.running(
+            np.stack(
+                [
+                    total,
+                    total + 2 * earlier_sum,
+                    classes[0] - classes[1],
+                    classes[1] - classes[2],
+                    classes[0],
+                ]
+            )
+        )
+
+    @cached_property
     def nominal_counts(self) -> np.ndarray:
         """``c_nominal`` per (permutation, checkpoint) cell, ``(R, m)``."""
+        if self._from_stream:
+            return self._positive_sums[4]
         return (self.positive_table > 0).sum(axis=2)
 
     @cached_property
     def majority_counts(self) -> np.ndarray:
-        """``c_majority`` per (permutation, checkpoint) cell, ``(R, m)``."""
+        """``c_majority`` per (permutation, checkpoint) cell, ``(R, m)``.
+
+        On the stream path it is read from :attr:`majority_history` at the
+        checkpoints; on the table path it is reduced from the count
+        tables, so a batch without a SWITCH estimator builds no scan.
+        """
+        if self._from_stream:
+            return self.majority_history[:, self.resolved]
         return (self.positive_table > self.negative_table).sum(axis=2)
 
     @cached_property
@@ -494,6 +626,8 @@ class PermutationBatch:
         count; no per-count histogram is built, whose width would grow
         with the largest count.
         """
+        if self._from_stream:
+            return PositiveMoments(*self._positive_sums[:4])
         positives = self.positive_table
         return PositiveMoments(
             total=positives.sum(axis=2, dtype=np.int64),
@@ -507,17 +641,39 @@ class PermutationBatch:
 
         The batch form of :meth:`MatrixSweepState.coverage_counts`:
         items with at least ``min_votes`` votes, and those of them whose
-        majority is dirty.
+        majority is dirty.  On the stream path an item becomes covered
+        at its ``min_votes``-th vote, which adds it to the sample errors
+        if its majority is dirty then; from its next vote on, its
+        majority deltas move them.
         """
-        covered_mask = self._seen_table >= min_votes
-        covered = covered_mask.sum(axis=2)
-        if min_votes <= 1:
-            # A majority-dirty item has a vote, so it is always covered.
+        if not self._from_stream:
+            covered_mask = self._seen_table >= min_votes
+            covered = covered_mask.sum(axis=2)
+            if min_votes <= 1:
+                # A majority-dirty item has a vote, so it is always covered.
+                return covered, self.majority_counts
+            sample_errors = (
+                covered_mask & (self.positive_table > self.negative_table)
+            ).sum(axis=2)
+            return covered, sample_errors
+        if min_votes <= 0:
+            return np.full(self.majority_counts.shape, self.num_items), self.majority_counts
+        scan, grid = self._scan, self._grid
+        keys = self._by_slot(self._vote_keys)
+        reaching = np.flatnonzero(self._prior_votes == min_votes - 1)
+        covered = grid.count(keys[:, reaching].ravel())
+        if min_votes == 1:
             return covered, self.majority_counts
-        sample_errors = (
-            covered_mask & (self.positive_table > self.negative_table)
-        ).sum(axis=2)
-        return covered, sample_errors
+        later = np.flatnonzero(self._prior_votes >= min_votes)
+        sample_errors = np.zeros(grid.size, dtype=np.int64)
+        np.add.at(
+            sample_errors,
+            keys[:, later].ravel(),
+            self._by_slot(scan.vote_majority_delta)[:, later].ravel(),
+        )
+        dirty = self._by_slot(scan.vote_margin)[:, reaching] > 0
+        sample_errors += np.bincount(keys[:, reaching][dirty], minlength=grid.size)
+        return covered, grid.running(sample_errors)
 
     @cached_property
     def _scan(self) -> _SwitchScan:
@@ -556,11 +712,21 @@ class PermutationBatch:
         """Switch statistics of every cell as ``(R, m)`` tables.
 
         Both batched SWITCH estimators read this one object, filled from
-        the shared scan's event lifetimes for all permutations at once;
-        every cell equals ``switch_statistics(permuted_matrix,
-        checkpoint)``.
+        the shared scan for all permutations at once; every cell equals
+        ``switch_statistics(permuted_matrix, checkpoint)``.  The vote
+        totals come from per-column vote counts, and the rediscovery
+        sums from event lifetimes and the count tables, or on the stream
+        path from per-vote deltas.
         """
-        return _SwitchCells(self._scan, self.resolved, self._seen_table)
+        scan, grid = self._scan, self._grid
+        if self._from_stream:
+            sums = _run_sums(scan, grid, self._vote_keys)
+        else:
+            sums = _lifetime_sums(scan, grid, self._seen_table)
+        per_column = np.bincount(self._votes[1], minlength=self.matrix.num_columns)
+        running = np.zeros((self.num_permutations, self.matrix.num_columns + 1), dtype=np.int64)
+        np.cumsum(per_column[self._orders], axis=1, out=running[:, 1:])
+        return _SwitchCells(scan, grid, running[:, self.resolved], sums)
 
     @cached_property
     def majority_history(self) -> np.ndarray:

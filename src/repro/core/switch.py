@@ -216,12 +216,15 @@ class _SwitchScan:
         num_columns: int,
     ):
         self.num_columns = int(num_columns)
-        #: (V,) row / column of every vote, in row-major scan order.
+        #: (V,) row / column / label of every vote, in row-major scan order.
         self.vote_rows = rows
         self.vote_cols = cols
+        self.vote_labels = labels
         empty = np.zeros(0, dtype=np.int64)
         #: (V,) consensus label after each vote (tie-flip convention).
         self.vote_states = np.zeros(0, dtype=bool)
+        #: (V,) margin ``n^+ - n^-`` of the vote's row after the vote.
+        self.vote_margin = np.zeros(0, dtype=np.int32)
         #: (V,) per-vote change of the majority count (-1, 0 or +1); the
         #: batch engine folds these per column into majority histories.
         self.vote_majority_delta = np.zeros(0, dtype=np.int8)
@@ -234,9 +237,14 @@ class _SwitchScan:
         self._event_first = empty
         if rows.size == 0:
             return
-        self.vote_states, is_event, self.vote_majority_delta, row_starts, row_lengths = (
-            self._compact(rows, labels)
-        )
+        (
+            self.vote_states,
+            self.vote_margin,
+            is_event,
+            self.vote_majority_delta,
+            row_starts,
+            row_lengths,
+        ) = self._compact(rows, labels)
         event_pos = np.flatnonzero(is_event)
         self.event_rows = rows[event_pos].astype(np.int64)
         self.event_cols = cols[event_pos].astype(np.int64)
@@ -258,14 +266,16 @@ class _SwitchScan:
 
     @staticmethod
     def _compact(rows: np.ndarray, labels: np.ndarray):
-        """Per-vote states, events and majority deltas over the stream.
+        """Per-vote states, margins, events and majority deltas over the stream.
 
         The per-vote margin comes from a segmented cumulative sum: a
         global cumsum of the ±1 deltas minus each row's base offset (the
         cumulative value just before the row's first vote).  Also returns
         the stream position of every row's first vote, and its vote count.
         """
-        deltas = np.where(labels == DIRTY, np.int32(1), np.int32(-1))
+        # Labels are CLEAN (0) or DIRTY (1).  The arithmetic form took 7.8
+        # against 63 us for ``np.where`` at the benchmark's sweep shape.
+        deltas = 2 * labels - 1
         cumulative = np.cumsum(deltas, dtype=_margin_cumsum_dtype(deltas.size))
         new_row = np.empty(deltas.shape, dtype=bool)
         new_row[0] = True
@@ -287,7 +297,7 @@ class _SwitchScan:
         # state, not against the previous row's last vote.
         previous_state[row_starts] = False
         is_event = votes_state != previous_state
-        return votes_state, is_event, majority_delta, row_starts, row_lengths
+        return votes_state, margin_at_vote, is_event, majority_delta, row_starts, row_lengths
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -500,6 +510,52 @@ class _EstimationSwitchStats:
         return _fingerprint_from_rediscoveries(counts, self.n_switch)
 
 
+class _CellGrid:
+    """The (permutation, checkpoint bucket) grid of a batch's cell sums.
+
+    The bucket of a column is the number of distinct checkpoints at or
+    before it, so a checkpoint's prefix holds the buckets up to its
+    distinct checkpoint's index: a statistic summed per (permutation,
+    bucket) becomes its value at every checkpoint through one ``cumsum``
+    (:meth:`running`).  Cell keys are flat ``permutation * buckets +
+    bucket`` offsets.
+    """
+
+    def __init__(
+        self, num_permutations: int, num_items: int, num_columns: int, resolved: Sequence[int]
+    ):
+        distinct, first_slot, slots = np.unique(
+            np.asarray(resolved, dtype=np.int64), return_index=True, return_inverse=True
+        )
+        self.num_items = num_items
+        #: ``(R, buckets)``: one bucket per distinct checkpoint, and the last
+        #: for the columns after every checkpoint.
+        self.shape = (num_permutations, distinct.size + 1)
+        self.size = num_permutations * self.shape[1]
+        #: (K,) bucket of every column.
+        self.bucket_of = np.searchsorted(distinct, np.arange(num_columns), side="right")
+        #: (m,) distinct-checkpoint index of every checkpoint.
+        self.slots = slots
+        #: (distinct,) index of the first checkpoint of each distinct one.
+        self.first_slot = first_slot
+
+    def keys(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Cell keys of stream votes: row ``p * N + i`` is item ``i`` under permutation ``p``.
+
+        ``cols`` are positions in the permutation; the arrays broadcast.
+        """
+        return rows // self.num_items * self.shape[1] + self.bucket_of[cols]
+
+    def running(self, sums: np.ndarray) -> np.ndarray:
+        """``(..., R, m)`` values at each checkpoint of ``(..., size)`` per-bucket sums."""
+        sums = sums.reshape(sums.shape[:-1] + self.shape)
+        return np.cumsum(sums, axis=-1)[..., self.slots]
+
+    def count(self, keys: np.ndarray) -> np.ndarray:
+        """``(R, m)`` counts of the cell ``keys`` at or before each checkpoint."""
+        return self.running(np.bincount(keys, minlength=self.size))
+
+
 class _SwitchCells:
     """Switch sufficient statistics of every (permutation, checkpoint) cell.
 
@@ -509,45 +565,25 @@ class _SwitchCells:
     each per-checkpoint statistic.  Every cell holds the integers
     ``switch_statistics(permuted_matrix, checkpoint)`` gives.
 
-    The tables are filled from event lifetimes, for all permutations at
-    once.  The bucket of a column is the number of distinct checkpoints
-    at or before it.  An event is active from the bucket of its switch
-    column on, and complete from the bucket of its last vote's column:
-    from there its rediscovery count is its full ``L = last - index + 1``.
-    Complete events enter int64 difference arrays over (permutation,
-    bucket) that one ``cumsum`` sums; only the (event, checkpoint) pairs
-    between the two buckets read the seen table.  The active-event and
-    distinct-item counts are ``bincount``s of start buckets: of every
-    event, and of every row's first switch in each direction.
+    The observed-switch and distinct-item counts are ``bincount``s of
+    start buckets, for all permutations at once: of every event, and of
+    every row's first switch in each direction.  The rediscovery sums
+    come from :func:`_lifetime_sums` (a batch with count tables) or
+    :func:`_run_sums` (one without); both are exact integers.
     """
 
     __slots__ = ("n_switch", "total_votes", "counts", "singletons", "pair_sums", "items")
 
-    def __init__(self, scan: _SwitchScan, resolved: Sequence[int], seen_table: np.ndarray):
+    def __init__(
+        self, scan: _SwitchScan, grid: _CellGrid, total_votes: np.ndarray, sums: np.ndarray
+    ):
         """``scan`` is the batch stream, whose row ``p * N + i`` is item ``i``
-        under permutation ``p``; ``seen_table`` is ``(R, m, N)``: the votes
-        of each item at each checkpoint."""
-        num_permutations, num_checkpoints, num_items = seen_table.shape
-        distinct, first_slot, slots = np.unique(
-            np.asarray(resolved, dtype=np.int64), return_index=True, return_inverse=True
-        )
-        buckets = distinct.size + 1
-        size = num_permutations * buckets
-        permutation, items = np.divmod(scan.event_rows, num_items)
-        offset = permutation * buckets
-        bucket_of = np.searchsorted(distinct, np.arange(scan.num_columns), side="right")
-        start = bucket_of[scan.event_cols]
-        end = bucket_of[scan.vote_cols[scan._event_first + scan.event_last_vote - 1]]
+        under permutation ``p``; ``total_votes`` is ``(R, m)`` and ``sums``
+        ``(5, R, m)``, the rows of :func:`_cell_sums`."""
+        started = grid.keys(scan.event_rows, scan.event_cols)
         positive = scan.event_states == 1
-
-        def running(keys: np.ndarray) -> np.ndarray:
-            """``(R, m)`` counts of the cell ``keys`` at or before each checkpoint."""
-            counts = np.bincount(keys, minlength=size).reshape(num_permutations, buckets)
-            return np.cumsum(counts, axis=1)[:, slots]
-
-        started = offset + start
         #: direction -> (R, m) observed switch counts.
-        self.counts = {None: running(started), POSITIVE: running(started[positive])}
+        self.counts = {None: grid.count(started), POSITIVE: grid.count(started[positive])}
         # A row's switches alternate direction from its first, positive
         # one: its first negative switch is its second switch.
         first = np.ones(started.shape, dtype=bool)
@@ -555,31 +591,10 @@ class _SwitchCells:
         second = np.zeros_like(first)
         second[1:] = first[:-1] & ~first[1:]
         #: direction -> (R, m) distinct items with at least one switch.
-        self.items = {None: running(started[first]), NEGATIVE: running(started[second])}
+        self.items = {None: grid.count(started[first]), NEGATIVE: grid.count(started[second])}
         self.items[POSITIVE] = self.items[None]
-        complete = _cell_sums(
-            offset + end, scan.event_last_vote - scan.event_vote_index + 1, positive, size
-        )
-        # The partial (event, checkpoint) pairs lie between an event's
-        # start and end buckets: ``np.repeat`` spells out each event's run
-        # of cell keys, and ``table_rows`` maps a cell key to the offset of
-        # its (permutation, checkpoint) row in the flat seen table.
-        spans = end - start
-        keys = np.arange(spans.sum()) + np.repeat(started - (np.cumsum(spans) - spans), spans)
-        table_rows = (
-            num_checkpoints * np.arange(num_permutations)[:, None] + np.append(first_slot, 0)
-        ) * num_items
-        seen = seen_table.reshape(-1)[table_rows.ravel()[keys] + np.repeat(items, spans)]
-        partial = _cell_sums(
-            keys,
-            seen - np.repeat(scan.event_vote_index - 1, spans),
-            np.repeat(positive, spans),
-            size,
-        )
-        shape = (5, num_permutations, buckets)
-        sums = (np.cumsum(complete.reshape(shape), axis=2) + partial.reshape(shape))[..., slots]
         #: (R, m) unadjusted vote totals.
-        self.total_votes = seen_table.sum(axis=2, dtype=np.int64)
+        self.total_votes = total_votes
         #: (R, m) adjusted observation count ``n_switch``.
         self.n_switch = sums[0]
         #: direction -> (R, m) singleton (f'_1) counts.
@@ -600,6 +615,81 @@ class _SwitchCells:
             self.pair_sums[direction],
             use_skew_correction,
         )
+
+
+def _lifetime_sums(scan: _SwitchScan, grid: _CellGrid, seen_table: np.ndarray) -> np.ndarray:
+    """``(5, R, m)`` rediscovery sums of every cell from event lifetimes.
+
+    An event is active from the bucket of its switch column on, and
+    complete from the bucket of its last vote's column: from there its
+    rediscovery count is its full ``L = last - index + 1``.  Complete
+    events enter int64 difference arrays over (permutation, bucket) that
+    one ``cumsum`` sums; only the (event, checkpoint) pairs between the
+    two buckets read ``seen_table``, the ``(R, m, N)`` votes of each item
+    at each checkpoint.
+    """
+    num_permutations, num_checkpoints, num_items = seen_table.shape
+    started = grid.keys(scan.event_rows, scan.event_cols)
+    ended = grid.keys(
+        scan.event_rows, scan.vote_cols[scan._event_first + scan.event_last_vote - 1]
+    )
+    positive = scan.event_states == 1
+    complete = _cell_sums(
+        ended, scan.event_last_vote - scan.event_vote_index + 1, positive, grid.size
+    )
+    # The partial (event, checkpoint) pairs lie between an event's start
+    # and end buckets: ``np.repeat`` spells out each event's run of cell
+    # keys, and ``table_rows`` maps a cell key to the offset of its
+    # (permutation, checkpoint) row in the flat seen table.
+    spans = ended - started
+    keys = np.arange(spans.sum()) + np.repeat(started - (np.cumsum(spans) - spans), spans)
+    table_rows = (
+        num_checkpoints * np.arange(num_permutations)[:, None] + np.append(grid.first_slot, 0)
+    ) * num_items
+    items = scan.event_rows % num_items
+    seen = seen_table.reshape(-1)[table_rows.ravel()[keys] + np.repeat(items, spans)]
+    partial = _cell_sums(
+        keys,
+        seen - np.repeat(scan.event_vote_index - 1, spans),
+        np.repeat(positive, spans),
+        grid.size,
+    )
+    shape = (5,) + grid.shape
+    return (np.cumsum(complete.reshape(shape), axis=2) + partial.reshape(shape))[..., grid.slots]
+
+
+def _run_sums(scan: _SwitchScan, grid: _CellGrid, vote_keys: np.ndarray) -> np.ndarray:
+    """``(5, R, m)`` rediscovery sums of every cell from per-vote deltas.
+
+    A run is a switch vote and the votes that rediscover it, up to the
+    item's next switch.  Its ``r``-th vote adds 1 to ``n_switch`` and
+    ``2 (r - 1)`` to ``sum r (r - 1)``; its first vote adds a singleton
+    and its second takes it away.  ``np.repeat`` spells out every run's
+    votes from the event positions, and the deltas are summed per cell
+    key (``vote_keys`` holds every stream vote's) in int64, so no count
+    table is read.
+    """
+    switch_votes = scan._event_first + scan.event_vote_index - 1
+    lengths = scan.event_last_vote - scan.event_vote_index + 1
+    positive = (scan.event_states == 1).astype(np.int64)
+    run = np.repeat(np.arange(lengths.size), lengths)
+    rediscovered = np.arange(run.size) - (np.cumsum(lengths) - lengths)[run]  # r - 1
+    keys = 2 * vote_keys[switch_votes[run] + rediscovered] + positive[run]
+    size = 2 * grid.size
+    pairs = np.zeros(size, dtype=np.int64)
+    np.add.at(pairs, keys, 2 * rediscovered)
+    opened = np.bincount(2 * vote_keys[switch_votes] + positive, minlength=size)
+    twice = lengths > 1
+    closed = np.bincount(2 * vote_keys[switch_votes[twice] + 1] + positive[twice], minlength=size)
+    # Per cell, column 1 holds the positive switches' sums and column 0
+    # the negative ones'.
+    by_direction = np.stack(
+        [np.bincount(keys, minlength=size), opened - closed, pairs]
+    ).reshape(3, grid.size, 2)
+    totals = by_direction.sum(axis=2)
+    return grid.running(
+        np.stack([totals[0], totals[1], totals[2], by_direction[1, :, 1], by_direction[2, :, 1]])
+    )
 
 
 def _cell_sums(
@@ -930,6 +1020,11 @@ class SwitchEstimator(StateEstimatorMixin):
     direction: Optional[str] = None
     use_skew_correction: bool = True
     name: str = "switch"
+
+    #: The batched form reads the batch's switch scan, so a runner batch
+    #: that evaluates this estimator builds it on either cell path (see
+    #: :class:`~repro.core.state.PermutationBatch`).
+    reads_switch_scan = True
 
     def _result_from_stats(
         self,

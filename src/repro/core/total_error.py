@@ -62,6 +62,11 @@ class SwitchTotalErrorEstimator(StateEstimatorMixin):
     use_skew_correction: bool = True
     name: str = "switch_total"
 
+    #: The batched form reads the batch's switch scan, so a runner batch
+    #: that evaluates this estimator builds it on either cell path (see
+    #: :class:`~repro.core.state.PermutationBatch`).
+    reads_switch_scan = True
+
     def __post_init__(self) -> None:
         if self.trend_mode not in TREND_MODES:
             raise ValidationError(

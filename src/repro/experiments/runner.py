@@ -159,7 +159,14 @@ def _evaluate_permutation_batch(
     shape the per-permutation loop produces; each value is that
     permutation's row of the estimator's ``(R, m)`` estimate array.
     """
-    batch = PermutationBatch(matrix, orders, checkpoints)
+    batch = PermutationBatch(
+        matrix,
+        orders,
+        checkpoints,
+        reads_switch_scan=any(
+            getattr(estimator, "reads_switch_scan", False) for estimator in estimators
+        ),
+    )
     per_estimator = {
         estimator.name: batch_estimates(estimator, batch).estimates
         for estimator in estimators

@@ -2,6 +2,7 @@
 
 * the margin cumsum int32/int64 promotion of the vectorised compaction;
 * the int32/int64 choice of the batch engine's vote-stream sort keys;
+* the int64 accumulators of the stream path's cell sums;
 * a real scan past the int16 range: the vote ordinals, rediscoveries and
   vote totals of one item with 50,000 votes stay exact, in the serial
   scan and in the batch engine, and its skew pair sum passes the int32
@@ -58,6 +59,38 @@ class TestDtypeAudit:
             )
         np.testing.assert_array_equal(
             wide.switch_sweep_cells.pair_sums[None], narrow.switch_sweep_cells.pair_sums[None]
+        )
+
+    def test_stream_path_sums_in_int64(self, monkeypatch):
+        # The stream path sums per-vote deltas per cell: 2a + 1 for sum
+        # n^2 and 2 (r - 1) for the skew pair sum.  One item with 70,000
+        # dirty votes takes both past 2**32 in its last cell, so a float
+        # or 32-bit accumulator would show here.
+        num_columns = 70_000
+        values = np.full((1, num_columns), DIRTY, dtype=np.int8)
+        values[0, 1] = CLEAN  # a tie: the item switches back, then dirty again
+        matrix = ResponseMatrix.from_array(values)
+        checkpoints = [1, 2, 40_000, num_columns]
+        table = PermutationBatch(matrix, [None, None], checkpoints)
+        assert not table._from_stream
+        monkeypatch.setattr(state, "_reads_stream", lambda *shape: True)
+        stream = PermutationBatch(matrix, [None, None], checkpoints)
+        assert stream._from_stream
+        positives = num_columns - 1
+        assert stream.positive_moments.squares[0, -1] == positives**2 > 2**32
+        # After the tie, the third switch is rediscovered by every later vote.
+        last_run = num_columns - 2
+        assert stream.switch_sweep_cells.pair_sums[None][0, -1] == last_run * (last_run - 1) > 2**32
+        for name in ("total", "squares", "singletons", "doubletons"):
+            got = getattr(stream.positive_moments, name)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, getattr(table.positive_moments, name), err_msg=name)
+        for name in ("n_switch", "total_votes"):
+            np.testing.assert_array_equal(
+                getattr(stream.switch_sweep_cells, name), getattr(table.switch_sweep_cells, name)
+            )
+        np.testing.assert_array_equal(
+            stream.switch_sweep_cells.pair_sums[None], table.switch_sweep_cells.pair_sums[None]
         )
 
     def test_long_row_counts_survive_int16_overflow(self):

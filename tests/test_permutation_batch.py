@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.common.exceptions import ValidationError
 from repro.common.labels import CLEAN, DIRTY, UNSEEN
+from repro.core import state as state_module
 from repro.core.base import (
     BatchEstimates,
     EstimateResult,
@@ -33,7 +34,7 @@ from repro.core.base import (
 from repro.core.chao92 import Chao92Estimator
 from repro.core.extrapolation import ExtrapolationEstimator
 from repro.core.registry import available_estimators, get_estimator
-from repro.core.state import PermutationBatch
+from repro.core.state import PermutationBatch, matrix_sweep_states
 from repro.core.switch import (
     NEGATIVE,
     POSITIVE,
@@ -45,6 +46,7 @@ from repro.core.total_error import TREND_MODES, SwitchTotalErrorEstimator
 from repro.core.vchao92 import VChao92Estimator
 from repro.crowd.consensus import majority_count_history
 from repro.crowd.response_matrix import ResponseMatrix
+from repro.experiments import runner as runner_module
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
 #: The batch engine's one scan path, named as benchmark entries name it;
@@ -172,39 +174,85 @@ class TestPropertyEquivalence:
         )
 
 
-def _assert_switch_cells_match(matrix, orders, checkpoints):
-    """Every cell of ``batch.switch_sweep_cells`` holds the serial integers.
+def _cell_statistics(batch):
+    """Every ``(R, m)`` statistic the built-in batched estimators read, by name."""
+    moments = batch.positive_moments
+    statistics = {
+        "total": moments.total,
+        "squares": moments.squares,
+        "singletons": moments.singletons,
+        "doubletons": moments.doubletons,
+        "nominal": batch.nominal_counts,
+        "majority": batch.majority_counts,
+    }
+    for min_votes in (1, 2, 3):
+        covered, sample_errors = batch.coverage_counts(min_votes)
+        statistics[f"covered_{min_votes}"] = covered
+        statistics[f"sample_errors_{min_votes}"] = sample_errors
+    cells = batch.switch_sweep_cells
+    statistics["n_switch"] = cells.n_switch
+    statistics["total_votes"] = cells.total_votes
+    for direction in (None, POSITIVE, NEGATIVE):
+        for name in ("counts", "items", "singletons", "pair_sums"):
+            statistics[f"switch_{name}_{direction}"] = getattr(cells, name)[direction]
+    return statistics
 
-    The reference is ``switch_statistics`` of the materialised
-    permutation, read through its event list: per direction the observed
-    switches, the distinct items, f'_1 and ``sum r (r - 1)``.
-    """
-    cells = PermutationBatch(matrix, orders, checkpoints).switch_sweep_cells
-    for p, order in enumerate(orders):
+
+def _forced_batch(stream, matrix, orders, checkpoints):
+    """A batch whose cell statistics come from the named path, all computed."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_reads_stream", lambda *shape: stream)
+        batch = PermutationBatch(matrix, orders, checkpoints)
+        assert batch._from_stream is stream
+        return batch, _cell_statistics(batch)
+
+
+def _serial_statistics(matrix, orders, checkpoints):
+    """The same statistics from the serial engine, one permuted matrix at a time."""
+    rows = []
+    for order in orders:
         permuted = matrix if order is None else matrix.permute_columns(order)
-        for j, checkpoint in enumerate(checkpoints):
-            stats = switch_statistics(permuted, checkpoint)
-            assert cells.n_switch[p, j] == stats.n_switch
-            assert cells.total_votes[p, j] == stats.total_votes
+        row = []
+        for state in matrix_sweep_states(permuted, checkpoints):
+            fingerprint = state.positive_fingerprint()
+            frequencies = fingerprint.frequencies
+            cell = {
+                "total": fingerprint.num_observations,
+                "squares": sum(j * j * count for j, count in frequencies.items()),
+                "singletons": frequencies.get(1, 0),
+                "doubletons": frequencies.get(2, 0),
+                "nominal": state.nominal_count(),
+                "majority": state.majority_count(),
+            }
+            for min_votes in (1, 2, 3):
+                covered, sample_errors = state.coverage_counts(min_votes)
+                cell[f"covered_{min_votes}"] = covered
+                cell[f"sample_errors_{min_votes}"] = sample_errors
+            stats = switch_statistics(permuted, state.num_columns)
+            cell["n_switch"] = stats.n_switch
+            cell["total_votes"] = stats.total_votes
             for direction in (None, POSITIVE, NEGATIVE):
-                events = (
-                    stats.events
-                    if direction is None
-                    else stats.events_by_direction(direction)
-                )
+                events = stats.events if direction is None else stats.events_by_direction(direction)
                 counts = [event.rediscoveries for event in events]
-                got = [
-                    int(cells.counts[direction][p, j]),
-                    int(cells.items[direction][p, j]),
-                    int(cells.singletons[direction][p, j]),
-                    int(cells.pair_sums[direction][p, j]),
-                ]
-                assert got == [
-                    len(events),
-                    len({event.item_id for event in events}),
-                    counts.count(1),
-                    sum(r * (r - 1) for r in counts),
-                ], (direction, p, checkpoint)
+                cell[f"switch_counts_{direction}"] = len(events)
+                cell[f"switch_items_{direction}"] = len({event.item_id for event in events})
+                cell[f"switch_singletons_{direction}"] = counts.count(1)
+                cell[f"switch_pair_sums_{direction}"] = sum(r * (r - 1) for r in counts)
+            row.append(cell)
+        rows.append(row)
+    return {name: [[cell[name] for cell in row] for row in rows] for name in rows[0][0]}
+
+
+def _assert_switch_cells_match(matrix, orders, checkpoints, stream):
+    """Every cell statistic of the batch, on the named path, holds the serial integers.
+
+    The switch cells' reference is ``switch_statistics`` of the
+    materialised permutation, read through its event list: per direction
+    the observed switches, the distinct items, f'_1 and ``sum r (r - 1)``.
+    """
+    _, batch = _forced_batch(stream, matrix, orders, checkpoints)
+    for name, expected in _serial_statistics(matrix, orders, checkpoints).items():
+        assert batch[name].tolist() == expected, name
 
 
 class TestSwitchCells:
@@ -220,25 +268,30 @@ class TestSwitchCells:
         )
         # 0 and past-K checkpoints come from the case; unsorted and repeated
         # ones are added here.
-        _assert_switch_cells_match(matrix, orders, checkpoints[::-1] + checkpoints[:2])
+        for stream in (True, False):
+            _assert_switch_cells_match(
+                matrix, orders, checkpoints[::-1] + checkpoints[:2], stream
+            )
 
     def test_a_permutation_without_switch_events(self):
         # Item 0 votes D, C, C: it switches at its first vote and again at
         # the tie.  Reordered to C, C, D it never leaves clean, and item 1
-        # never votes dirty.
+        # never votes dirty.  Both cell paths.
         votes = np.array([[DIRTY, CLEAN, CLEAN], [CLEAN, CLEAN, UNSEEN]], dtype=np.int8)
         matrix = ResponseMatrix.from_array(votes)
         orders = [None, [1, 2, 0]]
-        cells = PermutationBatch(matrix, orders, [3]).switch_sweep_cells
-        assert cells.counts[None].tolist() == [[2], [0]]
-        _assert_switch_cells_match(matrix, orders, [3, 0, 1, 3, 5])
+        for stream in (True, False):
+            batch, _ = _forced_batch(stream, matrix, orders, [3])
+            assert batch.switch_sweep_cells.counts[None].tolist() == [[2], [0]]
+            _assert_switch_cells_match(matrix, orders, [3, 0, 1, 3, 5], stream)
 
     def test_long_events_stay_partial_across_checkpoints(self):
         # Items that vote (almost) only dirty switch once, early, and every
         # later vote rediscovers that switch, so each event stays partial
-        # at every checkpoint before its item's last vote.  One
+        # at every checkpoint before its item's last vote: on the table
+        # path those (event, checkpoint) pairs read the seen table.  One
         # permutation; more checkpoints than columns, repeated and
-        # unsorted.
+        # unsorted.  Both cell paths.
         votes = np.full((5, 9), DIRTY, dtype=np.int8)
         votes[1, 4] = CLEAN  # a stray vote that flips nothing
         votes[2, 1] = CLEAN  # a tie: switches back, then dirty again
@@ -246,13 +299,17 @@ class TestSwitchCells:
         votes[4, ::2] = UNSEEN
         matrix = ResponseMatrix.from_array(votes)
         checkpoints = [9, 4, 4, 0, 8, 1, 2, 7, 3, 6, 5, 9, 12, 2]
-        cells = PermutationBatch(matrix, [None], checkpoints).switch_sweep_cells
-        # Every item's first vote is dirty, so no vote precedes a first
-        # switch and n_switch counts every vote.
-        assert cells.n_switch.shape == (1, len(checkpoints))
-        np.testing.assert_array_equal(cells.n_switch, cells.total_votes)
-        _assert_switch_cells_match(matrix, [None], checkpoints)
-        _assert_switch_cells_match(matrix, [[8, 0, 7, 1, 6, 2, 5, 3, 4]], checkpoints)
+        for stream in (True, False):
+            batch, _ = _forced_batch(stream, matrix, [None], checkpoints)
+            cells = batch.switch_sweep_cells
+            # Every item's first vote is dirty, so no vote precedes a
+            # first switch and n_switch counts every vote.
+            assert cells.n_switch.shape == (1, len(checkpoints))
+            np.testing.assert_array_equal(cells.n_switch, cells.total_votes)
+            _assert_switch_cells_match(matrix, [None], checkpoints, stream)
+            _assert_switch_cells_match(
+                matrix, [[8, 0, 7, 1, 6, 2, 5, 3, 4]], checkpoints, stream
+            )
 
 
 #: ``(columns, order, accepted)``: one column-order rule for both
@@ -390,6 +447,168 @@ class TestStreamEngine:
                     np.testing.assert_array_equal(
                         getattr(scan, name)[mine], getattr(serial, name), err_msg=name
                     )
+
+
+class TestCellPaths:
+    """The stream path and the count-table path give the same integers."""
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=8),
+        num_columns=st.integers(min_value=0, max_value=10),
+        unseen=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        num_permutations=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        # Unsorted, repeated, zero and oversized (clamped) checkpoints;
+        # a checkpoint at K is added.
+        checkpoints=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_both_paths_equal_the_serial_engine(
+        self, num_items, num_columns, unseen, num_permutations, seed, checkpoints
+    ):
+        rng = np.random.default_rng(seed)
+        votes = np.where(
+            rng.random((num_items, num_columns)) < unseen,
+            UNSEEN,
+            rng.choice([CLEAN, DIRTY], size=(num_items, num_columns)),
+        ).astype(np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        orders = [None] + [
+            [int(i) for i in rng.permutation(num_columns)]
+            for _ in range(num_permutations - 1)
+        ]
+        checkpoints = checkpoints + [num_columns]
+        _, stream = _forced_batch(True, matrix, orders, checkpoints)
+        _, table = _forced_batch(False, matrix, orders, checkpoints)
+        serial = _serial_statistics(matrix, orders, checkpoints)
+        assert stream.keys() == table.keys() == serial.keys()
+        for name, expected in serial.items():
+            assert stream[name].shape == (num_permutations, len(checkpoints)), name
+            assert stream[name].dtype == table[name].dtype == np.int64, name
+            assert stream[name].tolist() == table[name].tolist() == expected, name
+
+    def test_coverage_below_one_vote_covers_every_item(self):
+        votes = np.array([[DIRTY, UNSEEN], [UNSEEN, UNSEEN]], dtype=np.int8)
+        matrix = ResponseMatrix.from_array(votes)
+        for stream in (True, False):
+            batch, _ = _forced_batch(stream, matrix, [None, [1, 0]], [0, 1, 2])
+            covered, sample_errors = batch.coverage_counts(0)
+            assert covered.tolist() == [[2, 2, 2], [2, 2, 2]]
+            assert sample_errors.tolist() == [[0, 1, 1], [0, 0, 1]]
+
+    @staticmethod
+    def _paper_matrix(num_items, tasks, seed=41):
+        """Tasks of 10 items, one vote column per task, as the paper's runs."""
+        rng = np.random.default_rng(seed)
+        votes = np.full((num_items, tasks), UNSEEN, dtype=np.int8)
+        for task in range(tasks):
+            chosen = rng.choice(num_items, size=10, replace=False)
+            votes[chosen, task] = rng.choice([CLEAN, DIRTY], size=10, p=[0.7, 0.3])
+        return ResponseMatrix.from_array(votes)
+
+    @staticmethod
+    def _batched_estimators():
+        """Every registered estimator with its own batched form."""
+        estimators = [
+            estimator
+            for estimator in _registered_estimators() + _non_default_estimators()
+            if type(estimator).estimate_sweep_batch
+            is not StateEstimatorMixin.estimate_sweep_batch
+            # Any shift other than 1 reduces the positive-count table.
+            and getattr(estimator, "shift", 1) == 1
+        ]
+        names = {estimator.name for estimator in estimators}
+        assert {"voting", "chao92", "vchao92", "extrapolation", "switch", "switch_total"} <= names
+        return estimators
+
+    def _run(self, matrix, estimators, num_permutations=10, num_checkpoints=20):
+        """A batch as the runner builds it, after ``estimators`` evaluated it."""
+        rng = np.random.default_rng(5)
+        orders = [None] + [
+            rng.permutation(matrix.num_columns) for _ in range(num_permutations - 1)
+        ]
+        checkpoints = RunnerConfig(num_checkpoints=num_checkpoints).resolve_checkpoints(
+            matrix.num_columns
+        )
+        batch = PermutationBatch(
+            matrix,
+            orders,
+            checkpoints,
+            reads_switch_scan=any(
+                getattr(estimator, "reads_switch_scan", False) for estimator in estimators
+            ),
+        )
+        for estimator in estimators:
+            batch_estimates(estimator, batch)
+        return batch
+
+    @staticmethod
+    def _dense_matrix():
+        """30 votes per item over 60 columns: ``V = 1.5 m N`` at 20 checkpoints."""
+        rng = np.random.default_rng(17)
+        votes = rng.choice([UNSEEN, CLEAN, DIRTY], size=(300, 60), p=[0.5, 0.2, 0.3])
+        return ResponseMatrix.from_array(votes.astype(np.int8))
+
+    def test_the_rule_compares_votes_with_checkpoint_item_cells(self):
+        rule = state_module._reads_stream
+        # Without a SWITCH reader the bound is 0.175 votes per cell, with
+        # one 1.375; R is not an argument.
+        assert rule(349, 100, 20, False) and not rule(350, 100, 20, False)
+        assert rule(2749, 100, 20, True) and not rule(2750, 100, 20, True)
+        assert not rule(0, 0, 0, True)
+
+    def test_the_runner_tells_the_batch_whether_a_switch_estimator_reads_it(
+        self, monkeypatch
+    ):
+        # 3 votes per item at 6 checkpoints: V = 0.5 m N, between the bounds.
+        rng = np.random.default_rng(9)
+        votes = np.full((200, 60), UNSEEN, dtype=np.int8)
+        for item in range(200):
+            votes[item, rng.choice(60, size=3, replace=False)] = rng.choice([CLEAN, DIRTY], 3)
+        matrix = ResponseMatrix.from_array(votes)
+        built = []
+
+        class Recorded(PermutationBatch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner_module, "PermutationBatch", Recorded)
+        config = RunnerConfig(num_permutations=3, num_checkpoints=6, seed=2)
+        for names, switches in (
+            (["voting", "chao92", "vchao92", "extrapolation"], False),
+            (["voting", "switch"], True),
+            (["switch_total"], True),
+        ):
+            EstimationRunner(names, config).run(matrix)
+            batch = built[-1]
+            assert batch.num_checkpoints == 6
+            assert batch.reads_switch_scan is switches
+            assert batch._from_stream is switches
+            assert ("_scan" in batch.__dict__) is switches
+
+    def test_a_dense_batch_without_switch_estimators_builds_no_scan(self):
+        estimators = [
+            estimator
+            for estimator in self._batched_estimators()
+            if not getattr(estimator, "reads_switch_scan", False)
+        ]
+        batch = self._run(self._dense_matrix(), estimators)
+        assert not batch._from_stream
+        assert "_scan" not in batch.__dict__
+
+    def test_a_paper_shaped_batch_builds_no_count_table(self):
+        # 300 tasks of 10 items over 1,000 items: 3,000 votes against
+        # 20 x 1,000 checkpoint-item cells.
+        batch = self._run(self._paper_matrix(1000, 300), self._batched_estimators())
+        assert batch._from_stream
+        built = {"positive_table", "negative_table", "_seen_table"} & batch.__dict__.keys()
+        assert not built
+
+    def test_a_dense_batch_takes_the_table_path(self):
+        batch = self._run(self._dense_matrix(), self._batched_estimators())
+        assert batch.reads_switch_scan and not batch._from_stream
+        assert {"positive_table", "negative_table", "_seen_table"} <= batch.__dict__.keys()
 
 
 class TestBatchInternals:
