@@ -11,23 +11,27 @@ retry contract (a re-POSTed batch is acknowledged as a no-op,
 :data:`SERVER_ERROR_TAXONOMY` maps library exceptions to
 ``(status, kind)``.  ``docs/http.md`` is the full wire reference.
 
-Transport is the stdlib :class:`http.server.ThreadingHTTPServer` — one
-thread per connection, which the per-session locks of the service were
-built for.  :class:`ServingApi` itself is transport-free (``handle`` maps
+Transport is the stdlib :class:`http.server.HTTPServer` and its request
+parser, with reused handler threads: a thread serves one connection at
+a time, which the per-session locks of the service were built for, and
+then waits for the next one, so a steady client's connections start no
+thread.  At most ``max_handler_threads`` connections are served at
+once; one more is answered ``503`` ``overloaded``.
+:class:`ServingApi` itself is transport-free (``handle`` maps
 ``(method, path, body)`` to ``(status, payload)``), so tests can drive
 the full routing and error mapping without opening a socket, and
-:class:`SessionClient` is the matching stdlib ``urllib`` client whose
-methods return the same dataclasses as the in-process façade.
+:class:`SessionClient` is the matching stdlib ``http.client`` client
+whose methods return the same dataclasses as the in-process façade.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import queue
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
@@ -52,13 +56,18 @@ MAX_BODY_BYTES = 64 << 20
 
 _JSON_CONTENT_TYPE = "application/json"
 
+#: Seconds the accept loop may block writing a ``503`` to a connection
+#: that found every handler thread busy.
+_REFUSAL_SEND_TIMEOUT = 0.1
+
 
 class HttpApiError(ReproError):
     """An error response from the serving API, with its HTTP status.
 
     Raised by :class:`SessionClient`; ``status`` carries the mapped code
     (404 unknown session, 400 validation, 409 conflict, 500 corruption or
-    internal failure) and ``kind`` the server's error classification.
+    internal failure, 503 every handler thread busy) and ``kind`` the
+    server's error classification.
 
     Known error kinds raise the dual-typed subclasses below
     (:class:`HttpUnknownSessionError` and friends), which are *also* the
@@ -311,18 +320,128 @@ class _ServingRequestHandler(BaseHTTPRequestHandler):
         """Silence the per-request stderr chatter (stats() has the counts)."""
 
 
-class _ServingHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class _ServingHTTPServer(HTTPServer):
+    """The listener, with reused handler threads.
+
+    A handler thread serves one connection to its end, then waits on a
+    queue for the next.  The accept loop (``process_request``) hands a
+    connection to an idle thread and starts a daemon thread only when
+    none is idle, so a steady client's connections reuse one thread
+    instead of starting one each.  ``server_close`` wakes the idle
+    threads and ends them; a busy one ends after its connection.
+    """
+
     #: Ephemeral test servers come and go on the same port; don't linger.
     allow_reuse_address = True
     #: The listen backlog.  socketserver's default of 5 drops the SYNs of
     #: a burst of connecting clients, which then wait out a >= 1 s
     #: retransmit; the kernel still caps this at ``net.core.somaxconn``.
     request_queue_size = 128
+    #: Connections served at once, one handler thread each.  A connection
+    #: accepted while this many threads are busy gets ``503``
+    #: ``overloaded`` instead of a thread of its own.  The largest
+    #: recorded fleet (``http-load``) runs 16 client threads, and a burst
+    #: of 32 must be served without one refusal.
+    max_handler_threads = 64
 
     def __init__(self, address, api: ServingApi) -> None:
-        super().__init__(address, _ServingRequestHandler)
+        # Set before the bind: a failed bind calls ``server_close``.
         self.api = api
+        self._pool_lock = threading.Lock()
+        #: accepted connections handed to idle threads; ``None`` ends one
+        self._handoff = queue.SimpleQueue()
+        self._threads = 0
+        self._idle = 0
+        self._closed = False
+        super().__init__(address, _ServingRequestHandler)
+
+    def process_request(self, request, client_address) -> None:
+        with self._pool_lock:
+            if self._idle:
+                self._idle -= 1
+                self._handoff.put((request, client_address))
+                return
+            overloaded = self._threads >= self.max_handler_threads
+            if not overloaded:
+                self._threads += 1
+        if overloaded:
+            self._refuse(request)
+            return
+        # The first connection goes to the thread as an argument, not
+        # through the queue: if the start fails, ``_handle_request_noblock``
+        # closes it and no thread is left to take it from the queue.
+        thread = threading.Thread(
+            target=self._serve_connections,
+            args=(request, client_address),
+            name=f"repro-serving-handler:{self.server_address[1]}",
+            daemon=True,
+        )
+        try:
+            thread.start()
+        except BaseException:
+            with self._pool_lock:
+                self._threads -= 1
+            raise
+
+    def _serve_connections(self, request, client_address) -> None:
+        """One handler thread: serve a connection, wait for the next, repeat."""
+        try:
+            while True:
+                try:
+                    self.finish_request(request, client_address)
+                except Exception:
+                    self.handle_error(request, client_address)
+                finally:
+                    self.shutdown_request(request)
+                with self._pool_lock:
+                    if self._closed:
+                        return
+                    self._idle += 1
+                handed = self._handoff.get()
+                if handed is None:
+                    return
+                request, client_address = handed
+        finally:
+            with self._pool_lock:
+                self._threads -= 1
+
+    def _refuse(self, request) -> None:
+        """Answer ``503`` ``overloaded`` from the accept loop, then close.
+
+        The send may block for ``_REFUSAL_SEND_TIMEOUT`` at most, so a
+        client that never reads cannot stall the accept loop; the
+        request itself is never read.
+        """
+        body = json.dumps(
+            {
+                "error": f"server overloaded: all {self.max_handler_threads} "
+                "handler threads are busy",
+                "kind": "overloaded",
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        head = (
+            "HTTP/1.1 503 Service Unavailable\r\n"
+            f"Content-Type: {_JSON_CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Retry-After: 1\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("ascii")
+        try:
+            request.settimeout(_REFUSAL_SEND_TIMEOUT)
+            request.sendall(head + body)
+        except OSError:
+            pass  # the client is gone or not reading: it gets no answer
+        finally:
+            self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put(None)
 
 
 class HttpServingServer:
@@ -397,7 +516,8 @@ class HttpServingServer:
         Safe on a server that was constructed but never started: the
         stdlib ``BaseServer.shutdown`` waits on an event only
         ``serve_forever`` sets, so it is skipped unless serving actually
-        began — the port is released either way.
+        began — the port is released either way.  Idle handler threads
+        end here; a busy one ends when its connection does.
         """
         if self._serving:
             self._serving = False
@@ -426,9 +546,15 @@ def _query_flag(query: Mapping[str, str], key: str) -> bool:
 
 
 class SessionClient:
-    """A ``urllib``-based client speaking the :class:`ServingApi` wire format.
+    """An ``http.client``-based client speaking the :class:`ServingApi` wire format.
 
-    Its methods are generated from :data:`~repro.streaming.serving.SERVING_OPS`
+    ``base_url`` must be an ``http://`` URL (anything else raises
+    :class:`~repro.common.exceptions.ValidationError` here).  Each
+    request opens one connection, sends ``Connection: close`` and
+    closes it before returning, so a client holds no socket between
+    calls and is safe to share between threads; a connection that
+    cannot be made or times out raises an ``OSError``.  Its methods are
+    generated from :data:`~repro.streaming.serving.SERVING_OPS`
     — one per op with an HTTP route, each encoding its arguments with the
     op's codecs and decoding the reply — so they mirror the in-process
     façade and return the same dataclasses (:class:`IngestResult`,
@@ -441,37 +567,50 @@ class SessionClient:
     (``unknown_session`` → :class:`HttpUnknownSessionError`, catchable as
     ``UnknownSessionError``, and so on per :data:`CLIENT_ERROR_TYPES`);
     every raised error is also an :class:`HttpApiError` carrying the HTTP
-    status and the server's error kind.
+    status and the server's error kind (a server with every handler
+    thread busy answers a bare one, status 503, kind ``overloaded``).
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+            self._address = (parts.hostname, parts.port or 80)
+        except ValueError:  # a malformed IPv6 host or a port outside 0..65535
+            parts = None
+        if parts is None or parts.scheme != "http" or not parts.hostname:
+            raise ValidationError(
+                f"SessionClient needs an http://host[:port] base URL, got {base_url!r}"
+            )
+        self._path_prefix = parts.path
 
     def _request(
         self, method: str, path: str, payload: Optional[Dict[str, object]] = None
     ) -> Dict[str, object]:
-        data = None
-        headers = {"Accept": _JSON_CONTENT_TYPE}
+        body = None
+        headers = {"Accept": _JSON_CONTENT_TYPE, "Connection": "close"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = _JSON_CONTENT_TYPE
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
+        connection = http.client.HTTPConnection(*self._address, timeout=self.timeout)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read().decode("utf-8", errors="replace")
+            connection.request(method, self._path_prefix + path, body, headers)
+            response = connection.getresponse()
+            raw = response.read()
+        finally:
+            connection.close()
+        if response.status >= 400:
+            text = raw.decode("utf-8", errors="replace")
             try:
-                parsed = json.loads(raw)
-                message = str(parsed.get("error", raw))
+                parsed = json.loads(text)
+                message = str(parsed.get("error", text))
                 kind = str(parsed.get("kind", "error"))
             except json.JSONDecodeError:
-                message, kind = raw or str(error), "error"
-            raise error_from_kind(error.code, message, kind) from None
-        return body
+                message = text or f"HTTP Error {response.status}: {response.reason}"
+                kind = "error"
+            raise error_from_kind(response.status, message, kind)
+        return json.loads(raw.decode("utf-8"))
 
     def _call(
         self, op: ServingOp, name: Optional[str], args: Dict[str, object]

@@ -2,7 +2,7 @@
 
 Everything in this package exercises real sockets: an in-process
 :class:`repro.serving.http.HttpServingServer` (or a ``repro serve``
-subprocess) is booted per test and driven through the urllib
+subprocess) is booted per test and driven through the ``http.client``
 :class:`repro.serving.http.SessionClient` and the synthetic worker
 fleet in :mod:`repro.serving.loadgen`.  The load tests end in the same
 assertion everywhere: estimates served over the wire must be
