@@ -37,101 +37,31 @@ Package layout
   crowd regimes, three-mode runner, golden trajectories).
 """
 
-from repro.common import CLEAN, DIRTY, UNSEEN, Label
-from repro.core import (
-    Chao92Estimator,
-    EstimateResult,
-    ExtrapolationEstimator,
-    NominalEstimator,
-    SwitchEstimator,
-    SwitchTotalErrorEstimator,
-    VChao92Estimator,
-    VotingEstimator,
-    available_estimators,
-    get_estimator,
-    scaled_rmse,
-)
-from repro.crowd import (
-    CrowdSimulator,
-    ResponseMatrix,
-    SimulationConfig,
-    Worker,
-    WorkerPool,
-    WorkerProfile,
-)
-from repro.data import (
-    AddressDatasetConfig,
-    Dataset,
-    PairDataset,
-    ProductDatasetConfig,
-    Record,
-    RestaurantDatasetConfig,
-    SyntheticPairConfig,
-    generate_address_dataset,
-    generate_product_dataset,
-    generate_restaurant_dataset,
-    generate_synthetic_pairs,
-)
-from repro.er import CrowdERPipeline, HeuristicBand
-from repro.prioritization import EpsilonGreedyPrioritizer
-from repro.streaming import (
-    DirectorySessionStore,
-    EstimationService,
-    MemorySessionStore,
-    SessionSnapshot,
-    SessionStore,
-    StreamingSession,
-)
+from repro._lazy import lazy_surface
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "__version__",
-    # labels
-    "DIRTY",
-    "CLEAN",
-    "UNSEEN",
-    "Label",
-    # core estimators
-    "EstimateResult",
-    "NominalEstimator",
-    "VotingEstimator",
-    "Chao92Estimator",
-    "VChao92Estimator",
-    "ExtrapolationEstimator",
-    "SwitchEstimator",
-    "SwitchTotalErrorEstimator",
-    "available_estimators",
-    "get_estimator",
-    "scaled_rmse",
-    # crowd
-    "ResponseMatrix",
-    "Worker",
-    "WorkerPool",
-    "WorkerProfile",
-    "CrowdSimulator",
-    "SimulationConfig",
-    # data
-    "Record",
-    "Dataset",
-    "PairDataset",
-    "RestaurantDatasetConfig",
-    "generate_restaurant_dataset",
-    "ProductDatasetConfig",
-    "generate_product_dataset",
-    "AddressDatasetConfig",
-    "generate_address_dataset",
-    "SyntheticPairConfig",
-    "generate_synthetic_pairs",
-    # er / prioritization
-    "CrowdERPipeline",
-    "HeuristicBand",
-    "EpsilonGreedyPrioritizer",
-    # streaming + serving
-    "StreamingSession",
-    "SessionSnapshot",
-    "EstimationService",
-    "SessionStore",
-    "MemorySessionStore",
-    "DirectorySessionStore",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".common": "DIRTY CLEAN UNSEEN Label",
+        ".core": (
+            "EstimateResult NominalEstimator VotingEstimator Chao92Estimator VChao92Estimator "
+            "ExtrapolationEstimator SwitchEstimator SwitchTotalErrorEstimator available_estimators "
+            "get_estimator scaled_rmse"
+        ),
+        ".crowd": "ResponseMatrix Worker WorkerPool WorkerProfile CrowdSimulator SimulationConfig",
+        ".data": (
+            "Record Dataset PairDataset RestaurantDatasetConfig generate_restaurant_dataset "
+            "ProductDatasetConfig generate_product_dataset AddressDatasetConfig "
+            "generate_address_dataset SyntheticPairConfig generate_synthetic_pairs"
+        ),
+        ".er": "CrowdERPipeline HeuristicBand",
+        ".prioritization": "EpsilonGreedyPrioritizer",
+        ".streaming": (
+            "StreamingSession SessionSnapshot EstimationService SessionStore MemorySessionStore "
+            "DirectorySessionStore"
+        ),
+    },
+)
+__all__.insert(0, "__version__")

@@ -48,23 +48,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.common.exceptions import ReproError
-from repro.core.registry import available_estimators
-from repro.core.remaining import data_quality_report
-from repro.crowd.simulator import CrowdSimulator, SimulationConfig
-from repro.crowd.worker import WorkerProfile
-from repro.data.synthetic import SyntheticPairConfig, generate_synthetic_pairs
-from repro.experiments.examples_numeric import NumericExampleConfig, run_numeric_example
-from repro.experiments.prioritization_study import PrioritizationConfig, epsilon_sweep
-from repro.experiments.real_world import RealWorldExperimentConfig, run_real_world_experiment
-from repro.experiments.reporting import render_series_table
-from repro.experiments.robustness import SCENARIOS, RobustnessConfig, run_robustness_scenario
-from repro.experiments.runner import EstimationRunner, RunnerConfig
-from repro.experiments.sensitivity import SensitivityConfig, coverage_sweep, precision_sweep
-from repro.experiments.workloads import address_workload, product_workload, restaurant_workload
-from repro.streaming import StreamingSession
 
 #: Experiments the CLI knows how to run.
 EXPERIMENTS = (
@@ -95,12 +81,52 @@ TOOLS = (
 DEFAULT_SESSION_STORE = ".repro-sessions"
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that may take its options from ``define(parser)``.
+
+    ``define`` runs when the subcommand is parsed (``--help`` included),
+    not when the CLI is built, so options whose choices live in a heavy
+    module (the figure and benchmark code) cost no import to the other
+    subcommands.
+    """
+
+    def __init__(
+        self,
+        *args,
+        define: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+        **kwargs,
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self._define = define
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._define is not None:
+            define, self._define = self._define, None
+            define(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _figure7_arguments(figure7: argparse.ArgumentParser) -> None:
+    from repro.experiments.robustness import SCENARIOS
+
+    figure7.add_argument("--scenario", choices=SCENARIOS, default="both")
+    figure7.add_argument("--tasks", type=int, default=150)
+    figure7.add_argument("--seed", type=int, default=0)
+
+
+def _bench_arguments(bench: argparse.ArgumentParser) -> None:
+    # The options live next to the workload registry.
+    from repro.experiments.bench import add_bench_arguments
+
+    add_bench_arguments(bench)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the DQM (VLDB 2017) experiments from the command line.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     sub.add_parser("list", help="list available experiments and estimators")
 
@@ -123,10 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure6.add_argument("--trials", type=int, default=3)
     figure6.add_argument("--seed", type=int, default=0)
 
-    figure7 = sub.add_parser("figure7", help="robustness simulation")
-    figure7.add_argument("--scenario", choices=SCENARIOS, default="both")
-    figure7.add_argument("--tasks", type=int, default=150)
-    figure7.add_argument("--seed", type=int, default=0)
+    sub.add_parser("figure7", help="robustness simulation", define=_figure7_arguments)
 
     figure8 = sub.add_parser("figure8", help="epsilon-prioritisation sweep")
     figure8.add_argument("--trials", type=int, default=3)
@@ -178,14 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seed", type=int, default=0)
 
-    bench = sub.add_parser(
+    sub.add_parser(
         "bench",
         help="time one pinned workload and append its entry to BENCH_runner.json",
+        define=_bench_arguments,
     )
-    # The options live next to the workload registry.
-    from repro.experiments.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
 
     scenario = sub.add_parser(
         "scenario",
@@ -342,6 +362,10 @@ def _print_numeric_example(result: dict) -> None:
 
 
 def _run_real_world(name: str, args: argparse.Namespace) -> None:
+    from repro.experiments.real_world import RealWorldExperimentConfig, run_real_world_experiment
+    from repro.experiments.reporting import render_series_table
+    from repro.experiments.workloads import address_workload, product_workload, restaurant_workload
+
     builders = {
         "figure3": lambda: restaurant_workload(scale=args.scale, seed=7),
         "figure4": lambda: product_workload(scale=max(0.02, args.scale / 2), seed=11),
@@ -363,6 +387,10 @@ def _run_real_world(name: str, args: argparse.Namespace) -> None:
 
 def _simulate_crowd(args: argparse.Namespace):
     """Build the synthetic crowd simulation the tool commands share."""
+    from repro.crowd.simulator import CrowdSimulator, SimulationConfig
+    from repro.crowd.worker import WorkerProfile
+    from repro.data.synthetic import SyntheticPairConfig, generate_synthetic_pairs
+
     dataset = generate_synthetic_pairs(
         SyntheticPairConfig(num_items=args.items, num_errors=args.errors), seed=args.seed
     )
@@ -381,6 +409,8 @@ def _simulate_crowd(args: argparse.Namespace):
 
 
 def _run_stream(args: argparse.Namespace) -> None:
+    from repro.streaming import StreamingSession
+
     simulation = _simulate_crowd(args)
     matrix = simulation.matrix
     # Registry estimators all consume the live state, so the session can
@@ -404,6 +434,9 @@ def _run_stream(args: argparse.Namespace) -> None:
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
+    from repro.experiments.reporting import render_series_table
+    from repro.experiments.runner import EstimationRunner, RunnerConfig
+
     simulation = _simulate_crowd(args)
     runner = EstimationRunner(
         args.estimators,
@@ -726,6 +759,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "list":
+        from repro.core.registry import available_estimators
+
         print("experiments:")
         for name in EXPERIMENTS:
             print(f"  {name}")
@@ -742,6 +777,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command in ("example1", "example2"):
+        from repro.experiments.examples_numeric import NumericExampleConfig, run_numeric_example
+
         fp_rate = 0.0 if args.command == "example1" else 0.01
         result = run_numeric_example(
             NumericExampleConfig(false_positive_rate=fp_rate, seed=args.seed)
@@ -755,6 +792,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure6":
+        from repro.experiments.sensitivity import SensitivityConfig, coverage_sweep, precision_sweep
+
         config = SensitivityConfig(num_trials=args.trials, seed=args.seed)
         print("Figure 6(a): scaled error vs precision")
         _print_sweep(precision_sweep(config))
@@ -764,12 +803,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure7":
+        from repro.experiments.reporting import render_series_table
+        from repro.experiments.robustness import RobustnessConfig, run_robustness_scenario
+
         config = RobustnessConfig(num_tasks=args.tasks, seed=args.seed)
         result = run_robustness_scenario(args.scenario, config)
         print(render_series_table(result, max_rows=12))
         return 0
 
     if args.command == "figure8":
+        from repro.experiments.prioritization_study import PrioritizationConfig, epsilon_sweep
+
         config = PrioritizationConfig(num_trials=args.trials, seed=args.seed)
         result = epsilon_sweep(config)
         print("Figure 8: SWITCH scaled error vs epsilon")
@@ -783,6 +827,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "quality":
+        from repro.core.remaining import data_quality_report
+
         simulation = _simulate_crowd(args)
         report = data_quality_report(simulation.matrix)
         print(f"detected errors      : {report.detected_errors:.0f}")

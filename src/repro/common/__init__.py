@@ -7,40 +7,17 @@ hierarchy.  Keeping them here avoids import cycles between the data, crowd
 and estimator layers.
 """
 
-from repro.common.exceptions import (
-    ConfigurationError,
-    EstimationError,
-    InsufficientDataError,
-    ReproError,
-    ValidationError,
-)
-from repro.common.labels import CLEAN, DIRTY, UNSEEN, Label
-from repro.common.registry import Registry
-from repro.common.rng import RandomState, derive_rng, ensure_rng, spawn_seeds
-from repro.common.validation import (
-    check_fraction,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "CLEAN",
-    "DIRTY",
-    "UNSEEN",
-    "Label",
-    "RandomState",
-    "Registry",
-    "derive_rng",
-    "ensure_rng",
-    "spawn_seeds",
-    "check_fraction",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
-    "ReproError",
-    "ValidationError",
-    "ConfigurationError",
-    "EstimationError",
-    "InsufficientDataError",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".labels": "CLEAN DIRTY UNSEEN Label",
+        ".rng": "RandomState derive_rng ensure_rng spawn_seeds",
+        ".registry": "Registry",
+        ".validation": "check_fraction check_non_negative check_positive check_probability",
+        ".exceptions": (
+            "ReproError ValidationError ConfigurationError EstimationError InsufficientDataError"
+        ),
+    },
+)

@@ -26,122 +26,37 @@ scaled-error metric (SRMSE), and an estimator registry so experiment
 configurations can refer to estimators by name.
 """
 
-from repro.core.base import (
-    BatchEstimates,
-    EstimatorProtocol,
-    EstimateResult,
-    StateEstimatorMixin,
-    SweepEstimatorMixin,
-    batch_estimates,
-    sweep_estimates,
-)
-from repro.core.chao92 import (
-    Chao92Estimator,
-    chao92_components,
-    chao92_estimate,
-    good_turing_coverage,
-)
-from repro.core.descriptive import (
-    CollusionReport,
-    NominalEstimator,
-    VotingEstimator,
-    collusion_report,
-    majority_estimate,
-    nominal_estimate,
-)
-from repro.core.extrapolation import ExtrapolationEstimator, extrapolate_from_sample
-from repro.core.fstatistics import (
-    Fingerprint,
-    IncrementalFingerprint,
-    fingerprint_from_counts,
-    fingerprints_from_count_table,
-    positive_vote_fingerprint,
-    positive_vote_fingerprints,
-)
-from repro.core.metrics import (
-    absolute_error,
-    relative_error,
-    scaled_rmse,
-    signed_error,
-)
-from repro.core.registry import (
-    available_estimators,
-    get_estimator,
-    register_estimator,
-    unregister_estimator,
-)
-from repro.core.state import (
-    EstimationState,
-    MatrixPrefixState,
-    MatrixSweepState,
-    PermutationBatch,
-    StreamingState,
-    matrix_sweep_states,
-)
-from repro.core.species import (
-    chao84_estimate,
-    good_turing_estimate,
-    jackknife_estimate,
-)
-from repro.core.switch import (
-    SwitchEstimator,
-    SwitchStatistics,
-    count_switches,
-    switch_statistics,
-    switch_statistics_sweep,
-)
-from repro.core.total_error import SwitchTotalErrorEstimator
-from repro.core.vchao92 import VChao92Estimator, vchao92_estimate
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "EstimatorProtocol",
-    "EstimateResult",
-    "BatchEstimates",
-    "StateEstimatorMixin",
-    "SweepEstimatorMixin",
-    "sweep_estimates",
-    "batch_estimates",
-    "EstimationState",
-    "MatrixPrefixState",
-    "MatrixSweepState",
-    "StreamingState",
-    "matrix_sweep_states",
-    "PermutationBatch",
-    "Fingerprint",
-    "IncrementalFingerprint",
-    "fingerprint_from_counts",
-    "fingerprints_from_count_table",
-    "positive_vote_fingerprint",
-    "positive_vote_fingerprints",
-    "Chao92Estimator",
-    "chao92_components",
-    "chao92_estimate",
-    "good_turing_coverage",
-    "VChao92Estimator",
-    "vchao92_estimate",
-    "NominalEstimator",
-    "VotingEstimator",
-    "nominal_estimate",
-    "majority_estimate",
-    "CollusionReport",
-    "collusion_report",
-    "ExtrapolationEstimator",
-    "extrapolate_from_sample",
-    "SwitchEstimator",
-    "SwitchStatistics",
-    "count_switches",
-    "switch_statistics",
-    "switch_statistics_sweep",
-    "SwitchTotalErrorEstimator",
-    "chao84_estimate",
-    "good_turing_estimate",
-    "jackknife_estimate",
-    "scaled_rmse",
-    "absolute_error",
-    "relative_error",
-    "signed_error",
-    "register_estimator",
-    "unregister_estimator",
-    "get_estimator",
-    "available_estimators",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".base": (
+            "EstimatorProtocol EstimateResult BatchEstimates StateEstimatorMixin "
+            "SweepEstimatorMixin sweep_estimates batch_estimates"
+        ),
+        ".state": (
+            "EstimationState MatrixPrefixState MatrixSweepState StreamingState matrix_sweep_states "
+            "PermutationBatch"
+        ),
+        ".fstatistics": (
+            "Fingerprint IncrementalFingerprint fingerprint_from_counts "
+            "fingerprints_from_count_table positive_vote_fingerprint positive_vote_fingerprints"
+        ),
+        ".chao92": "Chao92Estimator chao92_components chao92_estimate good_turing_coverage",
+        ".vchao92": "VChao92Estimator vchao92_estimate",
+        ".descriptive": (
+            "NominalEstimator VotingEstimator nominal_estimate majority_estimate CollusionReport "
+            "collusion_report"
+        ),
+        ".extrapolation": "ExtrapolationEstimator extrapolate_from_sample",
+        ".switch": (
+            "SwitchEstimator SwitchStatistics count_switches switch_statistics "
+            "switch_statistics_sweep"
+        ),
+        ".total_error": "SwitchTotalErrorEstimator",
+        ".species": "chao84_estimate good_turing_estimate jackknife_estimate",
+        ".metrics": "scaled_rmse absolute_error relative_error signed_error",
+        ".registry": "register_estimator unregister_estimator get_estimator available_estimators",
+    },
+)

@@ -17,57 +17,22 @@ matrix comes to be:
   aggregation (an extension used for ablations).
 """
 
-from repro.crowd.assignment import (
-    FixedQuorumAssigner,
-    PrioritizedAssigner,
-    SkewedAssigner,
-    Task,
-    UniformRandomAssigner,
-)
-from repro.crowd.consensus import majority_labels, majority_vote_counts, nominal_labels
-from repro.crowd.em import DawidSkeneResult, dawid_skene
-from repro.crowd.response_matrix import ResponseMatrix
-from repro.crowd.simulator import CrowdSimulation, CrowdSimulator, SimulationConfig
-from repro.crowd.worker import (
-    CliqueRegime,
-    CliqueWorker,
-    CrossSessionCliqueRegime,
-    DriftRegime,
-    HomogeneousRegime,
-    MixtureRegime,
-    StratifiedRegime,
-    StratifiedWorker,
-    Worker,
-    WorkerPool,
-    WorkerProfile,
-    WorkerRegime,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "ResponseMatrix",
-    "Worker",
-    "WorkerPool",
-    "WorkerProfile",
-    "WorkerRegime",
-    "HomogeneousRegime",
-    "MixtureRegime",
-    "DriftRegime",
-    "CliqueRegime",
-    "CliqueWorker",
-    "CrossSessionCliqueRegime",
-    "StratifiedRegime",
-    "StratifiedWorker",
-    "Task",
-    "UniformRandomAssigner",
-    "PrioritizedAssigner",
-    "SkewedAssigner",
-    "FixedQuorumAssigner",
-    "CrowdSimulator",
-    "CrowdSimulation",
-    "SimulationConfig",
-    "nominal_labels",
-    "majority_labels",
-    "majority_vote_counts",
-    "dawid_skene",
-    "DawidSkeneResult",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".response_matrix": "ResponseMatrix",
+        ".worker": (
+            "Worker WorkerPool WorkerProfile WorkerRegime HomogeneousRegime MixtureRegime "
+            "DriftRegime CliqueRegime CliqueWorker CrossSessionCliqueRegime StratifiedRegime "
+            "StratifiedWorker"
+        ),
+        ".assignment": (
+            "Task UniformRandomAssigner PrioritizedAssigner SkewedAssigner FixedQuorumAssigner"
+        ),
+        ".simulator": "CrowdSimulator CrowdSimulation SimulationConfig",
+        ".consensus": "nominal_labels majority_labels majority_vote_counts",
+        ".em": "dawid_skene DawidSkeneResult",
+    },
+)

@@ -30,38 +30,20 @@ experiments need realistic datasets to vote *about*.  This package provides
   malformed entries.
 """
 
-from repro.data.address import AddressDatasetConfig, generate_address_dataset
-from repro.data.corruption import (
-    drop_field,
-    introduce_typos,
-    perturb_numeric,
-    swap_fields,
-    abbreviate_tokens,
-    shuffle_tokens,
-)
-from repro.data.pairs import CandidatePair, PairDataset
-from repro.data.product import ProductDatasetConfig, generate_product_dataset
-from repro.data.record import Dataset, Record
-from repro.data.restaurant import RestaurantDatasetConfig, generate_restaurant_dataset
-from repro.data.synthetic import SyntheticPairConfig, generate_synthetic_pairs
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "Record",
-    "Dataset",
-    "CandidatePair",
-    "PairDataset",
-    "RestaurantDatasetConfig",
-    "generate_restaurant_dataset",
-    "ProductDatasetConfig",
-    "generate_product_dataset",
-    "AddressDatasetConfig",
-    "generate_address_dataset",
-    "SyntheticPairConfig",
-    "generate_synthetic_pairs",
-    "introduce_typos",
-    "abbreviate_tokens",
-    "shuffle_tokens",
-    "drop_field",
-    "swap_fields",
-    "perturb_numeric",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".record": "Record Dataset",
+        ".pairs": "CandidatePair PairDataset",
+        ".restaurant": "RestaurantDatasetConfig generate_restaurant_dataset",
+        ".product": "ProductDatasetConfig generate_product_dataset",
+        ".address": "AddressDatasetConfig generate_address_dataset",
+        ".synthetic": "SyntheticPairConfig generate_synthetic_pairs",
+        ".corruption": (
+            "introduce_typos abbreviate_tokens shuffle_tokens drop_field swap_fields "
+            "perturb_numeric"
+        ),
+    },
+)

@@ -18,30 +18,18 @@ implements that machinery:
   real-world experiments run.
 """
 
-from repro.er.blocking import block_by_prefix, block_by_tokens, candidate_keys_from_blocks
-from repro.er.crowder import CrowdERPipeline, CrowdERResult
-from repro.er.heuristic import HeuristicBand, SimilarityHeuristic, partition_by_heuristic
-from repro.er.pairing import build_pair_dataset, score_pairs
-from repro.er.similarity import (
-    jaccard_similarity,
-    normalized_edit_similarity,
-    record_similarity,
-    token_overlap_similarity,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "normalized_edit_similarity",
-    "jaccard_similarity",
-    "token_overlap_similarity",
-    "record_similarity",
-    "block_by_tokens",
-    "block_by_prefix",
-    "candidate_keys_from_blocks",
-    "build_pair_dataset",
-    "score_pairs",
-    "HeuristicBand",
-    "SimilarityHeuristic",
-    "partition_by_heuristic",
-    "CrowdERPipeline",
-    "CrowdERResult",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".similarity": (
+            "normalized_edit_similarity jaccard_similarity token_overlap_similarity "
+            "record_similarity"
+        ),
+        ".blocking": "block_by_tokens block_by_prefix candidate_keys_from_blocks",
+        ".pairing": "build_pair_dataset score_pairs",
+        ".heuristic": "HeuristicBand SimilarityHeuristic partition_by_heuristic",
+        ".crowder": "CrowdERPipeline CrowdERResult",
+    },
+)

@@ -16,18 +16,14 @@ The harness separates three concerns:
   tables/CSV so the benchmarks can print the same rows the paper plots.
 """
 
-from repro.experiments.results import EstimateSeries, ExperimentResult, TracePoint
-from repro.experiments.runner import EstimationRunner, RunnerConfig
-from repro.experiments.scm import sample_clean_minimum
-from repro.experiments.reporting import render_series_table, series_to_csv
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "EstimationRunner",
-    "RunnerConfig",
-    "EstimateSeries",
-    "ExperimentResult",
-    "TracePoint",
-    "sample_clean_minimum",
-    "render_series_table",
-    "series_to_csv",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".runner": "EstimationRunner RunnerConfig",
+        ".results": "EstimateSeries ExperimentResult TracePoint",
+        ".scm": "sample_clean_minimum",
+        ".reporting": "render_series_table series_to_csv",
+    },
+)

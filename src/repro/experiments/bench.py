@@ -54,6 +54,20 @@ RUNNER_ESTIMATORS = (
 #: What ``measure`` returns: wall times in seconds, then flat metrics.
 Measurement = Tuple[Dict[str, float], Dict[str, object]]
 
+#: An HTTP entry records a latency percentile above the median only when
+#: at least this many requests lie beyond it (p95 from 200 requests, p99
+#: from 1,000); below that it is one run's few largest latencies, not a tail.
+TAIL_REQUESTS = 10
+
+
+def recorded_percentiles(requests: int) -> Tuple[int, ...]:
+    """The latency percentiles an HTTP entry of ``requests`` requests records."""
+    return (50,) + tuple(
+        quantile
+        for quantile in (95, 99)
+        if requests * (100 - quantile) // 100 >= TAIL_REQUESTS
+    )
+
 
 def _require_identical(what: str, expected: Dict, actual: Dict) -> None:
     """The oracle check every family ends with: a wrong answer gets no number."""
@@ -428,6 +442,7 @@ class HttpWorkload(RecordedWorkload):
             LoadGenerator,
             MemorySessionStore,
             SessionClient,
+            latency_percentiles,
             replay_applied_batches,
         )
 
@@ -445,7 +460,9 @@ class HttpWorkload(RecordedWorkload):
             served,
             replay_applied_batches(report),
         )
-        latency = report.latency_summary()
+        latency = latency_percentiles(
+            report.latencies_s, recorded_percentiles(len(report.latencies_s))
+        )
         return (
             {"fleet_wall": report.wall_s},
             {

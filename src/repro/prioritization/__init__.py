@@ -13,16 +13,14 @@ that heuristic:
   ``ε``, and the estimate targets the whole dataset (Equation 10).
 """
 
-from repro.prioritization.imperfect import (
-    EpsilonGreedyPrioritizer,
-    PrioritizedEstimate,
-    estimate_with_imperfect_heuristic,
-)
-from repro.prioritization.perfect import total_errors_with_perfect_heuristic
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "total_errors_with_perfect_heuristic",
-    "EpsilonGreedyPrioritizer",
-    "PrioritizedEstimate",
-    "estimate_with_imperfect_heuristic",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".perfect": "total_errors_with_perfect_heuristic",
+        ".imperfect": (
+            "EpsilonGreedyPrioritizer PrioritizedEstimate estimate_with_imperfect_heuristic"
+        ),
+    },
+)

@@ -24,74 +24,27 @@ Quick use::
     print(trajectory.equivalence["serving_vs_replay"])
 """
 
-from repro.scenarios.catalog import (
-    adversarial_scenarios,
-    available_scenarios,
-    get_scenario,
-    register_scenario,
-    unregister_scenario,
-)
-from repro.scenarios.dynamics import (
-    DynamicDriveReport,
-    build_delivery_plans,
-    drive_scenario,
-)
-from repro.scenarios.golden import (
-    check_scenario,
-    check_scenarios,
-    default_golden_dir,
-    golden_path,
-    read_golden,
-    record_scenarios,
-    write_golden,
-)
-from repro.scenarios.replay import (
-    TRACE_TAG,
-    TraceSimulation,
-    scenario_from_wal,
-    scenarios_from_fleet_report,
-    trace_matrix,
-)
-from repro.scenarios.runner import MODES, ScenarioRunner, ScenarioTrajectory
-from repro.scenarios.spec import (
-    ADVERSARIAL_TAG,
-    AssignmentSpec,
-    DatasetSpec,
-    RegimeSpec,
-    Scenario,
-    SessionDynamics,
-    TraceSpec,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "Scenario",
-    "DatasetSpec",
-    "RegimeSpec",
-    "AssignmentSpec",
-    "SessionDynamics",
-    "TraceSpec",
-    "ADVERSARIAL_TAG",
-    "TRACE_TAG",
-    "ScenarioRunner",
-    "ScenarioTrajectory",
-    "MODES",
-    "DynamicDriveReport",
-    "build_delivery_plans",
-    "drive_scenario",
-    "TraceSimulation",
-    "trace_matrix",
-    "scenario_from_wal",
-    "scenarios_from_fleet_report",
-    "register_scenario",
-    "unregister_scenario",
-    "get_scenario",
-    "available_scenarios",
-    "adversarial_scenarios",
-    "default_golden_dir",
-    "golden_path",
-    "read_golden",
-    "write_golden",
-    "record_scenarios",
-    "check_scenario",
-    "check_scenarios",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".spec": (
+            "Scenario DatasetSpec RegimeSpec AssignmentSpec SessionDynamics TraceSpec "
+            "ADVERSARIAL_TAG"
+        ),
+        ".replay": (
+            "TRACE_TAG TraceSimulation trace_matrix scenario_from_wal scenarios_from_fleet_report"
+        ),
+        ".runner": "ScenarioRunner ScenarioTrajectory MODES",
+        ".dynamics": "DynamicDriveReport build_delivery_plans drive_scenario",
+        ".catalog": (
+            "register_scenario unregister_scenario get_scenario available_scenarios "
+            "adversarial_scenarios"
+        ),
+        ".golden": (
+            "default_golden_dir golden_path read_golden write_golden record_scenarios "
+            "check_scenario check_scenarios"
+        ),
+    },
+)

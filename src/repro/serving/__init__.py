@@ -44,93 +44,28 @@ per-session write-ahead log, size-triggered compaction, and the
 hash-sharded :class:`ShardedEstimationService` front.
 """
 
-from repro.serving.http import (
-    CLIENT_ERROR_TYPES,
-    SERVER_ERROR_TAXONOMY,
-    HttpApiError,
-    HttpConflictError,
-    HttpServingServer,
-    HttpShardUnavailableError,
-    HttpStoreCorruptionError,
-    HttpUnknownSessionError,
-    HttpValidationError,
-    ServingApi,
-    SessionClient,
-    classify_error,
-    error_from_kind,
-    parse_columns_payload,
-    result_from_payload,
-    result_to_payload,
-)
-from repro.serving.loadgen import (
-    AppliedBatch,
-    Delivery,
-    FleetConfig,
-    FleetReport,
-    LoadGenerator,
-    latency_percentiles,
-    ordered_session_batches,
-    replay_applied_batches,
-)
-from repro.serving.workers import ProcessShardedService
-from repro.streaming.serving import (
-    SERVING_OPS,
-    EstimateReport,
-    EstimationService,
-    IngestResult,
-    ServingOp,
-    ShardedEstimationService,
-    ShardRouter,
-    ShardUnavailableError,
-    shard_index,
-)
-from repro.streaming.store import (
-    DirectorySessionStore,
-    MemorySessionStore,
-    StoreCorruptionError,
-    UnknownSessionError,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "EstimationService",
-    "ShardedEstimationService",
-    "ProcessShardedService",
-    "ShardUnavailableError",
-    "IngestResult",
-    "EstimateReport",
-    "MemorySessionStore",
-    "DirectorySessionStore",
-    "UnknownSessionError",
-    "StoreCorruptionError",
-    "shard_index",
-    # the op table and the shard router every front is built from
-    "SERVING_OPS",
-    "ServingOp",
-    "ShardRouter",
-    # the HTTP boundary (repro.serving.http)
-    "ServingApi",
-    "HttpServingServer",
-    "SessionClient",
-    "HttpApiError",
-    "HttpUnknownSessionError",
-    "HttpValidationError",
-    "HttpConflictError",
-    "HttpStoreCorruptionError",
-    "HttpShardUnavailableError",
-    "SERVER_ERROR_TAXONOMY",
-    "CLIENT_ERROR_TYPES",
-    "classify_error",
-    "error_from_kind",
-    "parse_columns_payload",
-    "result_to_payload",
-    "result_from_payload",
-    # the synthetic-crowd load harness (repro.serving.loadgen)
-    "AppliedBatch",
-    "Delivery",
-    "FleetConfig",
-    "FleetReport",
-    "LoadGenerator",
-    "latency_percentiles",
-    "ordered_session_batches",
-    "replay_applied_batches",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        "repro.streaming.serving": (
+            "EstimationService ShardedEstimationService ShardUnavailableError IngestResult "
+            "EstimateReport shard_index SERVING_OPS ServingOp ShardRouter"
+        ),
+        ".workers": "ProcessShardedService",
+        "repro.streaming.store": (
+            "MemorySessionStore DirectorySessionStore UnknownSessionError StoreCorruptionError"
+        ),
+        ".http": (
+            "ServingApi HttpServingServer SessionClient HttpApiError HttpUnknownSessionError "
+            "HttpValidationError HttpConflictError HttpStoreCorruptionError "
+            "HttpShardUnavailableError SERVER_ERROR_TAXONOMY CLIENT_ERROR_TYPES classify_error "
+            "error_from_kind parse_columns_payload result_to_payload result_from_payload"
+        ),
+        ".loadgen": (
+            "AppliedBatch Delivery FleetConfig FleetReport LoadGenerator latency_percentiles "
+            "ordered_session_batches replay_applied_batches"
+        ),
+    },
+)

@@ -20,64 +20,24 @@ and compaction folds the log into a fresh snapshot.  :class:`ShardedEstimationSe
 sessions across N such services by session-key hash.
 """
 
-from repro.streaming.serving import (
-    DEFAULT_COMPACT_BYTES,
-    EstimateReport,
-    EstimationService,
-    IngestResult,
-    ShardedEstimationService,
-    ShardUnavailableError,
-    reconcile_shard_manifest,
-    replay_batch_record,
-    shard_index,
-)
-from repro.streaming.session import (
-    SNAPSHOT_FORMAT_VERSION,
-    CheckedColumns,
-    SessionSnapshot,
-    StreamingSession,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.streaming.store import (
-    DirectorySessionStore,
-    MemorySessionStore,
-    SessionStore,
-    StoreCorruptionError,
-    UnknownSessionError,
-    check_session_name,
-)
-from repro.streaming.wal import (
-    WAL_FORMAT_VERSION,
-    BatchRecord,
-    CreateRecord,
-    SessionLog,
-)
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "StreamingSession",
-    "CheckedColumns",
-    "SessionSnapshot",
-    "SNAPSHOT_FORMAT_VERSION",
-    "read_snapshot",
-    "write_snapshot",
-    "EstimationService",
-    "ShardedEstimationService",
-    "IngestResult",
-    "EstimateReport",
-    "SessionStore",
-    "MemorySessionStore",
-    "DirectorySessionStore",
-    "UnknownSessionError",
-    "StoreCorruptionError",
-    "check_session_name",
-    "SessionLog",
-    "CreateRecord",
-    "BatchRecord",
-    "WAL_FORMAT_VERSION",
-    "DEFAULT_COMPACT_BYTES",
-    "replay_batch_record",
-    "shard_index",
-    "ShardUnavailableError",
-    "reconcile_shard_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    globals(),
+    {
+        ".session": (
+            "StreamingSession CheckedColumns SessionSnapshot SNAPSHOT_FORMAT_VERSION read_snapshot "
+            "write_snapshot"
+        ),
+        ".serving": (
+            "EstimationService ShardedEstimationService IngestResult EstimateReport "
+            "DEFAULT_COMPACT_BYTES replay_batch_record shard_index ShardUnavailableError "
+            "reconcile_shard_manifest"
+        ),
+        ".store": (
+            "SessionStore MemorySessionStore DirectorySessionStore UnknownSessionError "
+            "StoreCorruptionError check_session_name"
+        ),
+        ".wal": "SessionLog CreateRecord BatchRecord WAL_FORMAT_VERSION",
+    },
+)

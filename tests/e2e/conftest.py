@@ -8,9 +8,13 @@ request handling — not a stubbed transport.
 from __future__ import annotations
 
 import errno
+import os
+from pathlib import Path
+from typing import Dict
 
 import pytest
 
+import repro
 from repro.serving import (
     DirectorySessionStore,
     EstimationService,
@@ -19,12 +23,28 @@ from repro.serving import (
     SessionClient,
 )
 
+#: The ``src`` directory of the repro tree under test.
+SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
+
 #: Bounded budget for re-binding on ``EADDRINUSE``.  Ephemeral ports are
 #: handed out by the kernel, but parallel CI runners (and tests that just
 #: closed a server) can still race a port into TIME_WAIT between the
 #: kernel's pick and our bind; a few retries absorb that without masking
 #: a genuinely unbindable configuration.
 BIND_ATTEMPTS = 5
+
+
+def repro_env() -> Dict[str, str]:
+    """The environment of a ``python -m repro`` child process.
+
+    Only the tree under test is on ``PYTHONPATH``.  The caller's
+    ``PYTHONDONTWRITEBYTECODE`` passes through, so a test run under it
+    writes no ``__pycache__`` into ``src``.
+    """
+    env = {"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def start_server(service, host: str = "127.0.0.1", port: int = 0) -> HttpServingServer:

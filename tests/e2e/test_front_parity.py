@@ -18,11 +18,8 @@ import signal
 import subprocess
 import sys
 from contextlib import ExitStack
-from pathlib import Path
 
 import pytest
-
-import repro
 
 from repro.common.labels import CLEAN, DIRTY
 from repro.serving import (
@@ -39,8 +36,9 @@ from repro.serving import (
     result_to_payload,
 )
 
+from .conftest import repro_env
+
 OPS = {op.name: op for op in SERVING_OPS}
-SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 SHEET = {item: (DIRTY if item % 3 == 0 else CLEAN) for item in range(12)}
 COLUMNS = [dict(SHEET), dict(SHEET), dict(SHEET), {0: CLEAN, 4: DIRTY, 8: CLEAN}]
@@ -269,7 +267,7 @@ class TestCollusionUnderWorkers:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+            env=repro_env(),
         )
         try:
             url = process.stdout.readline().split()[2]

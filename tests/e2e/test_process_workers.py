@@ -19,11 +19,9 @@ import sys
 import threading
 import time
 import urllib.request
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.common.exceptions import ConfigurationError, ReproError, ValidationError
 from repro.core.chao92 import Chao92Estimator
 from repro.core.descriptive import CollusionReport
@@ -40,7 +38,8 @@ from repro.streaming import (
     ShardedEstimationService,
 )
 
-SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
+from .conftest import repro_env
+
 BANNER = re.compile(r"^serving on (http://[^ ]+)")
 
 SESSION = "tenant-a"
@@ -354,7 +353,7 @@ class TestServeWorkersSubprocess:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+            env=repro_env(),
         )
 
     def test_serve_workers_lifecycle(self, tmp_path):
@@ -407,7 +406,7 @@ class TestServeWorkersSubprocess:
             capture_output=True,
             text=True,
             timeout=30,
-            env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+            env=repro_env(),
         )
         assert result.returncode == 2
         assert "conflicts" in result.stderr

@@ -14,11 +14,9 @@ import socket
 import subprocess
 import sys
 import urllib.request
-from pathlib import Path
 
-import repro
+from .conftest import repro_env
 
-SRC_ROOT = str(Path(repro.__file__).resolve().parents[1])
 BANNER = re.compile(r"^serving on (http://[^ ]+)")
 
 
@@ -28,7 +26,7 @@ def _spawn(*extra, store):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+        env=repro_env(),
     )
 
 
@@ -115,7 +113,7 @@ class TestServeSubprocess:
             capture_output=True,
             text=True,
             timeout=30,
-            env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+            env=repro_env(),
         )
         assert result.returncode == 2
         lines = [line for line in result.stderr.splitlines() if line]
@@ -134,7 +132,7 @@ class TestServeSubprocess:
                 capture_output=True,
                 text=True,
                 timeout=30,
-                env={"PYTHONPATH": SRC_ROOT, "PATH": "/usr/bin:/bin"},
+                env=repro_env(),
             )
         finally:
             blocker.close()

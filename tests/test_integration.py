@@ -7,6 +7,13 @@ reporting, and check the qualitative claims of the paper hold end to end.
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Set
+
 import pytest
 
 from repro import (
@@ -30,14 +37,64 @@ from repro.data.synthetic import SyntheticPairConfig
 from repro.experiments.reporting import render_series_table, series_to_csv
 from repro.experiments.runner import EstimationRunner, RunnerConfig
 
+#: Every package with a public surface.
+PACKAGES = (
+    "repro",
+    "repro.common",
+    "repro.core",
+    "repro.crowd",
+    "repro.data",
+    "repro.er",
+    "repro.prioritization",
+    "repro.streaming",
+    "repro.serving",
+    "repro.experiments",
+    "repro.scenarios",
+)
+
+
+def loaded_modules(code: str) -> Set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    import repro
+
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_root, env.get("PYTHONPATH"))))
+    output = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+    ).stdout
+    return set(output.split())
+
+
+def within(modules: Set[str], packages) -> Set[str]:
+    """The members of ``modules`` that are one of ``packages`` or inside one."""
+    return {
+        module
+        for module in modules
+        if any(module == package or module.startswith(package + ".") for package in packages)
+    }
+
 
 class TestPublicApi:
     def test_version_and_exports(self):
         import repro
 
         assert repro.__version__
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        for package in PACKAGES:
+            module = importlib.import_module(package)
+            assert len(set(module.__all__)) == len(module.__all__), package
+            star = {}
+            exec(f"from {package} import *", star)
+            listed = dir(module)
+            for name in module.__all__:
+                assert getattr(module, name) is star[name], (package, name)
+                assert name in listed, (package, name)
+            with pytest.raises(AttributeError, match=f"'{package}' has no attribute 'nope'"):
+                getattr(module, "nope")
 
     def test_registry_matches_exports(self):
         from repro import available_estimators, get_estimator
@@ -45,6 +102,31 @@ class TestPublicApi:
         for name in available_estimators():
             estimator = get_estimator(name)
             assert hasattr(estimator, "estimate")
+
+
+class TestImportedModules:
+    """A process imports only the modules it calls."""
+
+    def test_import_repro_loads_only_the_surface_helper(self):
+        assert within(loaded_modules("import repro"), ["repro"]) == {"repro", "repro._lazy"}
+
+    def test_a_shard_worker_loads_no_front_or_figure_code(self):
+        modules = loaded_modules("import repro.serving.workers")
+        assert "repro.serving.workers" in modules
+        unused = [
+            "repro.serving.http",
+            "repro.serving.loadgen",
+            "repro.experiments",
+            "repro.scenarios",
+            "repro.er",
+            "http.server",
+        ]
+        assert within(modules, unused) == set()
+
+    def test_building_the_cli_parser_loads_no_experiment(self):
+        modules = loaded_modules("from repro import cli\ncli._build_parser()")
+        assert "repro.cli" in modules
+        assert within(modules, ["repro.experiments"]) == set()
 
 
 class TestEntityResolutionPipeline:
